@@ -399,8 +399,8 @@ def cmd_analyze(args):
         newton_tol=opts.newton_tol,
         max_newton_iters=opts.max_newton_iters,
     )
-    _say(args, f"critical points: {len(points)} "
-               f"(from {diags.seeds} seeds, {diags.converged} converged)")
+    counts = ", ".join(f"{f.name}={getattr(diags, f.name)}" for f in dc_fields(diags))
+    _say(args, f"critical points: {len(points)} ({counts})")
 
     cert_opts = stability.CertifyOptions(
         shell_radius=opts.shell_radius,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .errors import OutsideDomainError
+from .errors import EvalDomainError, OutsideDomainError
 
 __all__ = [
     "Classification",
@@ -77,6 +77,7 @@ class FinderDiagnostics:
     dropped_no_convergence: int = 0
     dropped_outside: int = 0
     dropped_singular: int = 0
+    dropped_domain: int = 0
     duplicates_merged: int = 0
 
 
@@ -97,8 +98,8 @@ def classify_spectrum(spectrum, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
 def _newton(field, seed, newton_tol, max_iters):
     """Damped Newton iteration for grad f = 0 from one seed.
 
-    Returns the root or None.  Leaves the box (with a small margin) ->
-    dropped; singular damped Hessian -> dropped.
+    Returns the root or None.  Leaves the box (with a small margin), hits an
+    EvalDomainError or a singular damped Hessian -> dropped.
     """
     x = np.asarray(seed, dtype=float)
     lo = np.asarray(field.box.lo)
@@ -109,11 +110,13 @@ def _newton(field, seed, newton_tol, max_iters):
             return None, "outside"
         try:
             g = field.grad(np.clip(x, lo, hi)) if not field.inside(x) else field.grad(x)
+            if float(np.linalg.norm(g)) <= newton_tol:
+                return x, "converged"
+            h = field.hessian(np.clip(x, lo, hi)) if not field.inside(x) else field.hessian(x)
         except OutsideDomainError:
             return None, "outside"
-        if float(np.linalg.norm(g)) <= newton_tol:
-            return x, "converged"
-        h = field.hessian(np.clip(x, lo, hi)) if not field.inside(x) else field.hessian(x)
+        except EvalDomainError:
+            return None, "domain"
         h_norm = float(np.linalg.norm(h))
         det = float(np.linalg.det(h))
         if abs(det) <= 1e-12 * max(1.0, h_norm) ** h.shape[0]:
@@ -160,6 +163,8 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
                 diags.dropped_outside += 1
             elif outcome == "singular":
                 diags.dropped_singular += 1
+            elif outcome == "domain":
+                diags.dropped_domain += 1
             else:
                 diags.dropped_no_convergence += 1
             continue

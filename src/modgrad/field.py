@@ -204,6 +204,7 @@ class MatrixPath:
         self._constant_lambda1 = (
             None if self.uses_t else linalg.eigen_smallest(self._constant_value)
         )
+        self.is_identity = not self.uses_t and np.array_equal(self._constant_value, np.eye(n))
 
     @classmethod
     def identity(cls, n):
@@ -235,18 +236,6 @@ class MatrixPath:
         if self._constant_lambda1 is not None:
             return self._constant_lambda1
         return linalg.eigen_smallest(self.value(t))
-
-    @property
-    def is_identity(self):
-        if self._constant_value is None:
-            return False
-        return np.array_equal(self._constant_value, np.eye(self.dimension))
-
-    def entry_sources(self):
-        return [
-            [str(self._upper[(min(i, j), max(i, j))]) for j in range(self.dimension)]
-            for i in range(self.dimension)
-        ]
 
     def __repr__(self):
         return f"MatrixPath(dimension={self.dimension}, uses_t={self.uses_t})"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ class TestAnalyze:
         )
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "H0" in capsys.readouterr().err
+
+    def test_seed_at_undefined_gradient_is_dropped(self, tmp_path, capsys):
+        # the cone's apex, a grid seed, has no gradient
+        cfg = write_config(
+            tmp_path,
+            {
+                "dimension": 2,
+                "f": "-sqrt(x1^2+x2^2)",
+                "box": [[-1, 1], [-1, 1]],
+                "options": {"grid_per_axis": 5},
+            },
+        )
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 2, 3)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        dropped = re.search(r"dropped_domain=(\d+)", captured.out)
+        assert dropped is not None and int(dropped.group(1)) >= 1
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**EX31_CONFIG, "fieldd": "typo"})

@@ -1,4 +1,4 @@
-"""Parser and dual-number autodiff tests."""
+"""Parser, evaluation and symbolic-derivative tests."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from modgrad.expr import EvalDomainError, ParseError, parse
+from modgrad.gallery import _ex31_printed_gradient
 
 from helpers import central_diff_grad, random_poly_source
 
@@ -168,6 +169,60 @@ class TestHessian:
             e = parse(random_poly_source(rng, n), n)
             h = e.hessian(rng.uniform(-1.5, 1.5, size=n))
             assert np.array_equal(h, h.T)
+
+
+class TestExactDerivatives:
+    """Integer-coefficient polynomials at integer points: every product
+    and sum is exact in floating point, so the derivatives must equal the
+    hand-derived values exactly."""
+
+    def test_example_31_gradient_matches_printed_form(self):
+        e = parse(EX31_F, 2)
+        for x1 in range(-1, 6):
+            for x2 in range(-1, 7):
+                g = e.grad((x1, x2))
+                assert np.array_equal(g, _ex31_printed_gradient((x1, x2))), (x1, x2)
+
+    def test_example_31_hessian_by_hand(self):
+        # d/dx2 of -12 (x2-1)(x2-2)(x2-4) = -12 (3 x2^2 - 14 x2 + 14)
+        e = parse(EX31_F, 2)
+        for x1 in range(-1, 6):
+            for x2 in range(-1, 7):
+                expected = [[-20.0, 0.0], [0.0, -12.0 * (3 * x2 * x2 - 14 * x2 + 14)]]
+                assert np.array_equal(e.hessian((x1, x2)), expected), (x1, x2)
+
+    def test_mixed_polynomial(self):
+        e = parse("x1^3*x2 - 2*x1*x2^2 + 5 - x3^(-2)", 3)
+        for x1, x2 in [(0, 0), (1, -2), (-3, 4), (5, 7)]:
+            g = e.grad((x1, x2, 2))
+            assert g.tolist() == [3 * x1**2 * x2 - 2 * x2**2, x1**3 - 4 * x1 * x2, 0.25]
+            h = e.hessian((x1, x2, 2))
+            assert h.tolist() == [
+                [6 * x1 * x2, 3 * x1**2 - 4 * x2, 0.0],
+                [3 * x1**2 - 4 * x2, -4 * x1, 0.0],
+                [0.0, 0.0, -0.375],
+            ]
+
+    def test_time_is_held_fixed(self):
+        e = parse("t*x1^2 + sin(t)*x2", 2, allow_t=True)
+        assert e.grad((3.0, 5.0), time=2.0).tolist() == [12.0, math.sin(2.0)]
+        assert e.hessian((3.0, 5.0), time=2.0).tolist() == [[4.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "source,point,named",
+        [
+            ("sqrt(x1^2+x2^2)", (0.0, 0.0), "sqrt(x1^2 + x2^2)"),
+            ("ln(x1) + x2", (-1.0, 0.0), "ln(x1)"),
+            ("x1^0.5 * x2", (-4.0, 1.0), "x1^0.5"),
+            ("1/(x1-2) + x2", (2.0, 0.0), "1.0 / (x1 - 2.0)"),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["grad", "hessian"])
+    def test_domain_error_names_subexpression(self, source, point, named, method):
+        e = parse(source, 2)
+        with pytest.raises(EvalDomainError) as exc:
+            getattr(e, method)(point)
+        assert named in str(exc.value)
 
 
 class TestAutodiffAgainstFiniteDifferences:
