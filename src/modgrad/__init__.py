@@ -44,7 +44,15 @@ from .gallery import GALLERY_IDS, GalleryEntry, PiecewiseCubic
 from .gallery import build as build_gallery
 from .gallery import example_2_1, example_2_2, example_3_1
 from .linalg import eigen_all, eigen_smallest, integrate_adaptive
-from .ode import LyapunovTrace, SimOptions, Status, Trajectory, lyapunov_trace, simulate
+from .ode import (
+    LyapunovTrace,
+    SimOptions,
+    Status,
+    Trajectory,
+    lyapunov_trace,
+    simulate,
+    simulate_batch,
+)
 from .stability import (
     CertifyOptions,
     Conclusion,
@@ -52,6 +60,7 @@ from .stability import (
     EcVerdict,
     StabilityReport,
     certify,
+    certify_all,
     ec_check,
 )
 
@@ -76,6 +85,7 @@ __all__ = [
     "Trajectory",
     "LyapunovTrace",
     "simulate",
+    "simulate_batch",
     "lyapunov_trace",
     "Classification",
     "CriticalPoint",
@@ -90,6 +100,7 @@ __all__ = [
     "CertifyOptions",
     "ec_check",
     "certify",
+    "certify_all",
     "GridComponent",
     "HypothesesReport",
     "BasinVerification",

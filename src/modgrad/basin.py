@@ -10,7 +10,6 @@ a saddle pinch, which keeps the basin guarantee sound.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,24 +27,12 @@ __all__ = [
     "check_hypotheses",
     "verify_basin",
     "verify_basin_sampled",
+    "sample_cells",
     "sample_region",
     "suggest_cut_level",
-    "thread_count",
 ]
 
 MAX_GRID_DIMENSION = 4
-
-
-def thread_count():
-    """Parallelism cap from MODGRAD_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("MODGRAD_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
 
 
 @dataclass(frozen=True)
@@ -377,7 +364,14 @@ class BasinVerification:
         return self.converged_count == self.sample_count
 
 
-def _simulate_sample(system, start, anchor, t_end, converge_radius, sim_opts):
+def _converge_starts(system, starts, anchor, t_end, converge_radius, sim_opts):
+    """Simulate all starts as one batch toward *anchor*.
+
+    Returns the converged count and the failures as (start, status string,
+    final state) triples, in start order.
+    """
+    if not len(starts):
+        return 0, ()
     opts = ode.SimOptions(
         rel_tol=sim_opts.rel_tol,
         abs_tol=sim_opts.abs_tol,
@@ -386,66 +380,45 @@ def _simulate_sample(system, start, anchor, t_end, converge_radius, sim_opts):
         convergence_target=tuple(anchor),
         convergence_radius=converge_radius,
     )
-    return ode.simulate(system, start, 0.0, t_end, opts)
+    trajectories = ode.simulate_batch(system, starts, 0.0, t_end, opts)
+    failures = tuple(
+        (tuple(start.tolist()), traj.status.value, tuple(traj.final_state.tolist()))
+        for start, traj in zip(starts, trajectories)
+        if traj.status is not ode.Status.CONVERGED
+    )
+    return len(starts) - len(failures), failures
+
+
+def sample_cells(component, count, seed=0):
+    """*count* starts in masked cell interiors, deterministic in *seed*."""
+    masked = np.argwhere(component.mask)
+    if len(masked) == 0:
+        raise ValueError("component has no masked cells")
+    lo = np.array(component.box_lo)
+    widths = np.array(component.cell_widths)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xBA51]))
+    picks = rng.integers(0, len(masked), size=int(count))
+    starts = []
+    for k, pick in enumerate(picks):
+        sub_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(k)]))
+        jitter = sub_rng.uniform(0.1, 0.9, size=component.dimension)
+        starts.append(lo + (masked[pick] + jitter) * widths)
+    return starts
 
 
 def verify_basin(system, component, sample_count=100, t_end=50.0,
                  converge_radius=1e-3, seed=0, sim_opts=None):
     """Simulate starts sampled from masked cell interiors; count convergence.
 
-    Sampling is deterministic in *seed* and per-sample, so batches can run
-    in any order (or in parallel up to the MODGRAD_THREADS cap) with
-    identical results.
+    The starts (``sample_cells``) run as one trajectory batch whose rows do
+    not depend on each other.
     """
     sim_opts = sim_opts or ode.SimOptions()
-    masked = np.argwhere(component.mask)
-    if len(masked) == 0:
-        raise ValueError("component has no masked cells")
+    starts = sample_cells(component, sample_count, seed)
     anchor = np.asarray(component.anchor)
-    lo = np.array(component.box_lo)
-    widths = np.array(component.cell_widths)
-
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xBA51]))
-    picks = rng.integers(0, len(masked), size=int(sample_count))
-    starts = []
-    for k, pick in enumerate(picks):
-        sub_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(k)]))
-        jitter = sub_rng.uniform(0.1, 0.9, size=component.dimension)
-        starts.append(lo + (masked[pick] + jitter) * widths)
-
-    workers = min(thread_count(), len(starts))
-    results = [None] * len(starts)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _simulate_sample, system, s, anchor, t_end, converge_radius, sim_opts
-                ): i
-                for i, s in enumerate(starts)
-            }
-            for fut, i in futures.items():
-                results[i] = fut.result()
-    else:
-        for i, s in enumerate(starts):
-            results[i] = _simulate_sample(
-                system, s, anchor, t_end, converge_radius, sim_opts
-            )
-
-    converged = 0
-    failures = []
-    for start, traj in zip(starts, results):
-        if traj.status is ode.Status.CONVERGED:
-            converged += 1
-        else:
-            failures.append(
-                (
-                    tuple(start.tolist()),
-                    traj.status.value,
-                    tuple(traj.final_state.tolist()),
-                )
-            )
+    converged, failures = _converge_starts(
+        system, starts, anchor, t_end, converge_radius, sim_opts
+    )
     note = (
         f"{converged}/{len(starts)} trajectories converged to the anchor "
         f"within {converge_radius:g} by t = {t_end:g} (seed {seed}); "
@@ -454,7 +427,7 @@ def verify_basin(system, component, sample_count=100, t_end=50.0,
     return BasinVerification(
         sample_count=len(starts),
         converged_count=converged,
-        failures=tuple(failures),
+        failures=failures,
         note=note,
     )
 
@@ -503,17 +476,9 @@ def verify_basin_sampled(system, anchor, c, sample_count=100, t_end=50.0,
     sim_opts = sim_opts or ode.SimOptions()
     anchor = np.asarray(anchor, dtype=float)
     starts = sample_region(system.field, anchor, c, sample_count, seed)
-    converged = 0
-    failures = []
-    for start in starts:
-        traj = _simulate_sample(system, start, anchor, t_end, converge_radius, sim_opts)
-        if traj.status is ode.Status.CONVERGED:
-            converged += 1
-        else:
-            failures.append(
-                (tuple(start.tolist()), traj.status.value,
-                 tuple(traj.final_state.tolist()))
-            )
+    converged, failures = _converge_starts(
+        system, starts, anchor, t_end, converge_radius, sim_opts
+    )
     note = (
         f"{converged}/{len(starts)} rejection-sampled starts converged within "
         f"{converge_radius:g} by t = {t_end:g} (seed {seed}); starts were drawn "
@@ -522,7 +487,7 @@ def verify_basin_sampled(system, anchor, c, sample_count=100, t_end=50.0,
     return BasinVerification(
         sample_count=len(starts),
         converged_count=converged,
-        failures=tuple(failures),
+        failures=failures,
         note=note,
     )
 

@@ -414,10 +414,8 @@ def cmd_analyze(args):
         descent_t_end=opts.descent_t_end,
         sim=config.sim_options,
     )
-    reports = []
-    for point in points:
-        rep = stability.certify(config.system, point, cert_opts, critical_points=points)
-        reports.append(rep)
+    reports = stability.certify_all(config.system, points, cert_opts, critical_points=points)
+    for point, rep in zip(points, reports):
         loc = ", ".join(format(v, ".10g") for v in point.location)
         _say(
             args,

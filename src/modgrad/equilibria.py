@@ -16,6 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EvalDomainError, OutsideDomainError
+from .field import reraise_row_error
 
 __all__ = [
     "Classification",
@@ -51,10 +52,6 @@ class IsolationVerdict:
     min_grad_norm: float
     witness: tuple | None = None  # sample point with |grad f| <= grad_floor
     shells: tuple = ()
-
-    @property
-    def is_isolated_evidence(self):
-        return self.kind is IsolationKind.ISOLATED_EVIDENCE
 
 
 @dataclass(frozen=True)
@@ -212,6 +209,13 @@ def _shell_points(center, radius, count, dimension):
     return center + radius * dirs
 
 
+def _inside_prefix(field, samples):
+    """How many samples come before the first one outside D.  A row-by-row
+    probe evaluates exactly these before it meets the outside one."""
+    outside = ~field.inside_batch(samples)
+    return int(np.argmax(outside)) if outside.any() else len(samples)
+
+
 def isolation_probe(field, point, shell_radii, samples_per_shell=32,
                     grad_floor=DEFAULT_GRAD_FLOOR):
     """Probe whether *point* looks like an isolated critical point.
@@ -232,18 +236,21 @@ def isolation_probe(field, point, shell_radii, samples_per_shell=32,
         raise OutsideDomainError(
             f"shell radius {max(radii)} exits the box around {point.tolist()}"
         )
-    min_norm = math.inf
-    witness = None
-    for r in radii:
-        for sample in _shell_points(point, r, samples_per_shell, field.dimension):
-            if not field.inside(sample):
-                raise OutsideDomainError(
-                    f"shell sample {sample.tolist()} is outside the domain"
-                )
-            g_norm = float(np.linalg.norm(field.grad(sample)))
-            if g_norm < min_norm:
-                min_norm = g_norm
-                witness = sample
+    samples = np.concatenate(
+        [_shell_points(point, r, samples_per_shell, field.dimension) for r in radii]
+    )
+    stop = _inside_prefix(field, samples)
+    g = field.grad_batch(samples[:stop])
+    reraise_row_error(samples[:stop], g, field.grad)
+    if stop < len(samples):
+        raise OutsideDomainError(
+            f"shell sample {samples[stop].tolist()} is outside the domain"
+        )
+    norms = linalg.row_norms(g)
+    norms[np.isnan(norms)] = math.inf  # a NaN never beats the running minimum
+    first_min = int(np.argmin(norms))
+    min_norm = float(norms[first_min])
+    witness = samples[first_min] if min_norm < math.inf else None
     if min_norm <= grad_floor:
         kind = IsolationKind.NOT_ISOLATED
         wit = tuple(float(v) for v in witness)

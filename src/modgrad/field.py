@@ -2,7 +2,14 @@
 
 Everything here is immutable after construction and safe to share across
 threads.  The right-hand side P(t) * grad f(x) computed by ``System.rhs``
-is the single source of truth for the vector field the integrator sees.
+(one state) and ``System.rhs_batch`` (a stack of states, the integrator's
+path) is the single source of truth for the vector field.
+
+Batch methods take states stacked along a leading axis and answer row by
+row with the scalar methods' bits.  A row outside D, or one whose
+evaluation hits a domain error, comes back NaN instead of raising;
+``reraise_row_error`` turns the first such row back into the error a
+row-by-row loop would have raised.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from . import linalg
-from .errors import OutsideDomainError
+from .errors import EvalDomainError, OutsideDomainError
 
 __all__ = [
     "Box",
@@ -25,7 +32,22 @@ __all__ = [
     "H0Report",
     "validate_h0",
     "default_sample_times",
+    "reraise_row_error",
 ]
+
+
+def reraise_row_error(x, values, *scalar_fns):
+    """Raise what a row-by-row loop over *scalar_fns* would have raised.
+
+    *values* is a batch result for the rows of *x*; each row holding a NaN
+    is re-run through the scalar functions in order, and the first one
+    that raises ends the scan.  A NaN that the scalar functions return
+    without raising is a value, and the scan moves on.
+    """
+    bad = np.isnan(values).any(axis=tuple(range(1, np.ndim(values))))
+    for i in np.flatnonzero(bad):
+        for fn in scalar_fns:
+            fn(x[i])
 
 
 @dataclass(frozen=True)
@@ -100,6 +122,39 @@ class ScalarField:
         the domain (or hitting a domain error) come back NaN."""
         raise NotImplementedError
 
+    def _check_rows(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.dimension:
+            raise ValueError(
+                f"points must have shape (m, {self.dimension}), got {x.shape}"
+            )
+        return x
+
+    def inside_batch(self, x):
+        """``inside`` for each row of x (shape (m, n))."""
+        x = self._check_rows(x)
+        return np.all((x >= self.box.lo) & (x <= self.box.hi), axis=1)
+
+    def eval_batch(self, x):
+        """f at each row of x; NaN where ``eval`` would raise."""
+        return self._rows(self._eval, x, ())
+
+    def grad_batch(self, x):
+        """grad f at each row of x, shape (m, n); NaN rows where ``grad``
+        would raise."""
+        return self._rows(self._grad, x, (self.dimension,))
+
+    def _rows(self, fn, x, shape):
+        """The scalar kernel *fn* on each row inside D, NaN elsewhere."""
+        x = self._check_rows(x)
+        out = np.full((len(x),) + shape, np.nan)
+        for i in np.flatnonzero(self.inside_batch(x)):
+            try:
+                out[i] = fn(x[i])
+            except EvalDomainError:
+                pass
+        return out
+
 
 class ExpressionField(ScalarField):
     """Scalar field backed by a parsed expression (time-independent)."""
@@ -130,12 +185,12 @@ class ProceduralField(ScalarField):
     """Scalar field given by callables (used by gallery constructions).
 
     ``inside_fn`` optionally restricts D to a subset of the box (Example 2.2
-    lives on the unit disk embedded in [-1,1]^2).  ``eval_grid_fn``, when
-    provided, must return NaN outside the domain.
+    lives on the unit disk embedded in [-1,1]^2).  ``eval_grid_fn`` must
+    return NaN outside the domain.
     """
 
-    def __init__(self, dimension, box, eval_fn, grad_fn, hessian_fn,
-                 inside_fn=None, eval_grid_fn=None, label="procedural"):
+    def __init__(self, dimension, box, eval_fn, grad_fn, hessian_fn, eval_grid_fn,
+                 inside_fn=None, label="procedural"):
         super().__init__(dimension, box)
         self._eval_fn = eval_fn
         self._grad_fn = grad_fn
@@ -149,6 +204,14 @@ class ProceduralField(ScalarField):
             return False
         return self._inside_fn(x) if self._inside_fn is not None else True
 
+    def inside_batch(self, x):
+        x = self._check_rows(x)
+        inside = super().inside_batch(x)
+        if self._inside_fn is not None:
+            for i in np.flatnonzero(inside):
+                inside[i] = bool(self._inside_fn(x[i]))
+        return inside
+
     def _eval(self, x):
         return float(self._eval_fn(x))
 
@@ -159,16 +222,7 @@ class ProceduralField(ScalarField):
         return np.asarray(self._hessian_fn(x), dtype=float)
 
     def eval_grid(self, columns):
-        if self._eval_grid_fn is not None:
-            return self._eval_grid_fn(columns)
-        out = np.full(np.broadcast(*columns).shape, np.nan)
-        it = np.nditer(out, flags=["multi_index"])
-        cols = [np.broadcast_to(c, out.shape) for c in columns]
-        for _ in it:
-            x = [c[it.multi_index] for c in cols]
-            if self.inside(x):
-                out[it.multi_index] = self._eval_fn(x)
-        return out
+        return self._eval_grid_fn(columns)
 
     def __repr__(self):
         return f"ProceduralField({self.label!r})"
@@ -232,6 +286,13 @@ class MatrixPath:
             return self._constant_value
         return self._evaluate(float(t))
 
+    def value_batch(self, t):
+        """P at each time of t (shape (m,)) as an (m, n, n) stack."""
+        shape = (len(t), self.dimension, self.dimension)
+        if self._constant_value is not None:
+            return np.broadcast_to(self._constant_value, shape)
+        return np.array([self._evaluate(float(s)) for s in t]).reshape(shape)
+
     def smallest_eigenvalue(self, t):
         if self._constant_lambda1 is not None:
             return self._constant_lambda1
@@ -265,6 +326,14 @@ class System:
         if self.matrix.is_identity:
             return g
         return self.matrix.value(t) @ g
+
+    def rhs_batch(self, t, x):
+        """``rhs`` row by row for times t (shape (m,)) and states x (shape
+        (m, n)); NaN rows where ``rhs`` would raise."""
+        g = self.field.grad_batch(x)
+        if self.matrix.is_identity:
+            return g
+        return (self.matrix.value_batch(t) @ g[:, :, None])[:, :, 0]
 
 
 def default_sample_times(t_max=1e4, count=64):

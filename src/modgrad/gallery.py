@@ -233,6 +233,26 @@ class _RadialField(ProceduralField):
         out = self.cubic.value(np.minimum(-r, 0.0))
         return np.where(r <= 1.0, out, np.nan)
 
+    # batch methods: the scalar formulas on whole columns, same bits per row
+
+    def inside_batch(self, x):
+        x = self._check_rows(x)
+        return np.all(np.abs(x) <= 1.0, axis=1) & (np.hypot(x[:, 0], x[:, 1]) <= 1.0)
+
+    def eval_batch(self, x):
+        x = self._check_rows(x)
+        return np.where(self.inside_batch(x), self.cubic.value(-np.hypot(x[:, 0], x[:, 1])),
+                        np.nan)
+
+    def grad_batch(self, x):
+        x = self._check_rows(x)
+        r = np.hypot(x[:, 0], x[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = (-self.cubic.slope(-r) / r)[:, None] * x
+        g[r == 0.0] = 0.0
+        g[~self.inside_batch(x)] = np.nan
+        return g
+
 
 def example_2_2(depth=20):
     """Radial field whose critical set contains circles r = 2^-n."""

@@ -13,9 +13,27 @@ import numpy as np
 
 from .errors import NumericFailure
 
-__all__ = ["eigen_all", "eigen_smallest", "integrate_adaptive", "check_symmetric"]
+__all__ = [
+    "eigen_all",
+    "eigen_smallest",
+    "integrate_adaptive",
+    "check_symmetric",
+    "row_dots",
+    "row_norms",
+]
 
 _MAX_SWEEPS = 64
+
+
+def row_dots(a, b):
+    """Dot product of each row of a with the same row of b, bit for bit the
+    1-D ``a[i] @ b[i]`` (stacked matmul reaches the same kernel)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norms(v):
+    """Euclidean norm of each row, bit for bit the 1-D ``np.linalg.norm``."""
+    return np.sqrt(row_dots(v, v))
 
 
 def check_symmetric(m):

@@ -3,6 +3,14 @@
 Dormand-Prince 5(4) embedded pair with PI step-size control and the FSAL
 property; dense output between accepted steps is 4th-order (cubic) Hermite
 interpolation from the stored endpoint derivatives.
+
+There is one integrator, ``simulate_batch``: it advances a batch of starts
+in lockstep along a leading axis, with every row keeping its own step size,
+error history and status, so each stage costs one batched right-hand-side
+call however many trajectories are running.  ``simulate`` is its batch of
+one.  The batched arithmetic is the 1-D arithmetic row by row (stacked
+matmuls for stage sums and norms, Python floats for the controller's
+powers), so a row's trajectory does not depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import OutsideDomainError, EvalDomainError
+from .errors import OutsideDomainError
+from .field import reraise_row_error
 
 __all__ = [
     "SimOptions",
@@ -21,6 +30,7 @@ __all__ = [
     "Trajectory",
     "LyapunovTrace",
     "simulate",
+    "simulate_batch",
     "lyapunov_trace",
 ]
 
@@ -76,7 +86,8 @@ class SimOptions:
 @dataclass
 class Trajectory:
     """Accepted samples of a single solution, with stored derivatives so
-    any interior time can be interpolated."""
+    any interior time can be interpolated, and the work it took: rejected
+    steps and right-hand-side evaluations (failed ones included)."""
 
     t0: float
     status: Status
@@ -86,6 +97,8 @@ class Trajectory:
     converged_at: float | None = None
     exit_point: np.ndarray | None = None
     detail: str = ""
+    steps_rejected: int = 0
+    rhs_evals: int = 0
 
     @property
     def final_state(self):
@@ -124,29 +137,33 @@ class Trajectory:
         return out
 
 
-def _error_norm(err, x_old, x_new, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(x_old), np.abs(x_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _rms(v):
+    """Root mean square of each row."""
+    return np.sqrt(np.mean(v ** 2, axis=1))
 
 
-def _initial_step(rhs, t0, x0, f0, t_end, rel_tol, abs_tol):
-    """Hairer's starting-step heuristic, clipped to the span."""
+def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
+    """Hairer's starting-step heuristic, clipped to the span, per row."""
     scale = abs_tol + rel_tol * np.abs(x0)
-    d0 = float(np.sqrt(np.mean((x0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0)
-    x1 = x0 + h0 * f0
-    try:
-        f1 = rhs(t0 + h0, x1)
-    except (OutsideDomainError, EvalDomainError):
-        return max(1e-6, h0 * 1e-3)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t_end - t0)
+    d0 = _rms(x0 / scale).tolist()
+    d1 = _rms(f0 / scale).tolist()
+    h0 = np.minimum(
+        [1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b for a, b in zip(d0, d1)],
+        t_end - t0,
+    )
+    f1 = system.rhs_batch(t0 + h0, x0 + h0[:, None] * f0)
+    d2 = (_rms((f1 - f0) / scale) / h0).tolist()
+    out = []
+    for h, a, b, failed in zip(h0.tolist(), d1, d2, np.isnan(f1).any(axis=1)):
+        if failed:  # the probe step left D
+            out.append(max(1e-6, h * 1e-3))
+            continue
+        if max(a, b) <= 1e-15:
+            h1 = max(1e-6, h * 1e-3)
+        else:
+            h1 = (0.01 / max(a, b)) ** 0.2
+        out.append(min(100.0 * h, h1, t_end - t0))
+    return np.array(out)
 
 
 def simulate(system, x0, t0, t_end, opts=None):
@@ -157,124 +174,188 @@ def simulate(system, x0, t0, t_end, opts=None):
     below 1e-10 (proximity alone is not convergence: Example-2.1-style
     trajectories stall near, but never at, the equilibrium).  Leaving the
     domain stops with LEFT_DOMAIN; a step size forced below h_min stops
-    with STEP_FAILURE.
+    with STEP_FAILURE.  This is ``simulate_batch`` on a batch of one.
+    """
+    return simulate_batch(system, [np.asarray(x0, dtype=float)], t0, t_end, opts)[0]
+
+
+def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
+    """Integrate every row of x0 (shape (m, n)) from t0 up to t_end.
+
+    The rows run in lockstep: each keeps its own t, h, error history,
+    rejection count and status, and every Runge-Kutta stage is one
+    ``System.rhs_batch`` call on the rows still running.  Row i comes out
+    bit for bit as a batch of one would give it, whatever the other rows
+    do.  ``targets`` gives each row its own convergence target (one row per
+    start, or one point for all); by default all rows use
+    ``opts.convergence_target``.  A row whose stage leaves D or hits a
+    domain error stops alone with LEFT_DOMAIN.  Returns one Trajectory per
+    row, in order.
     """
     opts = opts or SimOptions()
     t0 = float(t0)
     t_end = float(t_end)
     if not (0.0 <= t0 < t_end):
         raise ValueError("need 0 <= t0 < t_end")
-    x0 = np.asarray(x0, dtype=float)
-    if not system.field.inside(x0):
-        raise OutsideDomainError(f"x0 {x0.tolist()} is outside the domain")
+    x = np.array(x0, dtype=float)
+    if x.ndim != 2 or x.shape[1] != system.dimension:
+        raise ValueError(f"x0 must have shape (m, {system.dimension})")
+    outside = ~system.field.inside_batch(x)
+    if outside.any():
+        raise OutsideDomainError(f"x0 {x[np.argmax(outside)].tolist()} is outside the domain")
+    m = len(x)
 
     h_max = opts.h_max if opts.h_max is not None else (t_end - t0) / 10.0
-    target = None
-    if opts.convergence_target is not None:
-        target = np.asarray(opts.convergence_target, dtype=float)
+    if targets is None and opts.convergence_target is not None:
+        targets = opts.convergence_target
+    if targets is not None:
+        targets = np.broadcast_to(np.asarray(targets, dtype=float), x.shape)
         if opts.convergence_radius is None:
             raise ValueError("convergence_target requires convergence_radius")
 
-    rhs = system.rhs
-    times = [t0]
-    states = [x0.copy()]
-    f_now = np.asarray(rhs(t0, x0), dtype=float)
-    derivs = [f_now.copy()]
+    f = system.rhs_batch(np.full(m, t0), x)
+    reraise_row_error(x, f, lambda row: system.rhs(t0, row))
+    rows = np.arange(m)  # the row ids still integrating
+    accepted = [(rows, np.full(m, t0), x.copy(), f)]  # (row ids, t, x, rhs) per step
+    outcome = [None] * m  # row id -> (status, Trajectory fields)
+    steps_rejected = np.zeros(m, dtype=int)
+    rhs_evals = np.ones(m, dtype=int)
 
-    def finish(status, **kw):
-        return Trajectory(
-            t0=t0,
-            status=status,
-            times=np.array(times),
-            states=np.array(states),
-            derivs=np.array(derivs),
-            **kw,
+    def converged(xs, fs):  # xs, fs: one row per running row
+        if targets is None:
+            return np.zeros(len(xs), dtype=bool)
+        return (linalg.row_norms(xs - targets[rows]) < opts.convergence_radius) & (
+            linalg.row_norms(fs) < _RHS_FLOOR
         )
 
-    def converged(x, f):
-        return (
-            target is not None
-            and np.linalg.norm(x - target) < opts.convergence_radius
-            and np.linalg.norm(f) < _RHS_FLOOR
+    def finish(j, status, **kw):  # j indexes the running rows
+        outcome[rows[j]] = (status, kw)
+
+    at_target = converged(x, f)
+    for j in np.flatnonzero(at_target):
+        finish(j, Status.CONVERGED, converged_at=t0)
+    rows, x, f = rows[~at_target], x[~at_target], f[~at_target]
+
+    t = np.full(len(rows), t0)
+    if opts.h_init is not None:
+        h = np.full(len(rows), float(opts.h_init))
+    else:
+        h = _initial_step(system, t0, x, f, t_end, opts.rel_tol, opts.abs_tol)
+        rhs_evals[rows] += 1
+    h = np.minimum(np.minimum(np.maximum(h, opts.h_min), h_max), t_end - t0)
+    err_prev = np.full(len(rows), 1e-4)
+    rejected_at_hmin = np.zeros(len(rows), dtype=int)
+
+    def keep(mask):
+        nonlocal rows, t, h, x, f, err_prev, rejected_at_hmin
+        rows, t, h, x, f, err_prev, rejected_at_hmin = (
+            a[mask] for a in (rows, t, h, x, f, err_prev, rejected_at_hmin)
         )
-
-    if converged(x0, f_now):
-        return finish(Status.CONVERGED, converged_at=t0)
-
-    t = t0
-    x = x0.copy()
-    h = opts.h_init if opts.h_init is not None else _initial_step(
-        rhs, t0, x0, f_now, t_end, opts.rel_tol, opts.abs_tol
-    )
-    h = min(max(h, opts.h_min), h_max, t_end - t0)
-    err_prev = 1e-4
-    k = np.empty((7, x0.size))
-    rejected_at_hmin = 0
 
     for _ in range(opts.max_steps):
-        h = min(h, t_end - t)
-        k[0] = f_now
-        try:
-            for i in range(1, 7):
-                xi = x + h * (_A[i] @ k[:i])
-                k[i] = rhs(t + _C[i] * h, xi)
-        except (OutsideDomainError, EvalDomainError):
-            # a stage left D: the step straddles the boundary
-            return finish(Status.LEFT_DOMAIN, exit_point=xi.copy(),
-                          detail=f"stage evaluation left the domain near t={t + h:.6g}")
+        if not len(rows):
+            break
+        h = np.minimum(h, t_end - t)
+        k = np.zeros((len(rows), 7, x.shape[1]))
+        k[:, 0] = f
+        for i in range(1, 7):
+            xi = x + h[:, None] * (_A[i] @ k[:, :i])
+            k[:, i] = system.rhs_batch(t + _C[i] * h, xi)
+            rhs_evals[rows] += 1
+            left = np.isnan(k[:, i]).any(axis=1)
+            if left.any():
+                # a stage left D: the step straddles the boundary
+                for j in np.flatnonzero(left):
+                    finish(j, Status.LEFT_DOMAIN, exit_point=xi[j].copy(),
+                           detail=f"stage evaluation left the domain near t={t[j] + h[j]:.6g}")
+                k, xi = k[~left], xi[~left]
+                keep(~left)
+        if not len(rows):
+            break
         x_new = xi  # 7th stage point is the 5th-order solution (FSAL)
-        err_vec = h * (_E @ k)
-        if target is not None:
-            amp = max(
-                float(np.linalg.norm(x - target)),
-                float(np.linalg.norm(x_new - target)),
-            )
-            if amp < opts.convergence_radius:
-                scale = opts.abs_tol + _NEAR_TARGET_REL * amp
-                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            else:
-                err = _error_norm(err_vec, x, x_new, opts.rel_tol, opts.abs_tol)
-        else:
-            err = _error_norm(err_vec, x, x_new, opts.rel_tol, opts.abs_tol)
+        f_new = k[:, 6]
+        err_vec = h[:, None] * (_E @ k)
+        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+        err = _rms(err_vec / scale)
+        if targets is not None:
+            amp = np.maximum(linalg.row_norms(x - targets[rows]),
+                             linalg.row_norms(x_new - targets[rows]))
+            near = amp < opts.convergence_radius
+            if near.any():
+                near_err = _rms(err_vec / (opts.abs_tol + _NEAR_TARGET_REL * amp)[:, None])
+                err = np.where(near, near_err, err)
 
-        if err <= 1.0:
-            # accept
-            t_new = t + h
-            f_new = k[6]
-            times.append(t_new)
-            states.append(x_new.copy())
-            derivs.append(f_new.copy())
-            if not system.field.inside(x_new):
-                return finish(Status.LEFT_DOMAIN, exit_point=x_new.copy(),
-                              detail=f"accepted state left the domain at t={t_new:.6g}")
-            if converged(x_new, f_new):
-                return finish(Status.CONVERGED, converged_at=t_new)
-            if t_new >= t_end:
-                return finish(Status.REACHED_END)
+        t_new = t + h
+        accept = err <= 1.0
+        done = np.zeros(len(rows), dtype=bool)
+        if accept.any():
+            acc = np.flatnonzero(accept)
+            accepted.append((rows[acc], t_new[acc], x_new[acc], f_new[acc]))
+            inside = np.ones(len(rows), dtype=bool)
+            inside[acc] = system.field.inside_batch(x_new[acc])
+            conv = accept & inside & converged(x_new, f_new)
+            for j in np.flatnonzero(accept & ~inside):
+                finish(j, Status.LEFT_DOMAIN, exit_point=x_new[j].copy(),
+                       detail=f"accepted state left the domain at t={t_new[j]:.6g}")
+            for j in np.flatnonzero(conv):
+                finish(j, Status.CONVERGED, converged_at=float(t_new[j]))
+            end = accept & inside & ~conv & (t_new >= t_end)
+            for j in np.flatnonzero(end):
+                finish(j, Status.REACHED_END)
+            go_on = accept & inside & ~conv & ~end
+            done = accept & ~go_on
+            go = np.flatnonzero(go_on)
             # PI controller (Gustafsson): react to this error and the last one
-            if err == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = _SAFETY * err ** -0.17 * err_prev ** 0.04
-                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_prev = max(err, 1e-4)
-            t = t_new
-            x = x_new.copy()
-            f_now = f_new.copy()
-            h = min(max(h * factor, opts.h_min), h_max)
-            rejected_at_hmin = 0
-        else:
-            # reject
-            if h <= opts.h_min * (1.0 + 1e-12):
-                rejected_at_hmin += 1
-                if rejected_at_hmin >= 3:
-                    return finish(Status.STEP_FAILURE,
-                                  detail=f"step size pinned at h_min={opts.h_min:g} "
-                                         f"with error {err:.3g} at t={t:.6g}")
-            factor = max(0.1, _SAFETY * err ** -0.2)
-            h = max(h * factor, opts.h_min)
+            factor = [
+                _MAX_FACTOR if e == 0.0
+                else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * e ** -0.17 * p ** 0.04))
+                for e, p in zip(err[go].tolist(), err_prev[go].tolist())
+            ]
+            err_prev[go] = np.maximum(err[go], 1e-4)
+            t[go] = t_new[go]
+            x[go] = x_new[go]
+            f[go] = f_new[go]
+            h[go] = np.minimum(np.maximum(h[go] * factor, opts.h_min), h_max)
+            rejected_at_hmin[go] = 0
+        for j in np.flatnonzero(~accept):
+            steps_rejected[rows[j]] += 1
+            e = float(err[j])
+            if h[j] <= opts.h_min * (1.0 + 1e-12):
+                rejected_at_hmin[j] += 1
+                if rejected_at_hmin[j] >= 3:
+                    finish(j, Status.STEP_FAILURE,
+                           detail=f"step size pinned at h_min={opts.h_min:g} "
+                                  f"with error {e:.3g} at t={t[j]:.6g}")
+                    done[j] = True
+                    continue
+            h[j] = max(h[j] * max(0.1, _SAFETY * e ** -0.2), opts.h_min)
+        keep(~done)
 
-    return finish(Status.STEP_FAILURE, detail="max_steps exhausted")
+    for j in range(len(rows)):
+        finish(j, Status.STEP_FAILURE, detail="max_steps exhausted")
+
+    # one array per field, each row's samples contiguous; filling them in
+    # place copies every sample once
+    counts = np.bincount(np.concatenate([a[0] for a in accepted]), minlength=m)
+    ends = np.cumsum(counts)
+    at = ends - counts  # next free slot of each row
+    times = np.empty(counts.sum())
+    states = np.empty((counts.sum(), x.shape[1]))
+    derivs = np.empty_like(states)
+    for ids, step_t, step_x, step_f in accepted:
+        times[at[ids]], states[at[ids]], derivs[at[ids]] = step_t, step_x, step_f
+        at[ids] += 1
+    ends = ends.tolist()
+    out = []
+    for i, (status, kw) in enumerate(outcome):
+        lo, hi = (ends[i - 1] if i else 0), ends[i]
+        out.append(Trajectory(
+            t0=t0, status=status,
+            times=times[lo:hi], states=states[lo:hi], derivs=derivs[lo:hi],
+            steps_rejected=int(steps_rejected[i]), rhs_evals=int(rhs_evals[i]),
+            **kw,
+        ))
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,16 +383,21 @@ class LyapunovTrace:
 
 
 def lyapunov_trace(system, traj, anchor):
-    """Lyapunov trace of *traj* for the candidate equilibrium *anchor*."""
+    """Lyapunov trace of *traj* for the candidate equilibrium *anchor*,
+    all rows at once."""
     anchor = np.asarray(anchor, dtype=float)
-    m_value = system.field.eval(anchor)
-    rows = np.empty((len(traj.times), 5))
-    for i, (t, x) in enumerate(zip(traj.times, traj.states)):
-        g = system.field.grad(x)
-        p = system.matrix.value(t)
-        rows[i, 0] = t
-        rows[i, 1] = m_value - system.field.eval(x)
-        rows[i, 2] = -float((p @ g) @ g)
-        rows[i, 3] = linalg.eigen_smallest(p)
-        rows[i, 4] = float(g @ g)
+    fld = system.field
+    m_value = fld.eval(anchor)
+    x = traj.states
+    g = fld.grad_batch(x)
+    v = fld.eval_batch(x)
+    reraise_row_error(x, np.column_stack([g, v]), fld.grad, fld.eval)
+    pg = (system.matrix.value_batch(traj.times) @ g[:, :, None])[:, :, 0]
+    rows = np.column_stack([
+        traj.times,
+        m_value - v,
+        -linalg.row_dots(pg, g),
+        [system.matrix.smallest_eigenvalue(t) for t in traj.times],
+        linalg.row_dots(g, g),
+    ])
     return LyapunovTrace(anchor=tuple(anchor.tolist()), anchor_value=m_value, rows=rows)

@@ -1,10 +1,11 @@
 """Stability certification for equilibria of the modified-gradient system.
 
 ``ec_check`` grades the eigenvalue condition (divergence of the integral of
-the smallest eigenvalue of P(t)) from finite-horizon evidence; ``certify``
-assembles the hypothesis checks for one equilibrium and emits the strongest
-supported conclusion.  Verdicts are graded, never boolean: an improper
-integral cannot be decided from samples, only witnessed.
+the smallest eigenvalue of P(t)) from finite-horizon evidence;
+``certify_all`` assembles the hypothesis checks for each equilibrium and
+emits the strongest supported conclusion (``certify`` for one).  Verdicts
+are graded, never boolean: an improper integral cannot be decided from
+samples, only witnessed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .equilibria import (
     CriticalPoint,
     IsolationKind,
     IsolationVerdict,
+    _inside_prefix,
     _shell_points,
     isolation_probe,
 )
@@ -34,6 +36,7 @@ __all__ = [
     "CertifyOptions",
     "ec_check",
     "certify",
+    "certify_all",
 ]
 
 
@@ -215,61 +218,104 @@ def _confirm_local_max(field, point, radius):
     when their spectrum was misread.
     """
     f0 = field.eval(point)
-    worst = -math.inf
-    for r in (radius, radius / 4.0):
-        for sample in _shell_points(np.asarray(point, float), r, 32, field.dimension):
-            if not field.inside(sample):
-                return False, "probe shell exits the domain"
-            gap = field.eval(sample) - f0
-            worst = max(worst, gap)
-            if gap >= 0.0:
-                return False, (
-                    f"f({[round(v, 6) for v in sample.tolist()]}) >= f(x̄) "
-                    f"on shell r={r:g}"
-                )
+    parts = [
+        (r, _shell_points(np.asarray(point, float), r, 32, field.dimension))
+        for r in (radius, radius / 4.0)
+    ]
+    samples = np.concatenate([p for _, p in parts])
+    shell_of = [r for r, p in parts for _ in p]
+    stop = _inside_prefix(field, samples)
+    gaps = field.eval_batch(samples[:stop]) - f0
+    for j in np.flatnonzero(~(gaps < 0.0)):
+        if np.isnan(gaps[j]):
+            field.eval(samples[j])  # raises that sample's own error
+            continue
+        return False, (
+            f"f({[round(v, 6) for v in samples[j].tolist()]}) >= f(x̄) "
+            f"on shell r={shell_of[j]:g}"
+        )
+    if stop < len(samples):
+        return False, "probe shell exits the domain"
+    worst = max([-math.inf] + gaps.tolist())
     return True, f"f strictly smaller on shells r={radius:g} and r={radius / 4:g} " \
                  f"(worst gap {worst:.3g})"
 
 
 def certify(system, point, opts=None, critical_points=None):
-    """Assemble the H1-H3 verdicts for *point* and conclude.
+    """``certify_all`` for one equilibrium."""
+    return certify_all(system, [point], opts, critical_points)[0]
+
+
+def certify_all(system, points, opts=None, critical_points=None):
+    """Assemble the H1-H3 verdicts for each of *points* and conclude.
 
     H1: classified isolated local max plus a two-shell probe that f is
     strictly smaller nearby.  H2: isolation probe; any *other* known
     critical point within the probe shells also defeats isolation (Newton
     lands on critical manifolds, so the found list is extra evidence).
-    H3: the eigenvalue-condition grade.  Failed sub-checks downgrade the
-    conclusion; they are results, not errors.
+    H3: the eigenvalue-condition grade, which depends on P(t) alone and is
+    computed once.  Failed sub-checks downgrade the conclusion; they are
+    results, not errors.  The descent spot checks of all points run as one
+    trajectory batch.
     """
     opts = opts or CertifyOptions()
     fld = system.field
-    x = np.asarray(point.location if isinstance(point, CriticalPoint) else point,
-                   dtype=float)
-    if not isinstance(point, CriticalPoint):
+    if not all(isinstance(p, CriticalPoint) for p in points):
         raise TypeError("certify expects a CriticalPoint from find_critical_points")
 
-    radius = opts.shell_radius if opts.shell_radius is not None \
-        else _auto_shell_radius(fld, x)
-    on_boundary = radius <= 0.0
+    checks = []  # per point: (x, radius, h1_pass, h1_note, h2)
+    h3 = None
+    for point in points:
+        x = np.asarray(point.location, dtype=float)
+        radius = opts.shell_radius if opts.shell_radius is not None \
+            else _auto_shell_radius(fld, x)
+        h1_pass, h1_note = _h1(fld, point, x, radius)
+        h2 = _h2(fld, x, radius, opts, critical_points)
+        if h3 is None:  # P(t) alone decides H3; graded where a one-point run would
+            h3 = ec_check(system.matrix, opts.ec_horizon, opts.quad_tol)
+        checks.append((x, radius, h1_pass, h1_note, h2))
 
-    # H1: spectrum says max, and shells confirm
-    h1_class = point.classification is Classification.ISOLATED_LOCAL_MAX
-    if h1_class and on_boundary:
-        h1_pass = False
-        h1_note = "anchor sits on the domain boundary; no interior probe shell fits"
-    elif h1_class:
-        h1_pass, h1_note = _confirm_local_max(fld, x, radius)
-        if not h1_pass:
-            h1_note = f"shell confirmation failed: {h1_note}"
-    else:
-        h1_pass = False
-        h1_note = f"classification is {point.classification.value}, not a local max"
+    descents = _descent_checks(system, checks, opts)
 
-    # H2: shell probe, plus the found critical list as witnesses
+    reports = []
+    for point, (x, radius, h1_pass, h1_note, h2), descent in zip(points, checks, descents):
+        if h1_pass and h2.kind is IsolationKind.ISOLATED_EVIDENCE \
+                and h3.kind is EcKind.DIVERGENT_LIKELY:
+            conclusion = Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
+        elif h1_pass:
+            conclusion = Conclusion.UNIFORMLY_STABLE
+        else:
+            conclusion = Conclusion.NO_CERTIFICATE
+        reports.append(StabilityReport(
+            equilibrium=point,
+            h1_pass=h1_pass,
+            h1_note=h1_note,
+            h2=h2,
+            h3=h3,
+            conclusion=conclusion,
+            descent=descent,
+        ))
+    return reports
+
+
+def _h1(fld, point, x, radius):
+    """H1: spectrum says max, and shells confirm."""
+    if point.classification is not Classification.ISOLATED_LOCAL_MAX:
+        return False, f"classification is {point.classification.value}, not a local max"
+    if radius <= 0.0:
+        return False, "anchor sits on the domain boundary; no interior probe shell fits"
+    h1_pass, h1_note = _confirm_local_max(fld, x, radius)
+    if not h1_pass:
+        h1_note = f"shell confirmation failed: {h1_note}"
+    return h1_pass, h1_note
+
+
+def _h2(fld, x, radius, opts, critical_points):
+    """H2: shell probe, plus the found critical list as witnesses."""
     shells = opts.isolation_shells
     if shells is None:
         shells = (radius, radius / 4.0, radius / 16.0)
-    if on_boundary and opts.isolation_shells is None:
+    if radius <= 0.0 and opts.isolation_shells is None:
         h2 = IsolationVerdict(
             kind=IsolationKind.INCONCLUSIVE,
             min_grad_norm=math.inf,
@@ -292,62 +338,56 @@ def certify(system, point, opts=None, critical_points=None):
         for other in critical_points:
             d = float(np.linalg.norm(other.as_array() - x))
             if 0.0 < d <= max(shells):
-                h2 = IsolationVerdict(
+                return IsolationVerdict(
                     kind=IsolationKind.NOT_ISOLATED,
                     min_grad_norm=0.0,
                     witness=other.location,
                     shells=tuple(shells),
                 )
-                break
+    return h2
 
-    # H3: eigenvalue condition
-    h3 = ec_check(system.matrix, opts.ec_horizon, opts.quad_tol)
 
-    # descent spot checks: 8 trajectories from a start shell around x̄
-    descent = None
-    if opts.descent_trajectories > 0 and not on_boundary:
-        starts = _shell_points(
-            x, opts.descent_radius_scale * radius,
-            max(opts.descent_trajectories, 8), fld.dimension,
-        )[: opts.descent_trajectories]
+def _descent_checks(system, checks, opts):
+    """Descent spot checks: trajectories from a start shell around each x̄,
+    all points' starts in one batch, each converging toward its own x̄."""
+    starts = []
+    targets = []
+    spans = []  # (point index, its first row, its row count)
+    for k, (x, radius, *_) in enumerate(checks):
+        if opts.descent_trajectories > 0 and radius > 0.0:
+            shell = _shell_points(
+                x, opts.descent_radius_scale * radius,
+                max(opts.descent_trajectories, 8), system.dimension,
+            )[: opts.descent_trajectories]
+            spans.append((k, len(starts), len(shell)))
+            starts.extend(shell)
+            targets.extend([x] * len(shell))
+    descents = [None] * len(checks)
+    if not starts:
+        return descents
+    sim_opts = ode.SimOptions(
+        rel_tol=opts.sim.rel_tol,
+        abs_tol=opts.sim.abs_tol,
+        h_min=opts.sim.h_min,
+        h_max=opts.sim.h_max,
+        convergence_radius=1e-8,
+    )
+    trajectories = ode.simulate_batch(
+        system, starts, 0.0, opts.descent_t_end, sim_opts, targets=targets
+    )
+    for k, first, count in spans:
+        x = checks[k][0]
+        mine = trajectories[first:first + count]
         max_inc = 0.0
         max_violation = -math.inf
-        statuses = []
-        sim_opts = ode.SimOptions(
-            rel_tol=opts.sim.rel_tol,
-            abs_tol=opts.sim.abs_tol,
-            h_min=opts.sim.h_min,
-            h_max=opts.sim.h_max,
-            convergence_target=tuple(x.tolist()),
-            convergence_radius=1e-8,
-        )
-        for start in starts:
-            traj = ode.simulate(system, start, 0.0, opts.descent_t_end, sim_opts)
+        for traj in mine:
             trace = ode.lyapunov_trace(system, traj, x)
             max_inc = max(max_inc, trace.max_increase())
             max_violation = max(max_violation, trace.max_bound_violation())
-            statuses.append(traj.status.value)
-        descent = DescentSummary(
-            trajectories=len(starts),
+        descents[k] = DescentSummary(
+            trajectories=len(mine),
             max_v_increase=max_inc,
             max_bound_violation=max_violation,
-            statuses=tuple(statuses),
+            statuses=tuple(traj.status.value for traj in mine),
         )
-
-    if h1_pass and h2.kind is IsolationKind.ISOLATED_EVIDENCE \
-            and h3.kind is EcKind.DIVERGENT_LIKELY:
-        conclusion = Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
-    elif h1_pass:
-        conclusion = Conclusion.UNIFORMLY_STABLE
-    else:
-        conclusion = Conclusion.NO_CERTIFICATE
-
-    return StabilityReport(
-        equilibrium=point,
-        h1_pass=h1_pass,
-        h1_note=h1_note,
-        h2=h2,
-        h3=h3,
-        conclusion=conclusion,
-        descent=descent,
-    )
+    return descents

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from modgrad import ode
 from modgrad.basin import (
     check_hypotheses,
     extract_component,
+    sample_cells,
+    sample_region,
     suggest_cut_level,
     verify_basin,
     verify_basin_sampled,
@@ -189,26 +192,46 @@ class TestHighDimensionFallback:
         assert a.converged_count == b.converged_count and a.failures == b.failures
 
 
-class TestThreadCap:
-    def test_threaded_verification_matches_sequential(self, ex31, ex31_named, monkeypatch):
+class TestBatchIndependence:
+    """Verification runs its starts as one batch; each start must fare
+    exactly as it does when simulated alone."""
+
+    @staticmethod
+    def _alone(system, starts, anchor, t_end, radius):
+        opts = ode.SimOptions(convergence_target=tuple(anchor), convergence_radius=radius)
+        converged = 0
+        failures = []
+        for start in starts:
+            traj = ode.simulate(system, start, 0.0, t_end, opts)
+            if traj.status is ode.Status.CONVERGED:
+                converged += 1
+            else:
+                failures.append((tuple(start.tolist()), traj.status.value,
+                                 tuple(traj.final_state.tolist())))
+        return converged, tuple(failures)
+
+    def test_verify_basin_matches_per_start_runs(self, ex31, ex31_named):
+        # the H5-violating cut mixes converged starts with escapes to p2
         p1, _, _ = ex31_named
-        comp = extract_component(ex31.system.field, p1.location, 33.0, 128)
-        monkeypatch.setenv("MODGRAD_THREADS", "1")
-        seq = verify_basin(ex31.system, comp, sample_count=12, t_end=50.0, seed=4)
-        monkeypatch.setenv("MODGRAD_THREADS", "3")
-        par = verify_basin(ex31.system, comp, sample_count=12, t_end=50.0, seed=4)
-        assert seq.converged_count == par.converged_count
-        assert seq.failures == par.failures
+        comp = extract_component(ex31.system.field, p1.location, 20.0, 128)
+        ver = verify_basin(ex31.system, comp, sample_count=16, t_end=50.0, seed=4)
+        starts = sample_cells(comp, 16, seed=4)
+        converged, failures = self._alone(ex31.system, starts, p1.location, 50.0, 1e-3)
+        assert 0 < ver.converged_count < ver.sample_count
+        assert ver.converged_count == converged
+        assert ver.failures == failures
 
-    def test_thread_count_parsing(self, monkeypatch):
-        from modgrad.basin import thread_count
-
-        monkeypatch.setenv("MODGRAD_THREADS", "5")
-        assert thread_count() == 5
-        monkeypatch.setenv("MODGRAD_THREADS", "0")
-        assert thread_count() >= 1
-        monkeypatch.setenv("MODGRAD_THREADS", "junk")
-        assert thread_count() >= 1
+    def test_sampled_verification_matches_per_start_runs(self):
+        f = ExpressionField(
+            parse("0 - x1^2 - x2^2 - x3^2", 3), Box((-1.0,) * 3, (1.0,) * 3)
+        )
+        system = System(f, MatrixPath.identity(3))
+        ver = verify_basin_sampled(system, (0.0,) * 3, -0.5, 6, t_end=2.0,
+                                   converge_radius=1e-4, seed=2)
+        starts = sample_region(f, (0.0,) * 3, -0.5, 6, seed=2)
+        converged, failures = self._alone(system, starts, (0.0,) * 3, 2.0, 1e-4)
+        assert ver.converged_count == converged
+        assert ver.failures == failures
 
 
 class TestCutLevelHeuristic:

@@ -58,6 +58,45 @@ class TestScalarField:
                 assert grid[i, j] == f.eval((g1[i, j], g2[i, j]))
 
 
+class TestBatchEvaluation:
+    def test_rows_match_scalar_and_nan_where_scalar_raises(self):
+        f = ExpressionField(parse("ln(x1) + x2^2", 2), Box((-1.0, -1.0), (2.0, 2.0)))
+        x = np.array([[0.5, 0.3], [3.0, 0.0], [-0.5, 0.2], [1.5, -1.0]])
+        assert f.inside_batch(x).tolist() == [True, False, True, True]
+        g = f.grad_batch(x)
+        v = f.eval_batch(x)
+        for i in (0, 3):
+            assert np.array_equal(g[i], f.grad(x[i]))
+            assert v[i] == f.eval(x[i])
+        assert np.isnan(g[1]).all() and np.isnan(g[2]).all()
+        assert np.isnan(v[1]) and np.isnan(v[2])
+
+    def test_reraise_row_error_raises_the_first_scalar_error(self):
+        from modgrad.field import reraise_row_error
+
+        f = ExpressionField(parse("ln(x1) + x2^2", 2), Box((-1.0, -1.0), (2.0, 2.0)))
+        x = np.array([[0.5, 0.3], [-0.5, 0.2], [3.0, 0.0]])
+        with pytest.raises(EvalDomainError) as batch_err:
+            reraise_row_error(x, f.grad_batch(x), f.grad)
+        with pytest.raises(EvalDomainError) as scalar_err:
+            f.grad(x[1])
+        assert str(batch_err.value) == str(scalar_err.value)
+        reraise_row_error(x[:1], f.grad_batch(x[:1]), f.grad)  # no NaN: no error
+
+    def test_shape_checked(self):
+        f = ExpressionField(parse("x1 + x2", 2), Box((-1.0, -1.0), (1.0, 1.0)))
+        with pytest.raises(ValueError, match="shape"):
+            f.grad_batch([0.0, 0.0])
+
+    def test_rhs_batch_matches_rhs_for_time_varying_path(self, ex21):
+        t = np.array([0.0, 0.5, 3.0, 40.0])
+        x = np.array([[2.0, 2.0], [1.3, 0.8], [-2.0, 4.5], [9.0, 0.0]])
+        f = ex21.system.rhs_batch(t, x)
+        for i in range(3):
+            assert np.array_equal(f[i], ex21.system.rhs(t[i], x[i]))
+        assert np.isnan(f[3]).all()
+
+
 class TestMatrixPath:
     def test_entries_must_be_time_only(self):
         with pytest.raises(ValueError, match="t only"):

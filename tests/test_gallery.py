@@ -109,6 +109,25 @@ class TestExample22Field:
         assert np.isnan(vals[1, 1])
         assert np.isfinite(vals[0, 0])
 
+    def test_batch_methods_match_scalar_bitwise(self, ex22):
+        fld = ex22.system.field
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-0.7, 0.7, size=(400, 2))
+        x[:50] *= 1e-6  # near the origin, where the blend piece lives
+        x[50] = 0.0
+        x[51:55] = [[0.5, 0.0], [0.0, -0.25], [0.9, 0.9], [1.0, 0.0]]
+        inside = fld.inside_batch(x)
+        g = fld.grad_batch(x)
+        v = fld.eval_batch(x)
+        for i, row in enumerate(x):
+            assert inside[i] == fld.inside(row)
+            if inside[i]:
+                assert np.array_equal(g[i], fld.grad(row))
+                assert v[i] == fld.eval(row)
+            else:
+                assert np.isnan(g[i]).all() and np.isnan(v[i])
+        assert not inside[53] and inside[54]
+
     def test_radial_reduction_matches_2d_simulation(self, ex22):
         # r' = -p'(-r) in 1-D must reproduce the 2-D trajectory radius
         cubic = ex22.oracles["cubic"]

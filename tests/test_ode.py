@@ -148,6 +148,22 @@ class TestLyapunovTrace:
             assert trace.max_increase() <= 1e-7
             assert trace.max_bound_violation() <= 1e-10
 
+    def test_rows_match_row_by_row_formula(self, ex21, ex22):
+        # the batched columns equal the per-row formulas bit for bit, for a
+        # t-varying P (ex21) and the procedural radial field (ex22)
+        for entry, x0, anchor in [(ex21, (2.0, 2.0), (1.0, 1.0)),
+                                  (ex22, (0.3, 0.2), (0.0, 0.0))]:
+            system = entry.system
+            traj = simulate(system, x0, 0.0, 5.0, TIGHT)
+            trace = lyapunov_trace(system, traj, anchor)
+            m_value = system.field.eval(anchor)
+            for row, t, x in zip(trace.rows, traj.times, traj.states):
+                g = system.field.grad(x)
+                p = system.matrix.value(t)
+                want = [t, m_value - system.field.eval(x), -float((p @ g) @ g),
+                        system.matrix.smallest_eigenvalue(t), float(g @ g)]
+                assert np.array_equal(row, want)
+
     def test_v_nonnegative_near_certified_max(self, ex21):
         traj = simulate(ex21.system, (1.3, 0.8), 0.0, 50.0, TIGHT)
         trace = lyapunov_trace(ex21.system, traj, (1.0, 1.0))
@@ -173,3 +189,101 @@ class TestDenseOutput:
         assert set(points) == {10.0, 100.0}
         sol, _ = _ex21_closed_form(0.0, (2.0, 2.0))
         assert np.abs(points[100.0] - sol(100.0)).max() <= 1e-6
+
+
+def _same(a, b):
+    """Two trajectories agree bit for bit, work counters included."""
+    assert a.status is b.status
+    assert a.converged_at == b.converged_at
+    assert a.detail == b.detail
+    assert a.steps_rejected == b.steps_rejected
+    assert a.rhs_evals == b.rhs_evals
+    for name in ("times", "states", "derivs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    if a.exit_point is None:
+        assert b.exit_point is None
+    else:
+        assert np.array_equal(a.exit_point, b.exit_point)
+
+
+def _check_independence(system, starts, t_end, opts, targets=None):
+    """Rows run alone, as a batch and as a permuted batch agree exactly."""
+    starts = np.asarray(starts, dtype=float)
+    alone = [
+        ode.simulate_batch(system, [x], 0.0, t_end, opts,
+                           targets=None if targets is None else [targets[i]])[0]
+        for i, x in enumerate(starts)
+    ]
+    batch = ode.simulate_batch(system, starts, 0.0, t_end, opts, targets=targets)
+    perm = np.random.default_rng(5).permutation(len(starts))
+    shuffled = ode.simulate_batch(
+        system, starts[perm], 0.0, t_end, opts,
+        targets=None if targets is None else np.asarray(targets)[perm],
+    )
+    for i, traj in enumerate(batch):
+        _same(traj, alone[i])
+    for j, i in enumerate(perm):
+        _same(shuffled[j], alone[i])
+    return batch
+
+
+class TestBatch:
+    def test_ex31_rows_independent_of_batch(self, ex31):
+        rng = np.random.default_rng(3)
+        starts = rng.uniform([0.5, 0.0], [3.5, 5.0], size=(12, 2))
+        opts = SimOptions(convergence_target=(2.0, 4.0), convergence_radius=1e-3)
+        batch = _check_independence(ex31.system, starts, 50.0, opts)
+        statuses = {t.status for t in batch}
+        assert statuses == {Status.CONVERGED, Status.REACHED_END}
+
+    def test_ex22_rows_independent_of_batch(self, ex22):
+        # descent-style starts around the origin and around a circle point,
+        # each row converging toward its own target
+        angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
+        ring = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        starts = np.concatenate([0.02 * ring, [0.5, 0.0] + 0.01 * ring])
+        targets = np.array([[0.0, 0.0]] * 6 + [[0.5, 0.0]] * 6)
+        opts = SimOptions(h_max=0.25, convergence_radius=1e-8)
+        _check_independence(ex22.system, starts, 5.0, opts, targets=targets)
+
+    def test_mixed_outcomes_match_rows_run_alone(self):
+        # gradient ascent on x1^2 - x2^2: x1 is pushed out of the box, x2
+        # decays to 0, so one batch holds all three outcomes
+        f = ExpressionField(parse("x1^2 - x2^2", 2), Box((-1.0, -1.0), (1.0, 1.0)))
+        system = System(f, MatrixPath.identity(2))
+        starts = [(0.9, 0.1), (0.0, 0.5), (0.0, 0.5)]
+        targets = [(0.0, 0.0), (0.0, 0.0), (0.5, 0.0)]
+        opts = SimOptions(convergence_radius=1e-3)
+        batch = _check_independence(system, starts, 30.0, opts, targets=np.array(targets))
+        assert [t.status for t in batch] == [
+            Status.LEFT_DOMAIN, Status.CONVERGED, Status.REACHED_END
+        ]
+        assert batch[0].exit_point is not None
+
+    def test_time_varying_path_matches_simulate(self, ex21):
+        starts = np.array([(2.0, 2.0), (1.3, 0.8), (0.2, 1.9)])
+        batch = ode.simulate_batch(ex21.system, starts, 0.0, 100.0, TIGHT)
+        for x0, traj in zip(starts, batch):
+            _same(traj, simulate(ex21.system, x0, 0.0, 100.0, TIGHT))
+
+    def test_work_counters(self, ex21):
+        # one rhs at t0, one in the starting-step heuristic, six per attempt
+        traj = simulate(ex21.system, (2.0, 2.0), 0.0, 100.0, TIGHT)
+        attempts = len(traj.times) - 1 + traj.steps_rejected
+        assert traj.rhs_evals == 2 + 6 * attempts
+        # with h_init given there is no heuristic call; three rejections
+        # pinned at h_min end the run
+        f = ExpressionField(parse("0 - cos(x1)", 1), Box((-100.0,), (100.0,)))
+        system = System(f, MatrixPath.identity(1))
+        opts = SimOptions(rel_tol=1e-14, abs_tol=1e-16, h_min=8.0, h_max=8.0, h_init=8.0)
+        pinned = simulate(system, (0.5,), 0.0, 50.0, opts)
+        assert pinned.status is Status.STEP_FAILURE
+        assert pinned.steps_rejected == 3
+        assert pinned.rhs_evals == 1 + 6 * (len(pinned.times) - 1 + 3)
+
+    def test_start_outside_domain_rejected(self, ex31):
+        with pytest.raises(ode.OutsideDomainError, match="outside the domain"):
+            ode.simulate_batch(ex31.system, [(2.0, 1.0), (9.0, 1.0)], 0.0, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            ode.simulate_batch(ex31.system, [2.0, 1.0], 0.0, 1.0)
+        assert ode.simulate_batch(ex31.system, np.empty((0, 2)), 0.0, 1.0) == []

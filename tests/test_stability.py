@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from modgrad.equilibria import IsolationKind, find_critical_points
-from modgrad.field import MatrixPath
+from modgrad.expr import parse
+from modgrad.field import Box, ExpressionField, MatrixPath
 from modgrad.stability import (
     CertifyOptions,
     Conclusion,
     EcKind,
+    _confirm_local_max,
     certify,
+    certify_all,
     ec_check,
 )
 
@@ -121,3 +124,38 @@ class TestCertify:
         for p in points:
             rep = certify(ex31.system, p, critical_points=points)
             assert rep.descent.max_bound_violation <= 1e-10
+
+
+class TestCertifyAll:
+    def test_matches_one_point_certify(self, ex31):
+        # one descent batch for all points gives each point's own report
+        points, _ = find_critical_points(ex31.system.field, grid_per_axis=20)
+        together = certify_all(ex31.system, points, critical_points=points)
+        for p, rep in zip(points, together):
+            assert rep == certify(ex31.system, p, critical_points=points)
+
+    def test_rejects_non_critical_points(self, ex31):
+        with pytest.raises(TypeError):
+            certify_all(ex31.system, [(2.0, 1.0)])
+
+
+class TestLocalMaxShells:
+    def _field(self, source):
+        return ExpressionField(parse(source, 2), Box((-1.0, -1.0), (1.0, 1.0)))
+
+    def test_first_gap_reported_before_a_later_exit(self):
+        # shell r=0.2 around (0, 0.9): sample 0 at (0.2, 0.9) ties f(x̄),
+        # sample 8 at (0, 1.1) leaves the box; the tie comes first
+        ok, note = _confirm_local_max(self._field("0 - x2"), (0.0, 0.9), 0.2)
+        assert not ok
+        assert note == "f([0.2, 0.9]) >= f(x̄) on shell r=0.2"
+
+    def test_exit_reported_when_it_comes_first(self):
+        ok, note = _confirm_local_max(self._field("0 - x1^2 - x2^2"), (0.9, 0.0), 0.2)
+        assert (ok, note) == (False, "probe shell exits the domain")
+
+    def test_strict_max_passes_with_worst_gap(self):
+        ok, note = _confirm_local_max(self._field("0 - x1^2 - x2^2"), (0.0, 0.0), 0.4)
+        assert ok
+        assert note == ("f strictly smaller on shells r=0.4 and r=0.1 "
+                        f"(worst gap {-0.1 ** 2:.3g})")
