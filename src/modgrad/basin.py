@@ -10,13 +10,13 @@ a saddle pinch, which keeps the basin guarantee sound.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ode
+from . import linalg, ode
 from .errors import NumericFailure, OutsideDomainError
+from .field import reraise_row_error
 
 __all__ = [
     "GridComponent",
@@ -70,13 +70,11 @@ class GridComponent:
     def masked_area(self):
         return float(self.mask.sum()) * self.cell_volume
 
-    def cell_center(self, idx):
-        return np.array(
-            [
-                lo + (i + 0.5) * w
-                for lo, w, i in zip(self.box_lo, self.cell_widths, idx)
-            ]
-        )
+    def cell_centers(self, idxs):
+        """Centers of the cells whose indices are the rows of *idxs*."""
+        lo = np.array(self.box_lo)
+        w = np.array(self.cell_widths)
+        return lo + (np.asarray(idxs) + 0.5) * w
 
     def cell_of(self, point):
         idx = []
@@ -94,10 +92,49 @@ class GridComponent:
         return bool(self.mask[self.cell_of(point)])
 
     def masked_centers(self):
-        idxs = np.argwhere(self.mask)
-        lo = np.array(self.box_lo)
-        w = np.array(self.cell_widths)
-        return lo + (idxs + 0.5) * w
+        return self.cell_centers(np.argwhere(self.mask))
+
+    def boundary_array(self):
+        """``boundary_cells`` as an integer array of shape (k, n)."""
+        return np.array(self.boundary_cells, dtype=np.intp).reshape(-1, self.dimension)
+
+
+def _flood(predicate, start):
+    """Cells face-connected to *start* through *predicate* (a bool grid).
+
+    Grows one frontier of flat indices at a time, on a copy padded with a
+    False border, so that a neighbour is a fixed offset away and never off
+    the grid.
+    """
+    allowed = np.pad(predicate, 1, constant_values=False)
+    shape = allowed.shape
+    allowed = allowed.ravel()
+    mask = np.zeros(allowed.size, dtype=bool)
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]  # flat-index step per axis
+    offsets = np.concatenate([(-s, s) for s in strides])
+    frontier = np.array([np.ravel_multi_index(tuple(i + 1 for i in start), shape)])
+    mask[frontier] = True
+    while frontier.size:
+        reached = (frontier[:, None] + offsets).ravel()
+        reached = reached[allowed[reached] & ~mask[reached]]
+        reached.sort()
+        frontier = np.concatenate((reached[:1], reached[1:][reached[1:] != reached[:-1]]))
+        mask[frontier] = True
+    return mask.reshape(shape)[(slice(1, -1),) * len(shape)]
+
+
+def face_neighbours(grid, fill):
+    """Each cell's face neighbours, shape ``grid.shape + (2n,)``: along the
+    last axis the neighbour in direction (d, step), in the order d = 0, 1,
+    .. and step = -1, +1; *fill* past the grid's edge."""
+    padded = np.pad(grid, 1, constant_values=fill)
+    views = []
+    for d in range(grid.ndim):
+        for step in (-1, 1):
+            sl = [slice(1, -1)] * grid.ndim
+            sl[d] = slice(1 + step, padded.shape[d] - 1 + step)
+            views.append(padded[tuple(sl)])
+    return np.stack(views, axis=-1)
 
 
 def extract_component(field, anchor, c, resolution):
@@ -118,6 +155,8 @@ def extract_component(field, anchor, c, resolution):
         raise ValueError("resolution must be >= 32 cells per axis")
     m_value = float(field.eval(anchor))
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c:g}")
     if c >= m_value:
         raise ValueError(f"c must be below f(anchor) = {m_value:g}, got {c:g}")
 
@@ -138,31 +177,10 @@ def extract_component(field, anchor, c, resolution):
     )
     predicate[anchor_cell] = True  # the anchor is in O by definition
 
-    mask = np.zeros_like(predicate)
-    queue = deque([anchor_cell])
-    mask[anchor_cell] = True
-    while queue:
-        cell = queue.popleft()
-        for d in range(n):
-            for step in (-1, 1):
-                nb = list(cell)
-                nb[d] += step
-                if nb[d] < 0 or nb[d] >= resolution[d]:
-                    continue
-                nb = tuple(nb)
-                if predicate[nb] and not mask[nb]:
-                    mask[nb] = True
-                    queue.append(nb)
+    mask = _flood(predicate, anchor_cell)
 
     # boundary cells: masked with an unmasked or out-of-box face neighbor
-    padded = np.pad(mask, 1, constant_values=False)
-    core = tuple(slice(1, -1) for _ in range(n))
-    exposed = np.zeros_like(mask)
-    for d in range(n):
-        for step in (-1, 1):
-            sl = list(core)
-            sl[d] = slice(1 + step, padded.shape[d] - 1 + step)
-            exposed |= mask & ~padded[tuple(sl)]
+    exposed = mask & ~face_neighbours(mask, False).all(axis=-1)
     boundary = [tuple(int(v) for v in cell) for cell in np.argwhere(exposed)]
 
     return GridComponent(
@@ -198,39 +216,49 @@ class HypothesesReport:
         return self.h4.passed and self.h5.passed and self.h6.passed
 
 
-def _fval(field, x):
-    try:
-        return field.eval(x)
-    except OutsideDomainError:
-        return math.nan
+def _bisect_crossings(field, inside_pts, outside_pts, levels, steps=40):
+    """Locate f = levels[i] on each segment [inside_pts[i], outside_pts[i]]
+    by bisection, all segments in lockstep.
 
+    Returns the final midpoints and f there (NaN outside D).  Where a
+    segment-by-segment loop would have raised a domain error, the first
+    segment's error (in row order) is raised, after the loop.
+    """
+    suspects = []  # (row, step, point) for the NaNs at points inside D
 
-def _bisect_crossing(field, inside_pt, outside_pt, level, steps=40):
-    """Locate f = level on the segment [inside_pt, outside_pt] by bisection."""
-    a = np.asarray(inside_pt, dtype=float)
-    b = np.asarray(outside_pt, dtype=float)
-    sign_a = _fval(field, a) - level
-    for _ in range(steps):
+    def f(points, step):
+        values = field.eval_batch(points)
+        rows = np.flatnonzero(np.isnan(values) & field.inside_batch(points))
+        suspects.extend((int(r), step, points[r]) for r in rows)
+        return values
+
+    a = np.array(inside_pts, dtype=float)
+    b = np.array(outside_pts, dtype=float)
+    sign_a = f(a, -1) - levels
+    for step in range(steps):
         mid = 0.5 * (a + b)
-        fm = _fval(field, mid)
-        if math.isnan(fm) or (fm - level) * sign_a < 0.0:
-            b = mid
-        else:
-            a = mid
+        fm = f(mid, step)
+        to_b = np.isnan(fm) | ((fm - levels) * sign_a < 0.0)
+        b[to_b] = mid[to_b]
+        a[~to_b] = mid[~to_b]
     mid = 0.5 * (a + b)
-    return mid, _fval(field, mid)
+    f_mid = f(mid, steps)
+    if suspects:
+        suspects.sort(key=lambda s: s[:2])
+        points = np.array([p for *_, p in suspects])
+        reraise_row_error(points, np.full(len(points), np.nan), field.eval)
+    return mid, f_mid
 
 
 def _lipschitz_estimate(field, component, sample_cap=256):
     """Max |grad f| over a sample of boundary cell centers."""
-    cells = component.boundary_cells
+    cells = component.boundary_array()
     stride = max(1, len(cells) // sample_cap)
-    worst = 0.0
-    for cell in cells[::stride]:
-        center = component.cell_center(cell)
-        if field.inside(center):
-            worst = max(worst, float(np.linalg.norm(field.grad(center))))
-    return worst
+    centers = component.cell_centers(cells[::stride])
+    grads = field.grad_batch(centers)
+    reraise_row_error(centers, grads, lambda p: field.inside(p) and field.grad(p))
+    # NaN rows (outside D) never win, as with Python's max
+    return max([0.0, *linalg.row_norms(grads).tolist()])
 
 
 def check_hypotheses(component, field, critical_points, tol_boundary=None):
@@ -243,80 +271,73 @@ def check_hypotheses(component, field, critical_points, tol_boundary=None):
     other than the anchor, falls in a masked cell.
     """
     n = component.dimension
-    res = component.resolution
+    res = np.array(component.resolution)
     mask = component.mask
     values = component.values
     c = component.c
     m_value = component.m_value
+    cells = component.boundary_array()
 
     cell_diag = math.sqrt(sum(w * w for w in component.cell_widths))
     if tol_boundary is None:
         tol_boundary = 2.0 * _lipschitz_estimate(field, component) * cell_diag
 
     # H4 --------------------------------------------------------------
-    h4_witnesses = []
-    for cell in component.boundary_cells:
-        at_wall = any(cell[d] == 0 or cell[d] == res[d] - 1 for d in range(n))
-        touches_nan = False
-        for d in range(n):
-            for step in (-1, 1):
-                nb = list(cell)
-                nb[d] += step
-                if 0 <= nb[d] < res[d] and np.isnan(values[tuple(nb)]):
-                    touches_nan = True
-        if at_wall or touches_nan:
-            h4_witnesses.append(tuple(component.cell_center(cell).tolist()))
+    # a face on the box wall or on a NaN cell
+    touches = face_neighbours(np.isnan(values), True).any(axis=-1)
+    h4_cells = cells[touches[tuple(cells.T)]]
+    h4_witnesses = [tuple(p) for p in component.cell_centers(h4_cells[:16]).tolist()]
     h4 = HypothesisVerdict(
         name="H4",
-        passed=not h4_witnesses,
-        witnesses=tuple(h4_witnesses[:16]),
+        passed=not len(h4_cells),
+        witnesses=tuple(h4_witnesses),
         note=(
             "component stays clear of the box walls"
-            if not h4_witnesses
-            else f"{len(h4_witnesses)} boundary cells touch the domain wall"
+            if not len(h4_cells)
+            else f"{len(h4_cells)} boundary cells touch the domain wall"
         ),
     )
 
     # H5 --------------------------------------------------------------
+    # exposed faces in boundary-cell order, then (d, step); faces on the
+    # wall are H4's business, and NaN neighbours (outside D) H4 flags too
+    steps = np.stack([s * e for e in np.eye(n, dtype=np.intp) for s in (-1, 1)])
+    nbs = cells[:, None, :] + steps
+    in_box = np.all((nbs >= 0) & (nbs < res), axis=2)
+    face_cell, face_dir = np.nonzero(in_box)
+    nbs = nbs[face_cell, face_dir]
+    f_nb = values[tuple(nbs.T)]
+    exposed = ~mask[tuple(nbs.T)] & ~np.isnan(f_nb)
+    face_cell, nbs, f_nb = face_cell[exposed], nbs[exposed], f_nb[exposed]
+    checked = len(f_nb)
+    nb_centers = component.cell_centers(nbs)
+    hits_m = f_nb >= m_value  # the boundary runs into f = M, not f = c
+    below_c = f_nb <= c
+    refine = hits_m | below_c
+    crossings, f_at = _bisect_crossings(
+        field,
+        component.cell_centers(cells[face_cell[refine]]),
+        nb_centers[refine],
+        np.where(hits_m, m_value, c)[refine],
+    )
+    refined = iter(zip(map(tuple, crossings.tolist()), f_at.tolist()))
     h5_witnesses = []
-    checked = 0
-    worst_residual = 0.0
-    for cell in component.boundary_cells:
-        center = component.cell_center(cell)
-        for d in range(n):
-            for step in (-1, 1):
-                nb = list(cell)
-                nb[d] += step
-                if nb[d] < 0 or nb[d] >= res[d]:
-                    continue  # wall contact is H4's business
-                nb = tuple(nb)
-                if mask[nb]:
-                    continue
-                f_nb = values[nb]
-                nb_center = component.cell_center(nb)
-                if np.isnan(f_nb):
-                    continue  # outside the domain; H4 already flags it
-                checked += 1
-                if f_nb >= m_value:
-                    # boundary runs into the f = M level set, not f = c
-                    crossing, f_at = _bisect_crossing(field, center, nb_center, m_value)
-                    h5_witnesses.append(
-                        (tuple(crossing.tolist()), f_at, "crossing hits f = M")
-                    )
-                elif f_nb <= c:
-                    crossing, f_at = _bisect_crossing(field, center, nb_center, c)
-                    residual = abs(f_at - c)
-                    worst_residual = max(worst_residual, residual)
-                    if residual > tol_boundary:
-                        h5_witnesses.append(
-                            (tuple(crossing.tolist()), f_at, "refined |f - c| above tolerance")
-                        )
-                else:
-                    # neighbor satisfies the predicate but was never reached:
-                    # two lobes of O meet at grid scale; no f = c crossing exists
-                    h5_witnesses.append(
-                        (tuple(nb_center.tolist()), float(f_nb), "component pinch at grid scale")
-                    )
+    residuals = []
+    for hit, below, nb_center, f in zip(
+        hits_m.tolist(), below_c.tolist(), nb_centers.tolist(), f_nb.tolist()
+    ):
+        if hit:
+            h5_witnesses.append((*next(refined), "crossing hits f = M"))
+        elif below:
+            crossing, f_cross = next(refined)
+            residuals.append(abs(f_cross - c))
+            if residuals[-1] > tol_boundary:
+                h5_witnesses.append((crossing, f_cross, "refined |f - c| above tolerance"))
+        else:
+            # neighbor satisfies the predicate but was never reached:
+            # two lobes of O meet at grid scale; no f = c crossing exists
+            h5_witnesses.append((tuple(nb_center), f, "component pinch at grid scale"))
+    worst_residual = max([0.0, *residuals])  # in face order, as Python's max
     h5 = HypothesisVerdict(
         name="H5",
         passed=not h5_witnesses,

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -76,11 +77,21 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path, header, rows):
+    """Rows of floats as CSV, 17 significant digits (``"%.17g" % v`` is
+    ``format(v, ".17g")``).  Each block of rows is formatted with one
+    ``%``, so neither the file's text nor a Python float per value is ever
+    held whole."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            chunk = rows[start:start + _CSV_BLOCK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _write_pgm(path, mask):
@@ -98,31 +109,24 @@ def _write_pgm(path, mask):
 
 
 def _boundary_segments(component):
-    """Cell-edge segments between masked and unmasked cells (n = 2)."""
+    """Cell-edge segments between masked and unmasked cells (n = 2), as an
+    (s, 4) array of ``x1_a, x2_a, x1_b, x2_b`` rows: cells in row-major
+    order, and per cell its left, right, bottom and top edge."""
     mask = component.mask
     lo = component.box_lo
     wx, wy = component.cell_widths
-    segs = []
-    nx, ny = mask.shape
-    for i in range(nx):
-        for j in range(ny):
-            if not mask[i, j]:
-                continue
-            x0 = lo[0] + i * wx
-            y0 = lo[1] + j * wy
-            if i == 0 or not mask[i - 1, j]:
-                segs.append((x0, y0, x0, y0 + wy))
-            if i == nx - 1 or not mask[i + 1, j]:
-                segs.append((x0 + wx, y0, x0 + wx, y0 + wy))
-            if j == 0 or not mask[i, j - 1]:
-                segs.append((x0, y0, x0 + wx, y0))
-            if j == ny - 1 or not mask[i, j + 1]:
-                segs.append((x0, y0 + wy, x0 + wx, y0 + wy))
-    return segs
+    i, j, side = np.nonzero(mask[..., None] & ~basin_mod.face_neighbours(mask, False))
+    x0 = lo[0] + i * wx
+    y0 = lo[1] + j * wy
+    x1 = x0 + wx
+    y1 = y0 + wy
+    return np.column_stack([np.where(side == 1, x1, x0), np.where(side == 3, y1, y0),
+                            np.where(side == 0, x0, x1), np.where(side == 2, y0, y1)])
 
 
-def _write_svg(path, component, critical_points):
-    """Minimal standalone overlay: mask outline, anchor, critical points."""
+def _write_svg(path, component, critical_points, segments):
+    """Minimal standalone overlay: mask outline (``_boundary_segments``),
+    anchor, critical points."""
     lo = component.box_lo
     hi = component.box_hi
     width = 800.0
@@ -144,7 +148,7 @@ def _write_svg(path, component, critical_points):
         'fill="white" stroke="black" stroke-width="1"/>',
     ]
     path_bits = []
-    for x0, y0, x1, y1 in _boundary_segments(component):
+    for x0, y0, x1, y1 in segments.tolist():
         path_bits.append(
             f"M {f(sx(x0))} {f(sy(y0))} L {f(sx(x1))} {f(sy(y1))}"
         )
@@ -220,12 +224,51 @@ class AnalysisConfig:
 
 
 _TOP_KEYS = {"dimension", "f", "P", "box", "options", "output_dir"}
+_OPTION_TYPES = typing.get_type_hints(Options)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    """A finite JSON number; bools are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+_TYPE_CHECKS = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", _is_number),
+    list: ("a list of finite numbers",
+           lambda v: isinstance(v, list) and all(_is_number(x) for x in v)),
+}
+
+
+def _check_option(name, value):
+    """Check *value* against the annotation of ``Options.<name>``."""
+    kinds = typing.get_args(_OPTION_TYPES[name]) or (_OPTION_TYPES[name],)
+    if value is None and type(None) in kinds:
+        return
+    what, check = _TYPE_CHECKS[kinds[0]]
+    if not check(value):
+        raise ConfigError(f"option {name!r} must be {what}, got {json.dumps(value)}")
+
+
+def _reject_constant(token):
+    raise ConfigError(f"config has the non-finite number {token}; use a finite number")
+
+
+def _dimension(raw):
+    if not _is_int(raw["dimension"]):
+        raise ConfigError(f"'dimension' must be an integer, got {json.dumps(raw['dimension'])}")
+    return raw["dimension"]
 
 
 def load_config(path):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -243,7 +286,11 @@ def load_config(path):
     unknown = set(opt_raw) - known
     if unknown:
         raise ConfigError(f"unknown option keys: {sorted(unknown)}")
+    for name, value in opt_raw.items():
+        _check_option(name, value)
     options = Options(**opt_raw)
+    if not isinstance(raw.get("output_dir", ""), str):
+        raise ConfigError("'output_dir' must be a string")
 
     f_spec = raw.get("f")
     if f_spec is None:
@@ -260,6 +307,8 @@ def load_config(path):
             raise ConfigError(
                 f"unknown gallery id {gallery_id!r}; known: {', '.join(gallery.GALLERY_IDS)}"
             )
+        if not _is_int(f_spec.get("depth", 20)):
+            raise ConfigError("'depth' must be an integer")
         matrix = None
         if "P" in raw and raw["P"] is not None:
             matrix = _build_matrix(raw["P"], dimension=2)
@@ -268,14 +317,14 @@ def load_config(path):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         system = entry.system
-        if "dimension" in raw and int(raw["dimension"]) != system.dimension:
+        if "dimension" in raw and _dimension(raw) != system.dimension:
             raise ConfigError("declared dimension does not match the gallery entry")
         if "box" in raw:
             raise ConfigError("gallery entries fix their own box")
     else:
         if "dimension" not in raw:
             raise ConfigError("config must declare 'dimension' for an expression field")
-        dimension = int(raw["dimension"])
+        dimension = _dimension(raw)
         if "box" not in raw:
             raise ConfigError("config must declare 'box'")
         box_raw = raw["box"]
@@ -285,6 +334,8 @@ def load_config(path):
             or any(not isinstance(b, list) or len(b) != 2 for b in box_raw)
         ):
             raise ConfigError("'box' must be a list of per-axis [lo, hi] pairs")
+        if not all(_is_number(v) for b in box_raw for v in b):
+            raise ConfigError("'box' bounds must be finite numbers")
         try:
             box = Box(tuple(b[0] for b in box_raw), tuple(b[1] for b in box_raw))
             expression = parse_expr(str(f_spec), dimension)
@@ -305,7 +356,7 @@ def load_config(path):
 def _build_matrix(p_spec, dimension):
     if p_spec == "identity":
         return MatrixPath.identity(dimension)
-    if not isinstance(p_spec, list):
+    if not isinstance(p_spec, list) or not all(isinstance(row, list) for row in p_spec):
         raise ConfigError("'P' must be \"identity\" or a matrix of expressions in t")
     try:
         return MatrixPath([[str(e) for e in row] for row in p_spec])
@@ -481,6 +532,9 @@ def cmd_basin(args):
     anchor = _parse_vector(args.anchor, config.system.dimension, "--anchor")
     fld = config.system.field
 
+    if not math.isfinite(args.c):
+        print(f"--c must be a finite number, got {args.c}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         m_value = fld.eval(anchor)
     except OutsideDomainError as exc:
@@ -518,12 +572,13 @@ def cmd_basin(args):
 
     if component.dimension == 2:
         _write_pgm(os.path.join(out, "mask.pgm"), component.mask)
+        segments = _boundary_segments(component)
         _write_csv(
             os.path.join(out, "boundary.csv"),
             ["x1_a", "x2_a", "x1_b", "x2_b"],
-            _boundary_segments(component),
+            segments,
         )
-        _write_svg(os.path.join(out, "basin.svg"), component, points)
+        _write_svg(os.path.join(out, "basin.svg"), component, points, segments)
     _write_csv(
         os.path.join(out, "cells.csv"),
         [f"x{i + 1}" for i in range(component.dimension)],

@@ -3,8 +3,25 @@
 Scalar expressions over the variables x1..xn and (optionally) the time
 symbol t.  Each expression is differentiated symbolically once, when it is
 parsed; its value, gradient and Hessian are rendered to Python source and
-compiled into straight-line functions.  The value's source also runs with
-numpy functions for vectorized grid evaluation.
+compiled into straight-line functions.  The same sources also run over
+numpy arrays, in one of two namespaces:
+
+* ``eval_array`` (grid scans) runs the value's source with numpy's
+  functions, integer powers through ``np.power``.  ``np.power`` is not
+  bitwise the scalar chain of products; grid masks were always computed
+  this way and keep their bits.
+* ``eval_exact``/``grad_exact`` (row batches) run the value's and the
+  gradient's sources in an "exact" namespace: integer powers are
+  ``_ipow``'s chain of products, which works elementwise on arrays, and
+  ``sqrt`` is ``np.sqrt``.  Elementwise ``+ - * /``, negation and
+  ``sqrt`` are correctly rounded in numpy as in Python, so every row gets
+  the bits the scalar code gives it.  Only expressions built from those
+  operations have exact functions (``Expression.exact``); ``exp``, ``ln``,
+  ``sin``, ``cos`` and real powers are not correctly rounded and keep the
+  scalar path.  The exact functions run with floating-point errors
+  raised, so a row where the scalar code would raise (and overflow,
+  which the scalar code lets pass) raises for the whole batch, and
+  callers fall back to the rows one at a time.
 
 Grammar (precedence low to high: +,- < *,/ < unary minus < ^):
 
@@ -67,6 +84,8 @@ _MATH_NS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
 _NUMPY_NS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
              "sqrt": np.sqrt, "ipow": np.power, "rpow": np.power,
              "inf": math.inf, "nan": math.nan}
+# correctly rounded operations only: a row gets the scalar namespace's bits
+_EXACT_NS = {"sqrt": np.sqrt, "ipow": _ipow, "inf": math.inf, "nan": math.nan}
 _FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
 
 
@@ -350,6 +369,14 @@ def _compile(roots, guarded, dimension, namespaces=(_MATH_NS,)):
     return functions
 
 
+def _correctly_rounded(node):
+    """True when *node*'s own operation is correctly rounded, in numpy's
+    elementwise arithmetic as in Python's."""
+    if isinstance(node, Pow):
+        return node.integral
+    return not isinstance(node, Call) or node.func == "sqrt"
+
+
 _REASONS = {"ln": "ln of non-positive argument", "sqrt": "sqrt of negative argument"}
 
 
@@ -553,23 +580,30 @@ class Expression:
     """
 
     __slots__ = ("ast", "dimension", "uses_t", "var_indices",
-                 "_value", "_value_array", "_grad", "_hessian")
+                 "_value", "_value_array", "_value_exact", "_grad", "_grad_exact",
+                 "_hessian")
 
     def __init__(self, ast, dimension):
         nodes = _postorder([ast])
         grads, square = _derivatives(ast, dimension)
+        exact = all(_correctly_rounded(n) for n in nodes)
+        scalar = (_MATH_NS, _EXACT_NS) if exact else (_MATH_NS,)
+        value = _compile([ast], [], dimension, (*scalar, _NUMPY_NS))
+        # a derivative is undefined wherever the value is, so derivative
+        # code also runs the value's operations that can fail
+        grad = _compile(grads, [ast], dimension, scalar)
         fields = {
             "ast": ast,
             "dimension": dimension,
             "uses_t": any(isinstance(n, TimeVar) for n in nodes),
             "var_indices": frozenset(n.index for n in nodes if isinstance(n, Var)),
-            # a derivative is undefined wherever the value is, so derivative
-            # code also runs the value's operations that can fail
-            "_grad": _compile(grads, [ast], dimension)[0],
+            "_value": value[0],
+            "_value_array": value[-1],
+            "_value_exact": value[1] if exact else None,
+            "_grad": grad[0],
+            "_grad_exact": grad[1] if exact else None,
             "_hessian": _compile(square, [ast, *grads], dimension)[0],
         }
-        fields["_value"], fields["_value_array"] = _compile(
-            [ast], [], dimension, (_MATH_NS, _NUMPY_NS))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -578,6 +612,12 @@ class Expression:
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
+
+    @property
+    def exact(self):
+        """True when ``eval_exact`` and ``grad_exact`` exist: every operation
+        is correctly rounded."""
+        return self._value_exact is not None
 
     @property
     def arity(self):
@@ -616,6 +656,33 @@ class Expression:
         the same values as the upper one."""
         h = np.array(self._call(self._hessian, point, time))
         return h.reshape(self.dimension, self.dimension)
+
+    def eval_exact(self, columns, time=None):
+        """``eval`` at every row of *columns* (one array per variable, all of
+        one length m), with the bits ``eval`` gives that row.
+
+        Only for an ``exact`` expression.  Raises ArithmeticError (mostly
+        FloatingPointError) when any row would raise a domain error, and
+        on overflow and invalid operations, which the scalar code lets
+        pass; the caller then evaluates the rows one at a time.
+        """
+        return self._exact(self._value_exact, columns, time)[0]
+
+    def grad_exact(self, columns, time=None):
+        """``grad`` at every row of *columns*, shape (m, n); as ``eval_exact``."""
+        return self._exact(self._grad_exact, columns, time).T
+
+    def _exact(self, fn, columns, time):
+        if fn is None:
+            raise ValueError(f"{self!r} has operations that are not correctly rounded")
+        if len(columns) != self.dimension:
+            raise ValueError("wrong number of columns")
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            values = fn(*columns, time)
+        out = np.empty((len(values), len(columns[0])))
+        for row, v in zip(out, values):
+            row[...] = v  # a constant component is a Python float
+        return out
 
     def eval_array(self, columns, time=None):
         """Vectorized evaluation over numpy arrays (one per variable).

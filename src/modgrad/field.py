@@ -62,6 +62,8 @@ class Box:
         hi = tuple(float(v) for v in self.hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("box must have matching non-empty lo/hi")
+        if not np.all(np.isfinite(lo + hi)):
+            raise ValueError("box bounds must be finite")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("box must satisfy lo < hi on every axis")
         object.__setattr__(self, "lo", lo)
@@ -176,6 +178,27 @@ class ExpressionField(ScalarField):
 
     def eval_grid(self, columns):
         return self.expression.eval_array(columns)
+
+    def eval_batch(self, x):
+        return self._exact_rows(self.expression.eval_exact, self._eval, x, ())
+
+    def grad_batch(self, x):
+        return self._exact_rows(self.expression.grad_exact, self._grad, x, (self.dimension,))
+
+    def _exact_rows(self, exact_fn, fn, x, shape):
+        """The expression's exact array kernel on the rows inside D, NaN
+        elsewhere; the scalar row loop when the expression has no exact
+        kernel or the kernel raises for some row."""
+        x = self._check_rows(x)
+        if self.expression.exact:
+            inside = self.inside_batch(x)
+            out = np.full((len(x),) + shape, np.nan)
+            try:
+                out[inside] = exact_fn(np.ascontiguousarray(x[inside].T))
+                return out
+            except ArithmeticError:
+                pass
+        return self._rows(fn, x, shape)
 
     def __repr__(self):
         return f"ExpressionField({str(self.expression)!r})"

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from modgrad import ode
+from modgrad.basin import _flood, _lipschitz_estimate
 from modgrad.basin import (
     check_hypotheses,
     extract_component,
@@ -14,6 +16,7 @@ from modgrad.basin import (
     verify_basin_sampled,
 )
 from modgrad.equilibria import find_critical_points
+from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
 from modgrad.field import Box, ExpressionField, MatrixPath, System
 
@@ -125,6 +128,79 @@ class TestHypotheses:
         rep = check_hypotheses(comp, ex21.system.field, [])
         assert not rep.h4.passed
         assert rep.h4.witnesses
+
+
+class TestNonFiniteCut:
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected(self, ex31, c):
+        with pytest.raises(ValueError, match="finite"):
+            extract_component(ex31.system.field, (2.0, 4.0), c, 64)
+
+
+class TestScalarReference:
+    """The array kernels against the cell-by-cell loops they replace
+    (``scalar_reference``): equal masks, verdicts, witnesses and notes."""
+
+    @pytest.mark.parametrize("shape", [(40, 37), (64, 64), (12, 9, 11), (16, 16, 16)])
+    def test_flood_matches_bfs_on_random_predicates(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for density in (0.45, 0.6, 0.8):
+            predicate = rng.random(shape) < density
+            start = tuple(int(rng.integers(0, r)) for r in shape)
+            predicate[start] = True
+            assert np.array_equal(_flood(predicate, start), ref.flood_bfs(predicate, start))
+
+    def _assert_same_h4_h5(self, comp, field, tol_boundary=None):
+        rep = check_hypotheses(comp, field, [], tol_boundary)
+        h4, h5 = ref.h4_h5(comp, field, tol_boundary)
+        assert rep.h4 == h4
+        assert rep.h5 == h5
+        return rep
+
+    @pytest.mark.parametrize("anchor", [(2.0, 1.0), (2.0, 4.0)])
+    @pytest.mark.parametrize("c", [33.0, 20.0])
+    def test_ex31_both_anchors_and_cuts(self, ex31, anchor, c):
+        field = ex31.system.field
+        comp = extract_component(field, anchor, c, 256)
+        predicate = (comp.values > c) & (comp.values < comp.m_value)
+        predicate[comp.anchor_cell] = True
+        assert np.array_equal(comp.mask, ref.flood_bfs(predicate, comp.anchor_cell))
+        assert _lipschitz_estimate(field, comp) == ref.lipschitz_estimate(field, comp)
+        rep = self._assert_same_h4_h5(comp, field)
+        if anchor == (2.0, 1.0) and c == 20.0:  # the f = M crossings are covered
+            assert any(w[2] == "crossing hits f = M" for w in rep.h5.witnesses)
+
+    def test_ex31_tight_tolerance_witnesses(self, ex31):
+        # a tolerance below the bisection residuals turns faces into witnesses
+        comp = extract_component(ex31.system.field, (2.0, 4.0), 33.0, 128)
+        rep = self._assert_same_h4_h5(comp, ex31.system.field, tol_boundary=1e-13)
+        assert not rep.h5.passed
+
+    def test_ex21_wall_contact(self, ex21):
+        comp = extract_component(ex21.system.field, (1.0, 1.0), -13.0, 128)
+        rep = self._assert_same_h4_h5(comp, ex21.system.field)
+        assert not rep.h4.passed
+
+    def test_nan_neighbours(self):
+        # sqrt(x1 + 1) is NaN on the grid left of x1 = -1: H4 sees the NaN
+        # cells, H5 skips their faces
+        f = ExpressionField(parse("4 - x1^2 - x2^2 + 0*sqrt(x1 + 1)", 2),
+                            Box((-3.0, -3.0), (3.0, 3.0)))
+        comp = extract_component(f, (0.0, 0.0), -1.0, 96)
+        rep = self._assert_same_h4_h5(comp, f)
+        assert not rep.h4.passed
+
+    def test_domain_error_during_bisection(self):
+        # x1 = 0.5 and x2 = 0.5 are cell edges (width 1/8), which the first
+        # bisection midpoint of a face across them hits exactly
+        f = ExpressionField(parse("0 - x1^2 - x2^2 + 0/(x1 - 0.5) + 0/(x2 - 0.5)", 2),
+                            Box((-2.0, -2.0), (2.0, 2.0)))
+        comp = extract_component(f, (0.0, 0.0), -0.3, 32)
+        with pytest.raises(EvalDomainError) as want:
+            ref.h4_h5(comp, f, tol_boundary=1.0)
+        with pytest.raises(EvalDomainError) as got:
+            check_hypotheses(comp, f, [], tol_boundary=1.0)
+        assert str(got.value) == str(want.value)
 
 
 class TestVerifyBasin:

@@ -9,7 +9,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from modgrad.cli import main
+import scalar_reference as ref
+from modgrad.basin import extract_component
+from modgrad.cli import _boundary_segments, _write_csv, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMAS = os.path.join(REPO, "schemas")
@@ -99,6 +101,50 @@ class TestAnalyze:
         cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "options": {"gird": 3}})
         assert main(["analyze", "--config", cfg]) == 2
         assert "unknown option keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        ({"f": {"gallery": "ex31"}, "options": {"grid_per_axis": "5"}},
+         "option 'grid_per_axis' must be an integer"),
+        ({"f": {"gallery": "ex31"}, "options": {"grid_per_axis": True}},
+         "option 'grid_per_axis' must be an integer"),
+        ({"f": {"gallery": "ex31"}, "options": {"quad_tol": False}},
+         "option 'quad_tol' must be a finite number"),
+        ({"f": {"gallery": "ex31"}, "options": {"isolation_shells": [0.1, "a"]}},
+         "option 'isolation_shells' must be a list of finite numbers"),
+        ({"dimension": "2", "f": "x1 + x2", "box": [[0, 1], [0, 1]]},
+         "'dimension' must be an integer"),
+        ({"dimension": 2.0, "f": "x1 + x2", "box": [[0, 1], [0, 1]]},
+         "'dimension' must be an integer"),
+        ({"dimension": 2, "f": "x1 + x2", "box": [["0", 1], [0, 1]]},
+         "'box' bounds must be finite numbers"),
+        ({"dimension": 2, "f": "x1 + x2", "box": [[0, 1], [0, 1]], "P": [1, 2]},
+         "'P' must be"),
+        ({"f": {"gallery": "ex22", "depth": "3"}}, "'depth' must be an integer"),
+    ])
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, body, message):
+        cfg = write_config(tmp_path, body)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_tokens_exit_2(self, tmp_path, capsys, token):
+        path = tmp_path / "config.json"
+        path.write_text('{"dimension": 2, "f": "x1 + x2", "box": [[%s, 1], [0, 1]]}' % token)
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"non-finite number {token}" in err and err.count("\n") == 1
+
+    def test_overflowing_number_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"f": {"gallery": "ex31"}, "options": {"quad_tol": 1e999}}')
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "option 'quad_tol' must be a finite number" in capsys.readouterr().err
+
+    def test_null_and_integer_values_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex21"},
+                                      "options": {"h_max": None, "ec_horizon": 100}})
+        assert main(["ec", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
@@ -226,6 +272,17 @@ class TestBasinCommand:
         ]) == 2
         assert "below f(anchor)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_non_finite_c_exits_2(self, tmp_path, capsys, c):
+        cfg = write_config(tmp_path, EX31_CONFIG)
+        out = tmp_path / "o"
+        assert main([
+            "basin", "--config", cfg, "--out", str(out), "--quiet",
+            "--anchor", "2,1", f"--c={c}", "--resolution", "64",
+        ]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not os.listdir(out)
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -246,6 +303,41 @@ class TestBasinCommand:
             b1 = open(os.path.join(outs[0], fname), "rb").read()
             b2 = open(os.path.join(outs[1], fname), "rb").read()
             assert b1 == b2, fname
+
+
+class TestWriters:
+    """The array writers against the per-cell and per-value loops they
+    replace (``scalar_reference``)."""
+
+    @pytest.mark.parametrize("anchor, c", [((2.0, 1.0), 33.0), ((2.0, 4.0), 20.0)])
+    def test_segments_match_double_loop_on_ex31(self, ex31, anchor, c):
+        comp = extract_component(ex31.system.field, anchor, c, 256)
+        segments = _boundary_segments(comp)
+        assert segments.tolist() == [list(s) for s in ref.boundary_segments(comp)]
+
+    def test_segments_match_double_loop_on_random_masks(self, ex21):
+        comp = extract_component(ex21.system.field, (1.0, 1.0), 3.0, 40)
+        rng = np.random.default_rng(40)
+        for density in (0.2, 0.5, 0.9, 1.0):
+            mask = rng.random((40, 33)) < density
+            fake = type(comp)(**{**comp.__dict__, "mask": mask, "resolution": mask.shape})
+            want = [list(s) for s in ref.boundary_segments(fake)]
+            assert _boundary_segments(fake).tolist() == want
+
+    def test_csv_bytes_match_per_value_writer(self, tmp_path):
+        special = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-300,
+                   5e-324, 1.7976931348623157e308, 0.1, -1 / 3]
+        rng = np.random.default_rng(17)
+        rows = np.concatenate([
+            np.array(special).reshape(-1, 2),
+            rng.standard_normal((9000, 2)) * 10.0 ** rng.integers(-300, 300, (9000, 2)),
+        ])
+        for name, data in [("rows", rows), ("tuples", [tuple(r) for r in rows[:50]]),
+                           ("empty", [])]:
+            got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+            _write_csv(str(got), ["a", "b"], data)
+            ref.write_csv(str(want), ["a", "b"], data)
+            assert got.read_bytes() == want.read_bytes(), name
 
 
 class TestEcCommand:

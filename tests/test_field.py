@@ -9,6 +9,7 @@ from modgrad.field import (
     Box,
     ExpressionField,
     MatrixPath,
+    ScalarField,
     System,
     validate_h0,
 )
@@ -24,6 +25,10 @@ class TestBox:
         assert not box.contains((1.1, 1.0))
 
     def test_invalid(self):
+        with pytest.raises(ValueError, match="finite"):
+            Box((float("nan"), 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            Box((0.0,), (float("inf"),))
         with pytest.raises(ValueError):
             Box((0.0,), (0.0,))
         with pytest.raises(ValueError):
@@ -95,6 +100,84 @@ class TestBatchEvaluation:
         for i in range(3):
             assert np.array_equal(f[i], ex21.system.rhs(t[i], x[i]))
         assert np.isnan(f[3]).all()
+
+
+class TestExactBatches:
+    """``ExpressionField.eval_batch``/``grad_batch`` run the expression's
+    exact array kernel; they must equal the scalar row loop bit for bit."""
+
+    @staticmethod
+    def _row_loop(f, x):
+        return ScalarField.eval_batch(f, x), ScalarField.grad_batch(f, x)
+
+    def _assert_rows_equal(self, f, x):
+        want_v, want_g = self._row_loop(f, x)
+        got_v, got_g = f.eval_batch(x), f.grad_batch(x)
+        assert got_v.shape == want_v.shape and got_g.shape == want_g.shape
+        assert np.array_equal(got_v, want_v, equal_nan=True)
+        assert np.array_equal(got_g, want_g, equal_nan=True)
+        return got_v, got_g
+
+    def test_example_31(self, ex31):
+        f = ex31.system.field
+        assert f.expression.exact
+        x = np.random.default_rng(31).uniform((-1.0, -1.0), (5.0, 6.0), size=(2000, 2))
+        v, g = self._assert_rows_equal(f, x)
+        assert not np.isnan(v).any() and not np.isnan(g).any()
+        # no NaN to hide behind: the row loop's values, exactly
+        assert np.array_equal(v, [f.eval(p) for p in x])
+        assert np.array_equal(g, [f.grad(p) for p in x])
+
+    def test_exact_kernel_skips_the_row_loop(self, ex31):
+        f = ExpressionField(ex31.system.field.expression, ex31.system.field.box)
+        f._eval = f._grad = lambda x: pytest.fail("row loop used")
+        x = np.array([[2.0, 4.0], [9.0, 0.0], [0.5, 3.0]])
+        assert np.isnan(f.eval_batch(x)).tolist() == [False, True, False]
+        assert np.isnan(f.grad_batch(x)).any(axis=1).tolist() == [False, True, False]
+
+    def test_random_polynomials(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            f = ExpressionField(parse(random_poly_source(rng, n, degree=6), n),
+                                Box((-2.0,) * n, (2.0,) * n))
+            assert f.expression.exact
+            v, _ = self._assert_rows_equal(f, rng.uniform(-2.0, 2.0, size=(300, n)))
+            assert not np.isnan(v).any()
+
+    def test_constant_components_broadcast(self):
+        f = ExpressionField(parse("3*x1 + x2^2 - 1/x3^(-2) + sqrt(x3)", 3),
+                            Box((0.0,) * 3, (2.0,) * 3))
+        x = np.random.default_rng(0).uniform(0.1, 1.9, size=(17, 3))
+        _, g = self._assert_rows_equal(f, x)
+        assert np.all(g[:, 0] == 3.0)
+        c = ExpressionField(parse("2.5", 1), Box((0.0,), (1.0,)))
+        v, g = self._assert_rows_equal(c, np.array([[0.5], [0.25], [2.0]]))
+        assert v.tolist()[:2] == [2.5, 2.5] and g.tolist()[:2] == [[0.0], [0.0]]
+        assert np.isnan(v[2])
+
+    @pytest.mark.parametrize("source, exact", [
+        ("1/(x1-x1) + x2", True),  # every row divides by zero
+        ("sqrt(x1-10) + x2", True),  # negative sqrt on the rows with x1 < 10
+        ("exp(x1) * x2", False),  # not correctly rounded: row loop only
+        ("x1^400 + x2", True),  # overflows to inf, which the scalar code lets pass
+        ("x1^2 - x2", True),  # only rows outside D are NaN
+    ])
+    def test_fallbacks_and_rows_outside(self, source, exact):
+        f = ExpressionField(parse(source, 2), Box((-20.0, -20.0), (20.0, 20.0)))
+        assert f.expression.exact is exact
+        x = np.array([[12.0, 1.0], [3.0, -2.0], [30.0, 0.0], [11.5, 0.5], [-19.0, 3.0]])
+        v, g = self._assert_rows_equal(f, x)
+        for i, p in enumerate(x):
+            try:
+                assert v[i] == f.eval(p) and np.array_equal(g[i], f.grad(p))
+            except (EvalDomainError, OutsideDomainError):
+                assert np.isnan(v[i]) and np.isnan(g[i]).all()
+
+    def test_exact_kernel_refuses_inexact_expressions(self):
+        e = parse("exp(x1)", 1)
+        with pytest.raises(ValueError, match="correctly rounded"):
+            e.eval_exact([np.array([0.0])])
 
 
 class TestMatrixPath:

@@ -1,0 +1,83 @@
+"""sha256 of every file the modgrad CLI emits on a fixed set of runs.
+
+Usage (from the repository root):
+
+    python3 tools/emitted_digests.py [--repo PATH] [--work DIR] [--compare FILE]
+
+Runs each command of ``RUNS`` against the checkout at ``--repo`` (default:
+this one), with that checkout's ``src`` on the path and its ``configs``,
+writing into a fresh directory under ``--work``.  Prints one
+``<run>/<file> <sha256> <exit code>`` line per emitted file, sorted.  With
+``--compare FILE`` (the saved output of another checkout), it prints the
+lines that differ instead and exits 1 when any do; a byte-identity check
+of two checkouts is
+
+    python3 tools/emitted_digests.py --repo OLD > old.txt
+    python3 tools/emitted_digests.py --compare old.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# run name -> CLI argv (configs are relative to the checkout's root)
+RUNS = {
+    f"basin-{a.replace(',', '_')}-c{c}-r{r}": [
+        "basin", "--config", "configs/ex31.json", "--anchor", a, "--c", c,
+        "--resolution", r, "--seed", "7",
+    ]
+    for a in ("2,4", "2,1") for c in ("33", "20") for r in ("1024", "256")
+}
+RUNS["simulate-ex21"] = ["simulate", "--config", "configs/ex21.json",
+                         "--x0", "2,2", "--t-end", "1000"]
+for _name in ("ex21", "ex22", "ex31"):
+    RUNS[f"analyze-{_name}"] = ["analyze", "--config", f"configs/{_name}.json"]
+
+
+def digests(repo, work):
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    lines = []
+    for name, argv in RUNS.items():
+        out = os.path.join(work, name)
+        os.makedirs(out)
+        code = subprocess.run(
+            [sys.executable, "-m", "modgrad.cli", *argv, "--out", out, "--quiet"],
+            cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+        for fname in sorted(os.listdir(out)):
+            with open(os.path.join(out, fname), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{name}/{fname} {digest} {code}")
+        if not os.listdir(out):
+            lines.append(f"{name}/- - {code}")
+    return sorted(lines)
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("--repo", default=ROOT, help="checkout to run (default: this one)")
+    p.add_argument("--work", default=None, help="scratch directory for the outputs")
+    p.add_argument("--compare", default=None, help="digest listing to compare against")
+    args = p.parse_args()
+    with tempfile.TemporaryDirectory(dir=args.work) as work:
+        lines = digests(os.path.abspath(args.repo), work)
+    if args.compare is None:
+        print("\n".join(lines))
+        return 0
+    with open(args.compare) as fh:
+        other = set(fh.read().split("\n")) - {""}
+    differ = sorted(set(lines) ^ other)
+    print("\n".join(f"{'+' if line in lines else '-'} {line}" for line in differ))
+    print(f"{len(lines)} files, {len(differ)} differing lines", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
