@@ -35,7 +35,6 @@ from .field import (
     ExpressionField,
     H0Report,
     MatrixPath,
-    ProceduralField,
     ScalarField,
     System,
     validate_h0,
@@ -70,7 +69,6 @@ __all__ = [
     "Box",
     "ScalarField",
     "ExpressionField",
-    "ProceduralField",
     "MatrixPath",
     "System",
     "H0Report",

@@ -10,7 +10,7 @@ a saddle pinch, which keeps the basin guarantee sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -393,14 +393,8 @@ def _converge_starts(system, starts, anchor, t_end, converge_radius, sim_opts):
     """
     if not len(starts):
         return 0, ()
-    opts = ode.SimOptions(
-        rel_tol=sim_opts.rel_tol,
-        abs_tol=sim_opts.abs_tol,
-        h_min=sim_opts.h_min,
-        h_max=sim_opts.h_max,
-        convergence_target=tuple(anchor),
-        convergence_radius=converge_radius,
-    )
+    opts = replace(sim_opts, convergence_target=tuple(anchor),
+                   convergence_radius=converge_radius)
     trajectories = ode.simulate_batch(system, starts, 0.0, t_end, opts)
     failures = tuple(
         (tuple(start.tolist()), traj.status.value, tuple(traj.final_state.tolist()))

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -489,13 +489,11 @@ def cmd_simulate(args):
         target = _parse_vector(args.target, config.system.dimension, "--target")
 
     sim = config.sim_options
-    opts = ode.SimOptions(
-        rel_tol=sim.rel_tol,
-        abs_tol=sim.abs_tol,
-        h_min=sim.h_min,
-        h_max=args.h_max if args.h_max is not None else sim.h_max,
+    opts = replace(
+        sim,
+        h_max=sim.h_max if args.h_max is None else args.h_max,
         convergence_target=None if target is None else tuple(target),
-        convergence_radius=args.radius if target is not None else None,
+        convergence_radius=None if target is None else args.radius,
     )
     traj = ode.simulate(config.system, x0, args.t0, args.t_end, opts)
 

@@ -26,7 +26,6 @@ __all__ = [
     "Box",
     "ScalarField",
     "ExpressionField",
-    "ProceduralField",
     "MatrixPath",
     "System",
     "H0Report",
@@ -204,53 +203,6 @@ class ExpressionField(ScalarField):
         return f"ExpressionField({str(self.expression)!r})"
 
 
-class ProceduralField(ScalarField):
-    """Scalar field given by callables (used by gallery constructions).
-
-    ``inside_fn`` optionally restricts D to a subset of the box (Example 2.2
-    lives on the unit disk embedded in [-1,1]^2).  ``eval_grid_fn`` must
-    return NaN outside the domain.
-    """
-
-    def __init__(self, dimension, box, eval_fn, grad_fn, hessian_fn, eval_grid_fn,
-                 inside_fn=None, label="procedural"):
-        super().__init__(dimension, box)
-        self._eval_fn = eval_fn
-        self._grad_fn = grad_fn
-        self._hessian_fn = hessian_fn
-        self._inside_fn = inside_fn
-        self._eval_grid_fn = eval_grid_fn
-        self.label = label
-
-    def inside(self, x):
-        if not self.box.contains(x):
-            return False
-        return self._inside_fn(x) if self._inside_fn is not None else True
-
-    def inside_batch(self, x):
-        x = self._check_rows(x)
-        inside = super().inside_batch(x)
-        if self._inside_fn is not None:
-            for i in np.flatnonzero(inside):
-                inside[i] = bool(self._inside_fn(x[i]))
-        return inside
-
-    def _eval(self, x):
-        return float(self._eval_fn(x))
-
-    def _grad(self, x):
-        return np.asarray(self._grad_fn(x), dtype=float)
-
-    def _hessian(self, x):
-        return np.asarray(self._hessian_fn(x), dtype=float)
-
-    def eval_grid(self, columns):
-        return self._eval_grid_fn(columns)
-
-    def __repr__(self):
-        return f"ProceduralField({self.label!r})"
-
-
 class MatrixPath:
     """Symmetric n x n matrix-valued function of t >= 0.
 
@@ -317,9 +269,22 @@ class MatrixPath:
         return np.array([self._evaluate(float(s)) for s in t]).reshape(shape)
 
     def smallest_eigenvalue(self, t):
+        """lambda_1(P(t)) for one time t (a float) or a 1-D array of times
+        (an array); raises EvalDomainError naming the first time at which
+        P has a non-finite entry."""
         if self._constant_lambda1 is not None:
-            return self._constant_lambda1
-        return linalg.eigen_smallest(self.value(t))
+            if np.ndim(t) == 0:
+                return self._constant_lambda1
+            return np.full(len(t), self._constant_lambda1)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        p = self.value_batch(ts)
+        bad = ~np.isfinite(p).all(axis=(1, 2))
+        if bad.any():
+            raise EvalDomainError(
+                f"P(t) has a non-finite entry at t = {ts[np.argmax(bad)]:.17g}"
+            )
+        lam = np.linalg.eigvalsh(p)[:, 0]
+        return float(lam[0]) if np.ndim(t) == 0 else lam
 
     def __repr__(self):
         return f"MatrixPath(dimension={self.dimension}, uses_t={self.uses_t})"
@@ -392,7 +357,7 @@ def validate_h0(system, sample_times=None, psd_tol=1e-10):
         raise ValueError("sample_times must be non-empty")
     if any(t < 0 for t in times):
         raise ValueError("sample times must be >= 0")
-    samples = tuple((t, system.matrix.smallest_eigenvalue(t)) for t in times)
+    samples = tuple(zip(times, system.matrix.smallest_eigenvalue(np.array(times)).tolist()))
     min_l1 = min(v for _, v in samples)
     return H0Report(
         samples=samples,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as expr_mod
-from .field import Box, ExpressionField, MatrixPath, ProceduralField, System
+from .field import Box, ExpressionField, MatrixPath, ScalarField, System
 
 __all__ = [
     "GalleryEntry",
@@ -184,7 +184,7 @@ class PiecewiseCubic:
         return [2.0 ** -n for n in range(1, self.depth + 1)]
 
 
-class _RadialField(ProceduralField):
+class _RadialField(ScalarField):
     """f(x) = p(-|x|) on the closed unit disk.
 
     The gradient is p'(-r) * (-x/r), zero at the origin (the one-sided
@@ -193,32 +193,24 @@ class _RadialField(ProceduralField):
     """
 
     def __init__(self, cubic):
+        super().__init__(2, Box((-1.0, -1.0), (1.0, 1.0)))
         self.cubic = cubic
-        box = Box((-1.0, -1.0), (1.0, 1.0))
 
-        super().__init__(
-            dimension=2,
-            box=box,
-            eval_fn=self._value_at,
-            grad_fn=self._grad_at,
-            hessian_fn=self._hessian_at,
-            inside_fn=lambda x: float(np.hypot(x[0], x[1])) <= 1.0,
-            eval_grid_fn=self._grid,
-            label="piecewise-cubic radial field",
-        )
+    def inside(self, x):
+        return self.box.contains(x) and float(np.hypot(x[0], x[1])) <= 1.0
 
-    def _value_at(self, x):
+    def _eval(self, x):
         r = float(np.hypot(x[0], x[1]))
         return float(self.cubic.value(-r))
 
-    def _grad_at(self, x):
+    def _grad(self, x):
         r = float(np.hypot(x[0], x[1]))
         if r == 0.0:
             return np.zeros(2)
         scale = -float(self.cubic.slope(-r)) / r
         return scale * np.asarray(x, dtype=float)
 
-    def _hessian_at(self, x):
+    def _hessian(self, x):
         r = float(np.hypot(x[0], x[1]))
         gpp = float(self.cubic.curvature(-r))
         if r == 0.0:
@@ -228,7 +220,7 @@ class _RadialField(ProceduralField):
         proj = np.outer(u, u)
         return gpp * proj + (gp / r) * (np.eye(2) - proj)
 
-    def _grid(self, columns):
+    def eval_grid(self, columns):
         r = np.hypot(columns[0], columns[1])
         out = self.cubic.value(np.minimum(-r, 0.0))
         return np.where(r <= 1.0, out, np.nan)

@@ -1,8 +1,9 @@
-"""Dense symmetric eigensolver and adaptive quadrature.
+"""Symmetric eigenvalues, adaptive quadrature and row-wise dot products.
 
-Small kernels behind the smallest-eigenvalue computation lambda_1(P(t))
-and the finite-horizon eigenvalue-condition integral.  Sized for the n up
-to ~10 matrices this package works with, not for large problems.
+Small kernels behind the smallest eigenvalue lambda_1(P(t)), the Hessian
+spectra and the finite-horizon eigenvalue-condition integral.  Eigenvalues
+come from LAPACK's symmetric eigensolver through ``np.linalg.eigvalsh``,
+which also takes a stack of matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ __all__ = [
     "row_norms",
 ]
 
-_MAX_SWEEPS = 64
+# evaluations one integral may spend before it stops with its partial
+# estimate.  ec_check on the oscillating P [[2+sin t, cos(t)/2],
+# [cos(t)/2, 1+1/(t+1)]] spends 19k on [T/2, T] at T = 1e3 and 300k at
+# T = 1e4; a tolerance that rounding makes unreachable would take 2^depth.
+_MAX_EVALS = 500_000
 
 
 def row_dots(a, b):
@@ -37,66 +42,22 @@ def row_norms(v):
 
 
 def check_symmetric(m):
-    """Return *m* as a float ndarray, requiring exact symmetry."""
+    """Return *m* as a float ndarray, requiring finite entries and exact
+    symmetry."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not exactly symmetric")
     return a
 
 
 def eigen_all(m):
-    """All eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi."""
-    a = check_symmetric(m).copy()
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0]])
-    # convergence threshold scales with the matrix: off(A) <= eps * ||A||_F
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n)
-    threshold = 1e-15 * norm
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(_MAX_SWEEPS):
-        # summed directly over the off-diagonal entries: the textbook
-        # ||A||^2 - ||diag||^2 form cancels catastrophically near convergence
-        off = math.sqrt(float(np.sum(a[off_mask] ** 2)))
-        if off <= threshold:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # rotation angle that annihilates a[p,q]
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip, aiq = a[i, p], a[i, q]
-                    a[i, p] = aip - s * (aiq + tau * aip)
-                    a[p, i] = a[i, p]
-                    a[i, q] = aiq + s * (aip - tau * aiq)
-                    a[q, i] = a[i, q]
-    raise NumericFailure(
-        f"Jacobi did not converge in {_MAX_SWEEPS} sweeps", partial=np.sort(np.diag(a))
-    )
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK's symmetric
+    eigensolver through ``np.linalg.eigvalsh``)."""
+    return np.linalg.eigvalsh(check_symmetric(m))
 
 
 def eigen_smallest(m):
@@ -114,40 +75,54 @@ def integrate_adaptive(g, a, b, tol=1e-10, max_depth=50):
     Panels are halved until the Richardson error estimate of each panel
     falls under its share of the tolerance; the extrapolated value is
     returned, which is exact for cubics on a panel.  Hitting the recursion
-    cap raises NumericFailure carrying the partial estimate.
+    cap or spending ``_MAX_EVALS`` evaluations of g raises NumericFailure
+    carrying the partial estimate; a non-finite value of g raises
+    NumericFailure at once.  ``tol = 0`` subdivides every panel down to the
+    cap.
     """
     a = float(a)
     b = float(b)
-    if a > b:
-        raise ValueError("integration bounds must satisfy a <= b")
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError("integration bounds must be finite and satisfy a <= b")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"quadrature tolerance must be a finite number >= 0, got {tol}")
     if a == b:
         return 0.0
-    fa = g(a)
-    fb = g(b)
+    evals = 0
+    stopped = set()  # why panels were left short of their tolerance
+
+    def f(t):
+        nonlocal evals
+        evals += 1
+        v = g(t)
+        if not math.isfinite(v):
+            raise NumericFailure(f"integrand is {v} at t = {t:.17g}")
+        return v
+
+    def adapt(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = f(lm)
+        frm = f(rm)
+        left = _simpson(fa, flm, fm, m - a)
+        right = _simpson(fm, frm, fb, b - m)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        if depth <= 0 or evals >= _MAX_EVALS:
+            stopped.add(f"subdivision depth {max_depth}" if depth <= 0
+                        else f"its budget of {_MAX_EVALS} evaluations")
+            return left + right + delta / 15.0
+        return (adapt(a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
+                + adapt(m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+
+    fa = f(a)
+    fb = f(b)
     m = 0.5 * (a + b)
-    fm = g(m)
-    whole = _simpson(fa, fm, fb, b - a)
-    total, failed = _adapt(g, a, b, fa, fm, fb, whole, tol, max_depth)
-    if failed:
-        raise NumericFailure(
-            f"adaptive Simpson hit subdivision depth {max_depth}", partial=total
-        )
+    fm = f(m)
+    total = adapt(a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
+    if stopped:
+        raise NumericFailure("adaptive Simpson hit " + " and ".join(sorted(stopped)),
+                             partial=total)
     return total
-
-
-def _adapt(g, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = g(lm)
-    frm = g(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, False
-    if depth <= 0:
-        return left + right + delta / 15.0, True
-    lv, lfail = _adapt(g, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-    rv, rfail = _adapt(g, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-    return lv + rv, lfail or rfail

@@ -16,6 +16,7 @@ powers), so a row's trajectory does not depend on the batch it ran in.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,16 @@ class SimOptions:
     convergence_radius: float | None = None
     convergence_target: tuple | None = None
     max_steps: int = 1_000_000
+
+    def __post_init__(self):
+        for name in ("h_init", "h_min", "h_max", "convergence_radius"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be a finite number > 0, got {v}")
+        for name in ("rel_tol", "abs_tol"):
+            v = getattr(self, name)
+            if not v >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {v}")
 
 
 @dataclass
@@ -195,8 +206,8 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
     opts = opts or SimOptions()
     t0 = float(t0)
     t_end = float(t_end)
-    if not (0.0 <= t0 < t_end):
-        raise ValueError("need 0 <= t0 < t_end")
+    if not (0.0 <= t0 < t_end < math.inf):
+        raise ValueError(f"need 0 <= t0 < t_end < inf, got t0 = {t0}, t_end = {t_end}")
     x = np.array(x0, dtype=float)
     if x.ndim != 2 or x.shape[1] != system.dimension:
         raise ValueError(f"x0 must have shape (m, {system.dimension})")
@@ -397,7 +408,7 @@ def lyapunov_trace(system, traj, anchor):
         traj.times,
         m_value - v,
         -linalg.row_dots(pg, g),
-        [system.matrix.smallest_eigenvalue(t) for t in traj.times],
+        system.matrix.smallest_eigenvalue(traj.times),
         linalg.row_dots(g, g),
     ])
     return LyapunovTrace(anchor=tuple(anchor.tolist()), anchor_value=m_value, rows=rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -81,8 +81,10 @@ def ec_check(matrix, horizon=1e4, quad_tol=2e-5):
     or negligible tail.
     """
     horizon = float(horizon)
-    if horizon < 100.0:
-        raise ValueError("horizon must be >= 100")
+    if not (100.0 <= horizon < math.inf):
+        raise ValueError(f"horizon must be a finite number >= 100, got {horizon}")
+    if not (0.0 < quad_tol < math.inf):
+        raise ValueError(f"quad_tol must be a finite number > 0, got {quad_tol}")
 
     clipped = False
 
@@ -105,7 +107,7 @@ def ec_check(matrix, horizon=1e4, quad_tol=2e-5):
 
     # least-squares fit of log lambda_1 vs log t over the last decade
     ts = np.geomspace(horizon / 10.0, horizon, 64)
-    lams = np.array([max(matrix.smallest_eigenvalue(t), 0.0) for t in ts])
+    lams = np.maximum(matrix.smallest_eigenvalue(ts), 0.0)
     if np.all(lams > 0.0):
         slope, _ = np.polyfit(np.log(ts), np.log(lams), 1)
         p_fit = -float(slope)
@@ -365,15 +367,9 @@ def _descent_checks(system, checks, opts):
     descents = [None] * len(checks)
     if not starts:
         return descents
-    sim_opts = ode.SimOptions(
-        rel_tol=opts.sim.rel_tol,
-        abs_tol=opts.sim.abs_tol,
-        h_min=opts.sim.h_min,
-        h_max=opts.sim.h_max,
-        convergence_radius=1e-8,
-    )
     trajectories = ode.simulate_batch(
-        system, starts, 0.0, opts.descent_t_end, sim_opts, targets=targets
+        system, starts, 0.0, opts.descent_t_end,
+        replace(opts.sim, convergence_radius=1e-8), targets=targets,
     )
     for k, first, count in spans:
         x = checks[k][0]

@@ -233,6 +233,15 @@ class TestVerifyBasin:
         ]
         assert escaped_to_p2
 
+    def test_callers_sim_options_are_kept(self, ex31, ex31_named):
+        # max_steps=1 stops every start before it can converge
+        p1, _, _ = ex31_named
+        comp = extract_component(ex31.system.field, p1.location, 33.0, 128)
+        ver = verify_basin(ex31.system, comp, sample_count=10, t_end=50.0, seed=9,
+                           sim_opts=ode.SimOptions(max_steps=1))
+        assert ver.converged_count == 0
+        assert [f[1] for f in ver.failures] == ["StepFailure"] * 10
+
     def test_start_at_anchor_converges_immediately(self, ex31, ex31_named):
         from modgrad import ode
 

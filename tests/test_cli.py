@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import scalar_reference as ref
+from modgrad import linalg
 from modgrad.basin import extract_component
 from modgrad.cli import _boundary_segments, _write_csv, main
 
@@ -374,6 +376,67 @@ class TestEcCommand:
         assert main(["ec", "--config", cfg, "--out", out, "--quiet"]) == 0
         with open(os.path.join(out, "ec.json")) as fh:
             assert json.load(fh)["kind"] == "ConvergentLikely"
+
+
+class TestNumericInputs:
+    """Integrator and quadrature settings that used to hang or pass
+    silently end with one line on stderr and exit 2 or 3."""
+
+    @pytest.mark.parametrize("options, flags, message", [
+        ({"h_max": 0}, [], "h_max must be a finite number > 0"),
+        ({"h_min": 0}, [], "h_min must be a finite number > 0"),
+        ({"rel_tol": -1e-9}, [], "rel_tol must be >= 0"),
+        ({"abs_tol": -1}, [], "abs_tol must be >= 0"),
+        ({}, ["--h-max", "0"], "h_max must be a finite number > 0"),
+        ({}, ["--h-max", "-1"], "h_max must be a finite number > 0"),
+        ({}, ["--h-max", "nan"], "h_max must be a finite number > 0"),
+        ({}, ["--target", "1,1", "--radius", "nan"],
+         "convergence_radius must be a finite number > 0"),
+        ({}, ["--t-end", "inf"], "t_end < inf"),
+    ])
+    def test_bad_integrator_settings_exit_2(self, tmp_path, capsys, options, flags, message):
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex21"}, "options": options})
+        # a repeated --t-end overrides the first
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                     "--x0", "2,2", "--t-end", "10", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, options, flags, message", [
+        ("ec", {}, ["--horizon", "inf"], "horizon must be a finite number >= 100"),
+        ("ec", {}, ["--horizon", "nan"], "horizon must be a finite number >= 100"),
+        ("ec", {"quad_tol": 0}, [], "quad_tol must be a finite number > 0"),
+        ("ec", {"quad_tol": -1}, [], "quad_tol must be a finite number > 0"),
+        ("analyze", {"quad_tol": 0}, [], "quad_tol must be a finite number > 0"),
+        ("analyze", {"quad_tol": -1}, [], "quad_tol must be a finite number > 0"),
+    ])
+    def test_bad_quadrature_settings_exit_2(self, tmp_path, capsys, command, options,
+                                            flags, message):
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex21"}, "options": options})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    def test_unreachable_quad_tol_stops_on_the_budget(self, tmp_path, capsys, monkeypatch):
+        # a smaller budget keeps the test short; the shipped one stops the
+        # same run too, 25 times later
+        monkeypatch.setattr(linalg, "_MAX_EVALS", 20_000)
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex21"},
+                                      "options": {"quad_tol": 1e-300}})
+        assert main(["ec", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "budget of 20000 evaluations" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["ec", "analyze"])
+    def test_overflowing_matrix_path_exits_3(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"},
+                                      "P": [["1e300*t*t*t*t", "1"], ["1", "2"]]})
+        start = time.perf_counter()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        assert time.perf_counter() - start < 60.0
+        err = capsys.readouterr().err
+        assert "P(t) has a non-finite entry at t = " in err and err.count("\n") == 1
 
 
 class TestGalleryCommand:

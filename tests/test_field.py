@@ -206,6 +206,36 @@ class TestMatrixPath:
         assert m.smallest_eigenvalue(1.0) == pytest.approx(0.25, abs=1e-12)
         assert m.smallest_eigenvalue(10.0) == pytest.approx(1.0 / 121.0, abs=1e-12)
 
+    @pytest.mark.parametrize("entries", [
+        [["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]],
+        [["(t+1)^(-2)", "0"], ["0", "(t+1)^(-1)"]],
+        [["1+t", "sin(t)", "0.1"], ["sin(t)", "2", "cos(t)"], ["0.1", "cos(t)", "3-t/(t+1)"]],
+    ])
+    def test_stacked_lambda1_matches_scalar_bits(self, entries):
+        m = MatrixPath(entries)
+        ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 300)])
+        stacked = m.smallest_eigenvalue(ts)
+        assert stacked.shape == ts.shape
+        assert np.array_equal(stacked, [m.smallest_eigenvalue(t) for t in ts])
+        assert np.array_equal(stacked, [np.linalg.eigvalsh(m.value(t))[0] for t in ts])
+        assert all(type(m.smallest_eigenvalue(t)) is float for t in ts[:3])
+
+    def test_constant_lambda1_for_an_array(self):
+        m = MatrixPath.constant([[2.0, 1.0], [1.0, 2.0]])
+        lam = m.smallest_eigenvalue(1.5)
+        assert lam == pytest.approx(1.0, abs=1e-14)
+        ts = np.array([0.0, 3.0, 1e4])
+        assert np.array_equal(m.smallest_eigenvalue(ts), [lam] * 3)
+        assert np.array_equal(MatrixPath.identity(3).smallest_eigenvalue(ts), np.ones(3))
+
+    def test_non_finite_entry_names_the_time(self):
+        m = MatrixPath([["1e300*t*t*t*t", "1"], ["1", "2"]])
+        assert m.smallest_eigenvalue(1.0) == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(EvalDomainError, match="non-finite entry at t = 1000"):
+            m.smallest_eigenvalue(1000.0)
+        with pytest.raises(EvalDomainError, match="non-finite entry at t = 500"):
+            m.smallest_eigenvalue(np.array([1.0, 2.0, 500.0, 1000.0]))
+
     def test_domain_error_at_some_t(self):
         m = MatrixPath([["(t - 1)^(-1)"]])
         with pytest.raises(EvalDomainError):

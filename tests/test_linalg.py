@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from modgrad.errors import NumericFailure
-from modgrad.linalg import eigen_all, eigen_smallest, integrate_adaptive
+from modgrad.linalg import (
+    _MAX_EVALS,
+    check_symmetric,
+    eigen_all,
+    eigen_smallest,
+    integrate_adaptive,
+)
 
 from helpers import spectrum_via_charpoly
 
@@ -38,6 +44,13 @@ class TestEigen:
         with pytest.raises(ValueError, match="symmetric"):
             eigen_all([[1.0, 2.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_symmetric([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            eigen_all([[bad, 0.0], [0.0, 1.0]])
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             eigen_all(np.ones((2, 3)))
@@ -51,6 +64,14 @@ class TestEigen:
             ours = eigen_all(a)
             oracle = spectrum_via_charpoly(a)
             assert np.abs(ours - oracle).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    def test_stack_gives_the_bits_of_one_call_per_matrix(self, n):
+        # MatrixPath.smallest_eigenvalue relies on this for its array path
+        rng = np.random.default_rng(200 + n)
+        b = rng.standard_normal((300, n, n))
+        stack = 0.5 * (b + b.transpose(0, 2, 1))
+        assert np.array_equal(np.linalg.eigvalsh(stack), [eigen_all(a) for a in stack])
 
     def test_trace_and_determinant_invariants(self):
         rng = np.random.default_rng(31)
@@ -119,3 +140,35 @@ class TestQuadrature:
         val = integrate_adaptive(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, 1e-10)
         exact = (1.0 / 3.0) ** 2 / 2.0 + (2.0 / 3.0) ** 2 / 2.0
         assert val == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [-1e-10, np.nan, np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            integrate_adaptive(math.sin, 0.0, 1.0, tol)
+
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0)])
+    def test_non_finite_bounds_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_adaptive(math.sin, a, b)
+
+    def test_non_finite_integrand_fails(self):
+        with pytest.raises(NumericFailure, match="integrand is inf at t = 0.5"):
+            integrate_adaptive(lambda t: math.inf if t == 0.5 else t, 0.0, 1.0)
+        with pytest.raises(NumericFailure, match="integrand is nan"):
+            integrate_adaptive(lambda t: t if t < 0.7 else math.nan, 0.0, 1.0, 1e-12)
+
+    def test_evaluation_budget_carries_partial(self):
+        # no panel can meet 1e-300, so subdivision stops on the budget
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return math.sin(t * t)
+
+        with pytest.raises(NumericFailure, match=f"budget of {_MAX_EVALS} evaluations") as exc:
+            integrate_adaptive(g, 0.0, 3.0, tol=1e-300)
+        assert _MAX_EVALS <= len(calls) <= _MAX_EVALS + 200
+        # depth first, the budget goes to the leftmost panels; the rest
+        # keep their coarser extrapolated estimates
+        oracle = integrate_adaptive(lambda t: math.sin(t * t), 0.0, 3.0, 1e-12)
+        assert abs(exc.value.partial - oracle) < 1e-3

@@ -116,6 +116,24 @@ class TestStatuses:
         with pytest.raises(ValueError):
             simulate(ex31.system, (2.0, 1.0), -1.0, 5.0)
 
+    def test_non_finite_t_end_rejected(self, ex31):
+        for t_end in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="t_end"):
+                simulate(ex31.system, (2.0, 1.0), 0.0, t_end)
+
+    @pytest.mark.parametrize("name", ["h_init", "h_min", "h_max", "convergence_radius"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_step_sizes_and_radius_must_be_finite_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
+            SimOptions(**{name: value})
+
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    def test_tolerances_must_be_non_negative(self, name):
+        SimOptions(**{name: 0.0})
+        for value in (-1e-9, np.nan):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                SimOptions(**{name: value})
+
     def test_times_strictly_increasing_and_h_bounded(self, ex21):
         opts = SimOptions(rel_tol=1e-9, abs_tol=1e-12, h_max=2.0)
         traj = simulate(ex21.system, (2.0, 2.0), 0.0, 50.0, opts)

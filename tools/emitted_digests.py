@@ -6,8 +6,12 @@ Usage (from the repository root):
 
 Runs each command of ``RUNS`` against the checkout at ``--repo`` (default:
 this one), with that checkout's ``src`` on the path and its ``configs``,
-writing into a fresh directory under ``--work``.  Prints one
-``<run>/<file> <sha256> <exit code>`` line per emitted file, sorted.  With
+writing into a fresh directory under ``--work``.  The ``-oscP`` runs use
+ex31 with the dense, oscillating P of the benchmark's ``analyze-ex31-oscP``
+workload, the one t-varying, non-diagonal P in the listing; the tool writes
+that config into the work directory, so every checkout runs the same file.
+Prints one ``<run>/<file> <sha256> <exit code>`` line per emitted file,
+sorted.  With
 ``--compare FILE`` (the saved output of another checkout), it prints the
 lines that differ instead and exits 1 when any do; a byte-identity check
 of two checkouts is
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -39,14 +44,27 @@ RUNS["simulate-ex21"] = ["simulate", "--config", "configs/ex21.json",
                          "--x0", "2,2", "--t-end", "1000"]
 for _name in ("ex21", "ex22", "ex31"):
     RUNS[f"analyze-{_name}"] = ["analyze", "--config", f"configs/{_name}.json"]
+RUNS["ec-ex21"] = ["ec", "--config", "configs/ex21.json"]
+
+OSC_P_CONFIG = {
+    "f": {"gallery": "ex31"},
+    "P": [["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]],
+    "options": {"grid_per_axis": 20, "ec_horizon": 1000.0},
+}
+RUNS["analyze-ex31-oscP"] = ["analyze", "--config", "{work}/oscP.json"]
+RUNS["simulate-ex31-oscP"] = ["simulate", "--config", "{work}/oscP.json",
+                              "--x0", "2.5,3.5", "--t-end", "50"]
 
 
 def digests(repo, work):
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    with open(os.path.join(work, "oscP.json"), "w") as fh:
+        json.dump(OSC_P_CONFIG, fh, indent=2)
     lines = []
     for name, argv in RUNS.items():
         out = os.path.join(work, name)
         os.makedirs(out)
+        argv = [a.format(work=work) for a in argv]
         code = subprocess.run(
             [sys.executable, "-m", "modgrad.cli", *argv, "--out", out, "--quiet"],
             cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -67,7 +85,7 @@ def main():
     p.add_argument("--compare", default=None, help="digest listing to compare against")
     args = p.parse_args()
     with tempfile.TemporaryDirectory(dir=args.work) as work:
-        lines = digests(os.path.abspath(args.repo), work)
+        lines = digests(os.path.abspath(args.repo), os.path.abspath(work))
     if args.compare is None:
         print("\n".join(lines))
         return 0
