@@ -23,11 +23,7 @@ __all__ = [
     "row_norms",
 ]
 
-# evaluations one integral may spend before it stops with its partial
-# estimate.  ec_check on the oscillating P [[2+sin t, cos(t)/2],
-# [cos(t)/2, 1+1/(t+1)]] spends 19k on [T/2, T] at T = 1e3 and 300k at
-# T = 1e4; a tolerance that rounding makes unreachable would take 2^depth.
-_MAX_EVALS = 500_000
+_EPS = np.finfo(float).eps
 
 
 def row_dots(a, b):
@@ -74,11 +70,12 @@ def integrate_adaptive(g, a, b, tol=1e-10, max_depth=50):
 
     Panels are halved until the Richardson error estimate of each panel
     falls under its share of the tolerance; the extrapolated value is
-    returned, which is exact for cubics on a panel.  Hitting the recursion
-    cap or spending ``_MAX_EVALS`` evaluations of g raises NumericFailure
-    carrying the partial estimate; a non-finite value of g raises
-    NumericFailure at once.  ``tol = 0`` subdivides every panel down to the
-    cap.
+    returned, which is exact for cubics on a panel.  A panel that misses
+    its share at the recursion cap, or whose share is under the rounding
+    error of its own sum (no subdivision can certify it), stops there, and
+    the integral raises NumericFailure carrying the partial estimate.  A
+    non-finite value of g raises NumericFailure at once.  ``tol = 0``
+    subdivides every panel down to the cap.
     """
     a = float(a)
     b = float(b)
@@ -88,12 +85,8 @@ def integrate_adaptive(g, a, b, tol=1e-10, max_depth=50):
         raise ValueError(f"quadrature tolerance must be a finite number >= 0, got {tol}")
     if a == b:
         return 0.0
-    evals = 0
-    stopped = set()  # why panels were left short of their tolerance
 
     def f(t):
-        nonlocal evals
-        evals += 1
         v = g(t)
         if not math.isfinite(v):
             raise NumericFailure(f"integrand is {v} at t = {t:.17g}")
@@ -109,20 +102,21 @@ def integrate_adaptive(g, a, b, tol=1e-10, max_depth=50):
         right = _simpson(fm, frm, fb, b - m)
         delta = left + right - whole
         if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth <= 0 or evals >= _MAX_EVALS:
-            stopped.add(f"subdivision depth {max_depth}" if depth <= 0
-                        else f"its budget of {_MAX_EVALS} evaluations")
-            return left + right + delta / 15.0
-        return (adapt(a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + adapt(m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+            return left + right + delta / 15.0, None
+        if depth <= 0:
+            return left + right + delta / 15.0, f"subdivision depth {max_depth}"
+        if 0.0 < tol < _EPS * abs(left + right):
+            return left + right + delta / 15.0, f"the rounding level on [{a:.17g}, {b:.17g}]"
+        lv, lfail = adapt(a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
+        rv, rfail = adapt(m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
+        return lv + rv, lfail or rfail
 
     fa = f(a)
     fb = f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    total = adapt(a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
-    if stopped:
-        raise NumericFailure("adaptive Simpson hit " + " and ".join(sorted(stopped)),
+    total, failed = adapt(a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
+    if failed:
+        raise NumericFailure(f"adaptive Simpson hit {failed} short of tolerance {tol:g}",
                              partial=total)
     return total

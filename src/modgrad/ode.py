@@ -92,6 +92,8 @@ class SimOptions:
             v = getattr(self, name)
             if not v >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
+        if self.rel_tol == 0.0 and self.abs_tol == 0.0:
+            raise ValueError("rel_tol and abs_tol must not both be 0")
 
 
 @dataclass

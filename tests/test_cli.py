@@ -11,7 +11,6 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import scalar_reference as ref
-from modgrad import linalg
 from modgrad.basin import extract_component
 from modgrad.cli import _boundary_segments, _write_csv, main
 
@@ -387,6 +386,7 @@ class TestNumericInputs:
         ({"h_min": 0}, [], "h_min must be a finite number > 0"),
         ({"rel_tol": -1e-9}, [], "rel_tol must be >= 0"),
         ({"abs_tol": -1}, [], "abs_tol must be >= 0"),
+        ({"rel_tol": 0, "abs_tol": 0}, [], "rel_tol and abs_tol must not both be 0"),
         ({}, ["--h-max", "0"], "h_max must be a finite number > 0"),
         ({}, ["--h-max", "-1"], "h_max must be a finite number > 0"),
         ({}, ["--h-max", "nan"], "h_max must be a finite number > 0"),
@@ -418,15 +418,21 @@ class TestNumericInputs:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
 
-    def test_unreachable_quad_tol_stops_on_the_budget(self, tmp_path, capsys, monkeypatch):
-        # a smaller budget keeps the test short; the shipped one stops the
-        # same run too, 25 times later
-        monkeypatch.setattr(linalg, "_MAX_EVALS", 20_000)
-        cfg = write_config(tmp_path, {"f": {"gallery": "ex21"},
-                                      "options": {"quad_tol": 1e-300}})
-        assert main(["ec", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    @pytest.mark.parametrize("config", [
+        {"f": {"gallery": "ex21"}},
+        {"f": {"gallery": "ex31"},
+         "P": [["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]],
+         "options": {"ec_horizon": 1000.0}},
+    ])
+    def test_unreachable_quad_tol_exits_3(self, tmp_path, capsys, config):
+        # 1e-300 is under the rounding error of every panel's sum
+        config = dict(config, options=dict(config.get("options", {}), quad_tol=1e-300))
+        start = time.perf_counter()
+        assert main(["ec", "--config", write_config(tmp_path, config),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        assert time.perf_counter() - start < 60.0
         err = capsys.readouterr().err
-        assert "budget of 20000 evaluations" in err and err.count("\n") == 1
+        assert "hit the rounding level" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["ec", "analyze"])
     def test_overflowing_matrix_path_exits_3(self, tmp_path, capsys, command):

@@ -134,6 +134,11 @@ class TestStatuses:
             with pytest.raises(ValueError, match=f"{name} must be >= 0"):
                 SimOptions(**{name: value})
 
+    def test_tolerances_must_not_both_be_zero(self):
+        # a zero error scale would divide by zero in every step
+        with pytest.raises(ValueError, match="rel_tol and abs_tol must not both be 0"):
+            SimOptions(rel_tol=0.0, abs_tol=0.0)
+
     def test_times_strictly_increasing_and_h_bounded(self, ex21):
         opts = SimOptions(rel_tol=1e-9, abs_tol=1e-12, h_max=2.0)
         traj = simulate(ex21.system, (2.0, 2.0), 0.0, 50.0, opts)

@@ -8,8 +8,9 @@ Runs each command of ``RUNS`` against the checkout at ``--repo`` (default:
 this one), with that checkout's ``src`` on the path and its ``configs``,
 writing into a fresh directory under ``--work``.  The ``-oscP`` runs use
 ex31 with the dense, oscillating P of the benchmark's ``analyze-ex31-oscP``
-workload, the one t-varying, non-diagonal P in the listing; the tool writes
-that config into the work directory, so every checkout runs the same file.
+workload (``OSC_P_CONFIG``, read from this checkout's ``perfbench/run.py``),
+the one t-varying, non-diagonal P in the listing; the tool writes that
+config into the work directory, so every checkout runs the same file.
 Prints one ``<run>/<file> <sha256> <exit code>`` line per emitted file,
 sorted.  With
 ``--compare FILE`` (the saved output of another checkout), it prints the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -46,11 +48,17 @@ for _name in ("ex21", "ex22", "ex31"):
     RUNS[f"analyze-{_name}"] = ["analyze", "--config", f"configs/{_name}.json"]
 RUNS["ec-ex21"] = ["ec", "--config", "configs/ex21.json"]
 
-OSC_P_CONFIG = {
-    "f": {"gallery": "ex31"},
-    "P": [["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]],
-    "options": {"grid_per_axis": 20, "ec_horizon": 1000.0},
-}
+
+def _benchmark_module():
+    """This checkout's ``perfbench/run.py``, the home of ``OSC_P_CONFIG``."""
+    path = os.path.join(ROOT, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+OSC_P_CONFIG = _benchmark_module().OSC_P_CONFIG
 RUNS["analyze-ex31-oscP"] = ["analyze", "--config", "{work}/oscP.json"]
 RUNS["simulate-ex31-oscP"] = ["simulate", "--config", "{work}/oscP.json",
                               "--x0", "2.5,3.5", "--t-end", "50"]
