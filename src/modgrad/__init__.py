@@ -49,6 +49,7 @@ from .ode import (
     Status,
     Trajectory,
     lyapunov_trace,
+    lyapunov_traces,
     simulate,
     simulate_batch,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "simulate",
     "simulate_batch",
     "lyapunov_trace",
+    "lyapunov_traces",
     "Classification",
     "CriticalPoint",
     "IsolationKind",

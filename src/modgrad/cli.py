@@ -289,6 +289,9 @@ def load_config(path):
     for name, value in opt_raw.items():
         _check_option(name, value)
     options = Options(**opt_raw)
+    for name in ("descent_trajectories", "basin_samples"):
+        if getattr(options, name) < 0:
+            raise ConfigError(f"option {name!r} must be >= 0, got {getattr(options, name)}")
     if not isinstance(raw.get("output_dir", ""), str):
         raise ConfigError("'output_dir' must be a string")
 

@@ -1,16 +1,23 @@
 """Critical-point finding, classification and isolation probing.
 
 Newton's method on grad f = 0 (Hessian as Jacobian, Levenberg damping when
-the Hessian is near singular) seeded from a regular grid over the box.
-Isolation is probed by sampling |grad f| on shrinking shells; the result is
-labeled evidence, not proof -- sampling cannot decide isolation.
+the Hessian is near singular) seeded from a regular grid over the box.  All
+seeds run in lockstep along a leading axis, as in ``ode.simulate_batch``:
+each iteration is one ``grad_batch`` and one ``hessian_batch`` call on the
+rows still running, with stacked ``det`` and ``solve``, and a row leaves
+the batch when it converges or is dropped.  When the stacked solve raises,
+that iteration's rows are solved one at a time and only the singular ones
+are dropped.  Every row takes the steps a one-seed loop would take, bit
+for bit.  Isolation is probed by sampling |grad f| on shrinking shells;
+the result is labeled evidence, not proof -- sampling cannot decide
+isolation.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,54 +99,111 @@ def classify_spectrum(spectrum, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     return Classification.SADDLE
 
 
-def _newton(field, seed, newton_tol, max_iters):
-    """Damped Newton iteration for grad f = 0 from one seed.
+def _failing_rows(fn, x, values):
+    """Rows of the batch result *values* that are NaN because the scalar
+    *fn* raises EvalDomainError there; a NaN it returns is a value."""
+    failing = np.zeros(len(x), dtype=bool)
+    for i in np.flatnonzero(np.isnan(values).any(axis=tuple(range(1, values.ndim)))):
+        try:
+            fn(x[i])
+        except EvalDomainError:
+            failing[i] = True
+    return failing
 
-    Returns the root or None.  Leaves the box (with a small margin), hits an
-    EvalDomainError or a singular damped Hessian -> dropped.
+
+def _solve_rows(h, b):
+    """``np.linalg.solve`` of each matrix of h with its row of b, and which
+    rows are singular: one stacked call, or one call per row when the stack
+    raises."""
+    singular = np.zeros(len(h), dtype=bool)
+    try:
+        return np.linalg.solve(h, b[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(b)
+    for i in range(len(h)):
+        try:
+            out[i] = np.linalg.solve(h[i], b[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return out, singular
+
+
+def _newton_batch(field, seeds, newton_tol, max_iters):
+    """Damped Newton iteration for grad f = 0 from every row of *seeds*.
+
+    The rows run in lockstep, and those that finish are compacted away.
+    Returns (outcome, x): outcome[i] is "converged", "outside" (left the
+    box with a 5% margin, or evaluated outside D), "domain" (hit an
+    EvalDomainError), "singular" (singular damped Hessian) or
+    "no_convergence", and x[i] is row i's root when it converged.  Each
+    row takes the steps a one-seed loop takes: the stacked kernels give
+    every row the bits of one call per row.
     """
-    x = np.asarray(seed, dtype=float)
     lo = np.asarray(field.box.lo)
     hi = np.asarray(field.box.hi)
     margin = 0.05 * (hi - lo)
+    # trust-region-ish cap: a Newton step across the whole box is noise
+    cap = float(np.max(hi - lo))
+    n = field.dimension
+    outcome = np.full(len(seeds), "no_convergence", dtype=object)
+    x_out = np.array(seeds, dtype=float)
+    rows = np.arange(len(seeds))
+    x = x_out.copy()
+
+    def finish(mask, what, *arrays):
+        """Give the masked running rows the outcome *what*, drop them, and
+        return *arrays* without them."""
+        nonlocal rows
+        outcome[rows[mask]] = what
+        keep = ~mask
+        rows = rows[keep]
+        return [a[keep] for a in arrays]
+
     for _ in range(max_iters):
-        if np.any(x < lo - margin) or np.any(x > hi + margin):
-            return None, "outside"
-        try:
-            g = field.grad(np.clip(x, lo, hi)) if not field.inside(x) else field.grad(x)
-            if float(np.linalg.norm(g)) <= newton_tol:
-                return x, "converged"
-            h = field.hessian(np.clip(x, lo, hi)) if not field.inside(x) else field.hessian(x)
-        except OutsideDomainError:
-            return None, "outside"
-        except EvalDomainError:
-            return None, "domain"
-        h_norm = float(np.linalg.norm(h))
-        det = float(np.linalg.det(h))
-        if abs(det) <= 1e-12 * max(1.0, h_norm) ** h.shape[0]:
-            h = h + 1e-6 * h_norm * np.eye(h.shape[0])
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            return None, "singular"
-        # trust-region-ish cap: a Newton step across the whole box is noise
-        cap = float(np.max(hi - lo))
-        norm = float(np.linalg.norm(step))
-        if norm > cap:
-            step *= cap / norm
+        if not len(rows):
+            break
+        # evaluate at x, clipped to the box when outside it; a row whose
+        # evaluation point is outside D is done
+        in_box = ((x >= lo) & (x <= hi)).all(axis=1)
+        xe = np.where(in_box[:, None], x, np.clip(x, lo, hi))
+        gone = ((x < lo - margin) | (x > hi + margin)).any(axis=1)
+        x, xe = finish(gone | ~field.inside_batch(xe), "outside", x, xe)
+        g = field.grad_batch(xe)
+        x, xe, g = finish(_failing_rows(field.grad, xe, g), "domain", x, xe, g)
+        done = linalg.row_norms(g) <= newton_tol
+        x_out[rows[done]] = x[done]
+        x, xe, g = finish(done, "converged", x, xe, g)
+        h = field.hessian_batch(xe)
+        x, g, h = finish(_failing_rows(field.hessian, xe, h), "domain", x, g, h)
+        h_norm = linalg.row_norms(h.reshape(len(h), n * n))
+        det = np.linalg.det(h)
+        shift = np.array([abs(d) <= 1e-12 * max(1.0, hn) ** n
+                          for d, hn in zip(det.tolist(), h_norm.tolist())], dtype=bool)
+        h[shift] = h[shift] + (1e-6 * h_norm[shift])[:, None, None] * np.eye(n)
+        step, singular = _solve_rows(h, -g)
+        x, step = finish(singular, "singular", x, step)
+        norm = linalg.row_norms(step)
+        big = norm > cap
+        step[big] *= (cap / norm[big])[:, None]
         x = x + step
-    return None, "no_convergence"
+    return outcome, x_out
 
 
 def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_iters=50):
     """All distinct Newton roots of grad f = 0 inside the box, classified.
 
-    Roots are deduplicated at radius 10*newton_tol, keeping the first-found
-    representative verbatim (averaging would drift off curved critical
-    manifolds).  Non-converging seeds are dropped and counted.
+    Roots are deduplicated at radius 10*newton_tol in seed order, keeping
+    the first-found representative verbatim (averaging would drift off
+    curved critical manifolds).  Non-converging seeds are dropped and
+    counted.
     """
     if grid_per_axis < 2:
         raise ValueError("grid_per_axis must be >= 2")
+    if not (math.isfinite(newton_tol) and newton_tol > 0.0):
+        raise ValueError(f"newton_tol must be a finite number > 0, got {newton_tol}")
+    if max_newton_iters < 1:
+        raise ValueError(f"max_newton_iters must be >= 1, got {max_newton_iters}")
     axes = [
         np.linspace(lo, hi, grid_per_axis)
         for lo, hi in zip(field.box.lo, field.box.hi)
@@ -147,50 +211,55 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
     mesh = np.meshgrid(*axes, indexing="ij")
     seeds = np.stack([m.ravel() for m in mesh], axis=-1)
 
-    diags = FinderDiagnostics(seeds=len(seeds))
-    roots = []
+    inside = field.inside_batch(seeds)
+    outcome, x = _newton_batch(field, seeds[inside], newton_tol, max_newton_iters)
+    roots = x[outcome == "converged"]
+    root_inside = field.inside_batch(roots)
+    roots = roots[root_inside]
+    diags = FinderDiagnostics(
+        seeds=len(seeds),
+        converged=len(roots),
+        dropped_no_convergence=int((outcome == "no_convergence").sum()),
+        dropped_outside=int((~inside).sum() + (outcome == "outside").sum()
+                            + (~root_inside).sum()),
+        dropped_singular=int((outcome == "singular").sum()),
+        dropped_domain=int((outcome == "domain").sum()),
+    )
+
     dedup_radius = 10.0 * newton_tol
-    for seed in seeds:
-        if not field.inside(seed):
-            diags.dropped_outside += 1
-            continue
-        root, outcome = _newton(field, seed, newton_tol, max_newton_iters)
-        if root is None:
-            if outcome == "outside":
-                diags.dropped_outside += 1
-            elif outcome == "singular":
-                diags.dropped_singular += 1
-            elif outcome == "domain":
-                diags.dropped_domain += 1
-            else:
-                diags.dropped_no_convergence += 1
-            continue
-        if not field.inside(root):
-            diags.dropped_outside += 1
-            continue
-        diags.converged += 1
-        if any(np.linalg.norm(root - r) <= dedup_radius for r in roots):
+    reps = np.empty_like(roots)
+    kept = 0
+    for root in roots:
+        if (linalg.row_norms(root - reps[:kept]) <= dedup_radius).any():
             diags.duplicates_merged += 1
             continue
-        roots.append(root)
+        reps[kept] = root
+        kept += 1
+    reps = reps[:kept]
 
-    points = []
-    for root in roots:
-        g_norm = float(np.linalg.norm(field.grad(root)))
-        if g_norm > newton_tol:
-            # dedup representative must still satisfy the tolerance
-            diags.dropped_no_convergence += 1
-            continue
-        spectrum = linalg.eigen_all(field.hessian(root))
-        points.append(
-            CriticalPoint(
-                location=tuple(float(v) for v in root),
-                classification=classify_spectrum(spectrum),
-                hessian_spectrum=tuple(float(v) for v in spectrum),
-                grad_norm=g_norm,
-                value=field.eval(root),
-            )
+    g = field.grad_batch(reps)
+    reraise_row_error(reps, g, field.grad)
+    g_norm = linalg.row_norms(g)
+    # dedup representatives must still satisfy the tolerance
+    stale = g_norm > newton_tol
+    diags.dropped_no_convergence += int(stale.sum())
+    reps, g_norm = reps[~stale], g_norm[~stale]
+    h = field.hessian_batch(reps)
+    reraise_row_error(reps, h, field.hessian)
+    spectra = linalg.eigen_all(h)
+    values = field.eval_batch(reps)
+    reraise_row_error(reps, values, field.eval)
+    points = [
+        CriticalPoint(
+            location=tuple(root),
+            classification=classify_spectrum(spectrum),
+            hessian_spectrum=tuple(spectrum.tolist()),
+            grad_norm=gn,
+            value=v,
         )
+        for root, spectrum, gn, v in zip(reps.tolist(), spectra, g_norm.tolist(),
+                                         values.tolist())
+    ]
     points.sort(key=lambda p: p.location)
     return points, diags
 

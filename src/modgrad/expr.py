@@ -10,12 +10,12 @@ numpy arrays, in one of two namespaces:
   functions, integer powers through ``np.power``.  ``np.power`` is not
   bitwise the scalar chain of products; grid masks were always computed
   this way and keep their bits.
-* ``eval_exact``/``grad_exact`` (row batches) run the value's and the
-  gradient's sources in an "exact" namespace: integer powers are
-  ``_ipow``'s chain of products, which works elementwise on arrays, and
-  ``sqrt`` is ``np.sqrt``.  Elementwise ``+ - * /``, negation and
-  ``sqrt`` are correctly rounded in numpy as in Python, so every row gets
-  the bits the scalar code gives it.  Only expressions built from those
+* ``eval_exact``/``grad_exact``/``hessian_exact`` (row batches) run the
+  value's, the gradient's and the Hessian's sources in an "exact"
+  namespace: integer powers are ``_ipow``'s chain of products, which works
+  elementwise on arrays, and ``sqrt`` is ``np.sqrt``.  Elementwise
+  ``+ - * /``, negation and ``sqrt`` are correctly rounded in numpy as in
+  Python, so every row gets the bits the scalar code gives it.  Only expressions built from those
   operations have exact functions (``Expression.exact``); ``exp``, ``ln``,
   ``sin``, ``cos`` and real powers are not correctly rounded and keep the
   scalar path.  The exact functions run with floating-point errors
@@ -581,7 +581,7 @@ class Expression:
 
     __slots__ = ("ast", "dimension", "uses_t", "var_indices",
                  "_value", "_value_array", "_value_exact", "_grad", "_grad_exact",
-                 "_hessian")
+                 "_hessian", "_hessian_exact")
 
     def __init__(self, ast, dimension):
         nodes = _postorder([ast])
@@ -592,6 +592,7 @@ class Expression:
         # a derivative is undefined wherever the value is, so derivative
         # code also runs the value's operations that can fail
         grad = _compile(grads, [ast], dimension, scalar)
+        hessian = _compile(square, [ast, *grads], dimension, scalar)
         fields = {
             "ast": ast,
             "dimension": dimension,
@@ -602,7 +603,8 @@ class Expression:
             "_value_exact": value[1] if exact else None,
             "_grad": grad[0],
             "_grad_exact": grad[1] if exact else None,
-            "_hessian": _compile(square, [ast, *grads], dimension)[0],
+            "_hessian": hessian[0],
+            "_hessian_exact": hessian[1] if exact else None,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -615,8 +617,8 @@ class Expression:
 
     @property
     def exact(self):
-        """True when ``eval_exact`` and ``grad_exact`` exist: every operation
-        is correctly rounded."""
+        """True when ``eval_exact``, ``grad_exact`` and ``hessian_exact``
+        exist: every operation is correctly rounded."""
         return self._value_exact is not None
 
     @property
@@ -671,6 +673,12 @@ class Expression:
     def grad_exact(self, columns, time=None):
         """``grad`` at every row of *columns*, shape (m, n); as ``eval_exact``."""
         return self._exact(self._grad_exact, columns, time).T
+
+    def hessian_exact(self, columns, time=None):
+        """``hessian`` at every row of *columns*, shape (m, n, n); as
+        ``eval_exact``."""
+        n = self.dimension
+        return self._exact(self._hessian_exact, columns, time).T.reshape(-1, n, n)
 
     def _exact(self, fn, columns, time):
         if fn is None:

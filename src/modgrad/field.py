@@ -145,6 +145,11 @@ class ScalarField:
         would raise."""
         return self._rows(self._grad, x, (self.dimension,))
 
+    def hessian_batch(self, x):
+        """Hessian of f at each row of x, shape (m, n, n); NaN rows where
+        ``hessian`` would raise."""
+        return self._rows(self._hessian, x, (self.dimension,) * 2)
+
     def _rows(self, fn, x, shape):
         """The scalar kernel *fn* on each row inside D, NaN elsewhere."""
         x = self._check_rows(x)
@@ -183,6 +188,10 @@ class ExpressionField(ScalarField):
 
     def grad_batch(self, x):
         return self._exact_rows(self.expression.grad_exact, self._grad, x, (self.dimension,))
+
+    def hessian_batch(self, x):
+        return self._exact_rows(self.expression.hessian_exact, self._hessian, x,
+                                (self.dimension,) * 2)
 
     def _exact_rows(self, exact_fn, fn, x, shape):
         """The expression's exact array kernel on the rows inside D, NaN
@@ -272,19 +281,23 @@ class MatrixPath:
         """lambda_1(P(t)) for one time t (a float) or a 1-D array of times
         (an array); raises EvalDomainError naming the first time at which
         P has a non-finite entry."""
-        if self._constant_lambda1 is not None:
-            if np.ndim(t) == 0:
-                return self._constant_lambda1
-            return np.full(len(t), self._constant_lambda1)
+        if self._constant_lambda1 is not None and np.ndim(t) == 0:
+            return self._constant_lambda1
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        p = self.value_batch(ts)
+        lam = self.stack_lambda1(ts, self.value_batch(ts))
+        return float(lam[0]) if np.ndim(t) == 0 else lam
+
+    def stack_lambda1(self, t, p):
+        """lambda_1 of each matrix of p = ``value_batch(t)``, for a caller
+        that already holds the stack; raises as ``smallest_eigenvalue``."""
+        if self._constant_lambda1 is not None:
+            return np.full(len(t), self._constant_lambda1)
         bad = ~np.isfinite(p).all(axis=(1, 2))
         if bad.any():
             raise EvalDomainError(
-                f"P(t) has a non-finite entry at t = {ts[np.argmax(bad)]:.17g}"
+                f"P(t) has a non-finite entry at t = {t[np.argmax(bad)]:.17g}"
             )
-        lam = np.linalg.eigvalsh(p)[:, 0]
-        return float(lam[0]) if np.ndim(t) == 0 else lam
+        return np.linalg.eigvalsh(p)[:, 0]
 
     def __repr__(self):
         return f"MatrixPath(dimension={self.dimension}, uses_t={self.uses_t})"

@@ -245,6 +245,20 @@ class _RadialField(ScalarField):
         g[~self.inside_batch(x)] = np.nan
         return g
 
+    def hessian_batch(self, x):
+        x = self._check_rows(x)
+        r = np.hypot(x[:, 0], x[:, 1])
+        gpp = self.cubic.curvature(-r)[:, None, None]
+        eye = np.eye(2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = x / r[:, None]
+            proj = u[:, :, None] * u[:, None, :]
+            h = gpp * proj + (-self.cubic.slope(-r) / r)[:, None, None] * (eye - proj)
+        at_origin = r == 0.0
+        h[at_origin] = gpp[at_origin] * eye
+        h[~self.inside_batch(x)] = np.nan
+        return h
+
 
 def example_2_2(depth=20):
     """Radial field whose critical set contains circles r = 2^-n."""

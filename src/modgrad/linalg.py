@@ -38,21 +38,25 @@ def row_norms(v):
 
 
 def check_symmetric(m):
-    """Return *m* as a float ndarray, requiring finite entries and exact
-    symmetry."""
+    """Return *m*, one matrix or a stack of them (shape (..., n, n)), as a
+    float ndarray, requiring finite entries and exact symmetry; the error
+    names the fault of the first matrix that has one."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
-    if not np.array_equal(a, a.T):
+    finite = np.isfinite(a).all(axis=(-2, -1)).ravel()
+    ok = finite & (a == np.swapaxes(a, -1, -2)).all(axis=(-2, -1)).ravel()
+    if not ok.all():
+        if not finite[np.argmin(ok)]:
+            raise ValueError("matrix has a non-finite entry")
         raise ValueError("matrix is not exactly symmetric")
     return a
 
 
 def eigen_all(m):
-    """All eigenvalues of a symmetric matrix, ascending (LAPACK's symmetric
-    eigensolver through ``np.linalg.eigvalsh``)."""
+    """All eigenvalues of a symmetric matrix, ascending, or of each matrix
+    of a stack (LAPACK's symmetric eigensolver through
+    ``np.linalg.eigvalsh``)."""
     return np.linalg.eigvalsh(check_symmetric(m))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import OutsideDomainError
+from .errors import EvalDomainError, OutsideDomainError
 from .field import reraise_row_error
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "simulate",
     "simulate_batch",
     "lyapunov_trace",
+    "lyapunov_traces",
 ]
 
 # Butcher tableau, Dormand & Prince (1980)
@@ -395,22 +396,67 @@ class LyapunovTrace:
         return float(np.max(np.diff(self.rows[:, 1])))
 
 
+# Rows per pass of ``lyapunov_traces``: bounds the pass's array temporaries
+# (all rows at once raised the peak RSS of ex22's analyze by ~10%); passes
+# of this size are as fast as one.
+_ROWS_PER_PASS = 1024
+
+
 def lyapunov_trace(system, traj, anchor):
     """Lyapunov trace of *traj* for the candidate equilibrium *anchor*,
-    all rows at once."""
-    anchor = np.asarray(anchor, dtype=float)
+    all rows at once; ``lyapunov_traces`` for one trajectory."""
+    return lyapunov_traces(system, [traj], [anchor])[0]
+
+
+def lyapunov_traces(system, trajectories, anchors):
+    """The Lyapunov trace of each trajectory for its own anchor (one anchor
+    per trajectory), the rows of consecutive trajectories in passes of
+    about ``_ROWS_PER_PASS`` rows.
+
+    Each trace holds the bits, and a failure raises the error, that one
+    ``lyapunov_trace`` per trajectory in order would give.  P(t) is built
+    once per pass, and lambda_1 comes from that same stack.
+    """
+    if len(anchors) != len(trajectories):
+        raise ValueError("need one anchor per trajectory")
+    counts = [len(traj.times) for traj in trajectories]
+    group = (np.cumsum(counts) - 1) // _ROWS_PER_PASS
+    cuts = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(trajectories)]
+    traces = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        try:
+            traces += _traces(system, trajectories[lo:hi], anchors[lo:hi])
+        except (EvalDomainError, OutsideDomainError):
+            for traj, anchor in zip(trajectories[lo:hi], anchors[lo:hi]):  # the first one's
+                _traces(system, [traj], [anchor])
+            raise
+    return traces
+
+
+def _traces(system, trajectories, anchors):
+    if not trajectories:
+        return []
     fld = system.field
-    m_value = fld.eval(anchor)
-    x = traj.states
+    anchors = np.array(anchors, dtype=float).reshape(len(trajectories), system.dimension)
+    m_values = fld.eval_batch(anchors)
+    reraise_row_error(anchors, m_values, fld.eval)
+    x = np.concatenate([traj.states for traj in trajectories])
+    times = np.concatenate([traj.times for traj in trajectories])
+    counts = [len(traj.times) for traj in trajectories]
     g = fld.grad_batch(x)
     v = fld.eval_batch(x)
     reraise_row_error(x, np.column_stack([g, v]), fld.grad, fld.eval)
-    pg = (system.matrix.value_batch(traj.times) @ g[:, :, None])[:, :, 0]
+    p = system.matrix.value_batch(times)
+    pg = (p @ g[:, :, None])[:, :, 0]
     rows = np.column_stack([
-        traj.times,
-        m_value - v,
+        times,
+        np.repeat(m_values, counts) - v,
         -linalg.row_dots(pg, g),
-        system.matrix.smallest_eigenvalue(traj.times),
+        system.matrix.stack_lambda1(times, p),
         linalg.row_dots(g, g),
     ])
-    return LyapunovTrace(anchor=tuple(anchor.tolist()), anchor_value=m_value, rows=rows)
+    ends = np.cumsum(counts).tolist()
+    return [
+        LyapunovTrace(anchor=tuple(anchor), anchor_value=m_value, rows=rows[hi - k:hi])
+        for anchor, m_value, k, hi in zip(anchors.tolist(), m_values.tolist(), counts, ends)
+    ]

@@ -371,13 +371,12 @@ def _descent_checks(system, checks, opts):
         system, starts, 0.0, opts.descent_t_end,
         replace(opts.sim, convergence_radius=1e-8), targets=targets,
     )
+    traces = ode.lyapunov_traces(system, trajectories, targets)
     for k, first, count in spans:
-        x = checks[k][0]
         mine = trajectories[first:first + count]
         max_inc = 0.0
         max_violation = -math.inf
-        for traj in mine:
-            trace = ode.lyapunov_trace(system, traj, x)
+        for trace in traces[first:first + count]:
             max_inc = max(max_inc, trace.max_increase())
             max_violation = max(max_violation, trace.max_bound_violation())
         descents[k] = DescentSummary(

@@ -1,8 +1,9 @@
-"""Scalar reference versions of the vectorized basin and writer kernels.
+"""Scalar reference versions of the vectorized finder, basin and writer
+kernels.
 
-Each function is the straightforward cell-by-cell (or value-by-value) loop
-that the array kernel in ``modgrad`` replaces; tests assert that both give
-equal results.  They are deliberately simple and slow.
+Each function is the straightforward seed-by-seed, cell-by-cell (or
+value-by-value) loop that the array kernel in ``modgrad`` replaces; tests
+assert that both give equal results.  They are deliberately simple and slow.
 """
 
 import math
@@ -10,8 +11,109 @@ from collections import deque
 
 import numpy as np
 
+from modgrad import linalg
 from modgrad.basin import HypothesisVerdict
-from modgrad.errors import OutsideDomainError
+from modgrad.equilibria import CriticalPoint, FinderDiagnostics, classify_spectrum
+from modgrad.errors import EvalDomainError, OutsideDomainError
+
+
+def newton(field, seed, newton_tol, max_iters):
+    """Damped Newton iteration for grad f = 0 from one seed.
+
+    Returns the root or None.  Leaves the box (with a small margin), hits an
+    EvalDomainError or a singular damped Hessian -> dropped.
+    """
+    x = np.asarray(seed, dtype=float)
+    lo = np.asarray(field.box.lo)
+    hi = np.asarray(field.box.hi)
+    margin = 0.05 * (hi - lo)
+    for _ in range(max_iters):
+        if np.any(x < lo - margin) or np.any(x > hi + margin):
+            return None, "outside"
+        try:
+            g = field.grad(np.clip(x, lo, hi)) if not field.inside(x) else field.grad(x)
+            if float(np.linalg.norm(g)) <= newton_tol:
+                return x, "converged"
+            h = field.hessian(np.clip(x, lo, hi)) if not field.inside(x) else field.hessian(x)
+        except OutsideDomainError:
+            return None, "outside"
+        except EvalDomainError:
+            return None, "domain"
+        h_norm = float(np.linalg.norm(h))
+        det = float(np.linalg.det(h))
+        if abs(det) <= 1e-12 * max(1.0, h_norm) ** h.shape[0]:
+            h = h + 1e-6 * h_norm * np.eye(h.shape[0])
+        try:
+            step = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            return None, "singular"
+        # trust-region-ish cap: a Newton step across the whole box is noise
+        cap = float(np.max(hi - lo))
+        norm = float(np.linalg.norm(step))
+        if norm > cap:
+            step *= cap / norm
+        x = x + step
+    return None, "no_convergence"
+
+
+def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_iters=50):
+    """All distinct Newton roots of grad f = 0 inside the box, classified,
+    one seed at a time."""
+    if grid_per_axis < 2:
+        raise ValueError("grid_per_axis must be >= 2")
+    axes = [
+        np.linspace(lo, hi, grid_per_axis)
+        for lo, hi in zip(field.box.lo, field.box.hi)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    seeds = np.stack([m.ravel() for m in mesh], axis=-1)
+
+    diags = FinderDiagnostics(seeds=len(seeds))
+    roots = []
+    dedup_radius = 10.0 * newton_tol
+    for seed in seeds:
+        if not field.inside(seed):
+            diags.dropped_outside += 1
+            continue
+        root, outcome = newton(field, seed, newton_tol, max_newton_iters)
+        if root is None:
+            if outcome == "outside":
+                diags.dropped_outside += 1
+            elif outcome == "singular":
+                diags.dropped_singular += 1
+            elif outcome == "domain":
+                diags.dropped_domain += 1
+            else:
+                diags.dropped_no_convergence += 1
+            continue
+        if not field.inside(root):
+            diags.dropped_outside += 1
+            continue
+        diags.converged += 1
+        if any(np.linalg.norm(root - r) <= dedup_radius for r in roots):
+            diags.duplicates_merged += 1
+            continue
+        roots.append(root)
+
+    points = []
+    for root in roots:
+        g_norm = float(np.linalg.norm(field.grad(root)))
+        if g_norm > newton_tol:
+            # dedup representative must still satisfy the tolerance
+            diags.dropped_no_convergence += 1
+            continue
+        spectrum = linalg.eigen_all(field.hessian(root))
+        points.append(
+            CriticalPoint(
+                location=tuple(float(v) for v in root),
+                classification=classify_spectrum(spectrum),
+                hessian_spectrum=tuple(float(v) for v in spectrum),
+                grad_norm=g_norm,
+                value=field.eval(root),
+            )
+        )
+    points.sort(key=lambda p: p.location)
+    return points, diags
 
 
 def flood_bfs(predicate, start):

@@ -445,6 +445,39 @@ class TestNumericInputs:
         assert "P(t) has a non-finite entry at t = " in err and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("command, options, message", [
+        ("analyze", {"newton_tol": 0}, "newton_tol must be a finite number > 0, got 0"),
+        ("analyze", {"newton_tol": -1}, "newton_tol must be a finite number > 0, got -1"),
+        ("analyze", {"max_newton_iters": 0}, "max_newton_iters must be >= 1, got 0"),
+        ("basin", {"newton_tol": 0}, "newton_tol must be a finite number > 0, got 0"),
+        ("basin", {"max_newton_iters": 0}, "max_newton_iters must be >= 1, got 0"),
+    ])
+    def test_bad_finder_settings_exit_2(self, tmp_path, capsys, command, options, message):
+        # a zero tolerance used to report one maximum twice; a negative one
+        # or zero iterations found nothing, and basin passed H6 vacuously
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "options": options})
+        flags = ["--anchor", "2,4", "--c", "33", "--resolution", "64"] \
+            if command == "basin" else []
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {message}" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("analyze", "descent_trajectories", -1),
+        ("basin", "basin_samples", -2),
+    ])
+    def test_negative_counts_exit_2_up_front(self, tmp_path, capsys, command, option, value):
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "options": {option: value}})
+        flags = ["--anchor", "2,4", "--c", "33", "--resolution", "64"] \
+            if command == "basin" else []
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"option '{option}' must be >= 0, got {value}" in err and err.count("\n") == 1
+        assert not out.exists()  # rejected before any stage ran
+
+
 class TestGalleryCommand:
     def test_list(self, capsys):
         assert main(["gallery", "list"]) == 0

@@ -1,8 +1,14 @@
 """Critical-point finder and isolation probe tests."""
 
+import os
+
 import numpy as np
 import pytest
 
+import scalar_reference as ref
+from helpers import random_poly_source
+from modgrad import gallery
+from modgrad.cli import load_config
 from modgrad.equilibria import (
     Classification,
     IsolationKind,
@@ -12,7 +18,9 @@ from modgrad.equilibria import (
 )
 from modgrad.errors import OutsideDomainError
 from modgrad.expr import parse
-from modgrad.field import Box, ExpressionField
+from modgrad.field import Box, ExpressionField, MatrixPath
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 class TestFinder:
@@ -73,6 +81,108 @@ class TestFinder:
     def test_grid_validation(self, ex31):
         with pytest.raises(ValueError):
             find_critical_points(ex31.system.field, grid_per_axis=1)
+
+
+def _hex_points(points):
+    """Every number of every point as float.hex, so -0.0 != 0.0."""
+    return [
+        (tuple(v.hex() for v in p.location), p.classification,
+         tuple(v.hex() for v in p.hessian_spectrum), p.grad_norm.hex(),
+         float(p.value).hex())
+        for p in points
+    ]
+
+
+def _field(source, lo, hi):
+    n = len(lo)
+    return ExpressionField(parse(source, n), Box(lo, hi))
+
+
+class TestBatchedFinder:
+    """The lockstep finder against the seed-by-seed reference loop: the same
+    diagnostics, and points equal bit for bit."""
+
+    @staticmethod
+    def _assert_same(field, grid, **kw):
+        want = ref.find_critical_points(field, grid, **kw)
+        got = find_critical_points(field, grid, **kw)
+        assert got[1] == want[1]
+        assert _hex_points(got[0]) == _hex_points(want[0])
+        return got
+
+    @pytest.mark.parametrize("gid, grid", [("ex21", 12), ("ex22", 15), ("ex31", 20)])
+    def test_gallery(self, gid, grid):
+        points, diags = self._assert_same(gallery.build(gid).system.field, grid)
+        assert points and diags.converged
+
+    def test_custom_example(self):
+        config = load_config(os.path.join(CONFIGS, "custom_example.json"))
+        self._assert_same(config.system.field, config.options.grid_per_axis)
+
+    def test_example_31_with_oscillating_matrix_path(self):
+        matrix = MatrixPath([["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]])
+        self._assert_same(gallery.example_3_1(matrix).system.field, 20)
+
+    def test_random_polynomials(self):
+        rng = np.random.default_rng(1618)
+        for _ in range(12):
+            n = int(rng.integers(1, 4))
+            f = _field(random_poly_source(rng, n), (-2.0,) * n, (2.0,) * n)
+            self._assert_same(f, 6 if n == 3 else 9)
+
+    def test_three_dimensional(self):
+        f = _field("x1^2*x2 - x2^3/3 + x3^4 - x3^2 + x1*x3", (-2.0,) * 3, (2.0,) * 3)
+        _, diags = self._assert_same(f, 7)
+        assert diags.converged > diags.duplicates_merged
+
+    def test_row_loop_fallback(self):
+        f = _field("exp(-(x1-1)^2) * sin(x2) + 0.1*x1", (-2.0, -2.0), (3.0, 3.0))
+        assert not f.expression.exact
+        points, _ = self._assert_same(f, 12)
+        assert points
+
+    @pytest.mark.parametrize("source, lo, hi", [
+        ("sqrt(x1) - (x1-1)^2 - x2^2", (-1.0, -1.0), (3.0, 1.0)),  # exact kernel
+        ("ln(x1*x2) - x1 - x2", (-1.0, -1.0), (3.0, 3.0)),  # row loop
+    ])
+    def test_domain_errors_drop_rows(self, source, lo, hi):
+        points, diags = self._assert_same(_field(source, lo, hi), 11)
+        assert diags.dropped_domain > 0 and points
+
+    def test_every_row_singular(self):
+        _, diags = self._assert_same(_field("x1 + x2", (0.0, 0.0), (1.0, 1.0)), 5)
+        assert diags.dropped_singular == diags.seeds == 25
+
+    def test_some_rows_singular(self):
+        # the stacked solve raises; only the singular rows are dropped
+        _, diags = self._assert_same(_field("x1^3 - 3*x1 + x2^2*x1^2", (-2.0, -2.0),
+                                            (2.0, 2.0)), 9)
+        assert 0 < diags.dropped_singular < diags.seeds - diags.dropped_outside
+        assert diags.converged > 0
+
+    def test_nan_without_a_domain_error_keeps_iterating(self):
+        # x1^400 overflows to inf and inf - inf is NaN, which the scalar code
+        # returns instead of raising; such rows leave the box, as one by one
+        f = _field("x1^400 - x1^400 + x2^2 - x1^2", (-20.0, -2.0), (20.0, 2.0))
+        with np.errstate(invalid="ignore"):
+            _, diags = self._assert_same(f, 9)
+        assert diags.dropped_domain == 0 and diags.dropped_outside > 0
+
+    @pytest.mark.parametrize("kw", [{"newton_tol": 1e-6, "max_newton_iters": 3},
+                                    {"max_newton_iters": 1}])
+    def test_iteration_cap(self, ex31, kw):
+        _, diags = self._assert_same(ex31.system.field, 10, **kw)
+        assert diags.dropped_no_convergence > 0
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"newton_tol": 0.0}, "newton_tol must be a finite number > 0"),
+        ({"newton_tol": -1.0}, "newton_tol must be a finite number > 0"),
+        ({"newton_tol": float("nan")}, "newton_tol must be a finite number > 0"),
+        ({"max_newton_iters": 0}, "max_newton_iters must be >= 1"),
+    ])
+    def test_settings_validated(self, ex31, kw, message):
+        with pytest.raises(ValueError, match=message):
+            find_critical_points(ex31.system.field, 5, **kw)
 
 
 class TestClassify:

@@ -180,6 +180,58 @@ class TestExactBatches:
             e.eval_exact([np.array([0.0])])
 
 
+class TestHessianBatch:
+    """``hessian_batch`` equals the scalar ``hessian`` row by row, bit for
+    bit, NaN where ``hessian`` raises: the exact kernel and the row loop."""
+
+    @staticmethod
+    def _assert_rows_equal(f, x):
+        got = f.hessian_batch(x)
+        assert got.shape == (len(x), f.dimension, f.dimension)
+        assert got.tobytes() == ScalarField.hessian_batch(f, x).tobytes()
+        for i, p in enumerate(x):
+            try:
+                assert got[i].tobytes() == f.hessian(p).tobytes()
+            except (EvalDomainError, OutsideDomainError):
+                assert np.isnan(got[i]).all()
+        return got
+
+    def test_example_31_exact_kernel(self, ex31):
+        f = ExpressionField(ex31.system.field.expression, ex31.system.field.box)
+        x = np.random.default_rng(13).uniform((-1.5, -1.5), (5.5, 6.5), size=(500, 2))
+        h = self._assert_rows_equal(f, x)
+        assert np.isnan(h).any() and not np.isnan(h[f.inside_batch(x)]).any()
+        f._hessian = lambda x: pytest.fail("row loop used")
+        assert f.hessian_batch(x).tobytes() == h.tobytes()
+
+    def test_random_polynomials(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(30):
+            n = int(rng.integers(1, 5))
+            f = ExpressionField(parse(random_poly_source(rng, n, degree=6), n),
+                                Box((-2.0,) * n, (2.0,) * n))
+            assert f.expression.exact
+            self._assert_rows_equal(f, rng.uniform(-2.0, 2.0, size=(200, n)))
+
+    @pytest.mark.parametrize("source, exact", [
+        ("1/(x1-x1) + x2", True),  # every row divides by zero
+        ("sqrt(x1-10) + x2^3", True),  # negative sqrt on the rows with x1 < 10
+        ("exp(x1) * x2^2", False),  # not correctly rounded: row loop only
+        ("sin(x1*x2) + ln(x2)", False),  # row loop with a domain error
+        ("x1^400 + x2", True),  # overflows to inf, which the scalar code lets pass
+        ("3*x1 + 2.5", True),  # constant Hessian entries broadcast
+    ])
+    def test_fallbacks_and_rows_outside(self, source, exact):
+        f = ExpressionField(parse(source, 2), Box((-20.0, -20.0), (20.0, 20.0)))
+        assert f.expression.exact is exact
+        x = np.array([[12.0, 1.0], [3.0, -2.0], [30.0, 0.0], [11.5, 0.5], [-19.0, 3.0]])
+        self._assert_rows_equal(f, x)
+
+    def test_exact_kernel_refuses_inexact_expressions(self):
+        with pytest.raises(ValueError, match="correctly rounded"):
+            parse("exp(x1)", 1).hessian_exact([np.array([0.0])])
+
+
 class TestMatrixPath:
     def test_entries_must_be_time_only(self):
         with pytest.raises(ValueError, match="t only"):
@@ -235,6 +287,17 @@ class TestMatrixPath:
             m.smallest_eigenvalue(1000.0)
         with pytest.raises(EvalDomainError, match="non-finite entry at t = 500"):
             m.smallest_eigenvalue(np.array([1.0, 2.0, 500.0, 1000.0]))
+
+    def test_stack_lambda1_of_a_held_stack(self):
+        m = MatrixPath([["1e300*t*t*t*t", "1"], ["1", "2+sin(t)"]])
+        ts = np.array([0.0, 1.0, 2.0, 3.0])
+        assert m.stack_lambda1(ts, m.value_batch(ts)).tobytes() == \
+            m.smallest_eigenvalue(ts).tobytes()
+        bad = np.array([1.0, 500.0, 1000.0])
+        with pytest.raises(EvalDomainError, match="non-finite entry at t = 500"):
+            m.stack_lambda1(bad, m.value_batch(bad))
+        c = MatrixPath.constant([[2.0, 1.0], [1.0, 2.0]])
+        assert c.stack_lambda1(ts, c.value_batch(ts)).tolist() == [c.smallest_eigenvalue(0.0)] * 4
 
     def test_domain_error_at_some_t(self):
         m = MatrixPath([["(t - 1)^(-1)"]])

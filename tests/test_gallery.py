@@ -128,6 +128,26 @@ class TestExample22Field:
                 assert np.isnan(g[i]).all() and np.isnan(v[i])
         assert not inside[53] and inside[54]
 
+    def test_hessian_batch_matches_scalar_bitwise(self, ex22):
+        fld = ex22.system.field
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-0.75, 0.75, size=(400, 2))
+        x[:40] *= 1e-6  # near the origin, on the blend piece
+        x[40] = 0.0
+        x[41] = [-0.0, 0.0]
+        # on the knots r = 2^-n, and outside the disk or the box
+        x[42:62] = [[2.0 ** -n, 0.0] for n in range(20)]
+        x[62:72] = [[0.0, -(2.0 ** -n)] for n in range(10)]
+        x[72:76] = [[0.9, 0.9], [1.0, 0.0], [1.5, 0.0], [0.6 ** 0.5, 0.4 ** 0.5]]
+        h = fld.hessian_batch(x)
+        assert h.shape == (400, 2, 2)
+        for i, row in enumerate(x):
+            if fld.inside(row):
+                assert h[i].tobytes() == fld.hessian(row).tobytes()
+            else:
+                assert np.isnan(h[i]).all()
+        assert np.isnan(h[72]).all() and not np.isnan(h[73]).any()
+
     def test_radial_reduction_matches_2d_simulation(self, ex22):
         # r' = -p'(-r) in 1-D must reproduce the 2-D trajectory radius
         cubic = ex22.oracles["cubic"]

@@ -50,6 +50,18 @@ class TestEigen:
         with pytest.raises(ValueError, match="non-finite"):
             eigen_all([[bad, 0.0], [0.0, 1.0]])
 
+    def test_stack_names_the_first_fault(self):
+        good = np.eye(2)
+        asym = np.array([[1.0, 2.0], [0.0, 1.0]])
+        nonfinite = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        for stack, message in [((good, asym, nonfinite), "not exactly symmetric"),
+                               ((good, nonfinite, asym), "non-finite")]:
+            with pytest.raises(ValueError, match=message):
+                check_symmetric(np.array(stack))
+        stack = np.array([good, 2.0 * good])
+        assert check_symmetric(stack) is not None
+        assert np.array_equal(eigen_all(stack), [eigen_all(good), eigen_all(2.0 * good)])
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             eigen_all(np.ones((2, 3)))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from modgrad import ode
+from modgrad.errors import EvalDomainError, OutsideDomainError
 from modgrad.expr import parse
 from modgrad.field import Box, ExpressionField, MatrixPath, System
-from modgrad.gallery import _ex21_closed_form
-from modgrad.ode import SimOptions, Status, lyapunov_trace, simulate
+from modgrad.gallery import _ex21_closed_form, example_3_1
+from modgrad.ode import SimOptions, Status, lyapunov_trace, lyapunov_traces, simulate
 
 from helpers import rk4_reference
 
@@ -186,6 +187,65 @@ class TestLyapunovTrace:
                 want = [t, m_value - system.field.eval(x), -float((p @ g) @ g),
                         system.matrix.smallest_eigenvalue(t), float(g @ g)]
                 assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("gid", ["ex21", "ex22", "ex31-oscP"])
+    def test_one_pass_equals_one_trace_per_trajectory(self, gid, ex21, ex22):
+        if gid == "ex31-oscP":
+            entry = example_3_1(MatrixPath([["2+sin(t)", "0.5*cos(t)"],
+                                            ["0.5*cos(t)", "1+1/(t+1)"]]))
+            anchors = [(2.0, 4.0)] * 3 + [(2.0, 1.0)] * 2
+            starts = [(2.1, 4.2), (1.9, 3.7), (2.3, 4.0), (2.2, 1.1), (1.8, 0.8)]
+        else:
+            entry = ex21 if gid == "ex21" else ex22
+            starts = [(1.5, 1.2), (0.7, 1.4), (1.0, 0.5), (1.2, 1.2)] if gid == "ex21" \
+                else [(0.6 * np.cos(a), 0.6 * np.sin(a)) for a in np.linspace(0.0, 6.0, 30)]
+            anchors = [(1.0, 1.0) if gid == "ex21" else (0.0, 0.0)] * len(starts)
+        system = entry.system
+        trajs = ode.simulate_batch(system, starts, 0.0, 5.0, TIGHT)
+        if gid == "ex22":  # several passes, and a trajectory across a pass boundary
+            assert sum(len(t.times) for t in trajs) > 2 * ode._ROWS_PER_PASS
+        traces = lyapunov_traces(system, trajs, anchors)
+        assert len(traces) == len(trajs)
+        for trace, traj, anchor in zip(traces, trajs, anchors):
+            one = lyapunov_trace(system, traj, anchor)
+            assert trace.rows.tobytes() == one.rows.tobytes()
+            assert trace.anchor == one.anchor == anchor
+            assert trace.anchor_value == one.anchor_value
+            assert trace.max_increase() == one.max_increase()
+        assert lyapunov_traces(system, [], []) == []
+        with pytest.raises(ValueError, match="one anchor per trajectory"):
+            lyapunov_traces(system, trajs, anchors[:-1])
+
+    def test_max_increase_stays_inside_each_trajectory(self, ex31):
+        # the second trajectory starts far above where the first one ends;
+        # differencing across that boundary would report a large increase
+        system = ex31.system
+        trajs = [simulate(system, x0, 0.0, 20.0, TIGHT) for x0 in [(2.4, 3.7), (0.0, 5.5)]]
+        traces = lyapunov_traces(system, trajs, [(2.0, 4.0)] * 2)
+        assert traces[1].rows[0, 1] - traces[0].rows[-1, 1] > 1.0
+        assert max(t.max_increase() for t in traces) <= 1e-7
+
+    def test_failure_is_the_first_trajectory_s_error(self, ex31):
+        system = ex31.system
+        trajs = [simulate(system, x0, 0.0, 1.0, TIGHT) for x0 in [(2.4, 3.7), (2.1, 1.2)]]
+        # the first anchor fails on its own rows, the second on the anchor
+        with pytest.raises(OutsideDomainError, match=r"\[9\.0, 9\.0\]"):
+            lyapunov_traces(system, trajs, [(2.0, 4.0), (9.0, 9.0)])
+        bad = ode.Trajectory(t0=0.0, status=Status.REACHED_END, times=np.array([0.0, 1.0]),
+                             states=np.array([[2.0, 2.0], [7.0, 2.0]]),
+                             derivs=np.zeros((2, 2)))
+        with pytest.raises(OutsideDomainError, match=r"\[7\.0, 2\.0\]"):
+            lyapunov_traces(system, [trajs[0], bad, trajs[1]], [(2.0, 4.0), (2.0, 4.0),
+                                                                 (9.0, 9.0)])
+
+    def test_non_finite_matrix_path_names_the_first_time(self, ex31):
+        system = System(ex31.system.field, MatrixPath([["1e300*t*t*t*t", "1"], ["1", "2"]]))
+        times = np.array([0.0, 1.0, 600.0, 2000.0])
+        traj = ode.Trajectory(t0=0.0, status=Status.REACHED_END, times=times,
+                              states=np.array([[2.0, 3.0]] * 4), derivs=np.zeros((4, 2)))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(EvalDomainError, match="non-finite entry at t = 600"):
+            lyapunov_traces(system, [traj], [(2.0, 4.0)])
 
     def test_v_nonnegative_near_certified_max(self, ex21):
         traj = simulate(ex21.system, (1.3, 0.8), 0.0, 50.0, TIGHT)

@@ -9,8 +9,10 @@ this one), with that checkout's ``src`` on the path and its ``configs``,
 writing into a fresh directory under ``--work``.  The ``-oscP`` runs use
 ex31 with the dense, oscillating P of the benchmark's ``analyze-ex31-oscP``
 workload (``OSC_P_CONFIG``, read from this checkout's ``perfbench/run.py``),
-the one t-varying, non-diagonal P in the listing; the tool writes that
-config into the work directory, so every checkout runs the same file.
+the one t-varying, non-diagonal P in the listing.  ``analyze-ex31-exp``
+runs ex31's f with an ``exp`` term (``EXP_CONFIG``), whose batches take
+the scalar row loop instead of the exact kernels.  The tool writes both
+configs into the work directory, so every checkout runs the same files.
 Prints one ``<run>/<file> <sha256> <exit code>`` line per emitted file,
 sorted.  With
 ``--compare FILE`` (the saved output of another checkout), it prints the
@@ -46,6 +48,7 @@ RUNS["simulate-ex21"] = ["simulate", "--config", "configs/ex21.json",
                          "--x0", "2,2", "--t-end", "1000"]
 for _name in ("ex21", "ex22", "ex31"):
     RUNS[f"analyze-{_name}"] = ["analyze", "--config", f"configs/{_name}.json"]
+RUNS["analyze-custom_example"] = ["analyze", "--config", "configs/custom_example.json"]
 RUNS["ec-ex21"] = ["ec", "--config", "configs/ex21.json"]
 
 
@@ -63,11 +66,23 @@ RUNS["analyze-ex31-oscP"] = ["analyze", "--config", "{work}/oscP.json"]
 RUNS["simulate-ex31-oscP"] = ["simulate", "--config", "{work}/oscP.json",
                               "--x0", "2.5,3.5", "--t-end", "50"]
 
+# ex31's f plus an exp bump centred on its critical line x1 = 2, so the
+# critical points stay put; exp is not correctly rounded, so the gradient
+# and Hessian batches of this field take the scalar row loop
+EXP_CONFIG = {
+    "dimension": 2,
+    "f": "96*x2 - 84*x2^2 + 28*x2^3 - 3*x2^4 - 10*(x1-2)^2 + exp(-(x1-2)^2)",
+    "box": [[-1.0, 5.0], [-1.0, 6.0]],
+}
+RUNS["analyze-ex31-exp"] = ["analyze", "--config", "{work}/exp.json"]
+GENERATED = {"oscP.json": OSC_P_CONFIG, "exp.json": EXP_CONFIG}
+
 
 def digests(repo, work):
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
-    with open(os.path.join(work, "oscP.json"), "w") as fh:
-        json.dump(OSC_P_CONFIG, fh, indent=2)
+    for fname, config in GENERATED.items():
+        with open(os.path.join(work, fname), "w") as fh:
+            json.dump(config, fh, indent=2)
     lines = []
     for name, argv in RUNS.items():
         out = os.path.join(work, name)
