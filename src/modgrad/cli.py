@@ -84,7 +84,8 @@ def _write_csv(path, header, rows):
     """Rows of floats as CSV, 17 significant digits (``"%.17g" % v`` is
     ``format(v, ".17g")``).  Each block of rows is formatted with one
     ``%``, so neither the file's text nor a Python float per value is ever
-    held whole."""
+    held whole.  For rows of mostly distinct values; ``cells.csv``, whose
+    values repeat along each axis, has ``_write_cells_csv``."""
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
@@ -92,6 +93,28 @@ def _write_csv(path, header, rows):
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
             chunk = rows[start:start + _CSV_BLOCK_ROWS]
             fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _write_cells_csv(path, component):
+    """The masked cells' centers in row-major order, as ``_write_csv``
+    writes them.  A center's coordinates come from the grid's per-axis
+    centers, so each distinct coordinate is formatted once, with the
+    separator that follows it; a block of rows is then a sum of object
+    arrays of text, indexed by the cells."""
+    axes = component.axis_centers()
+    ends = [","] * (len(axes) - 1) + ["\n"]
+    text = [np.array(["%.17g" % v + end for v in axis.tolist()], dtype=object)
+            for axis, end in zip(axes, ends)]
+    mask = component.mask
+    cells = np.unravel_index(np.flatnonzero(mask), mask.shape)  # row-major
+    with open(path, "w") as fh:
+        fh.write(",".join(f"x{d + 1}" for d in range(mask.ndim)) + "\n")
+        for start in range(0, len(cells[0]), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            lines = text[0][cells[0][block]]
+            for axis_text, idx in zip(text[1:], cells[1:]):
+                lines = lines + axis_text[idx[block]]
+            fh.write("".join(lines.tolist()))
 
 
 def _write_pgm(path, mask):
@@ -111,11 +134,17 @@ def _write_pgm(path, mask):
 def _boundary_segments(component):
     """Cell-edge segments between masked and unmasked cells (n = 2), as an
     (s, 4) array of ``x1_a, x2_a, x1_b, x2_b`` rows: cells in row-major
-    order, and per cell its left, right, bottom and top edge."""
+    order, and per cell its left, right, bottom and top edge.  Only the
+    faces of the mask's exposed cells are looked at."""
     mask = component.mask
     lo = component.box_lo
     wx, wy = component.cell_widths
-    i, j, side = np.nonzero(mask[..., None] & ~basin_mod.face_neighbours(mask, False))
+    cells = basin_mod.exposed_cells(mask)
+    nbs, in_grid = basin_mod.neighbour_cells(cells, mask.shape)
+    open_face = ~in_grid
+    open_face[in_grid] = ~mask[tuple(nbs[in_grid].T)]
+    k, side = np.nonzero(open_face)
+    i, j = cells[k].T
     x0 = lo[0] + i * wx
     y0 = lo[1] + j * wy
     x1 = x0 + wx
@@ -580,11 +609,7 @@ def cmd_basin(args):
             segments,
         )
         _write_svg(os.path.join(out, "basin.svg"), component, points, segments)
-    _write_csv(
-        os.path.join(out, "cells.csv"),
-        [f"x{i + 1}" for i in range(component.dimension)],
-        component.masked_centers(),
-    )
+    _write_cells_csv(os.path.join(out, "cells.csv"), component)
     _write_json(
         os.path.join(out, "hypotheses.json"),
         {

@@ -119,8 +119,12 @@ class ScalarField:
         return self._hessian(x)
 
     def eval_grid(self, columns):
-        """Vectorized f over broadcastable coordinate arrays; cells outside
-        the domain (or hitting a domain error) come back NaN."""
+        """Vectorized f over broadcastable coordinate arrays, one per
+        variable; cells outside the domain (or hitting a domain error) come
+        back NaN.  The columns may be an open grid (``np.meshgrid(...,
+        sparse=True)``), and the result then has the shape they broadcast
+        to, or a shape that broadcasts to it when f does not depend on
+        every variable (a 0-d array for a constant)."""
         raise NotImplementedError
 
     def _check_rows(self, x):

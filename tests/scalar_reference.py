@@ -2,8 +2,10 @@
 kernels.
 
 Each function is the straightforward seed-by-seed, cell-by-cell (or
-value-by-value) loop that the array kernel in ``modgrad`` replaces; tests
-assert that both give equal results.  They are deliberately simple and slow.
+value-by-value) loop that the array kernel in ``modgrad`` replaces, or the
+earlier whole-grid array form of a kernel (dense meshgrids, stacks of every
+cell's face neighbours); tests assert that both give equal results.  They
+are deliberately simple and slow.
 """
 
 import math
@@ -12,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from modgrad import linalg
-from modgrad.basin import HypothesisVerdict
+from modgrad.basin import GridComponent, HypothesisVerdict
 from modgrad.equilibria import CriticalPoint, FinderDiagnostics, classify_spectrum
 from modgrad.errors import EvalDomainError, OutsideDomainError
 
@@ -136,6 +138,102 @@ def flood_bfs(predicate, start):
                     mask[nb] = True
                     queue.append(nb)
     return mask
+
+
+def face_neighbours(grid, fill):
+    """Each cell's face neighbours, shape ``grid.shape + (2n,)``: along the
+    last axis the neighbour in direction (d, step), in the order d = 0, 1,
+    .. and step = -1, +1; *fill* past the grid's edge."""
+    padded = np.pad(grid, 1, constant_values=fill)
+    views = []
+    for d in range(grid.ndim):
+        for step in (-1, 1):
+            sl = [slice(1, -1)] * grid.ndim
+            sl[d] = slice(1 + step, padded.shape[d] - 1 + step)
+            views.append(padded[tuple(sl)])
+    return np.stack(views, axis=-1)
+
+
+def extract_component(field, anchor, c, resolution):
+    """The component around *anchor* from f on dense meshgrids, with its
+    boundary cells read off the padded stack of every cell's face
+    neighbours (no input checks)."""
+    n = field.dimension
+    anchor = np.asarray(anchor, dtype=float)
+    if np.isscalar(resolution):
+        resolution = (int(resolution),) * n
+    resolution = tuple(int(r) for r in resolution)
+    m_value = float(field.eval(anchor))
+    lo = np.array(field.box.lo)
+    hi = np.array(field.box.hi)
+    widths = (hi - lo) / np.array(resolution)
+    axes = [
+        lo[d] + (np.arange(resolution[d]) + 0.5) * widths[d] for d in range(n)
+    ]
+    grids = np.meshgrid(*axes, indexing="ij")
+    values = field.eval_grid(grids)
+    with np.errstate(invalid="ignore"):
+        predicate = (values > c) & (values < m_value)
+    anchor_cell = tuple(
+        min(max(int(math.floor((anchor[d] - lo[d]) / widths[d])), 0), resolution[d] - 1)
+        for d in range(n)
+    )
+    predicate[anchor_cell] = True
+    mask = flood_bfs(predicate, anchor_cell)
+    exposed = mask & ~face_neighbours(mask, False).all(axis=-1)
+    return GridComponent(
+        box_lo=tuple(lo.tolist()),
+        box_hi=tuple(hi.tolist()),
+        resolution=resolution,
+        mask=mask,
+        values=values,
+        c=float(c),
+        m_value=m_value,
+        anchor=tuple(anchor.tolist()),
+        anchor_cell=anchor_cell,
+        boundary_cells=tuple(tuple(int(v) for v in cell) for cell in np.argwhere(exposed)),
+    )
+
+
+def masked_centers(component):
+    """Centers of the masked cells in row-major order, one formula over the
+    cell indices."""
+    lo = np.array(component.box_lo)
+    w = np.array(component.cell_widths)
+    return lo + (np.argwhere(component.mask) + 0.5) * w
+
+
+def h4_from_stack(component):
+    """H4 from the padded stack of every cell's face neighbours: boundary
+    cells with a face on the box wall or on a NaN cell."""
+    cells = component.boundary_array()
+    touches = face_neighbours(np.isnan(component.values), True).any(axis=-1)
+    h4_cells = cells[touches[tuple(cells.T)]]
+    return HypothesisVerdict(
+        name="H4",
+        passed=not len(h4_cells),
+        witnesses=tuple(tuple(cell_center(component, cell).tolist()) for cell in h4_cells[:16]),
+        note=(
+            "component stays clear of the box walls"
+            if not len(h4_cells)
+            else f"{len(h4_cells)} boundary cells touch the domain wall"
+        ),
+    )
+
+
+def boundary_segments_from_stack(component):
+    """``boundary_segments`` from the padded face-neighbour stack of the
+    whole mask, as an (s, 4) array."""
+    mask = component.mask
+    lo = component.box_lo
+    wx, wy = component.cell_widths
+    i, j, side = np.nonzero(mask[..., None] & ~face_neighbours(mask, False))
+    x0 = lo[0] + i * wx
+    y0 = lo[1] + j * wy
+    x1 = x0 + wx
+    y1 = y0 + wy
+    return np.column_stack([np.where(side == 1, x1, x0), np.where(side == 3, y1, y0),
+                            np.where(side == 0, x0, x1), np.where(side == 2, y0, y1)])
 
 
 def cell_center(component, idx):

@@ -15,6 +15,7 @@ from modgrad.basin import (
     verify_basin,
     verify_basin_sampled,
 )
+from modgrad.cli import _boundary_segments, _write_cells_csv
 from modgrad.equilibria import find_critical_points
 from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
@@ -201,6 +202,98 @@ class TestScalarReference:
         with pytest.raises(EvalDomainError) as got:
             check_hypotheses(comp, f, [], tol_boundary=1.0)
         assert str(got.value) == str(want.value)
+
+
+EX31_F = "96*x2 - 84*x2^2 + 28*x2^3 - 3*x2^4 - 10*(x1-2)^2"
+EX31_BOX = Box((-1.0, -1.0), (5.0, 6.0))
+
+
+def _field(source, box):
+    return ExpressionField(parse(source, box.dimension), box)
+
+
+class TestOpenGrid:
+    """``extract_component`` on the open grid, its boundary-only face work
+    and the per-axis ``cells.csv`` writer, against the dense-grid,
+    whole-grid-stack forms in ``scalar_reference``: equal masks, boundary
+    cells, H4/H5 verdicts, segments and ``cells.csv`` bytes, and values
+    equal bit for bit, NaN included."""
+
+    CASES = {
+        "ex21-c3": ("ex21", (1.0, 1.0), 3.0, 128),
+        "ex21-wall": ("ex21", (1.0, 1.0), -13.0, 128),
+        "ex31-p1-c33": ("ex31", (2.0, 1.0), 33.0, 256),
+        "ex31-p1-c20": ("ex31", (2.0, 1.0), 20.0, 256),
+        "ex31-p2-c33": ("ex31", (2.0, 4.0), 33.0, 256),
+        "ex31-p2-c20": ("ex31", (2.0, 4.0), 20.0, 256),
+        "ex22-c0.1": ("ex22", (0.0, 0.0), 0.1, 128),
+        "ex22-nan": ("ex22", (0.0, 0.0), -0.05, 128),
+        "3d": (_field("1 - x1^2 - 2*x2^2 - 3*(x3 - 0.25)^2",
+                      Box((-1.0, -1.5, -1.0), (1.0, 1.0, 1.25))), (0.0, 0.0, 0.25), 0.2, 40),
+        "exp": (_field(EX31_F + " + exp(-(x1-2)^2)", EX31_BOX), (2.0, 4.0), 33.0, 128),
+        "non-square": ("ex31", (2.0, 1.0), 20.0, (96, 160)),
+    }
+
+    @pytest.fixture(scope="class")
+    def fields(self, ex21, ex22, ex31):
+        return {"ex21": ex21, "ex22": ex22, "ex31": ex31}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_dense_grid(self, fields, case, tmp_path):
+        field, anchor, c, resolution = self.CASES[case]
+        if isinstance(field, str):
+            field = fields[field].system.field
+        got = extract_component(field, anchor, c, resolution)
+        want = ref.extract_component(field, anchor, c, resolution)
+
+        assert got.values.shape == want.values.shape == got.resolution
+        assert np.array_equal(np.ascontiguousarray(got.values).view(np.uint64),
+                              want.values.view(np.uint64))
+        assert np.array_equal(got.mask, want.mask)
+        assert got.boundary_cells == want.boundary_cells
+        assert (got.anchor_cell, got.m_value, got.cell_widths) == \
+            (want.anchor_cell, want.m_value, want.cell_widths)
+
+        rep = check_hypotheses(got, field, [])
+        h4, h5 = ref.h4_h5(want, field)
+        assert rep.h4 == h4 == ref.h4_from_stack(want)
+        assert rep.h5 == h5
+
+        if got.dimension == 2:
+            assert np.array_equal(_boundary_segments(got),
+                                  ref.boundary_segments_from_stack(want))
+
+        header = [f"x{d + 1}" for d in range(got.dimension)]
+        _write_cells_csv(str(tmp_path / "cells.csv"), got)
+        ref.write_csv(str(tmp_path / "want.csv"), header, ref.masked_centers(want))
+        assert (tmp_path / "cells.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_case_coverage(self, fields):
+        # the cases reach the branches the comparisons are meant to cover
+        def rep(case):
+            field, anchor, c, resolution = self.CASES[case]
+            field = fields[field].system.field if isinstance(field, str) else field
+            comp = extract_component(field, anchor, c, resolution)
+            return comp, check_hypotheses(comp, field, [])
+
+        comp, hyp = rep("ex22-nan")
+        assert np.isnan(comp.values).any() and not hyp.h4.passed
+        assert not rep("ex21-wall")[1].h4.passed
+        assert any(w[2] == "crossing hits f = M" for w in rep("ex31-p1-c20")[1].h5.witnesses)
+        assert not self.CASES["exp"][0].expression.exact
+
+    def test_one_variable_and_constant_fields(self, tmp_path):
+        box = Box((0.0, 0.0), (1.0, 2.0))
+        comp = extract_component(_field("x2", box), (0.5, 1.5), 0.25, (40, 64))
+        want = ref.extract_component(_field("x2", box), (0.5, 1.5), 0.25, (40, 64))
+        assert np.array_equal(comp.values, want.values)
+        assert np.array_equal(comp.mask, want.mask)
+        assert comp.boundary_cells == want.boundary_cells
+        # a constant: only the anchor cell, which is exempt from c < f < M
+        comp = extract_component(_field("5", box), (1.0, 1.0), -10.0, 32)
+        assert comp.values.shape == (32, 32) and np.all(comp.values == 5.0)
+        assert np.argwhere(comp.mask).tolist() == [list(comp.anchor_cell)]
+        assert comp.boundary_cells == (comp.anchor_cell,)
 
 
 class TestVerifyBasin:

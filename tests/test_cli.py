@@ -12,7 +12,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import scalar_reference as ref
 from modgrad.basin import extract_component
-from modgrad.cli import _boundary_segments, _write_csv, main
+from modgrad.cli import _boundary_segments, _write_csv, load_config, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMAS = os.path.join(REPO, "schemas")
@@ -304,6 +304,33 @@ class TestBasinCommand:
             b1 = open(os.path.join(outs[0], fname), "rb").read()
             b2 = open(os.path.join(outs[1], fname), "rb").read()
             assert b1 == b2, fname
+
+
+    def test_constant_field(self, tmp_path, capsys):
+        # f = 5 evaluates to one number on the grid; the component is the
+        # anchor cell alone, which is exempt from c < f < M
+        cfg = write_config(tmp_path, {"dimension": 2, "f": "5", "box": [[0, 2], [0, 2]],
+                                      "options": {"basin_samples": 4}})
+        out = tmp_path / "out"
+        assert main(["basin", "--config", cfg, "--out", str(out), "--quiet",
+                     "--anchor", "1,1", "--c", "-10", "--resolution", "32"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out / "cells.csv").read_text() == "x1,x2\n1.03125,1.03125\n"
+
+    def test_one_variable_field_matches_dense_grid(self, tmp_path):
+        body = {"dimension": 2, "f": "x2", "box": [[0, 1], [0, 2]],
+                "options": {"basin_samples": 4}}
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        assert main(["basin", "--config", cfg, "--out", str(out), "--quiet",
+                     "--anchor", "0.5,1.5", "--c", "0.25", "--resolution", "48"]) == 0
+        field = load_config(cfg).system.field
+        want = ref.extract_component(field, (0.5, 1.5), 0.25, 48)
+        ref.write_csv(str(tmp_path / "cells.csv"), ["x1", "x2"], ref.masked_centers(want))
+        ref.write_csv(str(tmp_path / "boundary.csv"), ["x1_a", "x2_a", "x1_b", "x2_b"],
+                      ref.boundary_segments_from_stack(want))
+        for name in ("cells.csv", "boundary.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 class TestWriters:

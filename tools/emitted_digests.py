@@ -11,8 +11,10 @@ ex31 with the dense, oscillating P of the benchmark's ``analyze-ex31-oscP``
 workload (``OSC_P_CONFIG``, read from this checkout's ``perfbench/run.py``),
 the one t-varying, non-diagonal P in the listing.  ``analyze-ex31-exp``
 runs ex31's f with an ``exp`` term (``EXP_CONFIG``), whose batches take
-the scalar row loop instead of the exact kernels.  The tool writes both
-configs into the work directory, so every checkout runs the same files.
+the scalar row loop instead of the exact kernels, and ``basin-quad3-r48``
+a 3-D quadratic peak (``QUAD3_CONFIG``) on a non-cubic box.  The tool
+writes these configs into the work directory, so every checkout runs the
+same files.
 Prints one ``<run>/<file> <sha256> <exit code>`` line per emitted file,
 sorted.  With
 ``--compare FILE`` (the saved output of another checkout), it prints the
@@ -75,7 +77,24 @@ EXP_CONFIG = {
     "box": [[-1.0, 5.0], [-1.0, 6.0]],
 }
 RUNS["analyze-ex31-exp"] = ["analyze", "--config", "{work}/exp.json"]
-GENERATED = {"oscP.json": OSC_P_CONFIG, "exp.json": EXP_CONFIG}
+
+# ex22's radial field is NaN outside the unit disk: at c = -0.05 the
+# component reaches the disk's edge and H4 fails on NaN neighbours
+RUNS["basin-ex22-c0.1-r256"] = ["basin", "--config", "configs/ex22.json",
+                                "--anchor", "0,0", "--c", "0.1", "--resolution", "256"]
+RUNS["basin-ex22-c-0.05-r128"] = ["basin", "--config", "configs/ex22.json",
+                                  "--anchor", "0,0", "--c", "-0.05", "--resolution", "128"]
+
+# a 3-D quadratic peak, for the n-D grid and cells.csv writer
+QUAD3_CONFIG = {
+    "dimension": 3,
+    "f": "1 - x1^2 - 2*x2^2 - 3*(x3 - 0.25)^2",
+    "box": [[-1.0, 1.0], [-1.5, 1.0], [-1.0, 1.25]],
+    "options": {"basin_samples": 20},
+}
+RUNS["basin-quad3-r48"] = ["basin", "--config", "{work}/quad3.json",
+                           "--anchor", "0,0,0.25", "--c", "0.2", "--resolution", "48"]
+GENERATED = {"oscP.json": OSC_P_CONFIG, "exp.json": EXP_CONFIG, "quad3.json": QUAD3_CONFIG}
 
 
 def digests(repo, work):
