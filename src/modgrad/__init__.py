@@ -12,7 +12,6 @@ from .basin import (
     HypothesesReport,
     check_hypotheses,
     extract_component,
-    suggest_cut_level,
     verify_basin,
 )
 from .equilibria import (
@@ -42,7 +41,7 @@ from .field import (
 from .gallery import GALLERY_IDS, GalleryEntry, PiecewiseCubic
 from .gallery import build as build_gallery
 from .gallery import example_2_1, example_2_2, example_3_1
-from .linalg import eigen_all, eigen_smallest, integrate_adaptive
+from .linalg import eigen_all, integrate_adaptive
 from .ode import (
     LyapunovTrace,
     SimOptions,
@@ -77,7 +76,6 @@ __all__ = [
     "Expression",
     "parse",
     "eigen_all",
-    "eigen_smallest",
     "integrate_adaptive",
     "SimOptions",
     "Status",
@@ -107,7 +105,6 @@ __all__ = [
     "extract_component",
     "check_hypotheses",
     "verify_basin",
-    "suggest_cut_level",
     "GalleryEntry",
     "PiecewiseCubic",
     "GALLERY_IDS",

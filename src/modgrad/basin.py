@@ -26,10 +26,8 @@ __all__ = [
     "extract_component",
     "check_hypotheses",
     "verify_basin",
-    "verify_basin_sampled",
     "sample_cells",
     "sample_region",
-    "suggest_cut_level",
 ]
 
 MAX_GRID_DIMENSION = 4
@@ -46,7 +44,7 @@ class GridComponent:
     m_value: float             # M = f(anchor)
     anchor: tuple
     anchor_cell: tuple
-    boundary_cells: tuple      # indices of masked cells with an exposed face
+    boundary_cells: np.ndarray  # (k, n) indices of masked cells with an exposed face
 
     @property
     def dimension(self):
@@ -80,11 +78,7 @@ class GridComponent:
         return np.stack([axis[i] for axis, i in zip(self.axis_centers(), idxs.T)], axis=-1)
 
     def cell_of(self, point):
-        idx = []
-        for v, lo, w, r in zip(point, self.box_lo, self.cell_widths, self.resolution):
-            i = int(math.floor((v - lo) / w))
-            idx.append(min(max(i, 0), r - 1))
-        return tuple(idx)
+        return _cell_index(point, self.box_lo, self.cell_widths, self.resolution)
 
     def contains_point(self, point):
         """True when *point* falls in a masked cell."""
@@ -93,10 +87,6 @@ class GridComponent:
         ):
             return False
         return bool(self.mask[self.cell_of(point)])
-
-    def boundary_array(self):
-        """``boundary_cells`` as an integer array of shape (k, n)."""
-        return np.array(self.boundary_cells, dtype=np.intp).reshape(-1, self.dimension)
 
 
 def _flood(predicate, start):
@@ -130,6 +120,13 @@ def axis_centers(lo, widths, resolution):
     return [l + (np.arange(r) + 0.5) * w for l, w, r in zip(lo, widths, resolution)]
 
 
+def _cell_index(point, lo, widths, resolution):
+    """Index of the cell holding *point*: ``floor((v - lo) / w)`` per axis,
+    clipped to the grid."""
+    return tuple(min(max(int(math.floor((v - l) / w)), 0), r - 1)
+                 for v, l, w, r in zip(point, lo, widths, resolution))
+
+
 def exposed_cells(mask):
     """Indices, shape (k, n) in row-major order, of the masked cells with a
     face on an unmasked cell or on the grid's edge."""
@@ -161,7 +158,8 @@ def extract_component(field, anchor, c, resolution):
     if n > MAX_GRID_DIMENSION:
         raise ValueError(
             f"grid extraction supports dimension <= {MAX_GRID_DIMENSION}; "
-            "use rejection-sampled verification for higher dimensions"
+            "use verify_basin(system, (anchor, c)) for rejection-sampled "
+            "verification in higher dimensions"
         )
     anchor = np.asarray(anchor, dtype=float)
     if not field.inside(anchor):
@@ -188,15 +186,10 @@ def extract_component(field, anchor, c, resolution):
     with np.errstate(invalid="ignore"):
         predicate = (values > c) & (values < m_value)
 
-    anchor_cell = tuple(
-        min(max(int(math.floor((anchor[d] - lo[d]) / widths[d])), 0), resolution[d] - 1)
-        for d in range(n)
-    )
+    anchor_cell = _cell_index(anchor, lo, widths, resolution)
     predicate[anchor_cell] = True  # the anchor is in O by definition
 
     mask = _flood(predicate, anchor_cell)
-
-    boundary = [tuple(cell) for cell in exposed_cells(mask).tolist()]
 
     return GridComponent(
         box_lo=tuple(lo.tolist()),
@@ -208,7 +201,7 @@ def extract_component(field, anchor, c, resolution):
         m_value=m_value,
         anchor=tuple(anchor.tolist()),
         anchor_cell=anchor_cell,
-        boundary_cells=tuple(boundary),
+        boundary_cells=exposed_cells(mask),
     )
 
 
@@ -267,7 +260,7 @@ def _bisect_crossings(field, inside_pts, outside_pts, levels, steps=40):
 
 def _lipschitz_estimate(field, component, sample_cap=256):
     """Max |grad f| over a sample of boundary cell centers."""
-    cells = component.boundary_array()
+    cells = component.boundary_cells
     stride = max(1, len(cells) // sample_cap)
     centers = component.cell_centers(cells[::stride])
     grads = field.grad_batch(centers)
@@ -289,7 +282,7 @@ def check_hypotheses(component, field, critical_points, tol_boundary=None):
     values = component.values
     c = component.c
     m_value = component.m_value
-    cells = component.boundary_array()
+    cells = component.boundary_cells
 
     cell_diag = math.sqrt(sum(w * w for w in component.cell_widths))
     if tol_boundary is None:
@@ -399,25 +392,6 @@ class BasinVerification:
         return self.converged_count == self.sample_count
 
 
-def _converge_starts(system, starts, anchor, t_end, converge_radius, sim_opts):
-    """Simulate all starts as one batch toward *anchor*.
-
-    Returns the converged count and the failures as (start, status string,
-    final state) triples, in start order.
-    """
-    if not len(starts):
-        return 0, ()
-    opts = replace(sim_opts, convergence_target=tuple(anchor),
-                   convergence_radius=converge_radius)
-    trajectories = ode.simulate_batch(system, starts, 0.0, t_end, opts)
-    failures = tuple(
-        (tuple(start.tolist()), traj.status.value, tuple(traj.final_state.tolist()))
-        for start, traj in zip(starts, trajectories)
-        if traj.status is not ode.Status.CONVERGED
-    )
-    return len(starts) - len(failures), failures
-
-
 def sample_cells(component, count, seed=0):
     """*count* starts in masked cell interiors, deterministic in *seed*."""
     masked = np.argwhere(component.mask)
@@ -433,32 +407,6 @@ def sample_cells(component, count, seed=0):
         jitter = sub_rng.uniform(0.1, 0.9, size=component.dimension)
         starts.append(lo + (masked[pick] + jitter) * widths)
     return starts
-
-
-def verify_basin(system, component, sample_count=100, t_end=50.0,
-                 converge_radius=1e-3, seed=0, sim_opts=None):
-    """Simulate starts sampled from masked cell interiors; count convergence.
-
-    The starts (``sample_cells``) run as one trajectory batch whose rows do
-    not depend on each other.
-    """
-    sim_opts = sim_opts or ode.SimOptions()
-    starts = sample_cells(component, sample_count, seed)
-    anchor = np.asarray(component.anchor)
-    converged, failures = _converge_starts(
-        system, starts, anchor, t_end, converge_radius, sim_opts
-    )
-    note = (
-        f"{converged}/{len(starts)} trajectories converged to the anchor "
-        f"within {converge_radius:g} by t = {t_end:g} (seed {seed}); "
-        "convergence at this tolerance is evidence, not proof, of basin membership"
-    )
-    return BasinVerification(
-        sample_count=len(starts),
-        converged_count=converged,
-        failures=failures,
-        note=note,
-    )
 
 
 def sample_region(field, anchor, c, count, seed=0, max_tries=200_000):
@@ -495,49 +443,44 @@ def sample_region(field, anchor, c, count, seed=0, max_tries=200_000):
     return samples
 
 
-def verify_basin_sampled(system, anchor, c, sample_count=100, t_end=50.0,
-                         converge_radius=1e-3, seed=0, sim_opts=None):
-    """verify_basin without a grid component (any dimension).
+def verify_basin(system, region, sample_count=100, t_end=50.0,
+                 converge_radius=1e-3, seed=0, sim_opts=None):
+    """Simulate starts sampled from *region* toward its anchor; count
+    convergence.
 
-    Starts come from rejection sampling of the predicate c < f < M near the
-    anchor; everything else matches verify_basin.
+    *region* is a GridComponent, whose starts lie in masked cell interiors
+    (``sample_cells``), or, in any dimension, an ``(anchor, c)`` pair, whose
+    starts are rejection-sampled from c < f < M near the anchor
+    (``sample_region``) without a connectivity check.  The starts run as
+    one trajectory batch whose rows do not depend on each other.
     """
     sim_opts = sim_opts or ode.SimOptions()
-    anchor = np.asarray(anchor, dtype=float)
-    starts = sample_region(system.field, anchor, c, sample_count, seed)
-    converged, failures = _converge_starts(
-        system, starts, anchor, t_end, converge_radius, sim_opts
-    )
-    note = (
-        f"{converged}/{len(starts)} rejection-sampled starts converged within "
-        f"{converge_radius:g} by t = {t_end:g} (seed {seed}); starts were drawn "
-        "from the predicate set near the anchor without a connectivity check"
-    )
+    if isinstance(region, GridComponent):
+        anchor = region.anchor
+        starts = sample_cells(region, sample_count, seed)
+        outcome = "trajectories converged to the anchor"
+        caveat = "convergence at this tolerance is evidence, not proof, of basin membership"
+    else:
+        anchor, c = region
+        starts = sample_region(system.field, anchor, c, sample_count, seed)
+        outcome = "rejection-sampled starts converged"
+        caveat = ("starts were drawn from the predicate set near the anchor "
+                  "without a connectivity check")
+    failures = ()
+    if len(starts):
+        opts = replace(sim_opts, convergence_target=tuple(anchor),
+                       convergence_radius=converge_radius)
+        trajectories = ode.simulate_batch(system, starts, 0.0, t_end, opts)
+        failures = tuple(
+            (tuple(start.tolist()), traj.status.value, tuple(traj.final_state.tolist()))
+            for start, traj in zip(starts, trajectories)
+            if traj.status is not ode.Status.CONVERGED
+        )
+    converged = len(starts) - len(failures)
     return BasinVerification(
         sample_count=len(starts),
         converged_count=converged,
         failures=failures,
-        note=note,
-    )
-
-
-def suggest_cut_level(critical_points, anchor_point, margin=0.02):
-    """Heuristic c: slightly above the largest other critical value below M.
-
-    Labeled heuristic: the certification takes c as given; this only proposes a
-    starting point from the found critical values.
-    """
-    anchor = np.asarray(anchor_point.location)
-    m_value = anchor_point.value
-    below = [
-        cp.value
-        for cp in critical_points
-        if float(np.linalg.norm(cp.as_array() - anchor)) > 1e-9 and cp.value < m_value
-    ]
-    if not below:
-        return m_value - 1.0, "no other critical value below M; defaulted to M - 1"
-    base = max(below)
-    c = base + margin * (m_value - base)
-    return c, (
-        f"slightly above the largest other critical value {base:g} below M = {m_value:g}"
+        note=f"{converged}/{len(starts)} {outcome} within {converge_radius:g} "
+             f"by t = {t_end:g} (seed {seed}); {caveat}",
     )

@@ -135,11 +135,11 @@ def _boundary_segments(component):
     """Cell-edge segments between masked and unmasked cells (n = 2), as an
     (s, 4) array of ``x1_a, x2_a, x1_b, x2_b`` rows: cells in row-major
     order, and per cell its left, right, bottom and top edge.  Only the
-    faces of the mask's exposed cells are looked at."""
+    faces of the component's boundary cells are looked at."""
     mask = component.mask
     lo = component.box_lo
     wx, wy = component.cell_widths
-    cells = basin_mod.exposed_cells(mask)
+    cells = component.boundary_cells
     nbs, in_grid = basin_mod.neighbour_cells(cells, mask.shape)
     open_face = ~in_grid
     open_face[in_grid] = ~mask[tuple(nbs[in_grid].T)]
@@ -207,7 +207,6 @@ def _write_svg(path, component, critical_points, segments):
 @dataclass
 class Options:
     psd_tol: float = 1e-10
-    h0_sample_max: float = 1e4
     grid_per_axis: int = 20
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
@@ -239,8 +238,6 @@ class AnalysisConfig:
     system: System
     options: Options
     output_dir: str
-    gallery_id: str | None
-    gallery_entry: object | None
 
     @property
     def sim_options(self):
@@ -328,8 +325,6 @@ def load_config(path):
     if f_spec is None:
         raise ConfigError("config must declare 'f'")
 
-    gallery_id = None
-    entry = None
     if isinstance(f_spec, dict):
         unknown = set(f_spec) - {"gallery", "depth"}
         if unknown:
@@ -380,8 +375,6 @@ def load_config(path):
         system=system,
         options=options,
         output_dir=raw.get("output_dir", "out"),
-        gallery_id=gallery_id,
-        gallery_entry=entry,
     )
 
 

@@ -1,9 +1,9 @@
 """System ingredients: scalar field f on a box domain D, matrix path P(t).
 
 Everything here is immutable after construction and safe to share across
-threads.  The right-hand side P(t) * grad f(x) computed by ``System.rhs``
-(one state) and ``System.rhs_batch`` (a stack of states, the integrator's
-path) is the single source of truth for the vector field.
+threads.  The right-hand side P(t) * grad f(x) computed by
+``System.rhs_batch`` for a stack of states (the integrator's path) is the
+single source of truth for the vector field.
 
 Batch methods take states stacked along a leading axis and answer row by
 row with the scalar methods' bits.  A row outside D, or one whose
@@ -244,7 +244,7 @@ class MatrixPath:
         self.uses_t = any(e.uses_t for e in upper.values())
         self._constant_value = None if self.uses_t else self._evaluate(0.0)
         self._constant_lambda1 = (
-            None if self.uses_t else linalg.eigen_smallest(self._constant_value)
+            None if self.uses_t else float(linalg.eigen_all(self._constant_value)[0])
         )
         self.is_identity = not self.uses_t and np.array_equal(self._constant_value, np.eye(n))
 
@@ -268,14 +268,9 @@ class MatrixPath:
             m[j, i] = v
         return m
 
-    def value(self, t):
-        """P(t) as an exactly symmetric ndarray."""
-        if self._constant_value is not None:
-            return self._constant_value
-        return self._evaluate(float(t))
-
     def value_batch(self, t):
-        """P at each time of t (shape (m,)) as an (m, n, n) stack."""
+        """P at each time of t (shape (m,)) as an (m, n, n) stack of exactly
+        symmetric matrices."""
         shape = (len(t), self.dimension, self.dimension)
         if self._constant_value is not None:
             return np.broadcast_to(self._constant_value, shape)
@@ -325,16 +320,10 @@ class System:
     def dimension(self):
         return self.field.dimension
 
-    def rhs(self, t, x):
-        """P(t) * grad f(x); raises OutsideDomainError when x leaves D."""
-        g = self.field.grad(x)
-        if self.matrix.is_identity:
-            return g
-        return self.matrix.value(t) @ g
-
     def rhs_batch(self, t, x):
-        """``rhs`` row by row for times t (shape (m,)) and states x (shape
-        (m, n)); NaN rows where ``rhs`` would raise."""
+        """P(t) * grad f(x) row by row for times t (shape (m,)) and states x
+        (shape (m, n)); NaN rows where x is outside D or grad f hits a domain
+        error there.  A domain error in P(t) raises."""
         g = self.field.grad_batch(x)
         if self.matrix.is_identity:
             return g

@@ -227,27 +227,29 @@ class _RadialField(ScalarField):
 
     # batch methods: the scalar formulas on whole columns, same bits per row
 
-    def inside_batch(self, x):
-        x = self._check_rows(x)
-        return np.all(np.abs(x) <= 1.0, axis=1) & (np.hypot(x[:, 0], x[:, 1]) <= 1.0)
-
-    def eval_batch(self, x):
-        x = self._check_rows(x)
-        return np.where(self.inside_batch(x), self.cubic.value(-np.hypot(x[:, 0], x[:, 1])),
-                        np.nan)
-
-    def grad_batch(self, x):
+    def _radii(self, x):
+        """The checked rows of x, their radii, and which rows are inside D."""
         x = self._check_rows(x)
         r = np.hypot(x[:, 0], x[:, 1])
+        return x, r, np.all(np.abs(x) <= 1.0, axis=1) & (r <= 1.0)
+
+    def inside_batch(self, x):
+        return self._radii(x)[2]
+
+    def eval_batch(self, x):
+        _, r, inside = self._radii(x)
+        return np.where(inside, self.cubic.value(-r), np.nan)
+
+    def grad_batch(self, x):
+        x, r, inside = self._radii(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = (-self.cubic.slope(-r) / r)[:, None] * x
         g[r == 0.0] = 0.0
-        g[~self.inside_batch(x)] = np.nan
+        g[~inside] = np.nan
         return g
 
     def hessian_batch(self, x):
-        x = self._check_rows(x)
-        r = np.hypot(x[:, 0], x[:, 1])
+        x, r, inside = self._radii(x)
         gpp = self.cubic.curvature(-r)[:, None, None]
         eye = np.eye(2)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,7 +258,7 @@ class _RadialField(ScalarField):
             h = gpp * proj + (-self.cubic.slope(-r) / r)[:, None, None] * (eye - proj)
         at_origin = r == 0.0
         h[at_origin] = gpp[at_origin] * eye
-        h[~self.inside_batch(x)] = np.nan
+        h[~inside] = np.nan
         return h
 
 

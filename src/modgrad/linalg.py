@@ -16,7 +16,6 @@ from .errors import NumericFailure
 
 __all__ = [
     "eigen_all",
-    "eigen_smallest",
     "integrate_adaptive",
     "check_symmetric",
     "row_dots",
@@ -58,11 +57,6 @@ def eigen_all(m):
     of a stack (LAPACK's symmetric eigensolver through
     ``np.linalg.eigvalsh``)."""
     return np.linalg.eigvalsh(check_symmetric(m))
-
-
-def eigen_smallest(m):
-    """Smallest eigenvalue of a symmetric matrix."""
-    return float(eigen_all(m)[0])
 
 
 def _simpson(fa, fm, fb, h):

@@ -228,7 +228,7 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
             raise ValueError("convergence_target requires convergence_radius")
 
     f = system.rhs_batch(np.full(m, t0), x)
-    reraise_row_error(x, f, lambda row: system.rhs(t0, row))
+    reraise_row_error(x, f, system.field.grad)  # rhs_batch raised a fault of P(t0)
     rows = np.arange(m)  # the row ids still integrating
     accepted = [(rows, np.full(m, t0), x.copy(), f)]  # (row ids, t, x, rhs) per step
     outcome = [None] * m  # row id -> (status, Trajectory fields)

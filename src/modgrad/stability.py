@@ -68,6 +68,8 @@ _P_BAND = 0.05
 _GROWTH_FRACTION = 0.05
 # per-doubling increment ratio above which the tail looks non-summable
 _INCREMENT_RATIO = 0.9
+# radius of the descent checks' start shell, relative to the shell radius
+_DESCENT_RADIUS_SCALE = 0.5
 
 
 def ec_check(matrix, horizon=1e4, quad_tol=2e-5):
@@ -176,7 +178,6 @@ class CertifyOptions:
     quad_tol: float = 2e-5
     descent_trajectories: int = 8
     descent_t_end: float = 10.0
-    descent_radius_scale: float = 0.5       # start shell, relative to shell_radius
     sim: ode.SimOptions = dc_field(default_factory=ode.SimOptions)
 
 
@@ -358,7 +359,7 @@ def _descent_checks(system, checks, opts):
     for k, (x, radius, *_) in enumerate(checks):
         if opts.descent_trajectories > 0 and radius > 0.0:
             shell = _shell_points(
-                x, opts.descent_radius_scale * radius,
+                x, _DESCENT_RADIUS_SCALE * radius,
                 max(opts.descent_trajectories, 8), system.dimension,
             )[: opts.descent_trajectories]
             spans.append((k, len(starts), len(shell)))

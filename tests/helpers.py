@@ -30,6 +30,11 @@ def central_diff_hessian_of_grad(grad_func, point, step=1e-5):
     return 0.5 * (out + out.T)
 
 
+def rhs_of(system):
+    """``system.rhs_batch`` as a batch of one: (t, x) -> P(t) grad f(x)."""
+    return lambda t, x: system.rhs_batch(np.array([t]), np.array([x]))[0]
+
+
 def rk4_reference(rhs, x0, t0, t_end, h):
     """Fixed-step classic RK4; reference oracle for the adaptive integrator."""
     x = np.asarray(x0, dtype=float).copy()

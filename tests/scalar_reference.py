@@ -191,7 +191,7 @@ def extract_component(field, anchor, c, resolution):
         m_value=m_value,
         anchor=tuple(anchor.tolist()),
         anchor_cell=anchor_cell,
-        boundary_cells=tuple(tuple(int(v) for v in cell) for cell in np.argwhere(exposed)),
+        boundary_cells=np.argwhere(exposed),
     )
 
 
@@ -206,7 +206,7 @@ def masked_centers(component):
 def h4_from_stack(component):
     """H4 from the padded stack of every cell's face neighbours: boundary
     cells with a face on the box wall or on a NaN cell."""
-    cells = component.boundary_array()
+    cells = component.boundary_cells
     touches = face_neighbours(np.isnan(component.values), True).any(axis=-1)
     h4_cells = cells[touches[tuple(cells.T)]]
     return HypothesisVerdict(

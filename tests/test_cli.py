@@ -11,7 +11,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import scalar_reference as ref
-from modgrad.basin import extract_component
+from modgrad.basin import exposed_cells, extract_component
 from modgrad.cli import _boundary_segments, _write_csv, load_config, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -348,7 +348,8 @@ class TestWriters:
         rng = np.random.default_rng(40)
         for density in (0.2, 0.5, 0.9, 1.0):
             mask = rng.random((40, 33)) < density
-            fake = type(comp)(**{**comp.__dict__, "mask": mask, "resolution": mask.shape})
+            fake = type(comp)(**{**comp.__dict__, "mask": mask, "resolution": mask.shape,
+                                 "boundary_cells": exposed_cells(mask)})
             want = [list(s) for s in ref.boundary_segments(fake)]
             assert _boundary_segments(fake).tolist() == want
 

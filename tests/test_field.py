@@ -14,7 +14,7 @@ from modgrad.field import (
     validate_h0,
 )
 
-from helpers import random_poly_source, random_psd_matrix
+from helpers import random_poly_source, random_psd_matrix, rhs_of
 
 
 class TestBox:
@@ -98,7 +98,9 @@ class TestBatchEvaluation:
         x = np.array([[2.0, 2.0], [1.3, 0.8], [-2.0, 4.5], [9.0, 0.0]])
         f = ex21.system.rhs_batch(t, x)
         for i in range(3):
-            assert np.array_equal(f[i], ex21.system.rhs(t[i], x[i]))
+            assert np.array_equal(f[i], rhs_of(ex21.system)(t[i], x[i]))
+            p = ex21.system.matrix.value_batch(t[i:i + 1])[0]
+            assert np.array_equal(f[i], p @ ex21.system.field.grad(x[i]))
         assert np.isnan(f[3]).all()
 
 
@@ -240,7 +242,7 @@ class TestMatrixPath:
     def test_structural_symmetry_is_exact(self):
         m = MatrixPath([["1", "t"], ["t", "2"]])
         for t in (0.0, 0.3, 7.7):
-            v = m.value(t)
+            v = m.value_batch([t])[0]
             assert np.array_equal(v, v.T)
 
     def test_identity_detection(self):
@@ -250,7 +252,7 @@ class TestMatrixPath:
     def test_constant_from_array(self):
         a = random_psd_matrix(np.random.default_rng(1), 3)
         m = MatrixPath.constant(a)
-        assert np.allclose(m.value(123.0), a, atol=1e-15)
+        assert np.allclose(m.value_batch([123.0])[0], a, atol=1e-15)
 
     def test_example_21_eigenvalues(self, ex21):
         m = ex21.system.matrix
@@ -269,7 +271,7 @@ class TestMatrixPath:
         stacked = m.smallest_eigenvalue(ts)
         assert stacked.shape == ts.shape
         assert np.array_equal(stacked, [m.smallest_eigenvalue(t) for t in ts])
-        assert np.array_equal(stacked, [np.linalg.eigvalsh(m.value(t))[0] for t in ts])
+        assert np.array_equal(stacked, [np.linalg.eigvalsh(m.value_batch([t])[0])[0] for t in ts])
         assert all(type(m.smallest_eigenvalue(t)) is float for t in ts[:3])
 
     def test_constant_lambda1_for_an_array(self):
@@ -302,7 +304,7 @@ class TestMatrixPath:
     def test_domain_error_at_some_t(self):
         m = MatrixPath([["(t - 1)^(-1)"]])
         with pytest.raises(EvalDomainError):
-            m.value(1.0)
+            m.value_batch([1.0])
 
 
 class TestValidateH0:
@@ -343,18 +345,18 @@ class TestSystemRhs:
 
     def test_example_21_at_t0(self, ex21):
         # grad f(2,2) = (-2,-2) and P(0) = I
-        rhs = ex21.system.rhs(0.0, np.array([2.0, 2.0]))
+        rhs = rhs_of(ex21.system)(0.0, np.array([2.0, 2.0]))
         assert np.allclose(rhs, [-2.0, -2.0], atol=1e-14)
 
     def test_zero_at_critical_point(self, ex31):
         for point in [(2.0, 1.0), (2.0, 2.0), (2.0, 4.0)]:
-            rhs = ex31.system.rhs(3.7, np.array(point))
+            rhs = rhs_of(ex31.system)(3.7, np.array(point))
             assert np.linalg.norm(rhs) <= 1e-12
 
     def test_example_31_identity_at_origin(self, ex31):
         # oracle: the printed gradient -20(x1-2), -12(x2-1)(x2-2)(x2-4)
         # evaluated by hand at the origin
-        rhs = ex31.system.rhs(0.0, np.array([0.0, 0.0]))
+        rhs = rhs_of(ex31.system)(0.0, np.array([0.0, 0.0]))
         assert np.allclose(rhs, [40.0, 96.0], atol=1e-12)
 
     def test_quadratic_form_nonnegative_for_psd_paths(self):
@@ -369,4 +371,4 @@ class TestSystemRhs:
                 x = rng.uniform(-1.5, 1.5, size=n)
                 t = float(rng.uniform(0.0, 5.0))
                 g = f.grad(x)
-                assert float(g @ system.rhs(t, x)) >= -1e-12 * float(g @ g)
+                assert float(g @ rhs_of(system)(t, x)) >= -1e-12 * float(g @ g)

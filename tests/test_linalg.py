@@ -9,7 +9,6 @@ from modgrad.errors import NumericFailure
 from modgrad.linalg import (
     check_symmetric,
     eigen_all,
-    eigen_smallest,
     integrate_adaptive,
 )
 
@@ -19,14 +18,14 @@ from helpers import spectrum_via_charpoly
 class TestEigen:
     def test_diagonal_from_example_21_path(self):
         # lambda_1(P(t)) = (t+1)^-2 evaluated at t = 1
-        assert eigen_smallest(np.diag([0.25, 0.5])) == pytest.approx(0.25, abs=1e-12)
+        assert eigen_all(np.diag([0.25, 0.5]))[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_identity(self):
-        assert eigen_smallest(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
+        assert eigen_all(np.eye(3))[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_2x2_analytic(self):
         # char poly x^2 - 4x + 3, roots {1, 3}
-        assert eigen_smallest([[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(1.0, abs=1e-12)
+        assert eigen_all([[2.0, 1.0], [1.0, 2.0]])[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(eigen_all([[2.0, 1.0], [1.0, 2.0]]), [1.0, 3.0], atol=1e-12)
 
     def test_diagonal_spectra(self):
@@ -37,7 +36,7 @@ class TestEigen:
         assert np.array_equal(eigen_all(np.zeros((4, 4))), np.zeros(4))
 
     def test_1x1(self):
-        assert eigen_smallest([[3.5]]) == 3.5
+        assert eigen_all([[3.5]])[0] == 3.5
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

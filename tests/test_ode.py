@@ -10,7 +10,7 @@ from modgrad.field import Box, ExpressionField, MatrixPath, System
 from modgrad.gallery import _ex21_closed_form, example_3_1
 from modgrad.ode import SimOptions, Status, lyapunov_trace, lyapunov_traces, simulate
 
-from helpers import rk4_reference
+from helpers import rhs_of, rk4_reference
 
 TIGHT = SimOptions(rel_tol=1e-9, abs_tol=1e-12)
 
@@ -90,7 +90,7 @@ class TestStatuses:
         assert traj.status is Status.CONVERGED
         assert np.linalg.norm(traj.final_state - np.array([2.0, 1.0])) < 1e-6
         # independent fixed-step RK4 reference over the transient
-        ref = rk4_reference(ex31.system.rhs, (2.1, 1.2), 0.0, 1.0, 1e-4)
+        ref = rk4_reference(rhs_of(ex31.system), (2.1, 1.2), 0.0, 1.0, 1e-4)
         dense = traj.sample_at(1.0)
         assert np.linalg.norm(dense - ref) <= 1e-8
 
@@ -183,7 +183,7 @@ class TestLyapunovTrace:
             m_value = system.field.eval(anchor)
             for row, t, x in zip(trace.rows, traj.times, traj.states):
                 g = system.field.grad(x)
-                p = system.matrix.value(t)
+                p = system.matrix.value_batch([t])[0]
                 want = [t, m_value - system.field.eval(x), -float((p @ g) @ g),
                         system.matrix.smallest_eigenvalue(t), float(g @ g)]
                 assert np.array_equal(row, want)
@@ -370,3 +370,14 @@ class TestBatch:
         with pytest.raises(ValueError, match="shape"):
             ode.simulate_batch(ex31.system, [2.0, 1.0], 0.0, 1.0)
         assert ode.simulate_batch(ex31.system, np.empty((0, 2)), 0.0, 1.0) == []
+
+    @pytest.mark.parametrize("entries", [None, [["1+1/(t+1)", "0"], ["0", "2+sin(t)"]]])
+    def test_start_whose_gradient_raises(self, entries):
+        # the start check raises the failing row's own error, for an
+        # identity and a t-varying P
+        f = ExpressionField(parse("sqrt(x1) - x2^2", 2), Box((-1.0, -1.0), (1.0, 1.0)))
+        matrix = MatrixPath.identity(2) if entries is None else MatrixPath(entries)
+        starts = [(0.25, 0.5), (-0.25, 0.5), (-0.5, 0.0)]
+        with pytest.raises(EvalDomainError) as err:
+            ode.simulate_batch(System(f, matrix), starts, 0.0, 1.0)
+        assert str(err.value) == "sqrt of negative argument in 'sqrt(x1)'"
