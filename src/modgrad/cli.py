@@ -554,22 +554,6 @@ def cmd_basin(args):
     opts = config.options
     anchor = _parse_vector(args.anchor, config.system.dimension, "--anchor")
     fld = config.system.field
-
-    if not math.isfinite(args.c):
-        print(f"--c must be a finite number, got {args.c}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        m_value = fld.eval(anchor)
-    except OutsideDomainError as exc:
-        print(f"anchor error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.c >= m_value:
-        print(
-            f"c must be below f(anchor) = {m_value:.6g}, got c = {args.c:.6g}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-
     component = basin_mod.extract_component(fld, anchor, args.c, args.resolution)
     _say(args, f"component: {int(component.mask.sum())} cells, "
                f"area {component.masked_area:.6g}, M = {component.m_value:.6g}")

@@ -37,13 +37,15 @@ Numeric literals use decimal or scientific notation.  There is no implicit
 multiplication ("2x1" is a syntax error), and exponents are numeric
 literals, not sub-expressions.  Integer exponents are evaluated, and
 differentiated, by repeated multiplication; real exponents go through
-exp(e*ln(base)) and require a positive base.
+exp(e*ln(base)) and require a positive base.  Parentheses, function calls
+and unary minuses nest at most ``MAX_NESTING`` (100) levels deep.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -96,22 +98,15 @@ _FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
 class Const:
     value: float
 
-    def __str__(self):
-        return repr(self.value)
-
 
 @dataclass(frozen=True, slots=True)
 class Var:
     index: int  # 0-based
 
-    def __str__(self):
-        return f"x{self.index + 1}"
-
 
 @dataclass(frozen=True, slots=True)
 class TimeVar:
-    def __str__(self):
-        return "t"
+    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,17 +115,10 @@ class BinOp:
     a: object
     b: object
 
-    def __str__(self):
-        _, _, left, right = _BINARY[self.op]
-        return f"{_src(self.a, left)} {self.op} {_src(self.b, right)}"
-
 
 @dataclass(frozen=True, slots=True)
 class Neg:
     a: object
-
-    def __str__(self):
-        return f"-{_src(self.a, 3)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,21 +127,11 @@ class Pow:
     exponent: float
     integral: bool
 
-    def __str__(self):
-        e = self.exponent
-        etxt = repr(int(e)) if self.integral else repr(e)
-        if e < 0:
-            etxt = f"({etxt})"
-        return f"{_src(self.base, 4)}^{etxt}"
-
 
 @dataclass(frozen=True, slots=True)
 class Call:
     func: str
     a: object
-
-    def __str__(self):
-        return f"{self.func}({self.a})"
 
 
 # op -> (float function, precedence, level of the left and right operand)
@@ -162,13 +140,42 @@ _BINARY = {"+": (operator.add, 1, 1, 1), "-": (operator.sub, 1, 1, 2),
 _PRECEDENCE = {Neg: 3, Pow: 4, Call: 5, Const: 5, Var: 5, TimeVar: 5}
 
 
-def _src(node, level):
-    """Render *node*, parenthesizing when its precedence is below *level*."""
-    prec = _BINARY[node.op][1] if isinstance(node, BinOp) else _PRECEDENCE[type(node)]
-    txt = str(node)
-    if prec < level or (level >= 4 and txt.startswith("-")):
-        return f"({txt})"
-    return txt
+def _pieces(node):
+    """*node*'s text as literal strings and (child, level) pairs, a child
+    to be parenthesized when its precedence is below its level."""
+    if isinstance(node, BinOp):
+        _, _, left, right = _BINARY[node.op]
+        return [(node.a, left), f" {node.op} ", (node.b, right)]
+    if isinstance(node, Neg):
+        return ["-", (node.a, 3)]
+    if isinstance(node, Pow):
+        e = node.exponent
+        etxt = repr(int(e)) if node.integral else repr(e)
+        return [(node.base, 4), f"^({etxt})" if e < 0 else f"^{etxt}"]
+    if isinstance(node, Call):
+        return [f"{node.func}(", (node.a, 0), ")"]
+    if isinstance(node, Const):
+        return [repr(node.value)]
+    return [f"x{node.index + 1}" if isinstance(node, Var) else "t"]
+
+
+def _render(root):
+    """The source text of *root*, parenthesized where the grammar needs it.
+    Iterative, as a long sum is a deep tree."""
+    out = []
+    stack = [(root, 0)]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+            continue
+        node, level = piece
+        pieces = _pieces(node)
+        prec = _BINARY[node.op][1] if isinstance(node, BinOp) else _PRECEDENCE[type(node)]
+        if prec < level:
+            pieces = ["(", *pieces, ")"]
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 def _children(node):
@@ -401,67 +408,46 @@ def _locate(ops, xs, t):
         try:
             scope[name] = eval(op, scope)
         except OverflowError:
-            raise EvalDomainError(f"overflow in '{node}'") from None
+            raise EvalDomainError(f"overflow in '{_render(node)}'") from None
         except (ZeroDivisionError, ValueError):
-            raise EvalDomainError(f"{_domain_reason(node)} in '{node}'") from None
+            raise EvalDomainError(f"{_domain_reason(node)} in '{_render(node)}'") from None
 
 
 # -- tokenizer -------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+_TOKEN = re.compile(r"""
+    (?P<num> (?:\d+(?:\.\d*)? | \.\d+) (?:[eE][+-]?\d+)? )
+  | (?P<ident> [^\W\d]\w* )
+  | (?P<op> [-+*/^()] )
+  | (?P<space> \s+ )
+""", re.VERBOSE)
 
 
 def _tokenize(source):
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            tokens.append(("num", source[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("ident", source[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+    at = 0
+    while at < len(source):
+        match = _TOKEN.match(source, at)
+        if match is None:
+            raise ParseError(f"unexpected character {source[at]!r}", at)
+        if match.lastgroup != "space":
+            tokens.append((match.lastgroup, match.group(), at))
+        at = match.end()
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
 # -- parser ----------------------------------------------------------------
 
 
+MAX_NESTING = 100  # the parser recurses per level: stay off Python's limit
+
+
 class _Parser:
     def __init__(self, tokens, dimension, allow_t):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.dimension = dimension
         self.allow_t = allow_t
 
@@ -478,6 +464,15 @@ class _Parser:
         if kind != "op" or text != op:
             raise ParseError(f"expected '{op}'", at)
         self.take()
+
+    def nested(self, parse, at):
+        """*parse*() one nesting level down, for the construct at *at*."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", at)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse_expr(self):
         node = self.parse_term()
@@ -502,10 +497,10 @@ class _Parser:
                 return node
 
     def parse_unary(self):
-        kind, text, _ = self.peek()
+        kind, text, at = self.peek()
         if kind == "op" and text == "-":
             self.take()
-            return Neg(self.parse_unary())
+            return Neg(self.nested(self.parse_unary, at))
         return self.parse_power()
 
     def parse_power(self):
@@ -545,20 +540,20 @@ class _Parser:
         if kind == "num":
             return Const(float(text))
         if kind == "op" and text == "(":
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr, at)
             self.expect_op(")")
             return node
         if kind == "ident":
             if text in _FUNCS:
                 self.expect_op("(")
-                arg = self.parse_expr()
+                arg = self.nested(self.parse_expr, at)
                 self.expect_op(")")
                 return Call(text, arg)
             if text == "t":
                 if not self.allow_t:
                     raise ParseError("'t' is not allowed in this expression", at)
                 return TimeVar()
-            if text.startswith("x") and text[1:].isdigit():
+            if text.startswith("x") and text[1:].isdecimal():
                 index = int(text[1:])
                 if index < 1 or index > self.dimension:
                     raise ParseError(
@@ -626,10 +621,10 @@ class Expression:
         return len(self.var_indices)
 
     def __str__(self):
-        return str(self.ast)
+        return _render(self.ast)
 
     def __repr__(self):
-        return f"Expression({str(self.ast)!r}, dimension={self.dimension})"
+        return f"Expression({str(self)!r}, dimension={self.dimension})"
 
     def _call(self, fn, point, time):
         if len(point) != self.dimension:

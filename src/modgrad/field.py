@@ -5,9 +5,11 @@ threads.  The right-hand side P(t) * grad f(x) computed by
 ``System.rhs_batch`` for a stack of states (the integrator's path) is the
 single source of truth for the vector field.
 
-Batch methods take states stacked along a leading axis and answer row by
-row with the scalar methods' bits.  A row outside D, or one whose
-evaluation hits a domain error, comes back NaN instead of raising;
+Each quantity of a field has one kernel, a batch method over states
+stacked along a leading axis; the scalar ``eval``/``grad``/``hessian``
+are its batch of one (``ExpressionField``'s run the expression's compiled
+scalar function, which gives the same bits).  A row outside D, or one
+whose evaluation hits a domain error, comes back NaN instead of raising;
 ``reraise_row_error`` turns the first such row back into the error a
 row-by-row loop would have raised.
 """
@@ -87,7 +89,15 @@ class Box:
 
 
 class ScalarField:
-    """f on D: evaluation, gradient and Hessian, answered only inside D."""
+    """f on D: evaluation, gradient and Hessian, answered only inside D.
+
+    A subclass implements the batch kernels ``eval_batch``, ``grad_batch``
+    (shape (m, n)) and ``hessian_batch`` (shape (m, n, n)) for an (m, n)
+    array of points, NaN on the rows where the scalar method would raise,
+    and ``eval_grid``; where D is not the box, also ``inside_batch`` and
+    ``inside``.  ``eval``, ``grad`` and ``hessian`` check the point and run
+    ``_scalar``, by default the batch kernel on one row.
+    """
 
     def __init__(self, dimension, box):
         if box.dimension != dimension:
@@ -108,15 +118,20 @@ class ScalarField:
 
     def eval(self, x):
         self._require_inside(x)
-        return self._eval(x)
+        return self._scalar("eval", x)
 
     def grad(self, x):
         self._require_inside(x)
-        return self._grad(x)
+        return self._scalar("grad", x)
 
     def hessian(self, x):
         self._require_inside(x)
-        return self._hessian(x)
+        return self._scalar("hessian", x)
+
+    def _scalar(self, kind, x):
+        """*kind* ("eval", "grad" or "hessian") at x inside D.  A subclass
+        whose kernels can hit a domain error overrides this to raise it."""
+        return getattr(self, kind + "_batch")(np.asarray(x, dtype=float)[None])[0]
 
     def eval_grid(self, columns):
         """Vectorized f over broadcastable coordinate arrays, one per
@@ -140,31 +155,6 @@ class ScalarField:
         x = self._check_rows(x)
         return np.all((x >= self.box.lo) & (x <= self.box.hi), axis=1)
 
-    def eval_batch(self, x):
-        """f at each row of x; NaN where ``eval`` would raise."""
-        return self._rows(self._eval, x, ())
-
-    def grad_batch(self, x):
-        """grad f at each row of x, shape (m, n); NaN rows where ``grad``
-        would raise."""
-        return self._rows(self._grad, x, (self.dimension,))
-
-    def hessian_batch(self, x):
-        """Hessian of f at each row of x, shape (m, n, n); NaN rows where
-        ``hessian`` would raise."""
-        return self._rows(self._hessian, x, (self.dimension,) * 2)
-
-    def _rows(self, fn, x, shape):
-        """The scalar kernel *fn* on each row inside D, NaN elsewhere."""
-        x = self._check_rows(x)
-        out = np.full((len(x),) + shape, np.nan)
-        for i in np.flatnonzero(self.inside_batch(x)):
-            try:
-                out[i] = fn(x[i])
-            except EvalDomainError:
-                pass
-        return out
-
 
 class ExpressionField(ScalarField):
     """Scalar field backed by a parsed expression (time-independent)."""
@@ -175,42 +165,44 @@ class ExpressionField(ScalarField):
         super().__init__(expression.dimension, box)
         self.expression = expression
 
-    def _eval(self, x):
-        return self.expression.eval(x)
-
-    def _grad(self, x):
-        return self.expression.grad(x)
-
-    def _hessian(self, x):
-        return self.expression.hessian(x)
+    def _scalar(self, kind, x):
+        # Python-float speed, and a domain error naming the sub-expression
+        return getattr(self.expression, kind)(x)
 
     def eval_grid(self, columns):
         return self.expression.eval_array(columns)
 
     def eval_batch(self, x):
-        return self._exact_rows(self.expression.eval_exact, self._eval, x, ())
+        return self._exact_rows("eval", x, ())
 
     def grad_batch(self, x):
-        return self._exact_rows(self.expression.grad_exact, self._grad, x, (self.dimension,))
+        return self._exact_rows("grad", x, (self.dimension,))
 
     def hessian_batch(self, x):
-        return self._exact_rows(self.expression.hessian_exact, self._hessian, x,
-                                (self.dimension,) * 2)
+        return self._exact_rows("hessian", x, (self.dimension,) * 2)
 
-    def _exact_rows(self, exact_fn, fn, x, shape):
-        """The expression's exact array kernel on the rows inside D, NaN
-        elsewhere; the scalar row loop when the expression has no exact
-        kernel or the kernel raises for some row."""
+    def _exact_rows(self, kind, x, shape):
+        """The expression's exact array kernel for *kind* on the rows inside
+        D, NaN elsewhere.  When the expression has no exact kernel, or the
+        kernel raises for some row, the scalar function runs on each row
+        inside D instead, and a row where it raises is NaN."""
         x = self._check_rows(x)
+        inside = self.inside_batch(x)
+        out = np.full((len(x),) + shape, np.nan)
         if self.expression.exact:
-            inside = self.inside_batch(x)
-            out = np.full((len(x),) + shape, np.nan)
             try:
-                out[inside] = exact_fn(np.ascontiguousarray(x[inside].T))
+                out[inside] = getattr(self.expression, kind + "_exact")(
+                    np.ascontiguousarray(x[inside].T))
                 return out
             except ArithmeticError:
                 pass
-        return self._rows(fn, x, shape)
+        fn = getattr(self.expression, kind)
+        for i in np.flatnonzero(inside):
+            try:
+                out[i] = fn(x[i])
+            except EvalDomainError:
+                pass
+        return out
 
     def __repr__(self):
         return f"ExpressionField({str(self.expression)!r})"
@@ -242,10 +234,10 @@ class MatrixPath:
         self.dimension = n
         self._upper = upper
         self.uses_t = any(e.uses_t for e in upper.values())
-        self._constant_value = None if self.uses_t else self._evaluate(0.0)
-        self._constant_lambda1 = (
-            None if self.uses_t else float(linalg.eigen_all(self._constant_value)[0])
-        )
+        self._constant_value = self._constant_lambda1 = None
+        if not self.uses_t:
+            self._constant_value = self.value_batch([0.0])[0]
+            self._constant_lambda1 = float(linalg.eigen_all(self._constant_value)[0])
         self.is_identity = not self.uses_t and np.array_equal(self._constant_value, np.eye(n))
 
     @classmethod
@@ -259,29 +251,22 @@ class MatrixPath:
         a = linalg.check_symmetric(matrix)
         return cls([[expr_mod.parse(repr(float(v)), 1) for v in row] for row in a])
 
-    def _evaluate(self, t):
-        n = self.dimension
-        m = np.empty((n, n))
-        for (i, j), e in self._upper.items():
-            v = e.eval([0.0], time=t)
-            m[i, j] = v
-            m[j, i] = v
-        return m
-
     def value_batch(self, t):
         """P at each time of t (shape (m,)) as an (m, n, n) stack of exactly
         symmetric matrices."""
         shape = (len(t), self.dimension, self.dimension)
         if self._constant_value is not None:
             return np.broadcast_to(self._constant_value, shape)
-        return np.array([self._evaluate(float(s)) for s in t]).reshape(shape)
+        out = np.empty(shape)
+        for m, s in zip(out, t):  # time by time: an error names the first bad t
+            for (i, j), e in self._upper.items():
+                m[i, j] = m[j, i] = e.eval([0.0], time=float(s))
+        return out
 
     def smallest_eigenvalue(self, t):
         """lambda_1(P(t)) for one time t (a float) or a 1-D array of times
         (an array); raises EvalDomainError naming the first time at which
         P has a non-finite entry."""
-        if self._constant_lambda1 is not None and np.ndim(t) == 0:
-            return self._constant_lambda1
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         lam = self.stack_lambda1(ts, self.value_batch(ts))
         return float(lam[0]) if np.ndim(t) == 0 else lam

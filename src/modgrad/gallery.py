@@ -197,35 +197,12 @@ class _RadialField(ScalarField):
         self.cubic = cubic
 
     def inside(self, x):
-        return self.box.contains(x) and float(np.hypot(x[0], x[1])) <= 1.0
-
-    def _eval(self, x):
-        r = float(np.hypot(x[0], x[1]))
-        return float(self.cubic.value(-r))
-
-    def _grad(self, x):
-        r = float(np.hypot(x[0], x[1]))
-        if r == 0.0:
-            return np.zeros(2)
-        scale = -float(self.cubic.slope(-r)) / r
-        return scale * np.asarray(x, dtype=float)
-
-    def _hessian(self, x):
-        r = float(np.hypot(x[0], x[1]))
-        gpp = float(self.cubic.curvature(-r))
-        if r == 0.0:
-            return gpp * np.eye(2)
-        gp = -float(self.cubic.slope(-r))
-        u = np.asarray(x, dtype=float) / r
-        proj = np.outer(u, u)
-        return gpp * proj + (gp / r) * (np.eye(2) - proj)
+        return self.inside_batch([x])[0]
 
     def eval_grid(self, columns):
         r = np.hypot(columns[0], columns[1])
         out = self.cubic.value(np.minimum(-r, 0.0))
         return np.where(r <= 1.0, out, np.nan)
-
-    # batch methods: the scalar formulas on whole columns, same bits per row
 
     def _radii(self, x):
         """The checked rows of x, their radii, and which rows are inside D."""

@@ -1,5 +1,5 @@
-"""Scalar reference versions of the vectorized finder, basin and writer
-kernels.
+"""Scalar reference versions of the vectorized field, finder, basin and
+writer kernels.
 
 Each function is the straightforward seed-by-seed, cell-by-cell (or
 value-by-value) loop that the array kernel in ``modgrad`` replaces, or the
@@ -392,3 +392,49 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+
+
+def row_loop(fn, field, x, shape=()):
+    """The scalar function *fn* on each row of x inside the field's D, NaN
+    elsewhere and where *fn* raises EvalDomainError: the row-by-row form of
+    a field's batch kernels."""
+    x = np.asarray(x, dtype=float)
+    out = np.full((len(x),) + shape, np.nan)
+    for i in np.flatnonzero(field.inside_batch(x)):
+        try:
+            out[i] = fn(x[i])
+        except EvalDomainError:
+            pass
+    return out
+
+
+# ex22's radial field f(x) = p(-|x|) at one point, in scalar arithmetic;
+# *field* is the gallery's radial field, which holds the cubic p
+
+
+def radial_inside(field, x):
+    return field.box.contains(x) and float(np.hypot(x[0], x[1])) <= 1.0
+
+
+def radial_eval(field, x):
+    r = float(np.hypot(x[0], x[1]))
+    return float(field.cubic.value(-r))
+
+
+def radial_grad(field, x):
+    r = float(np.hypot(x[0], x[1]))
+    if r == 0.0:
+        return np.zeros(2)
+    scale = -float(field.cubic.slope(-r)) / r
+    return scale * np.asarray(x, dtype=float)
+
+
+def radial_hessian(field, x):
+    r = float(np.hypot(x[0], x[1]))
+    gpp = float(field.cubic.curvature(-r))
+    if r == 0.0:
+        return gpp * np.eye(2)
+    gp = -float(field.cubic.slope(-r))
+    u = np.asarray(x, dtype=float) / r
+    proj = np.outer(u, u)
+    return gpp * proj + (gp / r) * (np.eye(2) - proj)

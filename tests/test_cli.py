@@ -13,6 +13,8 @@ jsonschema = pytest.importorskip("jsonschema")
 import scalar_reference as ref
 from modgrad.basin import exposed_cells, extract_component
 from modgrad.cli import _boundary_segments, _write_csv, load_config, main
+from modgrad.errors import EvalDomainError
+from modgrad.expr import parse
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMAS = os.path.join(REPO, "schemas")
@@ -504,6 +506,29 @@ class TestNumericInputs:
         err = capsys.readouterr().err
         assert f"option '{option}' must be >= 0, got {value}" in err and err.count("\n") == 1
         assert not out.exists()  # rejected before any stage ran
+
+    DEEP_SUM = "(" + "+".join(["x1"] * 3000) + ")/x2"
+
+    @pytest.mark.parametrize("f, p00, argv", [
+        ("(" * 300 + "x1" + ")" * 300, "1", ["analyze"]),
+        ("x1 + x2", "(" * 300 + "1" + ")" * 300, ["analyze"]),
+        ("-" * 1200 + "x1", "1", ["analyze"]),
+        (DEEP_SUM, "1", ["basin", "--anchor", "0.5,0", "--c", "0"]),
+    ], ids=["parens-in-f", "parens-in-P", "unary-minus", "long-sum"])
+    def test_deep_expressions_exit_without_traceback(self, tmp_path, capsys, f, p00, argv):
+        # nesting past the parser's bound is a config error; a long sum is
+        # legitimately deep, and its domain error at x2 = 0 names the node
+        cfg = write_config(tmp_path, {"dimension": 2, "f": f, "box": [[-1, 1], [-1, 1]],
+                                      "P": [[p00, "0"], ["0", "1"]]})
+        out = tmp_path / "o"
+        assert main([argv[0], "--config", cfg, "--out", str(out), "--quiet", *argv[1:]]) in (2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        if f == self.DEEP_SUM:
+            with pytest.raises(EvalDomainError) as exc:
+                parse(f, 2).eval([0.5, 0.0])
+            message = str(exc.value)
+            assert message.startswith("division by zero in '(x1 + x1 + ")
+            assert message.endswith(" + x1) / x2'")
 
 
 class TestGalleryCommand:

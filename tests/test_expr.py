@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modgrad.expr import EvalDomainError, ParseError, parse
+from modgrad.expr import MAX_NESTING, EvalDomainError, ParseError, parse
 from modgrad.gallery import _ex31_printed_gradient
 
 from helpers import central_diff_grad, random_poly_source
@@ -60,6 +60,24 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             parse("x1 ) ", 1)
+
+    @pytest.mark.parametrize("source, message, position", [
+        ("x1 $ 2", "unexpected character '\\$'", 3),
+        ("x1 * ²", "unknown identifier", 5),  # a superscript two is no digit
+        ("x1 + .", "unexpected character '.'", 5),
+    ])
+    def test_bad_character_position(self, source, message, position):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse(source, 1)
+        assert exc.value.position == position
+
+    def test_nesting_bound(self):
+        deepest = "-(" * (MAX_NESTING // 2) + "x1" + ")" * (MAX_NESTING // 2)
+        assert parse(deepest, 1).eval((2.0,)) == 2.0
+        assert parse("sin(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, 1).eval((0.0,)) == 0.0
+        with pytest.raises(ParseError, match="nests deeper than") as exc:
+            parse("-" + deepest, 1)
+        assert exc.value.position == MAX_NESTING
 
     def test_scientific_notation(self):
         assert parse("1.5e-3 + x1", 1).eval((0.0,)) == 1.5e-3
@@ -267,6 +285,7 @@ class TestRoundTrip:
             ("exp(-x1) * sin(x2) - ln(x1 + 4)", 2),
             ("x1^(-2) + 2^3 - -x2", 2),
             ("1.5e-3*x1 - (x2 + 0.25)^0.5", 2),
+            ("(-3)^2 * x1 + (-0.5)^3", 2),  # a negated base keeps its parentheses
         ],
     )
     def test_parse_print_reparse_equivalence(self, source, dim):

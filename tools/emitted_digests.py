@@ -84,6 +84,9 @@ RUNS["basin-ex22-c0.1-r256"] = ["basin", "--config", "configs/ex22.json",
                                 "--anchor", "0,0", "--c", "0.1", "--resolution", "256"]
 RUNS["basin-ex22-c-0.05-r128"] = ["basin", "--config", "configs/ex22.json",
                                   "--anchor", "0,0", "--c", "-0.05", "--resolution", "128"]
+# a smaller component inside the disk, with the seed given on the command line
+RUNS["basin-ex22"] = ["basin", "--config", "configs/ex22.json", "--anchor", "0,0",
+                      "--c", "0.2", "--resolution", "256", "--seed", "7"]
 
 # a 3-D quadratic peak, for the n-D grid and cells.csv writer
 QUAD3_CONFIG = {
