@@ -409,7 +409,7 @@ def sample_cells(component, count, seed=0):
     return starts
 
 
-def sample_region(field, anchor, c, count, seed=0, max_tries=200_000):
+def sample_region(field, anchor, c, count, seed=0):
     """Rejection-sample starts satisfying c < f < M near the anchor.
 
     Fallback for dimensions beyond grid reach: draws from balls of growing
@@ -426,7 +426,7 @@ def sample_region(field, anchor, c, count, seed=0, max_tries=200_000):
     samples = []
     tries = 0
     radius = 0.05 * r_max
-    while len(samples) < count and tries < max_tries:
+    while len(samples) < count and tries < 200_000:
         tries += 1
         direction = rng.standard_normal(field.dimension)
         direction /= np.linalg.norm(direction)

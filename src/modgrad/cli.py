@@ -455,11 +455,7 @@ def cmd_analyze(args):
     out = _outdir(args, config)
     opts = config.options
 
-    h0 = validate_h0(
-        config.system,
-        sample_times=None,
-        psd_tol=opts.psd_tol,
-    )
+    h0 = validate_h0(config.system, psd_tol=opts.psd_tol)
     if not h0.passed:
         print(
             f"H0 FAILED: min lambda_1 = {h0.min_lambda1:.6g} < -{opts.psd_tol:g} "

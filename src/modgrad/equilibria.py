@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_GRAD_FLOOR = 1e-8
-DEFAULT_DEGENERACY_TOL = 1e-7  # relative to ||H||_F
+DEGENERACY_TOL = 1e-7  # relative to ||H||_F
 
 
 class Classification(enum.Enum):
@@ -85,11 +85,11 @@ class FinderDiagnostics:
     duplicates_merged: int = 0
 
 
-def classify_spectrum(spectrum, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
+def classify_spectrum(spectrum):
     """Sign-pattern classification with a relative degeneracy band."""
     spectrum = np.asarray(spectrum, dtype=float)
     h_norm = float(np.linalg.norm(spectrum))
-    band = degeneracy_tol * h_norm
+    band = DEGENERACY_TOL * h_norm
     if np.any(np.abs(spectrum) <= band) or h_norm == 0.0:
         return Classification.DEGENERATE
     if np.all(spectrum < 0.0):

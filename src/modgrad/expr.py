@@ -1,10 +1,10 @@
 """Expression parsing, symbolic derivatives and compiled evaluation.
 
-Scalar expressions over the variables x1..xn and (optionally) the time
-symbol t.  Each expression is differentiated symbolically once, when it is
-parsed; its value, gradient and Hessian are rendered to Python source and
-compiled into straight-line functions.  The same sources also run over
-numpy arrays, in one of two namespaces:
+Scalar expressions over the variables x1..xn.  Each expression is
+differentiated symbolically once, when it is parsed; its value, gradient
+and Hessian are rendered to Python source and compiled into straight-line
+functions.  The same sources also run over numpy arrays, in one of two
+namespaces:
 
 * ``eval_array`` (grid scans) runs the value's source with numpy's
   functions, integer powers through ``np.power``.  ``np.power`` is not
@@ -30,7 +30,7 @@ Grammar (precedence low to high: +,- < *,/ < unary minus < ^):
     unary    := '-' unary | power
     power    := atom ['^' exponent]
     exponent := ['-'] NUMBER | '(' ['-'] NUMBER ')'
-    atom     := NUMBER | VARIABLE | 't' | FUNC '(' expr ')' | '(' expr ')'
+    atom     := NUMBER | VARIABLE | FUNC '(' expr ')' | '(' expr ')'
     FUNC     := 'exp' | 'ln' | 'sin' | 'cos' | 'sqrt'
 
 Numeric literals use decimal or scientific notation.  There is no implicit
@@ -39,6 +39,10 @@ literals, not sub-expressions.  Integer exponents are evaluated, and
 differentiated, by repeated multiplication; real exponents go through
 exp(e*ln(base)) and require a positive base.  Parentheses, function calls
 and unary minuses nest at most ``MAX_NESTING`` (100) levels deep.
+
+The entries of a matrix path P(t) use the same grammar with the time
+symbol ``t`` as one more atom; ``field.MatrixPath`` parses them with
+``_tree`` and compiles them with ``_compile`` into one function of t.
 """
 
 from __future__ import annotations
@@ -269,7 +273,7 @@ def _derivatives(ast, dimension):
     def rule(node, k, ds):
         if isinstance(node, Var):
             return _ONE if node.index == k else _ZERO
-        if isinstance(node, (Const, TimeVar)):
+        if isinstance(node, Const):
             return _ZERO
         if isinstance(node, BinOp):
             (a, b), (da, db) = _children(node), ds
@@ -328,12 +332,13 @@ def _op_source(node, args):
     return f"{args[0]} {node.op} {args[1]}"
 
 
-def _compile(roots, guarded, dimension, namespaces=(_MATH_NS,)):
-    """Compile ``f(x0, .., x<dimension-1>, t)`` returning *roots* as a tuple,
-    once per namespace.  Operations of the same text are computed once; the
-    operations under *guarded* that can fail run too, for the domain errors
-    they raise.  ``f.ops`` keeps the operations, one local each, for the
-    error locator.  The source holds no text of the parsed input.
+def _compile(roots, guarded, params, namespaces=(_MATH_NS,)):
+    """Compile ``f(*params)`` returning *roots* as a tuple, once per
+    namespace; *params* names the variables (``x0``, ``x1``, .. or ``t``).
+    Operations of the same text are computed once; the operations under
+    *guarded* that can fail run too, for the domain errors they raise.
+    ``f.ops`` and ``f.params`` are kept for the error locator.  The source
+    holds no text of the parsed input.
     """
     text = {}  # id(node) -> operand text
     temps = {}  # operation text -> local name
@@ -363,15 +368,15 @@ def _compile(roots, guarded, dimension, namespaces=(_MATH_NS,)):
             inline[name] = (f"({source})", depth)
         else:
             body.append(f"    {name} = {source}\n")
-    params = ", ".join([f"x{i}" for i in range(dimension)] + ["t"])
     values = "".join(inline.pop(text[id(r)], (text[id(r)], 0))[0] + ", " for r in roots)
-    code = compile(f"def f({params}):\n{''.join(body)}    return ({values})\n",
+    code = compile(f"def f({', '.join(params)}):\n{''.join(body)}    return ({values})\n",
                    "<modgrad expression>", "exec")
     functions = []
     for namespace in namespaces:
         scope = dict(namespace)
         exec(code, scope)
         scope["f"].ops = ops
+        scope["f"].params = params
         functions.append(scope["f"])
     return functions
 
@@ -398,13 +403,23 @@ def _domain_reason(node):
     return "division by zero" if isinstance(node, BinOp) and node.op == "/" else None
 
 
-def _locate(ops, xs, t):
-    """Run a compiled function's operations one at a time and raise
-    EvalDomainError naming the sub-expression of the first that fails.
-    Only called once the compiled function has raised."""
-    scope = dict(_MATH_NS, t=t)
-    scope.update((f"x{i}", v) for i, v in enumerate(xs))
-    for name, op, node, _ in ops:
+def _run(fn, args):
+    """A compiled scalar function at *args* (Python floats, so that 1/0
+    raises); a domain error raises EvalDomainError naming the
+    sub-expression of the first operation that fails."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError, OverflowError):
+        _locate(fn, args)
+        raise
+
+
+def _locate(fn, args):
+    """Run *fn*'s operations one at a time and raise EvalDomainError for
+    the first that fails.  Only called once *fn* has raised."""
+    scope = dict(_MATH_NS)
+    scope.update(zip(fn.params, args))
+    for name, op, node, _ in fn.ops:
         try:
             scope[name] = eval(op, scope)
         except OverflowError:
@@ -574,25 +589,22 @@ class Expression:
     error raises EvalDomainError naming the failing sub-expression.
     """
 
-    __slots__ = ("ast", "dimension", "uses_t", "var_indices",
-                 "_value", "_value_array", "_value_exact", "_grad", "_grad_exact",
-                 "_hessian", "_hessian_exact")
+    __slots__ = ("ast", "dimension", "_value", "_value_array", "_value_exact",
+                 "_grad", "_grad_exact", "_hessian", "_hessian_exact")
 
     def __init__(self, ast, dimension):
-        nodes = _postorder([ast])
         grads, square = _derivatives(ast, dimension)
-        exact = all(_correctly_rounded(n) for n in nodes)
+        exact = all(_correctly_rounded(n) for n in _postorder([ast]))
         scalar = (_MATH_NS, _EXACT_NS) if exact else (_MATH_NS,)
-        value = _compile([ast], [], dimension, (*scalar, _NUMPY_NS))
+        params = [f"x{i}" for i in range(dimension)]
+        value = _compile([ast], [], params, (*scalar, _NUMPY_NS))
         # a derivative is undefined wherever the value is, so derivative
         # code also runs the value's operations that can fail
-        grad = _compile(grads, [ast], dimension, scalar)
-        hessian = _compile(square, [ast, *grads], dimension, scalar)
+        grad = _compile(grads, [ast], params, scalar)
+        hessian = _compile(square, [ast, *grads], params, scalar)
         fields = {
             "ast": ast,
             "dimension": dimension,
-            "uses_t": any(isinstance(n, TimeVar) for n in nodes),
-            "var_indices": frozenset(n.index for n in nodes if isinstance(n, Var)),
             "_value": value[0],
             "_value_array": value[-1],
             "_value_exact": value[1] if exact else None,
@@ -604,9 +616,6 @@ class Expression:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
-    def __reduce__(self):  # compiled functions do not pickle; the AST does
-        return (Expression, (self.ast, self.dimension))
-
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
 
@@ -616,45 +625,32 @@ class Expression:
         exist: every operation is correctly rounded."""
         return self._value_exact is not None
 
-    @property
-    def arity(self):
-        return len(self.var_indices)
-
     def __str__(self):
         return _render(self.ast)
 
     def __repr__(self):
         return f"Expression({str(self)!r}, dimension={self.dimension})"
 
-    def _call(self, fn, point, time):
+    def _call(self, fn, point):
         if len(point) != self.dimension:
             raise ValueError(
                 f"point has length {len(point)}, expression dimension is {self.dimension}"
             )
-        if self.uses_t and time is None:
-            raise ValueError("expression references t but no time was supplied")
-        xs = np.asarray(point, dtype=float).tolist()  # Python floats: 1/0 raises
-        t = None if time is None else float(time)
-        try:
-            return fn(*xs, t)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            _locate(fn.ops, xs, t)
-            raise
+        return _run(fn, np.asarray(point, dtype=float).tolist())
 
-    def eval(self, point, time=None):
-        return self._call(self._value, point, time)[0]
+    def eval(self, point):
+        return self._call(self._value, point)[0]
 
-    def grad(self, point, time=None):
-        """Gradient in x1..xn; t, when present, is held fixed."""
-        return np.array(self._call(self._grad, point, time))
+    def grad(self, point):
+        return np.array(self._call(self._grad, point))
 
-    def hessian(self, point, time=None):
-        """Hessian in x1..xn, exactly symmetric: the lower triangle holds
-        the same values as the upper one."""
-        h = np.array(self._call(self._hessian, point, time))
+    def hessian(self, point):
+        """Hessian, exactly symmetric: the lower triangle holds the same
+        values as the upper one."""
+        h = np.array(self._call(self._hessian, point))
         return h.reshape(self.dimension, self.dimension)
 
-    def eval_exact(self, columns, time=None):
+    def eval_exact(self, columns):
         """``eval`` at every row of *columns* (one array per variable, all of
         one length m), with the bits ``eval`` gives that row.
 
@@ -663,31 +659,31 @@ class Expression:
         on overflow and invalid operations, which the scalar code lets
         pass; the caller then evaluates the rows one at a time.
         """
-        return self._exact(self._value_exact, columns, time)[0]
+        return self._exact(self._value_exact, columns)[0]
 
-    def grad_exact(self, columns, time=None):
+    def grad_exact(self, columns):
         """``grad`` at every row of *columns*, shape (m, n); as ``eval_exact``."""
-        return self._exact(self._grad_exact, columns, time).T
+        return self._exact(self._grad_exact, columns).T
 
-    def hessian_exact(self, columns, time=None):
+    def hessian_exact(self, columns):
         """``hessian`` at every row of *columns*, shape (m, n, n); as
         ``eval_exact``."""
         n = self.dimension
-        return self._exact(self._hessian_exact, columns, time).T.reshape(-1, n, n)
+        return self._exact(self._hessian_exact, columns).T.reshape(-1, n, n)
 
-    def _exact(self, fn, columns, time):
+    def _exact(self, fn, columns):
         if fn is None:
             raise ValueError(f"{self!r} has operations that are not correctly rounded")
         if len(columns) != self.dimension:
             raise ValueError("wrong number of columns")
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            values = fn(*columns, time)
+            values = fn(*columns)
         out = np.empty((len(values), len(columns[0])))
         for row, v in zip(out, values):
             row[...] = v  # a constant component is a Python float
         return out
 
-    def eval_array(self, columns, time=None):
+    def eval_array(self, columns):
         """Vectorized evaluation over numpy arrays (one per variable).
 
         Domain violations yield NaN/inf instead of raising, so callers can
@@ -696,14 +692,12 @@ class Expression:
         if len(columns) != self.dimension:
             raise ValueError("wrong number of columns")
         with np.errstate(all="ignore"):
-            out = self._value_array(*columns, time)[0]
+            out = self._value_array(*columns)[0]
         return np.asarray(out, dtype=float)
 
 
-def parse(source, dimension, allow_t=False):
-    """Parse *source* over x1..x<dimension> (and t when *allow_t*)."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
+def _tree(source, dimension, allow_t=False):
+    """The AST of *source* over x1..x<dimension>, and t when *allow_t*."""
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(source), dimension, allow_t)
@@ -711,4 +705,11 @@ def parse(source, dimension, allow_t=False):
     kind, text, at = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {text!r}", at)
-    return Expression(ast, dimension)
+    return ast
+
+
+def parse(source, dimension):
+    """Parse *source* over x1..x<dimension>."""
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
+    return Expression(_tree(source, dimension), dimension)

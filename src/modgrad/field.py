@@ -32,7 +32,6 @@ __all__ = [
     "System",
     "H0Report",
     "validate_h0",
-    "default_sample_times",
     "reraise_row_error",
 ]
 
@@ -157,11 +156,9 @@ class ScalarField:
 
 
 class ExpressionField(ScalarField):
-    """Scalar field backed by a parsed expression (time-independent)."""
+    """Scalar field backed by a parsed expression."""
 
     def __init__(self, expression, box):
-        if expression.uses_t:
-            raise ValueError("a scalar field must not reference t")
         super().__init__(expression.dimension, box)
         self.expression = expression
 
@@ -211,29 +208,33 @@ class ExpressionField(ScalarField):
 class MatrixPath:
     """Symmetric n x n matrix-valued function of t >= 0.
 
-    Entries are expressions in t only, stored as the upper triangle and
-    mirrored structurally, so every value is exactly symmetric.
+    Entries are expression strings in t only (the grammar of ``expr`` with
+    the time symbol ``t``).  The upper triangle is compiled once, into one
+    function of t returning every entry, and mirrored structurally, so
+    every value is exactly symmetric.
     """
 
     def __init__(self, entries):
         n = len(entries)
+        if not n:
+            raise ValueError("matrix of expressions must not be empty")
         if any(len(row) != n for row in entries):
             raise ValueError("matrix of expressions must be square")
-        upper = {}
-        for i in range(n):
-            for j in range(i, n):
-                e = entries[i][j]
-                if isinstance(e, str):
-                    e = expr_mod.parse(e, 1, allow_t=True)
-                if e.var_indices:
-                    raise ValueError(
-                        f"matrix entry ({i + 1},{j + 1}) references x variables; "
-                        "entries may depend on t only"
-                    )
-                upper[(i, j)] = e
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        self._rows, self._cols = map(list, zip(*upper))
+        roots = []
+        for i, j in upper:
+            ast = expr_mod._tree(entries[i][j], 1, allow_t=True)
+            if any(isinstance(node, expr_mod.Var) for node in expr_mod._postorder([ast])):
+                raise ValueError(
+                    f"matrix entry ({i + 1},{j + 1}) references x variables; "
+                    "entries may depend on t only"
+                )
+            roots.append(ast)
         self.dimension = n
-        self._upper = upper
-        self.uses_t = any(e.uses_t for e in upper.values())
+        self.uses_t = any(isinstance(node, expr_mod.TimeVar)
+                          for node in expr_mod._postorder(roots))
+        (self._upper,) = expr_mod._compile(roots, [], ["t"])
         self._constant_value = self._constant_lambda1 = None
         if not self.uses_t:
             self._constant_value = self.value_batch([0.0])[0]
@@ -242,14 +243,12 @@ class MatrixPath:
 
     @classmethod
     def identity(cls, n):
-        one = expr_mod.parse("1", 1)
-        zero = expr_mod.parse("0", 1)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls([["1" if i == j else "0" for j in range(n)] for i in range(n)])
 
     @classmethod
     def constant(cls, matrix):
         a = linalg.check_symmetric(matrix)
-        return cls([[expr_mod.parse(repr(float(v)), 1) for v in row] for row in a])
+        return cls([[repr(float(v)) for v in row] for row in a])
 
     def value_batch(self, t):
         """P at each time of t (shape (m,)) as an (m, n, n) stack of exactly
@@ -257,10 +256,12 @@ class MatrixPath:
         shape = (len(t), self.dimension, self.dimension)
         if self._constant_value is not None:
             return np.broadcast_to(self._constant_value, shape)
+        upper = np.empty((len(t), len(self._rows)))
+        for row, s in zip(upper, t):  # time by time: an error names the first bad t
+            row[...] = expr_mod._run(self._upper, (float(s),))
         out = np.empty(shape)
-        for m, s in zip(out, t):  # time by time: an error names the first bad t
-            for (i, j), e in self._upper.items():
-                m[i, j] = m[j, i] = e.eval([0.0], time=float(s))
+        out[:, self._rows, self._cols] = upper
+        out[:, self._cols, self._rows] = upper
         return out
 
     def smallest_eigenvalue(self, t):
@@ -315,20 +316,13 @@ class System:
         return (self.matrix.value_batch(t) @ g[:, :, None])[:, :, 0]
 
 
-def default_sample_times(t_max=1e4, count=64):
-    """t = 0 plus log-spaced samples up to t_max, used for H0 spot checks."""
-    return np.concatenate([[0.0], np.geomspace(1e-3, t_max, count - 1)])
-
-
 @dataclass(frozen=True)
 class H0Report:
     """Sampled PSD check of P(t); symmetry holds structurally."""
 
     samples: tuple  # (t, lambda_1) pairs
-    psd_tol: float
     passed: bool
     min_lambda1: float
-    symmetry: str = "structural (upper triangle mirrored)"
 
     def worst_time(self):
         t, _ = min(self.samples, key=lambda s: s[1])
@@ -341,8 +335,8 @@ def validate_h0(system, sample_times=None, psd_tol=1e-10):
     Sampling plus a tolerance is disclosed as such: this validates, it does
     not prove, positive semi-definiteness over all t.
     """
-    if sample_times is None:
-        sample_times = default_sample_times()
+    if sample_times is None:  # t = 0 plus 63 log-spaced times up to 1e4
+        sample_times = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 63)])
     times = [float(t) for t in sample_times]
     if not times:
         raise ValueError("sample_times must be non-empty")
@@ -352,7 +346,6 @@ def validate_h0(system, sample_times=None, psd_tol=1e-10):
     min_l1 = min(v for _, v in samples)
     return H0Report(
         samples=samples,
-        psd_tol=float(psd_tol),
         passed=min_l1 >= -psd_tol,
         min_lambda1=min_l1,
     )

@@ -123,6 +123,8 @@ class TestAnalyze:
         ({"dimension": 2, "f": "x1 + x2", "box": [[0, 1], [0, 1]], "P": [1, 2]},
          "'P' must be"),
         ({"f": {"gallery": "ex22", "depth": "3"}}, "'depth' must be an integer"),
+        ({"f": {"gallery": "ex31"}, "P": []}, "matrix of expressions must not be empty"),
+        ({"dimension": 1, "f": "x1 + t", "box": [[0, 1]]}, "'t' is not allowed"),
     ])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, body, message):
         cfg = write_config(tmp_path, body)

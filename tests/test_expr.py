@@ -1,7 +1,5 @@
 """Parser, evaluation and symbolic-derivative tests."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -18,13 +16,10 @@ class TestParse:
     def test_example_21_field_parses(self):
         e = parse(EX21_F, 2)
         assert e.dimension == 2
-        assert e.arity == 2
-        assert not e.uses_t
 
     def test_single_variable(self):
         e = parse("x1", 1)
         assert e.eval((3.5,)) == 3.5
-        assert e.arity == 1
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as exc:
@@ -42,12 +37,9 @@ class TestParse:
         with pytest.raises(ParseError, match="out of range"):
             parse("x0", 2)
 
-    def test_t_requires_allow_flag(self):
+    def test_t_is_not_a_variable(self):
         with pytest.raises(ParseError, match="'t' is not allowed"):
             parse("t + x1", 1)
-        e = parse("(t+1)^(-2)", 1, allow_t=True)
-        assert e.uses_t
-        assert e.eval((0.0,), time=1.0) == 0.25
 
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
@@ -135,10 +127,6 @@ class TestEval:
         with pytest.raises(ValueError):
             parse("x1", 2).eval((1.0,))
 
-    def test_missing_time(self):
-        with pytest.raises(ValueError):
-            parse("t", 1, allow_t=True).eval((0.0,))
-
     def test_eval_is_bitwise_deterministic(self):
         e = parse(EX31_F, 2)
         values = {e.eval((1.234567, -0.345678)) for _ in range(10)}
@@ -159,10 +147,6 @@ class TestGrad:
         # evaluated by hand at the origin gives (40, 96)
         e = parse(EX31_F, 2)
         assert np.allclose(e.grad((0.0, 0.0)), [40.0, 96.0], atol=1e-12)
-
-    def test_time_dependent_gradient_is_x_only(self):
-        e = parse("t * x1^2", 1, allow_t=True)
-        assert e.grad((3.0,), time=2.0) == pytest.approx(12.0)
 
 
 class TestHessian:
@@ -220,11 +204,6 @@ class TestExactDerivatives:
                 [3 * x1**2 - 4 * x2, -4 * x1, 0.0],
                 [0.0, 0.0, -0.375],
             ]
-
-    def test_time_is_held_fixed(self):
-        e = parse("t*x1^2 + sin(t)*x2", 2, allow_t=True)
-        assert e.grad((3.0, 5.0), time=2.0).tolist() == [12.0, math.sin(2.0)]
-        assert e.hessian((3.0, 5.0), time=2.0).tolist() == [[4.0, 0.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize(
         "source,point,named",

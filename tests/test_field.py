@@ -1,5 +1,7 @@
 """ScalarField, MatrixPath, System and the H0 validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,10 +64,6 @@ class TestScalarField:
             f.grad((0.5, -0.1))
         with pytest.raises(OutsideDomainError):
             f.hessian((1.5, 0.5))
-
-    def test_time_dependent_field_rejected(self):
-        with pytest.raises(ValueError, match="must not reference t"):
-            ExpressionField(parse("x1 + t", 1, allow_t=True), Box((0.0,), (1.0,)))
 
     def test_grid_evaluation_matches_scalar(self):
         f = ExpressionField(parse("x1^2 - x2", 2), Box((-2.0, -2.0), (2.0, 2.0)))
@@ -321,6 +319,36 @@ class TestMatrixPath:
         m = MatrixPath([["(t - 1)^(-1)"]])
         with pytest.raises(EvalDomainError):
             m.value_batch([1.0])
+
+    def test_value_batch_matches_math_formulas_bitwise(self):
+        # integer powers are chains of products, real ones exp(e*ln(base))
+        m = MatrixPath([
+            ["2 + sin(t)", "0.5*cos(t)*exp(-t)", "ln(t + 1)/(t + 2)^2"],
+            ["0.5*cos(t)*exp(-t)", "sqrt(t + 1) + (t + 1)^(-1.5)", "(t + 1)^3/(1 + t^4)"],
+            ["ln(t + 1)/(t + 2)^2", "(t + 1)^3/(1 + t^4)", "3 - t/(t + 1)"],
+        ])
+
+        def by_hand(t):
+            a = 0.5 * math.cos(t) * math.exp(-t)
+            b = math.log(t + 1.0) / ((t + 2.0) * (t + 2.0))
+            c = (t + 1.0) * ((t + 1.0) * (t + 1.0)) / (1.0 + (t * t) * (t * t))
+            return [[2.0 + math.sin(t), a, b],
+                    [a, math.sqrt(t + 1.0) + math.exp(-1.5 * math.log(t + 1.0)), c],
+                    [b, c, 3.0 - t / (t + 1.0)]]
+
+        ts = np.random.default_rng(5).uniform(0.0, 100.0, 1000)
+        assert np.array_equal(m.value_batch(ts), [by_hand(t) for t in ts.tolist()])
+
+    @pytest.mark.parametrize("entries, named", [
+        ([["2", "1/(t - 1)"], ["1/(t - 1)", "ln(t - 1)"]],
+         "division by zero in '1.0 / (t - 1.0)'"),
+        ([["2", "ln(t - 1)"], ["ln(t - 1)", "1/(t - 1)"]],
+         "ln of non-positive argument in 'ln(t - 1.0)'"),
+    ])
+    def test_error_names_the_first_failing_entry(self, entries, named):
+        with pytest.raises(EvalDomainError) as exc:
+            MatrixPath(entries).value_batch([3.0, 1.0, 0.5])
+        assert str(exc.value) == named
 
 
 class TestValidateH0:

@@ -9,7 +9,9 @@ this one), with that checkout's ``src`` on the path and its ``configs``,
 writing into a fresh directory under ``--work``.  The ``-oscP`` runs use
 ex31 with the dense, oscillating P of the benchmark's ``analyze-ex31-oscP``
 workload (``OSC_P_CONFIG``, read from this checkout's ``perfbench/run.py``),
-the one t-varying, non-diagonal P in the listing.  ``analyze-ex31-exp``
+the one t-varying, non-diagonal P built from ``sin``/``cos``; ``ec-ex31-fnP``
+grades a P whose entries use ``exp``, ``ln``, ``sqrt`` and a real power
+(``FN_P_CONFIG``).  ``analyze-ex31-exp``
 runs ex31's f with an ``exp`` term (``EXP_CONFIG``), whose batches take
 the scalar row loop instead of the exact kernels, and ``basin-quad3-r48``
 a 3-D quadratic peak (``QUAD3_CONFIG``) on a non-cubic box.  The tool
@@ -68,6 +70,14 @@ RUNS["analyze-ex31-oscP"] = ["analyze", "--config", "{work}/oscP.json"]
 RUNS["simulate-ex31-oscP"] = ["simulate", "--config", "{work}/oscP.json",
                               "--x0", "2.5,3.5", "--t-end", "50"]
 
+# a t-varying, non-diagonal P through the math functions oscP leaves out
+FN_P_CONFIG = {
+    "f": {"gallery": "ex31"},
+    "P": [["exp(-t) + (t + 1)^(-1.5)", "0.1*exp(-t)*ln(t + 2)"],
+          ["0.1*exp(-t)*ln(t + 2)", "sqrt(t + 1)"]],
+}
+RUNS["ec-ex31-fnP"] = ["ec", "--config", "{work}/fnP.json"]
+
 # ex31's f plus an exp bump centred on its critical line x1 = 2, so the
 # critical points stay put; exp is not correctly rounded, so the gradient
 # and Hessian batches of this field take the scalar row loop
@@ -97,7 +107,8 @@ QUAD3_CONFIG = {
 }
 RUNS["basin-quad3-r48"] = ["basin", "--config", "{work}/quad3.json",
                            "--anchor", "0,0,0.25", "--c", "0.2", "--resolution", "48"]
-GENERATED = {"oscP.json": OSC_P_CONFIG, "exp.json": EXP_CONFIG, "quad3.json": QUAD3_CONFIG}
+GENERATED = {"oscP.json": OSC_P_CONFIG, "fnP.json": FN_P_CONFIG, "exp.json": EXP_CONFIG,
+             "quad3.json": QUAD3_CONFIG}
 
 
 def digests(repo, work):
