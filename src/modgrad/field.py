@@ -103,6 +103,7 @@ class ScalarField:
             raise ValueError("box dimension does not match field dimension")
         self.dimension = dimension
         self.box = box
+        self._lo, self._hi = np.array(box.lo), np.array(box.hi)
 
     def _require_inside(self, x):
         if len(x) != self.dimension:
@@ -152,7 +153,7 @@ class ScalarField:
     def inside_batch(self, x):
         """``inside`` for each row of x (shape (m, n))."""
         x = self._check_rows(x)
-        return np.all((x >= self.box.lo) & (x <= self.box.hi), axis=1)
+        return linalg.row_all((x >= self._lo) & (x <= self._hi))
 
 
 class ExpressionField(ScalarField):
@@ -187,9 +188,10 @@ class ExpressionField(ScalarField):
         inside = self.inside_batch(x)
         out = np.full((len(x),) + shape, np.nan)
         if self.expression.exact:
+            rows = slice(None) if inside.all() else inside
             try:
-                out[inside] = getattr(self.expression, kind + "_exact")(
-                    np.ascontiguousarray(x[inside].T))
+                out[rows] = getattr(self.expression, kind + "_exact")(
+                    np.ascontiguousarray(x[rows].T))
                 return out
             except ArithmeticError:
                 pass
@@ -209,9 +211,10 @@ class MatrixPath:
     """Symmetric n x n matrix-valued function of t >= 0.
 
     Entries are expression strings in t only (the grammar of ``expr`` with
-    the time symbol ``t``).  The upper triangle is compiled once, into one
-    function of t returning every entry, and mirrored structurally, so
-    every value is exactly symmetric.
+    the time symbol ``t``); each lower entry must render as its mirror does.
+    The upper triangle is compiled once, into one function of t returning
+    every entry, and mirrored structurally, so every value is exactly
+    symmetric.
     """
 
     def __init__(self, entries):
@@ -231,6 +234,13 @@ class MatrixPath:
                     "entries may depend on t only"
                 )
             roots.append(ast)
+            if i != j:  # compare rendered text: == on the trees recurses per level
+                text = expr_mod._render(ast)
+                mirror = expr_mod._render(expr_mod._tree(entries[j][i], 1, allow_t=True))
+                if mirror != text:
+                    raise ValueError(
+                        f"matrix entry ({j + 1},{i + 1}) is {mirror!r} but its mirror "
+                        f"({i + 1},{j + 1}) is {text!r}; P must be symmetric")
         self.dimension = n
         self.uses_t = any(isinstance(node, expr_mod.TimeVar)
                           for node in expr_mod._postorder(roots))

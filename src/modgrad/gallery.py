@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as expr_mod
+from . import linalg
 from .field import Box, ExpressionField, MatrixPath, ScalarField, System
 
 __all__ = [
@@ -144,8 +145,9 @@ class PiecewiseCubic:
         self.widths = np.diff(self.knots)
 
     def _piece(self, u):
-        idx = np.searchsorted(self.knots, u, side="right") - 1
-        return np.clip(idx, 0, self.depth)
+        """Index of the piece holding u: the number of inner knots <= u, so
+        u < -1 takes piece 0 and u >= 0 (or NaN) the blend piece."""
+        return np.searchsorted(self.knots[1:-1], u, side="right")
 
     def value(self, u):
         """p(u) for u in [-1, 0] (vectorized)."""
@@ -208,7 +210,7 @@ class _RadialField(ScalarField):
         """The checked rows of x, their radii, and which rows are inside D."""
         x = self._check_rows(x)
         r = np.hypot(x[:, 0], x[:, 1])
-        return x, r, np.all(np.abs(x) <= 1.0, axis=1) & (r <= 1.0)
+        return x, r, linalg.row_all(np.abs(x) <= 1.0) & (r <= 1.0)
 
     def inside_batch(self, x):
         return self._radii(x)[2]
@@ -219,10 +221,12 @@ class _RadialField(ScalarField):
 
     def grad_batch(self, x):
         x, r, inside = self._radii(x)
+        u = -r
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = (-self.cubic.slope(-r) / r)[:, None] * x
+            g = (self.cubic.slope(u) / u)[:, None] * x  # the bits of -p'(-r) / r
         g[r == 0.0] = 0.0
-        g[~inside] = np.nan
+        if not inside.all():
+            g[~inside] = np.nan
         return g
 
     def hessian_batch(self, x):

@@ -9,8 +9,12 @@ in lockstep along a leading axis, with every row keeping its own step size,
 error history and status, so each stage costs one batched right-hand-side
 call however many trajectories are running.  ``simulate`` is its batch of
 one.  The batched arithmetic is the 1-D arithmetic row by row (stacked
-matmuls for stage sums and norms, Python floats for the controller's
-powers), so a row's trajectory does not depend on the batch it ran in.
+matmuls for stage sums and norms; the controller's powers are libm's
+``pow`` mapped over Python floats, as ``np.power`` rounds some of them
+differently), so a row's trajectory does not depend on the batch it ran
+in.  A stage state outside D gets a NaN right-hand side (the contract of
+``ScalarField.grad_batch``) and ends its row with LEFT_DOMAIN, so every
+accepted state, the last stage's, is inside D with no further check.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -152,8 +157,15 @@ class Trajectory:
 
 
 def _rms(v):
-    """Root mean square of each row."""
-    return np.sqrt(np.mean(v ** 2, axis=1))
+    """Root mean square of each row (the sum and division of ``np.mean``)."""
+    return np.sqrt(np.add.reduce(v * v, axis=1) / v.shape[1])
+
+
+def _pow(base, exponent):
+    """base ** exponent per element, by libm's ``pow`` on Python floats (not
+    ``np.power``'s bits); *exponent* is one float or an array like *base*."""
+    exponents = exponent.tolist() if isinstance(exponent, np.ndarray) else repeat(exponent)
+    return np.fromiter(map(pow, base.tolist(), exponents), float, len(base))
 
 
 def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
@@ -222,10 +234,12 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
     h_max = opts.h_max if opts.h_max is not None else (t_end - t0) / 10.0
     if targets is None and opts.convergence_target is not None:
         targets = opts.convergence_target
-    if targets is not None:
-        targets = np.broadcast_to(np.asarray(targets, dtype=float), x.shape)
-        if opts.convergence_radius is None:
-            raise ValueError("convergence_target requires convergence_radius")
+    radius = opts.convergence_radius
+    if targets is None:  # no row converges
+        targets, radius = 0.0, -math.inf
+    elif radius is None:
+        raise ValueError("convergence_target requires convergence_radius")
+    goal = np.broadcast_to(np.asarray(targets, dtype=float), x.shape)  # per row
 
     f = system.rhs_batch(np.full(m, t0), x)
     reraise_row_error(x, f, system.field.grad)  # rhs_batch raised a fault of P(t0)
@@ -235,20 +249,14 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
     steps_rejected = np.zeros(m, dtype=int)
     rhs_evals = np.ones(m, dtype=int)
 
-    def converged(xs, fs):  # xs, fs: one row per running row
-        if targets is None:
-            return np.zeros(len(xs), dtype=bool)
-        return (linalg.row_norms(xs - targets[rows]) < opts.convergence_radius) & (
-            linalg.row_norms(fs) < _RHS_FLOOR
-        )
-
     def finish(j, status, **kw):  # j indexes the running rows
         outcome[rows[j]] = (status, kw)
 
-    at_target = converged(x, f)
+    dist = linalg.row_norms(x - goal)  # of each running row from its target
+    at_target = (dist < radius) & (linalg.row_norms(f) < _RHS_FLOOR)
     for j in np.flatnonzero(at_target):
         finish(j, Status.CONVERGED, converged_at=t0)
-    rows, x, f = rows[~at_target], x[~at_target], f[~at_target]
+    rows, x, f, goal, dist = (a[~at_target] for a in (rows, x, f, goal, dist))
 
     t = np.full(len(rows), t0)
     if opts.h_init is not None:
@@ -261,89 +269,80 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
     rejected_at_hmin = np.zeros(len(rows), dtype=int)
 
     def keep(mask):
-        nonlocal rows, t, h, x, f, err_prev, rejected_at_hmin
-        rows, t, h, x, f, err_prev, rejected_at_hmin = (
-            a[mask] for a in (rows, t, h, x, f, err_prev, rejected_at_hmin)
+        nonlocal rows, t, h, x, f, err_prev, rejected_at_hmin, goal, dist
+        rows, t, h, x, f, err_prev, rejected_at_hmin, goal, dist = (
+            a[mask] for a in (rows, t, h, x, f, err_prev, rejected_at_hmin, goal, dist)
         )
 
     for _ in range(opts.max_steps):
         if not len(rows):
             break
         h = np.minimum(h, t_end - t)
-        k = np.zeros((len(rows), 7, x.shape[1]))
+        k = np.empty((len(rows), 7, x.shape[1]))
         k[:, 0] = f
         for i in range(1, 7):
             xi = x + h[:, None] * (_A[i] @ k[:, :i])
-            k[:, i] = system.rhs_batch(t + _C[i] * h, xi)
-            rhs_evals[rows] += 1
-            left = np.isnan(k[:, i]).any(axis=1)
-            if left.any():
+            ki = k[:, i] = system.rhs_batch(t + _C[i] * h, xi)
+            if np.isnan(ki).any():
                 # a stage left D: the step straddles the boundary
+                left = np.isnan(ki).any(axis=1)
+                rhs_evals[rows[left]] += i
                 for j in np.flatnonzero(left):
                     finish(j, Status.LEFT_DOMAIN, exit_point=xi[j].copy(),
                            detail=f"stage evaluation left the domain near t={t[j] + h[j]:.6g}")
                 k, xi = k[~left], xi[~left]
                 keep(~left)
+        rhs_evals[rows] += 6
         if not len(rows):
             break
-        x_new = xi  # 7th stage point is the 5th-order solution (FSAL)
-        f_new = k[:, 6]
+        x_new = xi  # 7th stage point is the 5th-order solution (FSAL), inside D
+        f_new = k[:, 6].copy()  # a view would keep all of k alive in accepted
         err_vec = h[:, None] * (_E @ k)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
         err = _rms(err_vec / scale)
-        if targets is not None:
-            amp = np.maximum(linalg.row_norms(x - targets[rows]),
-                             linalg.row_norms(x_new - targets[rows]))
-            near = amp < opts.convergence_radius
-            if near.any():
-                near_err = _rms(err_vec / (opts.abs_tol + _NEAR_TARGET_REL * amp)[:, None])
-                err = np.where(near, near_err, err)
-
         t_new = t + h
+        dist_new = linalg.row_norms(x_new - goal)
+        amp = np.maximum(dist, dist_new)
+        near = amp < radius
+        if near.any():
+            near_err = _rms(err_vec / (opts.abs_tol + _NEAR_TARGET_REL * amp)[:, None])
+            err = np.where(near, near_err, err)
         accept = err <= 1.0
-        done = np.zeros(len(rows), dtype=bool)
-        if accept.any():
-            acc = np.flatnonzero(accept)
-            accepted.append((rows[acc], t_new[acc], x_new[acc], f_new[acc]))
-            inside = np.ones(len(rows), dtype=bool)
-            inside[acc] = system.field.inside_batch(x_new[acc])
-            conv = accept & inside & converged(x_new, f_new)
-            for j in np.flatnonzero(accept & ~inside):
-                finish(j, Status.LEFT_DOMAIN, exit_point=x_new[j].copy(),
-                       detail=f"accepted state left the domain at t={t_new[j]:.6g}")
+        conv = accept & (dist_new < radius) & (linalg.row_norms(f_new) < _RHS_FLOOR)
+        if accept.all():
+            accepted.append((rows, t_new, x_new, f_new))
+            t, x, f, dist = t_new, x_new, f_new, dist_new
+        else:
+            accepted.append((rows[accept], t_new[accept], x_new[accept], f_new[accept]))
+            steps_rejected[rows[~accept]] += 1
+            t, dist = np.where(accept, t_new, t), np.where(accept, dist_new, dist)
+            x, f = np.where(accept[:, None], x_new, x), np.where(accept[:, None], f_new, f)
+
+        # step sizes: the PI controller (Gustafsson) where accepted, reacting
+        # to this error and the last one; a plain cut where rejected
+        zero = err == 0.0
+        power = _pow(np.where(zero, 1.0, err), np.where(accept, -0.17, -0.2))
+        grow = _SAFETY * power * _pow(err_prev, 0.04)
+        grow = np.where(zero, _MAX_FACTOR, np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, grow)))
+        pinned = h <= opts.h_min * (1.0 + 1e-12)
+        rejected_at_hmin = np.where(accept, 0, rejected_at_hmin + pinned)
+        failed = rejected_at_hmin >= 3
+        h = np.where(accept, np.minimum(np.maximum(h * grow, opts.h_min), h_max),
+                     np.maximum(h * np.fmax(0.1, _SAFETY * power), opts.h_min))
+        err_prev = np.where(accept, np.maximum(err, 1e-4), err_prev)
+
+        end = accept & ~conv & (t_new >= t_end)
+        done = conv | end | failed
+        if done.any():
             for j in np.flatnonzero(conv):
                 finish(j, Status.CONVERGED, converged_at=float(t_new[j]))
-            end = accept & inside & ~conv & (t_new >= t_end)
             for j in np.flatnonzero(end):
                 finish(j, Status.REACHED_END)
-            go_on = accept & inside & ~conv & ~end
-            done = accept & ~go_on
-            go = np.flatnonzero(go_on)
-            # PI controller (Gustafsson): react to this error and the last one
-            factor = [
-                _MAX_FACTOR if e == 0.0
-                else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * e ** -0.17 * p ** 0.04))
-                for e, p in zip(err[go].tolist(), err_prev[go].tolist())
-            ]
-            err_prev[go] = np.maximum(err[go], 1e-4)
-            t[go] = t_new[go]
-            x[go] = x_new[go]
-            f[go] = f_new[go]
-            h[go] = np.minimum(np.maximum(h[go] * factor, opts.h_min), h_max)
-            rejected_at_hmin[go] = 0
-        for j in np.flatnonzero(~accept):
-            steps_rejected[rows[j]] += 1
-            e = float(err[j])
-            if h[j] <= opts.h_min * (1.0 + 1e-12):
-                rejected_at_hmin[j] += 1
-                if rejected_at_hmin[j] >= 3:
-                    finish(j, Status.STEP_FAILURE,
-                           detail=f"step size pinned at h_min={opts.h_min:g} "
-                                  f"with error {e:.3g} at t={t[j]:.6g}")
-                    done[j] = True
-                    continue
-            h[j] = max(h[j] * max(0.1, _SAFETY * e ** -0.2), opts.h_min)
-        keep(~done)
+            for j in np.flatnonzero(failed):
+                finish(j, Status.STEP_FAILURE,
+                       detail=f"step size pinned at h_min={opts.h_min:g} "
+                              f"with error {float(err[j]):.3g} at t={t[j]:.6g}")
+            keep(~done)
 
     for j in range(len(rows)):
         finish(j, Status.STEP_FAILURE, detail="max_steps exhausted")

@@ -268,12 +268,13 @@ def certify_all(system, points, opts=None, critical_points=None):
 
     checks = []  # per point: (x, radius, h1_pass, h1_note, h2)
     h3 = None
+    locations = np.array([p.location for p in critical_points or ()], dtype=float)
     for point in points:
         x = np.asarray(point.location, dtype=float)
         radius = opts.shell_radius if opts.shell_radius is not None \
             else _auto_shell_radius(fld, x)
         h1_pass, h1_note = _h1(fld, point, x, radius)
-        h2 = _h2(fld, x, radius, opts, critical_points)
+        h2 = _h2(fld, x, radius, opts, critical_points, locations)
         if h3 is None:  # P(t) alone decides H3; graded where a one-point run would
             h3 = ec_check(system.matrix, opts.ec_horizon, opts.quad_tol)
         checks.append((x, radius, h1_pass, h1_note, h2))
@@ -313,8 +314,9 @@ def _h1(fld, point, x, radius):
     return h1_pass, h1_note
 
 
-def _h2(fld, x, radius, opts, critical_points):
-    """H2: shell probe, plus the found critical list as witnesses."""
+def _h2(fld, x, radius, opts, critical_points, locations):
+    """H2: shell probe, plus the found critical list (at *locations*, one
+    row each) as witnesses; the first one in list order wins."""
     shells = opts.isolation_shells
     if shells is None:
         shells = (radius, radius / 4.0, radius / 16.0)
@@ -338,15 +340,15 @@ def _h2(fld, x, radius, opts, critical_points):
                 shells=tuple(shells),
             )
     if h2.kind is not IsolationKind.NOT_ISOLATED and critical_points:
-        for other in critical_points:
-            d = float(np.linalg.norm(other.as_array() - x))
-            if 0.0 < d <= max(shells):
-                return IsolationVerdict(
-                    kind=IsolationKind.NOT_ISOLATED,
-                    min_grad_norm=0.0,
-                    witness=other.location,
-                    shells=tuple(shells),
-                )
+        d = linalg.row_norms(locations - x)
+        near = (0.0 < d) & (d <= max(shells))
+        if near.any():
+            return IsolationVerdict(
+                kind=IsolationKind.NOT_ISOLATED,
+                min_grad_norm=0.0,
+                witness=critical_points[int(np.argmax(near))].location,
+                shells=tuple(shells),
+            )
     return h2
 
 

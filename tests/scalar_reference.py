@@ -1,5 +1,5 @@
-"""Scalar reference versions of the vectorized field, finder, basin and
-writer kernels.
+"""Scalar reference versions of the vectorized field, finder, basin,
+writer and integrator kernels.
 
 Each function is the straightforward seed-by-seed, cell-by-cell (or
 value-by-value) loop that the array kernel in ``modgrad`` replaces, or the
@@ -17,6 +17,11 @@ from modgrad import linalg
 from modgrad.basin import GridComponent, HypothesisVerdict
 from modgrad.equilibria import CriticalPoint, FinderDiagnostics, classify_spectrum
 from modgrad.errors import EvalDomainError, OutsideDomainError
+from modgrad.field import reraise_row_error
+from modgrad.ode import (
+    _A, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _NEAR_TARGET_REL, _RHS_FLOOR, _SAFETY,
+    SimOptions, Status, Trajectory,
+)
 
 
 def newton(field, seed, newton_tol, max_iters):
@@ -438,3 +443,202 @@ def radial_hessian(field, x):
     u = np.asarray(x, dtype=float) / r
     proj = np.outer(u, u)
     return gpp * proj + (gp / r) * (np.eye(2) - proj)
+
+
+def _rms(v):
+    """Root mean square of each row."""
+    return np.sqrt(np.mean(v ** 2, axis=1))
+
+
+def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
+    """Hairer's starting-step heuristic, clipped to the span, per row."""
+    scale = abs_tol + rel_tol * np.abs(x0)
+    d0 = _rms(x0 / scale).tolist()
+    d1 = _rms(f0 / scale).tolist()
+    h0 = np.minimum(
+        [1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b for a, b in zip(d0, d1)],
+        t_end - t0,
+    )
+    f1 = system.rhs_batch(t0 + h0, x0 + h0[:, None] * f0)
+    d2 = (_rms((f1 - f0) / scale) / h0).tolist()
+    out = []
+    for h, a, b, failed in zip(h0.tolist(), d1, d2, np.isnan(f1).any(axis=1)):
+        if failed:  # the probe step left D
+            out.append(max(1e-6, h * 1e-3))
+            continue
+        if max(a, b) <= 1e-15:
+            h1 = max(1e-6, h * 1e-3)
+        else:
+            h1 = (0.01 / max(a, b)) ** 0.2
+        out.append(min(100.0 * h, h1, t_end - t0))
+    return np.array(out)
+
+
+def simulate(system, x0, t0, t_end, opts=None, targets=None):
+    """``ode.simulate_batch`` with the step loop written row by row: the PI
+    controller's factors in a list comprehension, one loop iteration per
+    rejected row, and a re-check that each accepted state is inside D."""
+    opts = opts or SimOptions()
+    t0 = float(t0)
+    t_end = float(t_end)
+    if not (0.0 <= t0 < t_end < math.inf):
+        raise ValueError(f"need 0 <= t0 < t_end < inf, got t0 = {t0}, t_end = {t_end}")
+    x = np.array(x0, dtype=float)
+    if x.ndim != 2 or x.shape[1] != system.dimension:
+        raise ValueError(f"x0 must have shape (m, {system.dimension})")
+    outside = ~system.field.inside_batch(x)
+    if outside.any():
+        raise OutsideDomainError(f"x0 {x[np.argmax(outside)].tolist()} is outside the domain")
+    m = len(x)
+
+    h_max = opts.h_max if opts.h_max is not None else (t_end - t0) / 10.0
+    if targets is None and opts.convergence_target is not None:
+        targets = opts.convergence_target
+    if targets is not None:
+        targets = np.broadcast_to(np.asarray(targets, dtype=float), x.shape)
+        if opts.convergence_radius is None:
+            raise ValueError("convergence_target requires convergence_radius")
+
+    f = system.rhs_batch(np.full(m, t0), x)
+    reraise_row_error(x, f, system.field.grad)  # rhs_batch raised a fault of P(t0)
+    rows = np.arange(m)  # the row ids still integrating
+    accepted = [(rows, np.full(m, t0), x.copy(), f)]  # (row ids, t, x, rhs) per step
+    outcome = [None] * m  # row id -> (status, Trajectory fields)
+    steps_rejected = np.zeros(m, dtype=int)
+    rhs_evals = np.ones(m, dtype=int)
+
+    def converged(xs, fs):  # xs, fs: one row per running row
+        if targets is None:
+            return np.zeros(len(xs), dtype=bool)
+        return (linalg.row_norms(xs - targets[rows]) < opts.convergence_radius) & (
+            linalg.row_norms(fs) < _RHS_FLOOR
+        )
+
+    def finish(j, status, **kw):  # j indexes the running rows
+        outcome[rows[j]] = (status, kw)
+
+    at_target = converged(x, f)
+    for j in np.flatnonzero(at_target):
+        finish(j, Status.CONVERGED, converged_at=t0)
+    rows, x, f = rows[~at_target], x[~at_target], f[~at_target]
+
+    t = np.full(len(rows), t0)
+    if opts.h_init is not None:
+        h = np.full(len(rows), float(opts.h_init))
+    else:
+        h = _initial_step(system, t0, x, f, t_end, opts.rel_tol, opts.abs_tol)
+        rhs_evals[rows] += 1
+    h = np.minimum(np.minimum(np.maximum(h, opts.h_min), h_max), t_end - t0)
+    err_prev = np.full(len(rows), 1e-4)
+    rejected_at_hmin = np.zeros(len(rows), dtype=int)
+
+    def keep(mask):
+        nonlocal rows, t, h, x, f, err_prev, rejected_at_hmin
+        rows, t, h, x, f, err_prev, rejected_at_hmin = (
+            a[mask] for a in (rows, t, h, x, f, err_prev, rejected_at_hmin)
+        )
+
+    for _ in range(opts.max_steps):
+        if not len(rows):
+            break
+        h = np.minimum(h, t_end - t)
+        k = np.zeros((len(rows), 7, x.shape[1]))
+        k[:, 0] = f
+        for i in range(1, 7):
+            xi = x + h[:, None] * (_A[i] @ k[:, :i])
+            k[:, i] = system.rhs_batch(t + _C[i] * h, xi)
+            rhs_evals[rows] += 1
+            left = np.isnan(k[:, i]).any(axis=1)
+            if left.any():
+                # a stage left D: the step straddles the boundary
+                for j in np.flatnonzero(left):
+                    finish(j, Status.LEFT_DOMAIN, exit_point=xi[j].copy(),
+                           detail=f"stage evaluation left the domain near t={t[j] + h[j]:.6g}")
+                k, xi = k[~left], xi[~left]
+                keep(~left)
+        if not len(rows):
+            break
+        x_new = xi  # 7th stage point is the 5th-order solution (FSAL)
+        f_new = k[:, 6]
+        err_vec = h[:, None] * (_E @ k)
+        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+        err = _rms(err_vec / scale)
+        if targets is not None:
+            amp = np.maximum(linalg.row_norms(x - targets[rows]),
+                             linalg.row_norms(x_new - targets[rows]))
+            near = amp < opts.convergence_radius
+            if near.any():
+                near_err = _rms(err_vec / (opts.abs_tol + _NEAR_TARGET_REL * amp)[:, None])
+                err = np.where(near, near_err, err)
+
+        t_new = t + h
+        accept = err <= 1.0
+        done = np.zeros(len(rows), dtype=bool)
+        if accept.any():
+            acc = np.flatnonzero(accept)
+            accepted.append((rows[acc], t_new[acc], x_new[acc], f_new[acc]))
+            inside = np.ones(len(rows), dtype=bool)
+            inside[acc] = system.field.inside_batch(x_new[acc])
+            conv = accept & inside & converged(x_new, f_new)
+            for j in np.flatnonzero(accept & ~inside):
+                finish(j, Status.LEFT_DOMAIN, exit_point=x_new[j].copy(),
+                       detail=f"accepted state left the domain at t={t_new[j]:.6g}")
+            for j in np.flatnonzero(conv):
+                finish(j, Status.CONVERGED, converged_at=float(t_new[j]))
+            end = accept & inside & ~conv & (t_new >= t_end)
+            for j in np.flatnonzero(end):
+                finish(j, Status.REACHED_END)
+            go_on = accept & inside & ~conv & ~end
+            done = accept & ~go_on
+            go = np.flatnonzero(go_on)
+            # PI controller (Gustafsson): react to this error and the last one
+            factor = [
+                _MAX_FACTOR if e == 0.0
+                else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * e ** -0.17 * p ** 0.04))
+                for e, p in zip(err[go].tolist(), err_prev[go].tolist())
+            ]
+            err_prev[go] = np.maximum(err[go], 1e-4)
+            t[go] = t_new[go]
+            x[go] = x_new[go]
+            f[go] = f_new[go]
+            h[go] = np.minimum(np.maximum(h[go] * factor, opts.h_min), h_max)
+            rejected_at_hmin[go] = 0
+        for j in np.flatnonzero(~accept):
+            steps_rejected[rows[j]] += 1
+            e = float(err[j])
+            if h[j] <= opts.h_min * (1.0 + 1e-12):
+                rejected_at_hmin[j] += 1
+                if rejected_at_hmin[j] >= 3:
+                    finish(j, Status.STEP_FAILURE,
+                           detail=f"step size pinned at h_min={opts.h_min:g} "
+                                  f"with error {e:.3g} at t={t[j]:.6g}")
+                    done[j] = True
+                    continue
+            h[j] = max(h[j] * max(0.1, _SAFETY * e ** -0.2), opts.h_min)
+        keep(~done)
+
+    for j in range(len(rows)):
+        finish(j, Status.STEP_FAILURE, detail="max_steps exhausted")
+
+    # one array per field, each row's samples contiguous; filling them in
+    # place copies every sample once
+    counts = np.bincount(np.concatenate([a[0] for a in accepted]), minlength=m)
+    ends = np.cumsum(counts)
+    at = ends - counts  # next free slot of each row
+    times = np.empty(counts.sum())
+    states = np.empty((counts.sum(), x.shape[1]))
+    derivs = np.empty_like(states)
+    for ids, step_t, step_x, step_f in accepted:
+        times[at[ids]], states[at[ids]], derivs[at[ids]] = step_t, step_x, step_f
+        at[ids] += 1
+    ends = ends.tolist()
+    out = []
+    for i, (status, kw) in enumerate(outcome):
+        lo, hi = (ends[i - 1] if i else 0), ends[i]
+        out.append(Trajectory(
+            t0=t0, status=status,
+            times=times[lo:hi], states=states[lo:hi], derivs=derivs[lo:hi],
+            steps_rejected=int(steps_rejected[i]), rhs_evals=int(rhs_evals[i]),
+            **kw,
+        ))
+    return out

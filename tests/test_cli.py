@@ -78,6 +78,19 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "H0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "ec"])
+    def test_non_symmetric_matrix_exits_2(self, tmp_path, capsys, command):
+        # the lower triangle is read, not mirrored from the upper one
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "P": [["1", "5"], ["0", "1"]]})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "entry (2,1) is '0.0' but its mirror (1,2) is '5.0'" in err
+        assert "Traceback" not in err
+        # mirrors that differ only in spacing are the same entry
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"},
+                                      "P": [["2", "1/4"], [" (1 / 4) ", "1"]]})
+        assert main(["ec", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
     def test_seed_at_undefined_gradient_is_dropped(self, tmp_path, capsys):
         # the cone's apex, a grid seed, has no gradient
         cfg = write_config(

@@ -248,10 +248,68 @@ class TestHessianBatch:
             parse("exp(x1)", 1).hessian_exact([np.array([0.0])])
 
 
+class TestGradContract:
+    """What the integrator relies on to skip a re-check of accepted states:
+    ``grad_batch`` rows are all NaN exactly where ``inside_batch`` is
+    False (and, for fields without domain errors, free of NaN inside D)."""
+
+    @staticmethod
+    def _assert_contract(f, x):
+        g = f.grad_batch(x)
+        inside = f.inside_batch(x)
+        assert np.array_equal(np.isnan(g).all(axis=1), ~inside)
+        assert not np.isnan(g[inside]).any()
+        return inside
+
+    @staticmethod
+    def _points(lo, hi, rng):
+        lo, hi = np.array(lo), np.array(hi)
+        corners = np.array([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]]])
+        edges = np.array([[lo[0], 0.3], [0.2, hi[1]], [np.nextafter(lo[0], -np.inf), 0.0],
+                          [0.0, np.nextafter(hi[1], np.inf)]])
+        bad = np.array([[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan], [np.inf, 0.0],
+                        [-np.inf, 0.5]])
+        random = rng.uniform(lo - 0.5, hi + 0.5, size=(40, 2))
+        return np.concatenate([corners, edges, bad, random])
+
+    @pytest.mark.parametrize("source, exact", [
+        ("x1^3 - 2*x1*x2 + x2^2", True),  # the exact kernel
+        ("exp(-x1^2) * x2 + x1", False),  # the row loop
+    ])
+    def test_expression_field(self, source, exact):
+        f = ExpressionField(parse(source, 2), Box((-1.0, -2.0), (1.5, 1.0)))
+        assert f.expression.exact is exact
+        x = self._points((-1.0, -2.0), (1.5, 1.0), np.random.default_rng(4))
+        inside = self._assert_contract(f, x)
+        assert inside[:4].all() and not inside[8:13].any()
+        assert 0 < inside[13:].sum() < 40
+        self._assert_contract(f, x[inside])  # every row inside: no masking
+
+    def test_radial_field(self, ex22):
+        f = ex22.system.field
+        rng = np.random.default_rng(5)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 16)
+        circle = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        x = np.concatenate([self._points((-1.0, -1.0), (1.0, 1.0), rng), circle,
+                            [[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.6, 0.8]]])
+        inside = self._assert_contract(f, x)
+        assert not inside[:4].any() and inside[-4:].all()
+        self._assert_contract(f, x[inside])
+
+
 class TestMatrixPath:
     def test_entries_must_be_time_only(self):
         with pytest.raises(ValueError, match="t only"):
             MatrixPath([["x1"]])
+
+    def test_lower_triangle_must_mirror_the_upper(self):
+        with pytest.raises(ValueError, match=r"entry \(2,1\) is '0.0' but its mirror \(1,2\)"):
+            MatrixPath([["1", "5"], ["0", "1"]])
+        with pytest.raises(ValueError, match=r"entry \(3,2\)"):
+            MatrixPath([["1", "0", "0"], ["0", "1", "sin(t)"], ["0", "cos(t)", "1"]])
+        # the same expression written with other spacing and parentheses
+        m = MatrixPath([["2", "0.5*cos(t)"], [" ( 0.5 * cos( t ) ) ", "1"]])
+        assert m.value_batch([0.0])[0].tolist() == [[2.0, 0.5], [0.5, 1.0]]
 
     def test_structural_symmetry_is_exact(self):
         m = MatrixPath([["1", "t"], ["t", "2"]])

@@ -63,6 +63,16 @@ class TestPiecewiseCubic:
             interior = np.linspace(a, b, 21)[1:-1]
             assert np.all(cubic.slope(interior) > 0.0)
 
+    def test_piece_index_is_the_clipped_knot_search(self):
+        # the search over inner knots needs no clamp: below -1 is piece 0,
+        # 0 and above (and NaN) the blend piece
+        cubic = PiecewiseCubic(6)
+        u = np.concatenate([cubic.knots, np.nextafter(cubic.knots, -np.inf),
+                            np.nextafter(cubic.knots, np.inf),
+                            [-3.0, 0.5, np.inf, -np.inf, np.nan]])
+        want = np.clip(np.searchsorted(cubic.knots, u, side="right") - 1, 0, cubic.depth)
+        assert np.array_equal(cubic._piece(u), want)
+
     def test_depth_bounds(self):
         with pytest.raises(ValueError):
             PiecewiseCubic(1)

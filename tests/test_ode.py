@@ -10,6 +10,7 @@ from modgrad.field import Box, ExpressionField, MatrixPath, System
 from modgrad.gallery import _ex21_closed_form, example_3_1
 from modgrad.ode import SimOptions, Status, lyapunov_trace, lyapunov_traces, simulate
 
+import scalar_reference
 from helpers import rhs_of, rk4_reference
 
 TIGHT = SimOptions(rel_tol=1e-9, abs_tol=1e-12)
@@ -381,3 +382,97 @@ class TestBatch:
         with pytest.raises(EvalDomainError) as err:
             ode.simulate_batch(System(f, matrix), starts, 0.0, 1.0)
         assert str(err.value) == "sqrt of negative argument in 'sqrt(x1)'"
+
+
+def _box_system(source, lo, hi):
+    return System(ExpressionField(parse(source, len(lo)), Box(lo, hi)),
+                  MatrixPath.identity(len(lo)))
+
+
+OSC_P = [["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]]
+_RING = np.stack([np.cos(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)),
+                  np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))], axis=-1)
+
+
+class TestScalarReference:
+    """``simulate_batch`` against the row-by-row step loop of
+    ``scalar_reference.simulate``, bit for bit, counters included."""
+
+    @staticmethod
+    def _check(system, starts, t_end, opts, targets=None):
+        batch = ode.simulate_batch(system, starts, 0.0, t_end, opts, targets=targets)
+        ref = scalar_reference.simulate(system, starts, 0.0, t_end, opts, targets=targets)
+        assert len(batch) == len(ref)
+        for a, b in zip(batch, ref):
+            _same(a, b)
+        return batch
+
+    def test_ex21(self, ex21):
+        rng = np.random.default_rng(2)
+        starts = rng.uniform([-2.0, -2.0], [4.0, 4.0], size=(10, 2))
+        self._check(ex21.system, starts, 100.0, SimOptions(rel_tol=1e-6, abs_tol=1e-9))
+        # a first step too long for some rows: rejections in a mixed batch
+        batch = self._check(ex21.system, starts, 100.0, SimOptions(h_init=1.0))
+        assert Status.REACHED_END in {t.status for t in batch}
+        assert 0 < sum(t.steps_rejected > 0 for t in batch) < len(batch)
+
+    def test_ex22_descent_starts(self, ex22):
+        starts = np.concatenate([0.02 * _RING, [0.5, 0.0] + 0.01 * _RING])
+        targets = np.array([[0.0, 0.0]] * 8 + [[0.5, 0.0]] * 8)
+        opts = SimOptions(h_max=0.25, convergence_radius=1e-8)
+        self._check(ex22.system, starts, 10.0, opts, targets=targets)
+
+    def test_ex31(self, ex31):
+        rng = np.random.default_rng(3)
+        starts = rng.uniform([0.5, 0.0], [3.5, 5.0], size=(12, 2))
+        opts = SimOptions(convergence_target=(2.0, 4.0), convergence_radius=1e-3)
+        batch = self._check(ex31.system, starts, 50.0, opts)
+        assert {t.status for t in batch} == {Status.CONVERGED, Status.REACHED_END}
+        assert all(t.steps_rejected > 0 for t in batch)
+
+    def test_oscillating_path_with_targets(self):
+        system = example_3_1(MatrixPath(OSC_P)).system
+        starts = np.concatenate([[2.0, 4.0] + 0.3 * _RING, [2.0, 1.0] + 0.2 * _RING])
+        targets = np.array([[2.0, 4.0]] * 8 + [[2.0, 1.0]] * 8)
+        batch = self._check(system, starts, 20.0, SimOptions(convergence_radius=1e-6),
+                            targets=targets)
+        assert Status.CONVERGED in {t.status for t in batch}
+
+    def test_constant_field_has_zero_error(self):
+        # grad f = 0: every step's error estimate is exactly 0, so the
+        # controller grows h by the maximum factor until h_max binds
+        system = _box_system("3", (-1.0, -1.0), (1.0, 1.0))
+        batch = self._check(system, [(0.0, 0.5), (-0.5, 0.25)], 100.0, SimOptions(h_init=1e-3))
+        h = np.diff(batch[0].times)
+        assert h[1] == pytest.approx(5.0 * h[0], rel=1e-12)
+        assert h.max() == pytest.approx(10.0)
+
+    def test_left_domain_and_mixed_outcomes(self):
+        system = _box_system("x1^2 - x2^2", (-1.0, -1.0), (1.0, 1.0))
+        starts = [(0.9, 0.1), (0.0, 0.5), (0.0, 0.5), (-0.3, 0.2), (0.05, -0.9)]
+        targets = [(0.0, 0.0), (0.0, 0.0), (0.5, 0.0), (0.0, 0.0), (0.0, 0.0)]
+        batch = self._check(system, starts, 30.0, SimOptions(convergence_radius=1e-3),
+                            targets=np.array(targets))
+        assert [t.status for t in batch][:3] == [
+            Status.LEFT_DOMAIN, Status.CONVERGED, Status.REACHED_END
+        ]
+        # a linear ascent leaves the box from any start
+        system = _box_system("x1 + x2", (-1.0, -1.0), (1.0, 1.0))
+        batch = self._check(system, [(0.25, -0.5), (0.0, 0.0), (-0.9, 0.9)], 10.0, TIGHT)
+        assert {t.status for t in batch} == {Status.LEFT_DOMAIN}
+
+    def test_step_failure_at_h_min(self):
+        system = _box_system("0 - cos(x1)", (-100.0,), (100.0,))
+        opts = SimOptions(rel_tol=1e-14, abs_tol=1e-16, h_min=8.0, h_max=8.0, h_init=8.0)
+        batch = self._check(system, [(0.5,), (3.0,), (-20.0,)], 50.0, opts)
+        assert {t.status for t in batch} == {Status.STEP_FAILURE}
+        # an h_min that binds for some starts only
+        opts = SimOptions(rel_tol=1e-6, abs_tol=1e-9, h_min=0.5, h_max=4.0)
+        batch = self._check(system, np.linspace(-20.0, 20.0, 9)[:, None], 50.0, opts)
+        assert {t.status for t in batch} == {Status.STEP_FAILURE, Status.REACHED_END}
+
+    def test_max_steps(self, ex21):
+        opts = SimOptions(max_steps=7)
+        batch = self._check(ex21.system, [(2.0, 2.0), (0.0, 3.0)], 100.0, opts)
+        assert [t.detail for t in batch] == ["max_steps exhausted"] * 2
+

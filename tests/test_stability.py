@@ -106,6 +106,17 @@ class TestCertify:
         rep = certify(ex22.system, origin, opts, critical_points=points)
         assert rep.h2.kind is IsolationKind.NOT_ISOLATED
 
+    def test_critical_list_witness_is_the_first_in_list_order(self, ex22):
+        points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
+        origin = next(p for p in points if np.linalg.norm(p.as_array()) < 1e-8)
+        opts = CertifyOptions(isolation_shells=(0.3, 0.07, 0.017))
+        near = [p for p in points if 0.0 < np.linalg.norm(p.as_array()) <= 0.3]
+        assert len(near) >= 2
+        for witness in (near[0], near[-1]):
+            order = [witness] + [p for p in points if p is not witness]
+            rep = certify(ex22.system, origin, opts, critical_points=order)
+            assert rep.h2.witness == witness.location
+
     def test_verdict_monotone_under_tightening(self, ex31):
         points, _ = find_critical_points(ex31.system.field, grid_per_axis=20)
         p1 = min(points, key=lambda p: p.location[1])

@@ -13,8 +13,10 @@ the one t-varying, non-diagonal P built from ``sin``/``cos``; ``ec-ex31-fnP``
 grades a P whose entries use ``exp``, ``ln``, ``sqrt`` and a real power
 (``FN_P_CONFIG``).  ``analyze-ex31-exp``
 runs ex31's f with an ``exp`` term (``EXP_CONFIG``), whose batches take
-the scalar row loop instead of the exact kernels, and ``basin-quad3-r48``
-a 3-D quadratic peak (``QUAD3_CONFIG``) on a non-cubic box.  The tool
+the scalar row loop instead of the exact kernels, ``basin-quad3-r48``
+a 3-D quadratic peak (``QUAD3_CONFIG``) on a non-cubic box, and
+``simulate-leave``/``simulate-hmin`` trajectories that end with
+``LeftDomain`` and ``StepFailure``.  The tool
 writes these configs into the work directory, so every checkout runs the
 same files.
 Prints one ``<run>/<file> <sha256> <exit code>`` line per emitted file,
@@ -107,8 +109,23 @@ QUAD3_CONFIG = {
 }
 RUNS["basin-quad3-r48"] = ["basin", "--config", "{work}/quad3.json",
                            "--anchor", "0,0,0.25", "--c", "0.2", "--resolution", "48"]
+
+# simulate runs that end early: a linear ascent that leaves the unit box
+# (LeftDomain), and a pinned step size whose error cannot meet the
+# tolerance (StepFailure, exit 3), as in the integrator's h_min test
+LEAVE_CONFIG = {"dimension": 2, "f": "x1 + x2", "box": [[-1.0, 1.0], [-1.0, 1.0]]}
+RUNS["simulate-leave"] = ["simulate", "--config", "{work}/leave.json",
+                          "--x0", "0.25,-0.5", "--t-end", "10"]
+HMIN_CONFIG = {
+    "dimension": 1,
+    "f": "0 - cos(x1)",
+    "box": [[-100.0, 100.0]],
+    "options": {"rel_tol": 1e-14, "abs_tol": 1e-16, "h_min": 8.0, "h_max": 8.0},
+}
+RUNS["simulate-hmin"] = ["simulate", "--config", "{work}/hmin.json",
+                         "--x0", "0.5", "--t-end", "50"]
 GENERATED = {"oscP.json": OSC_P_CONFIG, "fnP.json": FN_P_CONFIG, "exp.json": EXP_CONFIG,
-             "quad3.json": QUAD3_CONFIG}
+             "quad3.json": QUAD3_CONFIG, "leave.json": LEAVE_CONFIG, "hmin.json": HMIN_CONFIG}
 
 
 def digests(repo, work):
