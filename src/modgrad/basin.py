@@ -10,11 +10,11 @@ a saddle pinch, which keeps the basin guarantee sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg, ode
+from ._record import Record
 from .errors import NumericFailure, OutsideDomainError
 from .field import reraise_row_error
 
@@ -33,18 +33,19 @@ __all__ = [
 MAX_GRID_DIMENSION = 4
 
 
-@dataclass(frozen=True)
-class GridComponent:
-    box_lo: tuple
-    box_hi: tuple
-    resolution: tuple
-    mask: np.ndarray           # bool, shape = resolution
-    values: np.ndarray         # f at cell centers (NaN outside domain), read-only
-    c: float
-    m_value: float             # M = f(anchor)
-    anchor: tuple
-    anchor_cell: tuple
-    boundary_cells: np.ndarray  # (k, n) indices of masked cells with an exposed face
+class GridComponent(Record):
+    _fields = ("box_lo", "box_hi", "resolution", "mask", "values", "c", "m_value",
+               "anchor", "anchor_cell", "boundary_cells")
+
+    def __init__(self, box_lo, box_hi, resolution,
+                 mask,            # bool, shape = resolution
+                 values,          # f at cell centers (NaN outside domain), read-only
+                 c,
+                 m_value,         # M = f(anchor)
+                 anchor, anchor_cell,
+                 boundary_cells):  # (k, n) indices of masked cells with an exposed face
+        self._fill(box_lo, box_hi, resolution, mask, values, c, m_value,
+                   anchor, anchor_cell, boundary_cells)
 
     @property
     def dimension(self):
@@ -205,19 +206,18 @@ def extract_component(field, anchor, c, resolution):
     )
 
 
-@dataclass(frozen=True)
-class HypothesisVerdict:
-    name: str
-    passed: bool
-    witnesses: tuple
-    note: str
+class HypothesisVerdict(Record):
+    _fields = ("name", "passed", "witnesses", "note")
+
+    def __init__(self, name, passed, witnesses, note):
+        self._fill(name, passed, witnesses, note)
 
 
-@dataclass(frozen=True)
-class HypothesesReport:
-    h4: HypothesisVerdict
-    h5: HypothesisVerdict
-    h6: HypothesisVerdict
+class HypothesesReport(Record):
+    _fields = ("h4", "h5", "h6")
+
+    def __init__(self, h4, h5, h6):
+        self._fill(h4, h5, h6)
 
     @property
     def all_pass(self):
@@ -380,12 +380,13 @@ def check_hypotheses(component, field, critical_points, tol_boundary=None):
     return HypothesesReport(h4=h4, h5=h5, h6=h6)
 
 
-@dataclass(frozen=True)
-class BasinVerification:
-    sample_count: int
-    converged_count: int
-    failures: tuple  # (start point, status string, final state)
-    note: str
+class BasinVerification(Record):
+    _fields = ("sample_count", "converged_count", "failures", "note")
+
+    def __init__(self, sample_count, converged_count,
+                 failures,  # (start point, status string, final state)
+                 note):
+        self._fill(sample_count, converged_count, failures, note)
 
     @property
     def all_converged(self):
@@ -468,8 +469,8 @@ def verify_basin(system, region, sample_count=100, t_end=50.0,
                   "without a connectivity check")
     failures = ()
     if len(starts):
-        opts = replace(sim_opts, convergence_target=tuple(anchor),
-                       convergence_radius=converge_radius)
+        opts = sim_opts.replace(convergence_target=tuple(anchor),
+                                convergence_radius=converge_radius)
         trajectories = ode.simulate_batch(system, starts, 0.0, t_end, opts)
         failures = tuple(
             (tuple(start.tolist()), traj.status.value, tuple(traj.final_state.tolist()))

@@ -16,12 +16,12 @@ import math
 import os
 import sys
 import typing
-from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
 from . import basin as basin_mod
 from . import equilibria, gallery, ode, stability
+from ._record import Record
 from .errors import EvalDomainError, NumericFailure, OutsideDomainError, ParseError
 from .expr import parse as parse_expr
 from .field import Box, ExpressionField, MatrixPath, System, validate_h0
@@ -204,8 +204,9 @@ def _write_svg(path, component, critical_points, segments):
 # -- configuration -----------------------------------------------------------
 
 
-@dataclass
 class Options:
+    """Analysis options: each annotation is the option's JSON type."""
+
     psd_tol: float = 1e-10
     grid_per_axis: int = 20
     newton_tol: float = 1e-10
@@ -228,16 +229,19 @@ class Options:
     tol_boundary: float | None = None
     seed: int = 0
 
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class AnalysisConfig:
-    system: System
-    options: Options
-    output_dir: str
+class AnalysisConfig(Record):
+    _fields = ("system", "options", "output_dir")
+
+    def __init__(self, system, options, output_dir):
+        self._fill(system, options, output_dir)
 
     @property
     def sim_options(self):
@@ -271,14 +275,22 @@ _TYPE_CHECKS = {
 }
 
 
+# the sign each option needs, which its annotation cannot say
+_SIGNS = {"shell_radius": ">", "psd_tol": ">=", "grad_floor": ">=", "tol_boundary": ">=",
+          "descent_trajectories": ">=", "basin_samples": ">=", "seed": ">="}
+
+
 def _check_option(name, value):
-    """Check *value* against the annotation of ``Options.<name>``."""
+    """Check *value* against ``Options.<name>``'s annotation and sign."""
     kinds = typing.get_args(_OPTION_TYPES[name]) or (_OPTION_TYPES[name],)
     if value is None and type(None) in kinds:
         return
     what, check = _TYPE_CHECKS[kinds[0]]
     if not check(value):
         raise ConfigError(f"option {name!r} must be {what}, got {json.dumps(value)}")
+    sign = _SIGNS.get(name)
+    if sign and not (value > 0 if sign == ">" else value >= 0):
+        raise ConfigError(f"option {name!r} must be {sign} 0, got {json.dumps(value)}")
 
 
 def _reject_constant(token):
@@ -308,16 +320,12 @@ def load_config(path):
     opt_raw = raw.get("options", {})
     if not isinstance(opt_raw, dict):
         raise ConfigError("'options' must be an object")
-    known = {f.name for f in dc_fields(Options)}
-    unknown = set(opt_raw) - known
+    unknown = set(opt_raw) - set(_OPTION_TYPES)
     if unknown:
         raise ConfigError(f"unknown option keys: {sorted(unknown)}")
     for name, value in opt_raw.items():
         _check_option(name, value)
     options = Options(**opt_raw)
-    for name in ("descent_trajectories", "basin_samples"):
-        if getattr(options, name) < 0:
-            raise ConfigError(f"option {name!r} must be >= 0, got {getattr(options, name)}")
     if not isinstance(raw.get("output_dir", ""), str):
         raise ConfigError("'output_dir' must be a string")
 
@@ -471,7 +479,7 @@ def cmd_analyze(args):
         newton_tol=opts.newton_tol,
         max_newton_iters=opts.max_newton_iters,
     )
-    counts = ", ".join(f"{f.name}={getattr(diags, f.name)}" for f in dc_fields(diags))
+    counts = ", ".join(f"{name}={getattr(diags, name)}" for name in diags._fields)
     _say(args, f"critical points: {len(points)} ({counts})")
 
     cert_opts = stability.CertifyOptions(
@@ -510,8 +518,7 @@ def cmd_simulate(args):
         target = _parse_vector(args.target, config.system.dimension, "--target")
 
     sim = config.sim_options
-    opts = replace(
-        sim,
+    opts = sim.replace(
         h_max=sim.h_max if args.h_max is None else args.h_max,
         convergence_target=None if target is None else tuple(target),
         convergence_radius=None if target is None else args.radius,
@@ -546,6 +553,8 @@ def cmd_simulate(args):
 
 def cmd_basin(args):
     config = load_config(args.config)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = _outdir(args, config)
     opts = config.options
     anchor = _parse_vector(args.anchor, config.system.dimension, "--anchor")

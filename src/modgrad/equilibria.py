@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+from ._record import Record
 from .errors import EvalDomainError, OutsideDomainError
 from .field import reraise_row_error
 
@@ -53,36 +53,37 @@ class IsolationKind(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class IsolationVerdict:
-    kind: IsolationKind
-    min_grad_norm: float
-    witness: tuple | None = None  # sample point with |grad f| <= grad_floor
-    shells: tuple = ()
+class IsolationVerdict(Record):
+    _fields = ("kind", "min_grad_norm", "witness", "shells")
+
+    def __init__(self, kind, min_grad_norm,
+                 witness=None,  # sample point with |grad f| <= grad_floor
+                 shells=()):
+        self._fill(kind, min_grad_norm, witness, shells)
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    location: tuple
-    classification: Classification
-    hessian_spectrum: tuple  # ascending
-    grad_norm: float
-    isolation: IsolationVerdict | None = None
-    value: float = 0.0
+class CriticalPoint(Record):
+    _fields = ("location", "classification", "hessian_spectrum", "grad_norm",
+               "isolation", "value")
+
+    def __init__(self, location, classification,
+                 hessian_spectrum,  # ascending
+                 grad_norm, isolation=None, value=0.0):
+        self._fill(location, classification, hessian_spectrum, grad_norm, isolation, value)
 
     def as_array(self):
         return np.asarray(self.location)
 
 
-@dataclass
-class FinderDiagnostics:
-    seeds: int = 0
-    converged: int = 0
-    dropped_no_convergence: int = 0
-    dropped_outside: int = 0
-    dropped_singular: int = 0
-    dropped_domain: int = 0
-    duplicates_merged: int = 0
+class FinderDiagnostics(Record):
+    _fields = ("seeds", "converged", "dropped_no_convergence", "dropped_outside",
+               "dropped_singular", "dropped_domain", "duplicates_merged")
+    _mutable = True
+
+    def __init__(self, seeds=0, converged=0, dropped_no_convergence=0, dropped_outside=0,
+                 dropped_singular=0, dropped_domain=0, duplicates_merged=0):
+        self._fill(seeds, converged, dropped_no_convergence, dropped_outside,
+                   dropped_singular, dropped_domain, duplicates_merged)
 
 
 def classify_spectrum(spectrum):

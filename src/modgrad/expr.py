@@ -51,7 +51,6 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,46 +95,54 @@ _FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
 
 
 # -- AST -------------------------------------------------------------------
+# Nodes compare by identity: every pass keys them by id, and a long sum is
+# too deep a tree for a recursive __eq__, __hash__ or __repr__.
 
 
-@dataclass(frozen=True, slots=True)
 class Const:
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-@dataclass(frozen=True, slots=True)
 class Var:
-    index: int  # 0-based
+    __slots__ = ("index",)
+
+    def __init__(self, index):  # 0-based
+        self.index = index
 
 
-@dataclass(frozen=True, slots=True)
 class TimeVar:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class BinOp:
-    op: str  # '+', '-', '*' or '/'
-    a: object
-    b: object
+    __slots__ = ("op", "a", "b")
+
+    def __init__(self, op, a, b):  # op: '+', '-', '*' or '/'
+        self.op, self.a, self.b = op, a, b
 
 
-@dataclass(frozen=True, slots=True)
 class Neg:
-    a: object
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
 
 
-@dataclass(frozen=True, slots=True)
 class Pow:
-    base: object
-    exponent: float
-    integral: bool
+    __slots__ = ("base", "exponent", "integral")
+
+    def __init__(self, base, exponent, integral):
+        self.base, self.exponent, self.integral = base, exponent, integral
 
 
-@dataclass(frozen=True, slots=True)
 class Call:
-    func: str
-    a: object
+    __slots__ = ("func", "a")
+
+    def __init__(self, func, a):
+        self.func, self.a = func, a
 
 
 # op -> (float function, precedence, level of the left and right operand)

@@ -1,9 +1,11 @@
 """System ingredients: scalar field f on a box domain D, matrix path P(t).
 
 Everything here is immutable after construction and safe to share across
-threads.  The right-hand side P(t) * grad f(x) computed by
-``System.rhs_batch`` for a stack of states (the integrator's path) is the
-single source of truth for the vector field.
+threads: ``Box``, ``System`` and ``H0Report`` are records (``_record``),
+which compare by value and refuse assignment.  The right-hand side
+P(t) * grad f(x) computed by ``System.rhs_batch`` for a stack of states
+(the integrator's path) is the single source of truth for the vector
+field.
 
 Each quantity of a field has one kernel, a batch method over states
 stacked along a leading axis; the scalar ``eval``/``grad``/``hessian``
@@ -16,12 +18,11 @@ row-by-row loop would have raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr as expr_mod
 from . import linalg
+from ._record import Record
 from .errors import EvalDomainError, OutsideDomainError
 
 __all__ = [
@@ -50,24 +51,21 @@ def reraise_row_error(x, values, *scalar_fns):
             fn(x[i])
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Axis-aligned box: per-axis [lo, hi] with lo < hi."""
 
-    lo: tuple
-    hi: tuple
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
+    def __init__(self, lo, hi):
+        lo = tuple(float(v) for v in lo)
+        hi = tuple(float(v) for v in hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("box must have matching non-empty lo/hi")
         if not np.all(np.isfinite(lo + hi)):
             raise ValueError("box bounds must be finite")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("box must satisfy lo < hi on every axis")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._fill(lo, hi)
 
     @property
     def dimension(self):
@@ -234,7 +232,7 @@ class MatrixPath:
                     "entries may depend on t only"
                 )
             roots.append(ast)
-            if i != j:  # compare rendered text: == on the trees recurses per level
+            if i != j:  # compare rendered text, as AST nodes compare by identity
                 text = expr_mod._render(ast)
                 mirror = expr_mod._render(expr_mod._tree(entries[j][i], 1, allow_t=True))
                 if mirror != text:
@@ -298,19 +296,17 @@ class MatrixPath:
         return f"MatrixPath(dimension={self.dimension}, uses_t={self.uses_t})"
 
 
-@dataclass(frozen=True)
-class System:
+class System(Record):
     """The modified-gradient system: x' = P(t) * grad f(x)."""
 
-    field: ScalarField
-    matrix: MatrixPath
+    _fields = ("field", "matrix")
 
-    def __post_init__(self):
-        if self.field.dimension != self.matrix.dimension:
+    def __init__(self, field, matrix):
+        if field.dimension != matrix.dimension:
             raise ValueError(
-                f"field dimension {self.field.dimension} != "
-                f"matrix dimension {self.matrix.dimension}"
+                f"field dimension {field.dimension} != matrix dimension {matrix.dimension}"
             )
+        self._fill(field, matrix)
 
     @property
     def dimension(self):
@@ -326,13 +322,14 @@ class System:
         return (self.matrix.value_batch(t) @ g[:, :, None])[:, :, 0]
 
 
-@dataclass(frozen=True)
-class H0Report:
-    """Sampled PSD check of P(t); symmetry holds structurally."""
+class H0Report(Record):
+    """Sampled PSD check of P(t); symmetry holds structurally.  ``samples``
+    holds (t, lambda_1) pairs."""
 
-    samples: tuple  # (t, lambda_1) pairs
-    passed: bool
-    min_lambda1: float
+    _fields = ("samples", "passed", "min_lambda1")
+
+    def __init__(self, samples, passed, min_lambda1):
+        self._fill(samples, passed, min_lambda1)
 
     def worst_time(self):
         t, _ = min(self.samples, key=lambda s: s[1])

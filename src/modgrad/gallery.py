@@ -14,12 +14,11 @@ Three entries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr as expr_mod
 from . import linalg
+from ._record import Record
 from .field import Box, ExpressionField, MatrixPath, ScalarField, System
 
 __all__ = [
@@ -35,12 +34,11 @@ __all__ = [
 GALLERY_IDS = ("ex21", "ex22", "ex31")
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    id: str
-    system: System
-    oracles: dict
-    notes: str
+class GalleryEntry(Record):
+    _fields = ("id", "system", "oracles", "notes")
+
+    def __init__(self, id, system, oracles, notes):
+        self._fill(id, system, oracles, notes)
 
     def self_test(self):
         """Spot-check the oracles against hard-coded values; raises on drift."""

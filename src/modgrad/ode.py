@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from . import linalg
+from ._record import Record
 from .errors import EvalDomainError, OutsideDomainError
 from .field import reraise_row_error
 
@@ -78,46 +78,43 @@ class Status(enum.Enum):
     STEP_FAILURE = "StepFailure"
 
 
-@dataclass(frozen=True)
-class SimOptions:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    h_init: float | None = None
-    h_min: float = 1e-12
-    h_max: float | None = None  # default (t_end - t0) / 10
-    convergence_radius: float | None = None
-    convergence_target: tuple | None = None
-    max_steps: int = 1_000_000
+class SimOptions(Record):
+    """Integrator settings; ``h_max`` defaults to (t_end - t0) / 10."""
 
-    def __post_init__(self):
-        for name in ("h_init", "h_min", "h_max", "convergence_radius"):
-            v = getattr(self, name)
+    _fields = ("rel_tol", "abs_tol", "h_init", "h_min", "h_max",
+               "convergence_radius", "convergence_target", "max_steps")
+
+    def __init__(self, rel_tol=1e-9, abs_tol=1e-12, h_init=None, h_min=1e-12, h_max=None,
+                 convergence_radius=None, convergence_target=None, max_steps=1_000_000):
+        for name, v in (("h_init", h_init), ("h_min", h_min), ("h_max", h_max),
+                        ("convergence_radius", convergence_radius)):
             if v is not None and not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be a finite number > 0, got {v}")
-        for name in ("rel_tol", "abs_tol"):
-            v = getattr(self, name)
+        for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
             if not v >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
-        if self.rel_tol == 0.0 and self.abs_tol == 0.0:
+        if rel_tol == 0.0 and abs_tol == 0.0:
             raise ValueError("rel_tol and abs_tol must not both be 0")
+        self._fill(rel_tol, abs_tol, h_init, h_min, h_max,
+                   convergence_radius, convergence_target, max_steps)
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Accepted samples of a single solution, with stored derivatives so
     any interior time can be interpolated, and the work it took: rejected
     steps and right-hand-side evaluations (failed ones included)."""
 
-    t0: float
-    status: Status
-    times: np.ndarray          # strictly increasing accepted times
-    states: np.ndarray         # shape (len(times), n)
-    derivs: np.ndarray         # rhs at each accepted sample
-    converged_at: float | None = None
-    exit_point: np.ndarray | None = None
-    detail: str = ""
-    steps_rejected: int = 0
-    rhs_evals: int = 0
+    _fields = ("t0", "status", "times", "states", "derivs", "converged_at",
+               "exit_point", "detail", "steps_rejected", "rhs_evals")
+    _mutable = True
+
+    def __init__(self, t0, status,
+                 times,    # strictly increasing accepted times
+                 states,   # shape (len(times), n)
+                 derivs,   # rhs at each accepted sample
+                 converged_at=None, exit_point=None, detail="", steps_rejected=0, rhs_evals=0):
+        self._fill(t0, status, times, states, derivs, converged_at,
+                   exit_point, detail, steps_rejected, rhs_evals)
 
     @property
     def final_state(self):
@@ -371,8 +368,7 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
     return out
 
 
-@dataclass(frozen=True)
-class LyapunovTrace:
+class LyapunovTrace(Record):
     """Per-sample Lyapunov data for V(x) = M - f(x) along a trajectory.
 
     Columns: t, V_x, V'_x, lambda_1(P(t)), |grad f|^2.  V'_x comes from the
@@ -380,9 +376,10 @@ class LyapunovTrace:
     V'_x <= -lambda_1 |grad f|^2 is checkable row by row.
     """
 
-    anchor: tuple
-    anchor_value: float
-    rows: np.ndarray  # shape (m, 5)
+    _fields = ("anchor", "anchor_value", "rows")
+
+    def __init__(self, anchor, anchor_value, rows):  # rows: shape (m, 5)
+        self._fill(anchor, anchor_value, rows)
 
     def max_bound_violation(self):
         """max over rows of V'_x - (-lambda_1 |grad f|^2); <= 0 is ideal."""

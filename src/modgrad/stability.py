@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import linalg, ode
+from ._record import Record
 from .equilibria import (
     Classification,
     CriticalPoint,
@@ -46,14 +46,16 @@ class EcKind(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class EcVerdict:
-    kind: EcKind
-    horizon_integral: float  # integral of lambda_1 over [0, T], clipped at 0
-    horizon: float
-    tail_exponent: float | None  # fitted p in lambda_1 ~ C t^-p over [T/10, T]
-    evidence: str
-    clipped_negative: bool = False
+class EcVerdict(Record):
+    _fields = ("kind", "horizon_integral", "horizon", "tail_exponent", "evidence",
+               "clipped_negative")
+
+    def __init__(self, kind,
+                 horizon_integral,  # integral of lambda_1 over [0, T], clipped at 0
+                 horizon,
+                 tail_exponent,     # fitted p in lambda_1 ~ C t^-p over [T/10, T], or None
+                 evidence, clipped_negative=False):
+        self._fill(kind, horizon_integral, horizon, tail_exponent, evidence, clipped_negative)
 
 
 class Conclusion(enum.Enum):
@@ -168,25 +170,25 @@ def ec_check(matrix, horizon=1e4, quad_tol=2e-5):
     )
 
 
-@dataclass(frozen=True)
-class CertifyOptions:
-    shell_radius: float | None = None       # local-max probe; default auto
-    isolation_shells: tuple | None = None   # default: 3 shells under shell_radius
-    grad_floor: float = 1e-8
-    samples_per_shell: int = 32
-    ec_horizon: float = 1e4
-    quad_tol: float = 2e-5
-    descent_trajectories: int = 8
-    descent_t_end: float = 10.0
-    sim: ode.SimOptions = dc_field(default_factory=ode.SimOptions)
+class CertifyOptions(Record):
+    _fields = ("shell_radius", "isolation_shells", "grad_floor", "samples_per_shell",
+               "ec_horizon", "quad_tol", "descent_trajectories", "descent_t_end", "sim")
+
+    def __init__(self,
+                 shell_radius=None,      # local-max probe; default auto
+                 isolation_shells=None,  # default: 3 shells under shell_radius
+                 grad_floor=1e-8, samples_per_shell=32, ec_horizon=1e4, quad_tol=2e-5,
+                 descent_trajectories=8, descent_t_end=10.0, sim=None):
+        self._fill(shell_radius, isolation_shells, grad_floor, samples_per_shell,
+                   ec_horizon, quad_tol, descent_trajectories, descent_t_end,
+                   ode.SimOptions() if sim is None else sim)
 
 
-@dataclass(frozen=True)
-class DescentSummary:
-    trajectories: int
-    max_v_increase: float
-    max_bound_violation: float
-    statuses: tuple
+class DescentSummary(Record):
+    _fields = ("trajectories", "max_v_increase", "max_bound_violation", "statuses")
+
+    def __init__(self, trajectories, max_v_increase, max_bound_violation, statuses):
+        self._fill(trajectories, max_v_increase, max_bound_violation, statuses)
 
     @property
     def monotone(self):
@@ -197,15 +199,11 @@ class DescentSummary:
         return self.max_bound_violation <= 1e-10
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    equilibrium: CriticalPoint
-    h1_pass: bool
-    h1_note: str
-    h2: IsolationVerdict
-    h3: EcVerdict
-    conclusion: Conclusion
-    descent: DescentSummary | None
+class StabilityReport(Record):
+    _fields = ("equilibrium", "h1_pass", "h1_note", "h2", "h3", "conclusion", "descent")
+
+    def __init__(self, equilibrium, h1_pass, h1_note, h2, h3, conclusion, descent):
+        self._fill(equilibrium, h1_pass, h1_note, h2, h3, conclusion, descent)
 
 
 def _auto_shell_radius(field, point):
@@ -372,7 +370,7 @@ def _descent_checks(system, checks, opts):
         return descents
     trajectories = ode.simulate_batch(
         system, starts, 0.0, opts.descent_t_end,
-        replace(opts.sim, convergence_radius=1e-8), targets=targets,
+        opts.sim.replace(convergence_radius=1e-8), targets=targets,
     )
     traces = ode.lyapunov_traces(system, trajectories, targets)
     for k, first, count in spans:

@@ -1,9 +1,11 @@
 """End-to-end CLI tests: exit codes, file outputs, schemas, determinism."""
 
+import glob
 import json
 import os
 import re
 import time
+import typing
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import scalar_reference as ref
 from modgrad.basin import exposed_cells, extract_component
-from modgrad.cli import _boundary_segments, _write_csv, load_config, main
+from modgrad.cli import _SIGNS, Options, _boundary_segments, _write_csv, load_config, main
 from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
 
@@ -522,6 +524,29 @@ class TestNumericInputs:
         assert f"option '{option}' must be >= 0, got {value}" in err and err.count("\n") == 1
         assert not out.exists()  # rejected before any stage ran
 
+    BASIN_FLAGS = ["--anchor", "2,4", "--c", "33", "--resolution", "64"]
+
+    @pytest.mark.parametrize("command, options, flags, message", [
+        ("analyze", {"shell_radius": -1}, [], "option 'shell_radius' must be > 0, got -1"),
+        ("analyze", {"shell_radius": 0}, [], "option 'shell_radius' must be > 0, got 0"),
+        ("basin", {"tol_boundary": -1}, [], "option 'tol_boundary' must be >= 0, got -1"),
+        ("analyze", {"psd_tol": -2}, [], "option 'psd_tol' must be >= 0, got -2"),
+        ("analyze", {"grad_floor": -1}, [], "option 'grad_floor' must be >= 0, got -1"),
+        ("basin", {"seed": -1}, [], "option 'seed' must be >= 0, got -1"),
+        ("basin", {}, ["--seed", "-5"], "--seed must be >= 0, got -5"),
+    ])
+    def test_sign_invalid_options_exit_2(self, tmp_path, capsys, command, options, flags,
+                                         message):
+        # each used to run with a wrong verdict and exit 0, or to fail late
+        # with a message that did not name the option
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "options": options})
+        out = tmp_path / "o"
+        flags = (self.BASIN_FLAGS if command == "basin" else []) + flags
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and err.count("\n") == 1
+        assert not out.exists()
+
     DEEP_SUM = "(" + "+".join(["x1"] * 3000) + ")/x2"
 
     @pytest.mark.parametrize("f, p00, argv", [
@@ -559,6 +584,23 @@ class TestGalleryCommand:
 
 
 class TestRepoConfigs:
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.json"))),
+                             ids=os.path.basename)
+    def test_shipped_configs_match_schema(self, path):
+        with open(path) as fh:
+            jsonschema.validate(json.load(fh), schema("config.schema.json"))
+
+    def test_schema_options_match_annotations(self):
+        json_type = {int: "integer", float: "number", list: "array", type(None): "null"}
+        want = {name: {json_type[kind] for kind in typing.get_args(hint) or (hint,)}
+                for name, hint in typing.get_type_hints(Options).items()}
+        props = schema("config.schema.json")["properties"]["options"]["properties"]
+        have = {name: set(np.atleast_1d(p["type"])) for name, p in props.items()}
+        assert have == want
+        signs = {name: ">" if "exclusiveMinimum" in p else ">="
+                 for name, p in props.items() if "minimum" in p or "exclusiveMinimum" in p}
+        assert signs == _SIGNS
+
     @pytest.mark.parametrize("name", ["ex21.json", "ex31.json", "custom_example.json"])
     def test_shipped_configs_analyze(self, tmp_path, name):
         cfg = os.path.join(CONFIGS, name)

@@ -275,6 +275,14 @@ class TestRoundTrip:
             point = rng.uniform(0.1, 2.0, size=dim)
             assert e1.eval(point) == e2.eval(point)
 
+    def test_long_sum_ast_has_repr_hash_and_eq(self):
+        # nodes compare by identity; recursive generated methods overflowed
+        e = parse("(" + "+".join(["x1"] * 3000) + ")/x2", 2)
+        assert repr(e.ast).startswith("<modgrad.expr.BinOp object at ")
+        assert hash(e.ast) == hash(e.ast)
+        assert e.ast == e.ast
+        assert e.ast != parse(str(e), 2).ast
+
     def test_random_roundtrip(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
