@@ -24,6 +24,7 @@ __all__ = [
     "HypothesesReport",
     "BasinVerification",
     "extract_component",
+    "grid_values",
     "check_hypotheses",
     "verify_basin",
     "sample_cells",
@@ -31,20 +32,20 @@ __all__ = [
 ]
 
 MAX_GRID_DIMENSION = 4
+_SLAB_CELLS = 1 << 16  # cells per axis-0 slab in which f is evaluated or the mask walked
 
 
 class GridComponent(Record):
-    _fields = ("box_lo", "box_hi", "resolution", "mask", "values", "c", "m_value",
+    _fields = ("box_lo", "box_hi", "resolution", "mask", "c", "m_value",
                "anchor", "anchor_cell", "boundary_cells")
 
     def __init__(self, box_lo, box_hi, resolution,
                  mask,            # bool, shape = resolution
-                 values,          # f at cell centers (NaN outside domain), read-only
                  c,
                  m_value,         # M = f(anchor)
                  anchor, anchor_cell,
                  boundary_cells):  # (k, n) indices of masked cells with an exposed face
-        self._fill(box_lo, box_hi, resolution, mask, values, c, m_value,
+        self._fill(box_lo, box_hi, resolution, mask, c, m_value,
                    anchor, anchor_cell, boundary_cells)
 
     @property
@@ -138,8 +139,9 @@ def exposed_cells(mask):
         interior[head + (slice(None, -1),)] &= mask[head + (slice(1, None),)]
         interior[head + (0,)] = False
         interior[head + (-1,)] = False
+    exposed = np.not_equal(mask, interior, out=interior)  # mask & ~interior, in place
     # flatnonzero: np.argwhere is ~10x slower on a sparse 1024^2 grid
-    return np.stack(np.unravel_index(np.flatnonzero(mask & ~interior), mask.shape), axis=-1)
+    return np.stack(np.unravel_index(np.flatnonzero(exposed), mask.shape), axis=-1)
 
 
 def neighbour_cells(cells, shape):
@@ -151,6 +153,18 @@ def neighbour_cells(cells, shape):
     steps = np.stack([s * e for e in np.eye(n, dtype=np.intp) for s in (-1, 1)])
     nbs = cells[:, None, :] + steps
     return nbs, np.all((nbs >= 0) & (nbs < shape), axis=2)
+
+
+def slab_rows(resolution):
+    """Axis-0 rows per slab: ``_SLAB_CELLS`` cells, and at least one row."""
+    return max(1, _SLAB_CELLS // math.prod(resolution[1:]))
+
+
+def _slab_values(field, axes, start, stop):
+    """f (NaN outside D) on axis-0 rows start..stop-1, from ``eval_grid`` on their open
+    grid: a term in fewer variables than n is computed over those axes only."""
+    grids = np.meshgrid(axes[0][start:stop], *axes[1:], indexing="ij", sparse=True)
+    return np.broadcast_arrays(field.eval_grid(grids), *grids)[0]
 
 
 def extract_component(field, anchor, c, resolution):
@@ -177,15 +191,19 @@ def extract_component(field, anchor, c, resolution):
     if c >= m_value:
         raise ValueError(f"c must be below f(anchor) = {m_value:g}, got {c:g}")
 
+    try:  # before anything else of grid size, the axis centers included
+        predicate = np.empty(resolution, dtype=bool)
+    except MemoryError:
+        raise ValueError(f"{math.prod(resolution)} grid cells do not fit in memory") from None
     lo = np.array(field.box.lo)
     hi = np.array(field.box.hi)
     widths = (hi - lo) / np.array(resolution)
-    # f on the open grid: a term in fewer variables than n is computed
-    # over those axes only, with the bits of the dense grid
-    grids = np.meshgrid(*axis_centers(lo, widths, resolution), indexing="ij", sparse=True)
-    values = np.broadcast_to(field.eval_grid(grids), resolution)
+    axes = axis_centers(lo, widths, resolution)
+    rows = slab_rows(resolution)
     with np.errstate(invalid="ignore"):
-        predicate = (values > c) & (values < m_value)
+        for start in range(0, resolution[0], rows):
+            values = _slab_values(field, axes, start, start + rows)
+            np.logical_and(values > c, values < m_value, out=predicate[start:start + rows])
 
     anchor_cell = _cell_index(anchor, lo, widths, resolution)
     predicate[anchor_cell] = True  # the anchor is in O by definition
@@ -197,13 +215,26 @@ def extract_component(field, anchor, c, resolution):
         box_hi=tuple(hi.tolist()),
         resolution=resolution,
         mask=mask,
-        values=values,
         c=c,
         m_value=m_value,
         anchor=tuple(anchor.tolist()),
         anchor_cell=anchor_cell,
         boundary_cells=exposed_cells(mask),
     )
+
+
+def grid_values(field, component, cells):
+    """f (NaN outside D) at the cells whose indices are the rows of the int array *cells*, with
+    the dense grid's bits, from the axis-0 slabs that hold the cells, one at a time."""
+    axes = component.axis_centers()
+    rows = slab_rows(component.resolution)
+    slab = cells[:, 0] // rows
+    out = np.empty(len(cells))
+    for s in np.flatnonzero(np.bincount(slab)).tolist():  # np.unique imports numpy.ma
+        at = slab == s
+        values = _slab_values(field, axes, s * rows, (s + 1) * rows)
+        out[at] = values[(cells[at, 0] - s * rows, *cells[at, 1:].T)]
+    return out
 
 
 class HypothesisVerdict(Record):
@@ -279,7 +310,6 @@ def check_hypotheses(component, field, critical_points, tol_boundary=None):
     other than the anchor, falls in a masked cell.
     """
     mask = component.mask
-    values = component.values
     c = component.c
     m_value = component.m_value
     cells = component.boundary_cells
@@ -292,7 +322,7 @@ def check_hypotheses(component, field, critical_points, tol_boundary=None):
     nbs, in_box = neighbour_cells(cells, component.resolution)
     face_cell = np.nonzero(in_box)[0]
     nbs = nbs[in_box]
-    f_nb = values[tuple(nbs.T)]
+    f_nb = grid_values(field, component, nbs)
 
     # H4 --------------------------------------------------------------
     # a face on the box wall or on a NaN cell
@@ -395,18 +425,19 @@ class BasinVerification(Record):
 
 def sample_cells(component, count, seed=0):
     """*count* starts in masked cell interiors, deterministic in *seed*."""
-    masked = np.argwhere(component.mask)
+    masked = np.flatnonzero(component.mask)  # row-major, as np.argwhere
     if len(masked) == 0:
         raise ValueError("component has no masked cells")
     lo = np.array(component.box_lo)
     widths = np.array(component.cell_widths)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xBA51]))
     picks = rng.integers(0, len(masked), size=int(count))
+    cells = np.stack(np.unravel_index(masked[picks], component.mask.shape), axis=-1)
     starts = []
-    for k, pick in enumerate(picks):
+    for k, cell in enumerate(cells):
         sub_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(k)]))
         jitter = sub_rng.uniform(0.1, 0.9, size=component.dimension)
-        starts.append(lo + (masked[pick] + jitter) * widths)
+        starts.append(lo + (cell + jitter) * widths)
     return starts
 
 

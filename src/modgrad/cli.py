@@ -100,35 +100,39 @@ def _write_cells_csv(path, component):
     writes them.  A center's coordinates come from the grid's per-axis
     centers, so each distinct coordinate is formatted once, with the
     separator that follows it; a block of rows is then a sum of object
-    arrays of text, indexed by the cells."""
+    arrays of text, indexed by the cells of one axis-0 slab of the mask."""
     axes = component.axis_centers()
     ends = [","] * (len(axes) - 1) + ["\n"]
     text = [np.array(["%.17g" % v + end for v in axis.tolist()], dtype=object)
             for axis, end in zip(axes, ends)]
     mask = component.mask
-    cells = np.unravel_index(np.flatnonzero(mask), mask.shape)  # row-major
+    rows = basin_mod.slab_rows(mask.shape)  # no index array of the whole grid
     with open(path, "w") as fh:
         fh.write(",".join(f"x{d + 1}" for d in range(mask.ndim)) + "\n")
-        for start in range(0, len(cells[0]), _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            lines = text[0][cells[0][block]]
-            for axis_text, idx in zip(text[1:], cells[1:]):
-                lines = lines + axis_text[idx[block]]
-            fh.write("".join(lines.tolist()))
+        for first in range(0, len(mask), rows):
+            slab = mask[first:first + rows]
+            cells = np.unravel_index(np.flatnonzero(slab), slab.shape)  # row-major
+            for start in range(0, len(cells[0]), _CSV_BLOCK_ROWS):
+                block = slice(start, start + _CSV_BLOCK_ROWS)
+                lines = text[0][first + cells[0][block]]
+                for axis_text, idx in zip(text[1:], cells[1:]):
+                    lines = lines + axis_text[idx[block]]
+                fh.write("".join(lines.tolist()))
 
 
 def _write_pgm(path, mask):
     """P5 mask image for n = 2: 255 inside the component, 0 outside.
 
     Rows run from the top of the image, so the x2 axis points up and x1
-    right, matching the usual plot orientation.
+    right, matching the usual plot orientation, a slab of rows at a time.
     """
     if mask.ndim != 2:
         raise ValueError("PGM export needs a 2-d mask")
-    img = (mask.T[::-1, :] * np.uint8(255)).astype(np.uint8)
+    img, rows = mask.T[::-1, :], basin_mod.slab_rows(mask.shape[::-1])
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        fh.write(img.tobytes())
+        for top in range(0, len(img), rows):
+            fh.write((img[top:top + rows] * np.uint8(255)).tobytes())
 
 
 def _boundary_segments(component):
@@ -275,22 +279,27 @@ _TYPE_CHECKS = {
 }
 
 
-# the sign each option needs, which its annotation cannot say
-_SIGNS = {"shell_radius": ">", "psd_tol": ">=", "grad_floor": ">=", "tol_boundary": ">=",
-          "descent_trajectories": ">=", "basin_samples": ">=", "seed": ">="}
+# each option's bound, as the command using it enforces it; a list's is on its items
+_SIGNS = {"shell_radius": (">", 0), "psd_tol": (">=", 0), "grad_floor": (">=", 0),
+          "tol_boundary": (">=", 0), "descent_trajectories": (">=", 0), "seed": (">=", 0),
+          "basin_samples": (">=", 0), "isolation_shells": (">", 0), "quad_tol": (">", 0),
+          "samples_per_shell": (">=", 8), "ec_horizon": (">=", 100), "basin_t_end": (">", 0),
+          "descent_t_end": (">", 0), "converge_radius": (">", 0)}
 
 
 def _check_option(name, value):
-    """Check *value* against ``Options.<name>``'s annotation and sign."""
+    """Check *value* against ``Options.<name>``'s annotation and bound."""
     kinds = typing.get_args(_OPTION_TYPES[name]) or (_OPTION_TYPES[name],)
     if value is None and type(None) in kinds:
         return
     what, check = _TYPE_CHECKS[kinds[0]]
     if not check(value):
         raise ConfigError(f"option {name!r} must be {what}, got {json.dumps(value)}")
-    sign = _SIGNS.get(name)
-    if sign and not (value > 0 if sign == ">" else value >= 0):
-        raise ConfigError(f"option {name!r} must be {sign} 0, got {json.dumps(value)}")
+    sign, low = _SIGNS.get(name, (None, None))
+    items = value if isinstance(value, list) else [value]
+    if sign and not (items and all(v > low if sign == ">" else v >= low for v in items)):
+        what = "a non-empty list of numbers " if items is value else ""
+        raise ConfigError(f"option {name!r} must be {what}{sign} {low}, got {json.dumps(value)}")
 
 
 def _reject_constant(token):

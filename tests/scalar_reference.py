@@ -159,10 +159,29 @@ def face_neighbours(grid, fill):
     return np.stack(views, axis=-1)
 
 
+class DenseComponent(GridComponent):
+    """A ``GridComponent`` that also keeps ``values``, f at every cell
+    center on the dense grid (NaN outside the domain)."""
+
+    _fields = GridComponent._fields + ("values",)
+
+    def __init__(self, values, **fields):
+        self._fill(*(fields[name] for name in GridComponent._fields), values)
+
+
+def dense_values(field, lo, widths, resolution):
+    """f at every cell center, evaluated on dense meshgrids."""
+    axes = [
+        lo[d] + (np.arange(resolution[d]) + 0.5) * widths[d] for d in range(len(resolution))
+    ]
+    return np.broadcast_to(field.eval_grid(np.meshgrid(*axes, indexing="ij")),
+                           tuple(resolution))
+
+
 def extract_component(field, anchor, c, resolution):
     """The component around *anchor* from f on dense meshgrids, with its
     boundary cells read off the padded stack of every cell's face
-    neighbours (no input checks)."""
+    neighbours (no input checks), as a ``DenseComponent``."""
     n = field.dimension
     anchor = np.asarray(anchor, dtype=float)
     if np.isscalar(resolution):
@@ -172,11 +191,7 @@ def extract_component(field, anchor, c, resolution):
     lo = np.array(field.box.lo)
     hi = np.array(field.box.hi)
     widths = (hi - lo) / np.array(resolution)
-    axes = [
-        lo[d] + (np.arange(resolution[d]) + 0.5) * widths[d] for d in range(n)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    values = field.eval_grid(grids)
+    values = dense_values(field, lo, widths, resolution)
     with np.errstate(invalid="ignore"):
         predicate = (values > c) & (values < m_value)
     anchor_cell = tuple(
@@ -186,7 +201,7 @@ def extract_component(field, anchor, c, resolution):
     predicate[anchor_cell] = True
     mask = flood_bfs(predicate, anchor_cell)
     exposed = mask & ~face_neighbours(mask, False).all(axis=-1)
-    return GridComponent(
+    return DenseComponent(
         box_lo=tuple(lo.tolist()),
         box_hi=tuple(hi.tolist()),
         resolution=resolution,
@@ -283,11 +298,12 @@ def lipschitz_estimate(field, component, sample_cap=256):
 
 
 def h4_h5(component, field, tol_boundary=None):
-    """H4 and H5 verdicts, one boundary cell and one face at a time."""
+    """H4 and H5 verdicts, one boundary cell and one face at a time, with f
+    from the dense grid."""
     n = component.dimension
     res = component.resolution
     mask = component.mask
-    values = component.values
+    values = dense_values(field, component.box_lo, component.cell_widths, res)
     c = component.c
     m_value = component.m_value
     cell_diag = math.sqrt(sum(w * w for w in component.cell_widths))

@@ -1,19 +1,22 @@
 """Grid-component extraction, H4-H6 checks, and simulation verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import scalar_reference as ref
-from modgrad import ode
+from modgrad import basin, ode
 from modgrad.basin import _flood, _lipschitz_estimate
 from modgrad.basin import (
     check_hypotheses,
     extract_component,
+    grid_values,
     sample_cells,
     sample_region,
     verify_basin,
 )
-from modgrad.cli import _boundary_segments, _write_cells_csv
+from modgrad.cli import _boundary_segments, _write_cells_csv, _write_pgm
 from modgrad.equilibria import find_critical_points
 from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
@@ -161,7 +164,8 @@ class TestScalarReference:
     def test_ex31_both_anchors_and_cuts(self, ex31, anchor, c):
         field = ex31.system.field
         comp = extract_component(field, anchor, c, 256)
-        predicate = (comp.values > c) & (comp.values < comp.m_value)
+        values = ref.extract_component(field, anchor, c, 256).values
+        predicate = (values > c) & (values < comp.m_value)
         predicate[comp.anchor_cell] = True
         assert np.array_equal(comp.mask, ref.flood_bfs(predicate, comp.anchor_cell))
         assert _lipschitz_estimate(field, comp) == ref.lipschitz_estimate(field, comp)
@@ -210,6 +214,11 @@ def _field(source, box):
     return ExpressionField(parse(source, box.dimension), box)
 
 
+def _every_cell(component):
+    """The indices of every cell of *component*'s grid, in row-major order."""
+    return np.argwhere(np.ones(component.resolution, dtype=bool))
+
+
 class TestOpenGrid:
     """``extract_component`` on the open grid, its boundary-only face work
     and the per-axis ``cells.csv`` writer, against the dense-grid,
@@ -230,6 +239,8 @@ class TestOpenGrid:
                       Box((-1.0, -1.5, -1.0), (1.0, 1.0, 1.25))), (0.0, 0.0, 0.25), 0.2, 40),
         "exp": (_field(EX31_F + " + exp(-(x1-2)^2)", EX31_BOX), (2.0, 4.0), 33.0, 128),
         "non-square": ("ex31", (2.0, 1.0), 20.0, (96, 160)),
+        # 300 rows in slabs of 218: the second slab is short
+        "slabs": (_field(EX31_F + " + exp(-(x1-2)^2)", EX31_BOX), (2.0, 4.0), 33.0, 300),
     }
 
     @pytest.fixture(scope="class")
@@ -244,9 +255,10 @@ class TestOpenGrid:
         got = extract_component(field, anchor, c, resolution)
         want = ref.extract_component(field, anchor, c, resolution)
 
-        assert got.values.shape == want.values.shape == got.resolution
-        assert np.array_equal(np.ascontiguousarray(got.values).view(np.uint64),
-                              want.values.view(np.uint64))
+        values = grid_values(field, got, _every_cell(got)).reshape(got.resolution)
+        assert want.values.shape == got.resolution
+        assert np.array_equal(values.view(np.uint64),
+                              np.ascontiguousarray(want.values).view(np.uint64))
         assert np.array_equal(got.mask, want.mask)
         assert np.array_equal(got.boundary_cells, want.boundary_cells)
         assert (got.anchor_cell, got.m_value, got.cell_widths) == \
@@ -275,21 +287,76 @@ class TestOpenGrid:
             return comp, check_hypotheses(comp, field, [])
 
         comp, hyp = rep("ex22-nan")
-        assert np.isnan(comp.values).any() and not hyp.h4.passed
+        values = grid_values(fields["ex22"].system.field, comp, _every_cell(comp))
+        assert np.isnan(values).any() and not hyp.h4.passed
         assert not rep("ex21-wall")[1].h4.passed
         assert any(w[2] == "crossing hits f = M" for w in rep("ex31-p1-c20")[1].h5.witnesses)
         assert not self.CASES["exp"][0].expression.exact
+        rows = basin.slab_rows((300, 300))
+        assert rows < 300 and 300 % rows and not self.CASES["slabs"][0].expression.exact
+
+    @pytest.mark.parametrize("case", ["3d", "ex22-nan", "exp", "non-square"])
+    def test_small_slabs_match_dense_grid(self, fields, case, tmp_path, monkeypatch):
+        # 1,500-cell slabs: one row of the 3-D grid (40 x 40 cells a row),
+        # 9 of the (96, 160) grid and 11 of a 128-cell side, the last one short
+        field, anchor, c, resolution = self.CASES[case]
+        if isinstance(field, str):
+            field = fields[field].system.field
+        whole = extract_component(field, anchor, c, resolution)
+        _write_cells_csv(str(tmp_path / "whole.csv"), whole)
+        monkeypatch.setattr(basin, "_SLAB_CELLS", 1500)
+        got = extract_component(field, anchor, c, resolution)
+        want = ref.extract_component(field, anchor, c, resolution)
+        rows = basin.slab_rows(got.resolution)
+        assert rows == 1 if got.dimension == 3 else got.resolution[0] % rows
+
+        values = grid_values(field, got, _every_cell(got)).reshape(got.resolution)
+        assert np.array_equal(values.view(np.uint64),
+                              np.ascontiguousarray(want.values).view(np.uint64))
+        assert np.array_equal(got.mask, want.mask)
+        assert np.array_equal(got.boundary_cells, want.boundary_cells)
+        rep = check_hypotheses(got, field, [])
+        assert (rep.h4, rep.h5) == ref.h4_h5(want, field)
+
+        _write_cells_csv(str(tmp_path / "cells.csv"), got)
+        assert (tmp_path / "cells.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        if got.dimension == 2:
+            _write_pgm(str(tmp_path / "mask.pgm"), got.mask)
+            width, height = got.resolution
+            assert (tmp_path / "mask.pgm").read_bytes() == \
+                f"P5\n{width} {height}\n255\n".encode() + \
+                (want.mask.T[::-1] * np.uint8(255)).tobytes()
+
+    def test_grid_stages_hold_no_float_grid(self, ex31, tmp_path):
+        # one bool per cell plus one slab of floats: extraction, H4-H6 and
+        # the two grid writers at 1024^2 stay under 6 bytes per cell (a
+        # float64 copy of f alone is 8)
+        field = ex31.system.field
+        extract_component(field, (2.0, 4.0), 33.0, 64)  # first-call imports
+        tracemalloc.start()
+        try:
+            comp = extract_component(field, (2.0, 4.0), 33.0, 1024)
+            rep = check_hypotheses(comp, field, [])
+            _write_cells_csv(str(tmp_path / "cells.csv"), comp)
+            _write_pgm(str(tmp_path / "mask.pgm"), comp.mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.all_pass
+        assert peak < 6 * 1024 ** 2
 
     def test_one_variable_and_constant_fields(self, tmp_path):
         box = Box((0.0, 0.0), (1.0, 2.0))
         comp = extract_component(_field("x2", box), (0.5, 1.5), 0.25, (40, 64))
         want = ref.extract_component(_field("x2", box), (0.5, 1.5), 0.25, (40, 64))
-        assert np.array_equal(comp.values, want.values)
+        values = grid_values(_field("x2", box), comp, _every_cell(comp))
+        assert np.array_equal(values.reshape(comp.resolution), want.values)
         assert np.array_equal(comp.mask, want.mask)
         assert np.array_equal(comp.boundary_cells, want.boundary_cells)
         # a constant: only the anchor cell, which is exempt from c < f < M
         comp = extract_component(_field("5", box), (1.0, 1.0), -10.0, 32)
-        assert comp.values.shape == (32, 32) and np.all(comp.values == 5.0)
+        values = grid_values(_field("5", box), comp, _every_cell(comp))
+        assert values.shape == (32 * 32,) and np.all(values == 5.0)
         assert np.argwhere(comp.mask).tolist() == [list(comp.anchor_cell)]
         assert np.array_equal(comp.boundary_cells, [comp.anchor_cell])
 

@@ -1,11 +1,13 @@
 """End-to-end CLI tests: exit codes, file outputs, schemas, determinism."""
 
 import glob
+import itertools
 import json
 import os
 import re
 import time
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,8 +176,8 @@ class TestAnalyze:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["analyze", "--config", cfg, "--out", out1, "--quiet"])
         main(["analyze", "--config", cfg, "--out", out2, "--quiet"])
-        b1 = open(os.path.join(out1, "report.json"), "rb").read()
-        b2 = open(os.path.join(out2, "report.json"), "rb").read()
+        b1 = Path(out1, "report.json").read_bytes()
+        b2 = Path(out2, "report.json").read_bytes()
         assert b1 == b2
 
 
@@ -257,7 +259,7 @@ class TestBasinCommand:
         with open(os.path.join(out, "mask.pgm"), "rb") as fh:
             header = fh.read(15)
         assert header.startswith(b"P5\n256 256\n255\n")
-        svg = open(os.path.join(out, "basin.svg")).read()
+        svg = Path(out, "basin.svg").read_text()
         assert svg.startswith("<svg") and "circle" in svg
         cells = np.loadtxt(os.path.join(out, "cells.csv"), delimiter=",", skiprows=1)
         assert cells.shape[1] == 2
@@ -320,8 +322,8 @@ class TestBasinCommand:
             outs.append(out)
         for fname in ("hypotheses.json", "verification.json", "mask.pgm",
                       "cells.csv", "boundary.csv", "basin.svg"):
-            b1 = open(os.path.join(outs[0], fname), "rb").read()
-            b2 = open(os.path.join(outs[1], fname), "rb").read()
+            b1 = Path(outs[0], fname).read_bytes()
+            b2 = Path(outs[1], fname).read_bytes()
             assert b1 == b2, fname
 
 
@@ -452,10 +454,6 @@ class TestNumericInputs:
     @pytest.mark.parametrize("command, options, flags, message", [
         ("ec", {}, ["--horizon", "inf"], "horizon must be a finite number >= 100"),
         ("ec", {}, ["--horizon", "nan"], "horizon must be a finite number >= 100"),
-        ("ec", {"quad_tol": 0}, [], "quad_tol must be a finite number > 0"),
-        ("ec", {"quad_tol": -1}, [], "quad_tol must be a finite number > 0"),
-        ("analyze", {"quad_tol": 0}, [], "quad_tol must be a finite number > 0"),
-        ("analyze", {"quad_tol": -1}, [], "quad_tol must be a finite number > 0"),
     ])
     def test_bad_quadrature_settings_exit_2(self, tmp_path, capsys, command, options,
                                             flags, message):
@@ -547,6 +545,55 @@ class TestNumericInputs:
         assert f"config error: {message}" in err and err.count("\n") == 1
         assert not out.exists()
 
+    # each exited 2 from the commands that use the option but was accepted
+    # by the others (basin ran with a bad isolation_shells, analyze with a
+    # bad basin_t_end), so the exit code depended on the subcommand
+    OUT_OF_RANGE = {
+        "isolation_shells-neg": ({"isolation_shells": [0.1, -1]},
+                                 "option 'isolation_shells' must be a non-empty list of "
+                                 "numbers > 0, got [0.1, -1]"),
+        "isolation_shells-empty": ({"isolation_shells": []},
+                                   "option 'isolation_shells' must be a non-empty list of "
+                                   "numbers > 0, got []"),
+        "samples_per_shell-0": ({"samples_per_shell": 0},
+                                "option 'samples_per_shell' must be >= 8, got 0"),
+        "ec_horizon-neg": ({"ec_horizon": -1}, "option 'ec_horizon' must be >= 100, got -1"),
+        "ec_horizon-99": ({"ec_horizon": 99.5},
+                          "option 'ec_horizon' must be >= 100, got 99.5"),
+        "descent_t_end-neg": ({"descent_t_end": -1},
+                              "option 'descent_t_end' must be > 0, got -1"),
+        "quad_tol-0": ({"quad_tol": 0}, "option 'quad_tol' must be > 0, got 0"),
+        "quad_tol-neg": ({"quad_tol": -1}, "option 'quad_tol' must be > 0, got -1"),
+        "basin_t_end-neg": ({"basin_t_end": -1}, "option 'basin_t_end' must be > 0, got -1"),
+        "converge_radius-neg": ({"converge_radius": -1},
+                                "option 'converge_radius' must be > 0, got -1"),
+    }
+    CONFIG_COMMANDS = {"analyze": [], "basin": BASIN_FLAGS,
+                       "simulate": ["--x0", "2,4", "--t-end", "1"], "ec": []}
+
+    @pytest.mark.parametrize("command, case", [
+        pytest.param(command, case, id=f"{command}-{case}")
+        for case, command in itertools.product(OUT_OF_RANGE, CONFIG_COMMANDS)
+    ])
+    def test_out_of_range_options_exit_2(self, tmp_path, capsys, command, case):
+        options, message = self.OUT_OF_RANGE[case]
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "options": options})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet",
+                     *self.CONFIG_COMMANDS[command]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_oversized_grid_exits_2(self, tmp_path, capsys):
+        # 10^16 cells are past any address space: the one allocation of
+        # grid size fails at once, and nothing else of grid size was built
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}})
+        assert main(["basin", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                     "--anchor", "2,4", "--c", "33", "--resolution", "100000000"]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: 10000000000000000 grid cells do not fit in memory\n"
+
     DEEP_SUM = "(" + "+".join(["x1"] * 3000) + ")/x2"
 
     @pytest.mark.parametrize("f, p00, argv", [
@@ -597,9 +644,17 @@ class TestRepoConfigs:
         props = schema("config.schema.json")["properties"]["options"]["properties"]
         have = {name: set(np.atleast_1d(p["type"])) for name, p in props.items()}
         assert have == want
-        signs = {name: ">" if "exclusiveMinimum" in p else ">="
-                 for name, p in props.items() if "minimum" in p or "exclusiveMinimum" in p}
+        def bound(p):
+            p = p.get("items", p)  # a list's bound is on its items
+            if "exclusiveMinimum" in p:
+                return ">", p["exclusiveMinimum"]
+            return (">=", p["minimum"]) if "minimum" in p else None
+
+        signs = {name: bound(p) for name, p in props.items() if bound(p)}
         assert signs == _SIGNS
+        # a bounded list must not be empty
+        assert all(props[name].get("minItems") == 1
+                   for name in signs if "array" in props[name]["type"])
 
     @pytest.mark.parametrize("name", ["ex21.json", "ex31.json", "custom_example.json"])
     def test_shipped_configs_analyze(self, tmp_path, name):

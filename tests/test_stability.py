@@ -61,6 +61,12 @@ class TestEcCheck:
         with pytest.raises(ValueError):
             ec_check(MatrixPath.identity(1), horizon=50.0)
 
+    @pytest.mark.parametrize("quad_tol", [0.0, -1.0])
+    def test_quad_tol_precondition(self, quad_tol):
+        # the CLI refuses these in load_config; the library keeps its check
+        with pytest.raises(ValueError, match="quad_tol must be a finite number > 0"):
+            ec_check(MatrixPath.identity(1), 1e4, quad_tol)
+
     def test_invariant_integral_nonnegative(self):
         for src in ("-1", "0", "(t+1)^(-1)"):
             assert ec_check(MatrixPath([[src]]), 1e4).horizon_integral >= 0.0

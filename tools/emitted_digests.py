@@ -13,10 +13,12 @@ the one t-varying, non-diagonal P built from ``sin``/``cos``; ``ec-ex31-fnP``
 grades a P whose entries use ``exp``, ``ln``, ``sqrt`` and a real power
 (``FN_P_CONFIG``).  ``analyze-ex31-exp``
 runs ex31's f with an ``exp`` term (``EXP_CONFIG``), whose batches take
-the scalar row loop instead of the exact kernels, ``basin-quad3-r48``
-a 3-D quadratic peak (``QUAD3_CONFIG``) on a non-cubic box, and
-``simulate-leave``/``simulate-hmin`` trajectories that end with
-``LeftDomain`` and ``StepFailure``.  The tool
+the scalar row loop instead of the exact kernels, and
+``basin-ex31-exp-r1000`` extracts a basin of that f in axis-0 slabs of
+unequal height.  ``basin-quad3-r48`` runs a 3-D quadratic peak
+(``QUAD3_CONFIG``) on a non-cubic box, and ``simulate-leave``/
+``simulate-hmin`` trajectories that end with ``LeftDomain`` and
+``StepFailure``.  The tool
 writes these configs into the work directory, so every checkout runs the
 same files.
 Prints one ``<run>/<file> <sha256> <exit code>`` line per emitted file,
@@ -89,6 +91,11 @@ EXP_CONFIG = {
     "box": [[-1.0, 5.0], [-1.0, 6.0]],
 }
 RUNS["analyze-ex31-exp"] = ["analyze", "--config", "{work}/exp.json"]
+# the same f on a grid whose side, 1000, is not a multiple of the basin
+# grid's slab height (65 rows at 1000 cells a row): f is evaluated through
+# eval_array's np.exp and np.power on 16 slabs, the last one short
+RUNS["basin-ex31-exp-r1000"] = ["basin", "--config", "{work}/exp.json", "--anchor", "2,4",
+                                "--c", "33", "--resolution", "1000"]
 
 # ex22's radial field is NaN outside the unit disk: at c = -0.05 the
 # component reaches the disk's edge and H4 fails on NaN neighbours
