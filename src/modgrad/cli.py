@@ -242,19 +242,10 @@ class ConfigError(ValueError):
 
 
 class AnalysisConfig(Record):
-    _fields = ("system", "options", "output_dir")
+    _fields = ("system", "options", "output_dir", "sim_options")
 
-    def __init__(self, system, options, output_dir):
-        self._fill(system, options, output_dir)
-
-    @property
-    def sim_options(self):
-        return ode.SimOptions(
-            rel_tol=self.options.rel_tol,
-            abs_tol=self.options.abs_tol,
-            h_min=self.options.h_min,
-            h_max=self.options.h_max,
-        )
+    def __init__(self, system, options, output_dir, sim_options):
+        self._fill(system, options, output_dir, sim_options)
 
 
 _TOP_KEYS = {"dimension", "f", "P", "box", "options", "output_dir"}
@@ -284,7 +275,9 @@ _SIGNS = {"shell_radius": (">", 0), "psd_tol": (">=", 0), "grad_floor": (">=", 0
           "tol_boundary": (">=", 0), "descent_trajectories": (">=", 0), "seed": (">=", 0),
           "basin_samples": (">=", 0), "isolation_shells": (">", 0), "quad_tol": (">", 0),
           "samples_per_shell": (">=", 8), "ec_horizon": (">=", 100), "basin_t_end": (">", 0),
-          "descent_t_end": (">", 0), "converge_radius": (">", 0)}
+          "descent_t_end": (">", 0), "converge_radius": (">", 0), "grid_per_axis": (">=", 2),
+          "max_newton_iters": (">=", 1), "newton_tol": (">", 0), "h_min": (">", 0),
+          "h_max": (">", 0), "rel_tol": (">=", 0), "abs_tol": (">=", 0)}
 
 
 def _check_option(name, value):
@@ -335,6 +328,11 @@ def load_config(path):
     for name, value in opt_raw.items():
         _check_option(name, value)
     options = Options(**opt_raw)
+    try:  # the cross-field rule: rel_tol and abs_tol not both 0
+        sim_options = ode.SimOptions(rel_tol=options.rel_tol, abs_tol=options.abs_tol,
+                                     h_min=options.h_min, h_max=options.h_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(raw.get("output_dir", ""), str):
         raise ConfigError("'output_dir' must be a string")
 
@@ -392,6 +390,7 @@ def load_config(path):
         system=system,
         options=options,
         output_dir=raw.get("output_dir", "out"),
+        sim_options=sim_options,
     )
 
 

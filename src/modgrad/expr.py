@@ -12,16 +12,15 @@ namespaces:
   this way and keep their bits.
 * ``eval_exact``/``grad_exact``/``hessian_exact`` (row batches) run the
   value's, the gradient's and the Hessian's sources in an "exact"
-  namespace: integer powers are ``_ipow``'s chain of products, which works
-  elementwise on arrays, and ``sqrt`` is ``np.sqrt``.  Elementwise
-  ``+ - * /``, negation and ``sqrt`` are correctly rounded in numpy as in
-  Python, so every row gets the bits the scalar code gives it.  Only expressions built from those
-  operations have exact functions (``Expression.exact``); ``exp``, ``ln``,
-  ``sin``, ``cos`` and real powers are not correctly rounded and keep the
-  scalar path.  The exact functions run with floating-point errors
-  raised, so a row where the scalar code would raise (and overflow,
-  which the scalar code lets pass) raises for the whole batch, and
-  callers fall back to the rows one at a time.
+  namespace that gives every row the bits the scalar code gives it.
+  Elementwise ``+ - * /``, negation and ``sqrt`` are correctly rounded in
+  numpy as in Python; integer powers are ``_ipow``'s chain of products,
+  which works elementwise on arrays; ``exp``, ``ln``, ``sin``, ``cos`` and
+  real powers call the scalar code's libm functions on each element
+  (``np.frompyfunc``).  The exact functions run with floating-point errors
+  raised, so a row where the scalar code would raise (and overflow, which
+  the scalar code lets pass) raises for the whole batch, and callers fall
+  back to the rows one at a time.
 
 Grammar (precedence low to high: +,- < *,/ < unary minus < ^):
 
@@ -81,6 +80,12 @@ def _rpow(v, e):
     return math.exp(e * math.log(v))
 
 
+def _elementwise(fn, nin=1):
+    """*fn* called on each element of its array arguments, as a float array."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
 # names the rendered source calls: the math functions raise on a domain
 # error, the numpy ones return NaN/inf
 _MATH_NS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
@@ -89,8 +94,12 @@ _MATH_NS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
 _NUMPY_NS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
              "sqrt": np.sqrt, "ipow": np.power, "rpow": np.power,
              "inf": math.inf, "nan": math.nan}
-# correctly rounded operations only: a row gets the scalar namespace's bits
-_EXACT_NS = {"sqrt": np.sqrt, "ipow": _ipow, "inf": math.inf, "nan": math.nan}
+# arrays with the scalar namespace's bits: libm element by element, and
+# numpy only where it is correctly rounded
+_EXACT_NS = {"exp": _elementwise(math.exp), "ln": _elementwise(math.log),
+             "sin": _elementwise(math.sin), "cos": _elementwise(math.cos),
+             "sqrt": np.sqrt, "ipow": _ipow, "rpow": _elementwise(_rpow, 2),
+             "inf": math.inf, "nan": math.nan}
 _FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
 
 
@@ -388,14 +397,6 @@ def _compile(roots, guarded, params, namespaces=(_MATH_NS,)):
     return functions
 
 
-def _correctly_rounded(node):
-    """True when *node*'s own operation is correctly rounded, in numpy's
-    elementwise arithmetic as in Python's."""
-    if isinstance(node, Pow):
-        return node.integral
-    return not isinstance(node, Call) or node.func == "sqrt"
-
-
 _REASONS = {"ln": "ln of non-positive argument", "sqrt": "sqrt of negative argument"}
 
 
@@ -601,36 +602,29 @@ class Expression:
 
     def __init__(self, ast, dimension):
         grads, square = _derivatives(ast, dimension)
-        exact = all(_correctly_rounded(n) for n in _postorder([ast]))
-        scalar = (_MATH_NS, _EXACT_NS) if exact else (_MATH_NS,)
         params = [f"x{i}" for i in range(dimension)]
-        value = _compile([ast], [], params, (*scalar, _NUMPY_NS))
+        kernels = (_MATH_NS, _EXACT_NS)  # scalar, then row batches
+        value = _compile([ast], [], params, (*kernels, _NUMPY_NS))
         # a derivative is undefined wherever the value is, so derivative
         # code also runs the value's operations that can fail
-        grad = _compile(grads, [ast], params, scalar)
-        hessian = _compile(square, [ast, *grads], params, scalar)
+        grad = _compile(grads, [ast], params, kernels)
+        hessian = _compile(square, [ast, *grads], params, kernels)
         fields = {
             "ast": ast,
             "dimension": dimension,
             "_value": value[0],
-            "_value_array": value[-1],
-            "_value_exact": value[1] if exact else None,
+            "_value_exact": value[1],
+            "_value_array": value[2],
             "_grad": grad[0],
-            "_grad_exact": grad[1] if exact else None,
+            "_grad_exact": grad[1],
             "_hessian": hessian[0],
-            "_hessian_exact": hessian[1] if exact else None,
+            "_hessian_exact": hessian[1],
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
-
-    @property
-    def exact(self):
-        """True when ``eval_exact``, ``grad_exact`` and ``hessian_exact``
-        exist: every operation is correctly rounded."""
-        return self._value_exact is not None
 
     def __str__(self):
         return _render(self.ast)
@@ -661,10 +655,10 @@ class Expression:
         """``eval`` at every row of *columns* (one array per variable, all of
         one length m), with the bits ``eval`` gives that row.
 
-        Only for an ``exact`` expression.  Raises ArithmeticError (mostly
-        FloatingPointError) when any row would raise a domain error, and
-        on overflow and invalid operations, which the scalar code lets
-        pass; the caller then evaluates the rows one at a time.
+        Raises ArithmeticError or ValueError (FloatingPointError, or libm's
+        OverflowError or ValueError) when any row would raise a domain
+        error, and on overflow and invalid operations, which the scalar
+        code lets pass; the caller then evaluates the rows one at a time.
         """
         return self._exact(self._value_exact, columns)[0]
 
@@ -679,8 +673,6 @@ class Expression:
         return self._exact(self._hessian_exact, columns).T.reshape(-1, n, n)
 
     def _exact(self, fn, columns):
-        if fn is None:
-            raise ValueError(f"{self!r} has operations that are not correctly rounded")
         if len(columns) != self.dimension:
             raise ValueError("wrong number of columns")
         with np.errstate(divide="raise", over="raise", invalid="raise"):

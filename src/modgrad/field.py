@@ -179,20 +179,19 @@ class ExpressionField(ScalarField):
 
     def _exact_rows(self, kind, x, shape):
         """The expression's exact array kernel for *kind* on the rows inside
-        D, NaN elsewhere.  When the expression has no exact kernel, or the
-        kernel raises for some row, the scalar function runs on each row
-        inside D instead, and a row where it raises is NaN."""
+        D, NaN elsewhere.  When the kernel raises for some row, the scalar
+        function runs on each row inside D instead, and a row where it
+        raises is NaN."""
         x = self._check_rows(x)
         inside = self.inside_batch(x)
         out = np.full((len(x),) + shape, np.nan)
-        if self.expression.exact:
-            rows = slice(None) if inside.all() else inside
-            try:
-                out[rows] = getattr(self.expression, kind + "_exact")(
-                    np.ascontiguousarray(x[rows].T))
-                return out
-            except ArithmeticError:
-                pass
+        rows = slice(None) if inside.all() else inside
+        try:
+            out[rows] = getattr(self.expression, kind + "_exact")(
+                np.ascontiguousarray(x[rows].T))
+            return out
+        except (ArithmeticError, ValueError):
+            pass
         fn = getattr(self.expression, kind)
         for i in np.flatnonzero(inside):
             try:

@@ -430,12 +430,21 @@ class TestNumericInputs:
     """Integrator and quadrature settings that used to hang or pass
     silently end with one line on stderr and exit 2 or 3."""
 
+    # a config option is refused by every command, ec included, which
+    # never integrates; the ids keep the names these cases have always had
     @pytest.mark.parametrize("options, flags, message", [
-        ({"h_max": 0}, [], "h_max must be a finite number > 0"),
-        ({"h_min": 0}, [], "h_min must be a finite number > 0"),
-        ({"rel_tol": -1e-9}, [], "rel_tol must be >= 0"),
-        ({"abs_tol": -1}, [], "abs_tol must be >= 0"),
-        ({"rel_tol": 0, "abs_tol": 0}, [], "rel_tol and abs_tol must not both be 0"),
+        pytest.param({"h_max": 0}, [], "config error: option 'h_max' must be > 0, got 0",
+                     id="options0-flags0-h_max must be > 0, got 0"),
+        pytest.param({"h_min": 0}, [], "config error: option 'h_min' must be > 0, got 0",
+                     id="options1-flags1-h_min must be > 0, got 0"),
+        pytest.param({"rel_tol": -1e-9}, [],
+                     "config error: option 'rel_tol' must be >= 0, got -1e-09",
+                     id="options2-flags2-rel_tol must be >= 0, got -1e-09"),
+        pytest.param({"abs_tol": -1}, [], "config error: option 'abs_tol' must be >= 0, got -1",
+                     id="options3-flags3-abs_tol must be >= 0, got -1"),
+        pytest.param({"rel_tol": 0, "abs_tol": 0}, [],
+                     "config error: rel_tol and abs_tol must not both be 0",
+                     id="options4-flags4-rel_tol and abs_tol must not both be 0"),
         ({}, ["--h-max", "0"], "h_max must be a finite number > 0"),
         ({}, ["--h-max", "-1"], "h_max must be a finite number > 0"),
         ({}, ["--h-max", "nan"], "h_max must be a finite number > 0"),
@@ -446,10 +455,14 @@ class TestNumericInputs:
     def test_bad_integrator_settings_exit_2(self, tmp_path, capsys, options, flags, message):
         cfg = write_config(tmp_path, {"f": {"gallery": "ex21"}, "options": options})
         # a repeated --t-end overrides the first
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
-                     "--x0", "2,2", "--t-end", "10", *flags]) == 2
-        err = capsys.readouterr().err
-        assert message in err and err.count("\n") == 1
+        runs = [["simulate", "--x0", "2,2", "--t-end", "10", *flags]]
+        if options:
+            runs.append(["ec"])
+        for command, *rest in runs:
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                         *rest]) == 2
+            err = capsys.readouterr().err
+            assert message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, options, flags, message", [
         ("ec", {}, ["--horizon", "inf"], "horizon must be a finite number >= 100"),
@@ -490,23 +503,34 @@ class TestNumericInputs:
         assert "P(t) has a non-finite entry at t = " in err and err.count("\n") == 1
 
 
+    # the ids keep the names these cases have always had
     @pytest.mark.parametrize("command, options, message", [
-        ("analyze", {"newton_tol": 0}, "newton_tol must be a finite number > 0, got 0"),
-        ("analyze", {"newton_tol": -1}, "newton_tol must be a finite number > 0, got -1"),
-        ("analyze", {"max_newton_iters": 0}, "max_newton_iters must be >= 1, got 0"),
-        ("basin", {"newton_tol": 0}, "newton_tol must be a finite number > 0, got 0"),
-        ("basin", {"max_newton_iters": 0}, "max_newton_iters must be >= 1, got 0"),
+        pytest.param("analyze", {"newton_tol": 0}, "option 'newton_tol' must be > 0, got 0",
+                     id="analyze-options0-newton_tol must be > 0, got 0"),
+        pytest.param("analyze", {"newton_tol": -1}, "option 'newton_tol' must be > 0, got -1",
+                     id="analyze-options1-newton_tol must be > 0, got -1"),
+        pytest.param("analyze", {"max_newton_iters": 0},
+                     "option 'max_newton_iters' must be >= 1, got 0",
+                     id="analyze-options2-max_newton_iters must be >= 1, got 0"),
+        pytest.param("basin", {"newton_tol": 0}, "option 'newton_tol' must be > 0, got 0",
+                     id="basin-options3-newton_tol must be > 0, got 0"),
+        pytest.param("basin", {"max_newton_iters": 0},
+                     "option 'max_newton_iters' must be >= 1, got 0",
+                     id="basin-options4-max_newton_iters must be >= 1, got 0"),
+        ("analyze", {"grid_per_axis": 1}, "option 'grid_per_axis' must be >= 2, got 1"),
     ])
     def test_bad_finder_settings_exit_2(self, tmp_path, capsys, command, options, message):
         # a zero tolerance used to report one maximum twice; a negative one
-        # or zero iterations found nothing, and basin passed H6 vacuously
+        # or zero iterations found nothing, and basin passed H6 vacuously;
+        # ec, which finds no critical points, refuses them too
         cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "options": options})
         flags = ["--anchor", "2,4", "--c", "33", "--resolution", "64"] \
             if command == "basin" else []
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
-                     *flags]) == 2
-        err = capsys.readouterr().err
-        assert f"input error: {message}" in err and err.count("\n") == 1
+        for argv in ([command, *flags], ["ec"]):
+            assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                         *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {message}" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, option, value", [
         ("analyze", "descent_trajectories", -1),
@@ -547,7 +571,8 @@ class TestNumericInputs:
 
     # each exited 2 from the commands that use the option but was accepted
     # by the others (basin ran with a bad isolation_shells, analyze with a
-    # bad basin_t_end), so the exit code depended on the subcommand
+    # bad basin_t_end, ec with a bad grid_per_axis or h_min), so the exit
+    # code depended on the subcommand
     OUT_OF_RANGE = {
         "isolation_shells-neg": ({"isolation_shells": [0.1, -1]},
                                  "option 'isolation_shells' must be a non-empty list of "
@@ -567,6 +592,9 @@ class TestNumericInputs:
         "basin_t_end-neg": ({"basin_t_end": -1}, "option 'basin_t_end' must be > 0, got -1"),
         "converge_radius-neg": ({"converge_radius": -1},
                                 "option 'converge_radius' must be > 0, got -1"),
+        "grid_per_axis-1": ({"grid_per_axis": 1}, "option 'grid_per_axis' must be >= 2, got 1"),
+        "newton_tol-neg": ({"newton_tol": -1}, "option 'newton_tol' must be > 0, got -1"),
+        "h_min-neg": ({"h_min": -1}, "option 'h_min' must be > 0, got -1"),
     }
     CONFIG_COMMANDS = {"analyze": [], "basin": BASIN_FLAGS,
                        "simulate": ["--x0", "2,4", "--t-end", "1"], "ec": []}

@@ -135,15 +135,14 @@ class TestBatchedFinder:
         _, diags = self._assert_same(f, 7)
         assert diags.converged > diags.duplicates_merged
 
-    def test_row_loop_fallback(self):
+    def test_libm_functions(self):
         f = _field("exp(-(x1-1)^2) * sin(x2) + 0.1*x1", (-2.0, -2.0), (3.0, 3.0))
-        assert not f.expression.exact
         points, _ = self._assert_same(f, 12)
         assert points
 
     @pytest.mark.parametrize("source, lo, hi", [
-        ("sqrt(x1) - (x1-1)^2 - x2^2", (-1.0, -1.0), (3.0, 1.0)),  # exact kernel
-        ("ln(x1*x2) - x1 - x2", (-1.0, -1.0), (3.0, 3.0)),  # row loop
+        ("sqrt(x1) - (x1-1)^2 - x2^2", (-1.0, -1.0), (3.0, 1.0)),  # numpy's sqrt
+        ("ln(x1*x2) - x1 - x2", (-1.0, -1.0), (3.0, 3.0)),  # libm's log
     ])
     def test_domain_errors_drop_rows(self, source, lo, hi):
         points, diags = self._assert_same(_field(source, lo, hi), 11)

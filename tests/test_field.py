@@ -20,9 +20,9 @@ from scalar_reference import row_loop
 
 
 class _ExactKernelsOnly:
-    """Stands in for an exact Expression: the array kernels delegate to
-    it, and its scalar functions fail the test, so a batch that falls back
-    to the row loop is caught."""
+    """Stands in for an Expression: the array kernels delegate to it, and
+    its scalar functions fail the test, so a batch that falls back to the
+    row loop is caught."""
 
     def __init__(self, expression):
         self._expression = expression
@@ -135,7 +135,6 @@ class TestExactBatches:
 
     def test_example_31(self, ex31):
         f = ex31.system.field
-        assert f.expression.exact
         x = np.random.default_rng(31).uniform((-1.0, -1.0), (5.0, 6.0), size=(2000, 2))
         v, g = self._assert_rows_equal(f, x)
         assert not np.isnan(v).any() and not np.isnan(g).any()
@@ -156,7 +155,6 @@ class TestExactBatches:
             n = int(rng.integers(1, 5))
             f = ExpressionField(parse(random_poly_source(rng, n, degree=6), n),
                                 Box((-2.0,) * n, (2.0,) * n))
-            assert f.expression.exact
             v, _ = self._assert_rows_equal(f, rng.uniform(-2.0, 2.0, size=(300, n)))
             assert not np.isnan(v).any()
 
@@ -171,16 +169,17 @@ class TestExactBatches:
         assert v.tolist()[:2] == [2.5, 2.5] and g.tolist()[:2] == [[0.0], [0.0]]
         assert np.isnan(v[2])
 
-    @pytest.mark.parametrize("source, exact", [
-        ("1/(x1-x1) + x2", True),  # every row divides by zero
-        ("sqrt(x1-10) + x2", True),  # negative sqrt on the rows with x1 < 10
-        ("exp(x1) * x2", False),  # not correctly rounded: row loop only
-        ("x1^400 + x2", True),  # overflows to inf, which the scalar code lets pass
-        ("x1^2 - x2", True),  # only rows outside D are NaN
-    ])
-    def test_fallbacks_and_rows_outside(self, source, exact):
+    # the ids are the names these cases have always had in the suite
+    @pytest.mark.parametrize("source", [
+        "1/(x1-x1) + x2",  # every row divides by zero
+        "sqrt(x1-10) + x2",  # negative sqrt on the rows with x1 < 10
+        "exp(x1) * x2",  # libm element by element
+        "x1^400 + x2",  # overflows to inf, which the scalar code lets pass
+        "x1^2 - x2",  # only rows outside D are NaN
+    ], ids=["1/(x1-x1) + x2-True", "sqrt(x1-10) + x2-True", "exp(x1) * x2-False",
+            "x1^400 + x2-True", "x1^2 - x2-True"])
+    def test_fallbacks_and_rows_outside(self, source):
         f = ExpressionField(parse(source, 2), Box((-20.0, -20.0), (20.0, 20.0)))
-        assert f.expression.exact is exact
         x = np.array([[12.0, 1.0], [3.0, -2.0], [30.0, 0.0], [11.5, 0.5], [-19.0, 3.0]])
         v, g = self._assert_rows_equal(f, x)
         for i, p in enumerate(x):
@@ -189,10 +188,56 @@ class TestExactBatches:
             except (EvalDomainError, OutsideDomainError):
                 assert np.isnan(v[i]) and np.isnan(g[i]).all()
 
-    def test_exact_kernel_refuses_inexact_expressions(self):
-        e = parse("exp(x1)", 1)
-        with pytest.raises(ValueError, match="correctly rounded"):
-            e.eval_exact([np.array([0.0])])
+    @pytest.mark.parametrize("source", [
+        "exp(x1) * x2", "ln(x2) + x1", "sin(x1*x2)", "cos(x1) - x2^2",
+        "x2^2.5 * x1",  # a real power
+        "x1^(-3) + x2",  # a negative integer power
+    ])
+    def test_libm_kernels_skip_the_row_loop(self, source):
+        f = ExpressionField(parse(source, 2), Box((0.5, 0.5), (3.0, 3.0)))
+        # a few rows outside D, which are NaN without the row loop
+        x = np.random.default_rng(7).uniform(0.25, 3.25, size=(300, 2))
+        v, g = self._assert_rows_equal(f, x)
+        h = TestHessianBatch._assert_rows_equal(f, x)
+        inside = f.inside_batch(x)
+        assert 0 < inside.sum() < len(x) and not np.isnan(v[inside]).any()
+        f.expression = _ExactKernelsOnly(f.expression)
+        assert f.eval_batch(x).tobytes() == v.tobytes()
+        assert f.grad_batch(x).tobytes() == g.tobytes()
+        assert f.hessian_batch(x).tobytes() == h.tobytes()
+
+    # rows: x1 = 0 and x1 = -1 are domain errors of ln, sqrt and real powers;
+    # x1 = 1000 overflows libm's exp, and x1^400 overflows to inf at x1 = 10
+    # and 1000, which sin refuses; the last row is outside D
+    LIBM_ROWS = np.array([[2.0, 1.0], [0.0, 1.0], [-1.0, 2.0], [0.5, -3.0],
+                          [1000.0, 0.5], [10.0, 0.5], [2000.0, 0.0]])
+
+    @pytest.mark.parametrize("source, failing", [
+        ("ln(x1) * x2", [1, 2]),
+        ("sqrt(x1) + x2", [2]),
+        ("x1^1.5 - x2", [1, 2]),
+        ("sin(x1^400) + x2", [4, 5]),
+        ("cos(x1) * x2^2", []),
+        ("exp(x1) + x2", [4]),
+        ("exp(1) + x1", []),  # constant components: 0-d arrays in the kernel
+        ("exp(1) * x1 + sin(2) * x2", []),
+    ])
+    def test_libm_rows_match_scalar_bit_for_bit(self, source, failing):
+        f = ExpressionField(parse(source, 2), Box((-1e3, -1e3), (1e3, 1e3)))
+        x = self.LIBM_ROWS
+        v, _ = self._assert_rows_equal(f, x)
+        TestHessianBatch._assert_rows_equal(f, x)
+        assert np.flatnonzero(np.isnan(v)).tolist() == [*failing, len(x) - 1]
+
+    def test_libm_errors_raise_for_the_whole_batch(self):
+        with pytest.raises(ValueError):
+            parse("ln(x1)", 1).eval_exact([np.array([1.0, -1.0])])
+        with pytest.raises(ValueError):
+            parse("sin(x1)", 1).grad_exact([np.array([0.5, np.inf])])
+        with pytest.raises(OverflowError):
+            parse("exp(x1)", 1).hessian_exact([np.array([1.0, 1000.0])])
+        with pytest.raises(ValueError):
+            parse("x1^0.5", 1).eval_exact([np.array([-2.0, 4.0])])
 
 
 class TestHessianBatch:
@@ -226,26 +271,22 @@ class TestHessianBatch:
             n = int(rng.integers(1, 5))
             f = ExpressionField(parse(random_poly_source(rng, n, degree=6), n),
                                 Box((-2.0,) * n, (2.0,) * n))
-            assert f.expression.exact
             self._assert_rows_equal(f, rng.uniform(-2.0, 2.0, size=(200, n)))
 
-    @pytest.mark.parametrize("source, exact", [
-        ("1/(x1-x1) + x2", True),  # every row divides by zero
-        ("sqrt(x1-10) + x2^3", True),  # negative sqrt on the rows with x1 < 10
-        ("exp(x1) * x2^2", False),  # not correctly rounded: row loop only
-        ("sin(x1*x2) + ln(x2)", False),  # row loop with a domain error
-        ("x1^400 + x2", True),  # overflows to inf, which the scalar code lets pass
-        ("3*x1 + 2.5", True),  # constant Hessian entries broadcast
-    ])
-    def test_fallbacks_and_rows_outside(self, source, exact):
+    # the ids are the names these cases have always had in the suite
+    @pytest.mark.parametrize("source", [
+        "1/(x1-x1) + x2",  # every row divides by zero
+        "sqrt(x1-10) + x2^3",  # negative sqrt on the rows with x1 < 10
+        "exp(x1) * x2^2",  # libm element by element
+        "sin(x1*x2) + ln(x2)",  # ln of a negative on the rows with x2 < 0
+        "x1^400 + x2",  # overflows to inf, which the scalar code lets pass
+        "3*x1 + 2.5",  # constant Hessian entries broadcast
+    ], ids=["1/(x1-x1) + x2-True", "sqrt(x1-10) + x2^3-True", "exp(x1) * x2^2-False",
+            "sin(x1*x2) + ln(x2)-False", "x1^400 + x2-True", "3*x1 + 2.5-True"])
+    def test_fallbacks_and_rows_outside(self, source):
         f = ExpressionField(parse(source, 2), Box((-20.0, -20.0), (20.0, 20.0)))
-        assert f.expression.exact is exact
         x = np.array([[12.0, 1.0], [3.0, -2.0], [30.0, 0.0], [11.5, 0.5], [-19.0, 3.0]])
         self._assert_rows_equal(f, x)
-
-    def test_exact_kernel_refuses_inexact_expressions(self):
-        with pytest.raises(ValueError, match="correctly rounded"):
-            parse("exp(x1)", 1).hessian_exact([np.array([0.0])])
 
 
 class TestGradContract:
@@ -272,13 +313,13 @@ class TestGradContract:
         random = rng.uniform(lo - 0.5, hi + 0.5, size=(40, 2))
         return np.concatenate([corners, edges, bad, random])
 
-    @pytest.mark.parametrize("source, exact", [
-        ("x1^3 - 2*x1*x2 + x2^2", True),  # the exact kernel
-        ("exp(-x1^2) * x2 + x1", False),  # the row loop
-    ])
-    def test_expression_field(self, source, exact):
+    # the ids are the names these cases have always had in the suite
+    @pytest.mark.parametrize("source", [
+        "x1^3 - 2*x1*x2 + x2^2",  # numpy arithmetic only
+        "exp(-x1^2) * x2 + x1",  # libm element by element
+    ], ids=["x1^3 - 2*x1*x2 + x2^2-True", "exp(-x1^2) * x2 + x1-False"])
+    def test_expression_field(self, source):
         f = ExpressionField(parse(source, 2), Box((-1.0, -2.0), (1.5, 1.0)))
-        assert f.expression.exact is exact
         x = self._points((-1.0, -2.0), (1.5, 1.0), np.random.default_rng(4))
         inside = self._assert_contract(f, x)
         assert inside[:4].all() and not inside[8:13].any()

@@ -12,8 +12,8 @@ workload (``OSC_P_CONFIG``, read from this checkout's ``perfbench/run.py``),
 the one t-varying, non-diagonal P built from ``sin``/``cos``; ``ec-ex31-fnP``
 grades a P whose entries use ``exp``, ``ln``, ``sqrt`` and a real power
 (``FN_P_CONFIG``).  ``analyze-ex31-exp``
-runs ex31's f with an ``exp`` term (``EXP_CONFIG``), whose batches take
-the scalar row loop instead of the exact kernels, and
+runs ex31's f with an ``exp`` term (``EXP_CONFIG``), whose batches call
+libm's ``exp`` element by element, and
 ``basin-ex31-exp-r1000`` extracts a basin of that f in axis-0 slabs of
 unequal height.  ``basin-quad3-r48`` runs a 3-D quadratic peak
 (``QUAD3_CONFIG``) on a non-cubic box, and ``simulate-leave``/
@@ -83,8 +83,8 @@ FN_P_CONFIG = {
 RUNS["ec-ex31-fnP"] = ["ec", "--config", "{work}/fnP.json"]
 
 # ex31's f plus an exp bump centred on its critical line x1 = 2, so the
-# critical points stay put; exp is not correctly rounded, so the gradient
-# and Hessian batches of this field take the scalar row loop
+# critical points stay put; the gradient and Hessian batches of this field
+# call libm's exp element by element, as the scalar code does
 EXP_CONFIG = {
     "dimension": 2,
     "f": "96*x2 - 84*x2^2 + 28*x2^3 - 3*x2^4 - 10*(x1-2)^2 + exp(-(x1-2)^2)",
