@@ -21,6 +21,7 @@ from .equilibria import (
     IsolationVerdict,
     find_critical_points,
     isolation_probe,
+    isolation_probes,
 )
 from .errors import (
     EvalDomainError,
@@ -91,6 +92,7 @@ __all__ = [
     "IsolationVerdict",
     "find_critical_points",
     "isolation_probe",
+    "isolation_probes",
     "EcKind",
     "EcVerdict",
     "Conclusion",

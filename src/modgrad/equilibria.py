@@ -8,9 +8,9 @@ rows still running, with stacked ``det`` and ``solve``, and a row leaves
 the batch when it converges or is dropped.  When the stacked solve raises,
 that iteration's rows are solved one at a time and only the singular ones
 are dropped.  Every row takes the steps a one-seed loop would take, bit
-for bit.  Isolation is probed by sampling |grad f| on shrinking shells;
-the result is labeled evidence, not proof -- sampling cannot decide
-isolation.
+for bit.  Isolation is probed by sampling |grad f| on shrinking shells,
+every point's in one batch; the result is labeled evidence, not proof --
+sampling cannot decide isolation.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "FinderDiagnostics",
     "find_critical_points",
     "isolation_probe",
+    "isolation_probes",
     "classify_spectrum",
 ]
 
@@ -265,18 +266,19 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
     return points, diags
 
 
-def _shell_points(center, radius, count, dimension):
-    """Deterministic, roughly uniform points on the sphere |x - c| = r."""
-    center = np.asarray(center, dtype=float)
+def _shell_dirs(count, dimension):
+    """Deterministic, roughly uniform unit vectors (*count* of them, or the
+    two axis directions in 1-D); the points of the sphere |x - c| = r are
+    ``c + r * _shell_dirs(count, n)``."""
     if dimension == 1:
-        return center + radius * np.array([[-1.0], [1.0]])
+        return np.array([[-1.0], [1.0]])
     if dimension == 2:
         angles = 2.0 * math.pi * np.arange(count) / count
-        return center + radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     rng = np.random.default_rng(1234)
     dirs = rng.standard_normal((count, dimension))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return center + radius * dirs
+    return dirs
 
 
 def _inside_prefix(field, samples):
@@ -292,44 +294,72 @@ def isolation_probe(field, point, shell_radii, samples_per_shell=32,
 
     NotIsolated when some shell sample has |grad f| <= grad_floor (with the
     witness); IsolatedEvidence when every sample clears 10x the floor;
-    Inconclusive in the band between.
+    Inconclusive in the band between.  This is ``isolation_probes`` on one
+    point, raising its error.
     """
-    point = np.asarray(point, dtype=float)
-    radii = [float(r) for r in shell_radii]
-    if not radii:
-        raise ValueError("need at least one shell radius")
-    if any(r <= 0 for r in radii):
-        raise ValueError("shell radii must be positive")
-    if samples_per_shell < 8:
-        raise ValueError("samples_per_shell must be >= 8")
-    if max(radii) > field.box.clip_radius(point):
-        raise OutsideDomainError(
-            f"shell radius {max(radii)} exits the box around {point.tolist()}"
-        )
-    samples = np.concatenate(
-        [_shell_points(point, r, samples_per_shell, field.dimension) for r in radii]
-    )
-    stop = _inside_prefix(field, samples)
-    g = field.grad_batch(samples[:stop])
-    reraise_row_error(samples[:stop], g, field.grad)
-    if stop < len(samples):
-        raise OutsideDomainError(
-            f"shell sample {samples[stop].tolist()} is outside the domain"
-        )
+    (verdict,) = isolation_probes(field, [point], [shell_radii], samples_per_shell, grad_floor)
+    if isinstance(verdict, Exception):
+        raise verdict
+    return verdict
+
+
+def isolation_probes(field, points, shell_radii, samples_per_shell=32,
+                     grad_floor=DEFAULT_GRAD_FLOOR):
+    """``isolation_probe`` of each of *points* with its own sequence of
+    *shell_radii*, all shell samples in one ``grad_batch`` call.
+
+    Returns one entry per point: its IsolationVerdict, or the error its
+    probe raises (a bad argument, a shell that exits the box or D, or a
+    sample's domain error), for the caller to raise in that point's turn.
+    """
+    out = [None] * len(points)
+    parts, centers, radius_of_shell = [], [], []  # per probed point; per shell
+    dirs = _shell_dirs(samples_per_shell, field.dimension) if samples_per_shell >= 8 else None
+    for k, (point, radii) in enumerate(zip(points, shell_radii)):
+        point = np.asarray(point, dtype=float)
+        radii = [float(r) for r in radii]
+        if not radii or any(r <= 0 for r in radii):
+            out[k] = ValueError(f"need one or more shell radii, all positive, got {radii}")
+        elif dirs is None:
+            out[k] = ValueError("samples_per_shell must be >= 8")
+        elif max(radii) > field.box.clip_radius(point):
+            out[k] = OutsideDomainError(
+                f"shell radius {max(radii)} exits the box around {point.tolist()}")
+        else:
+            parts.append((k, radii))
+            centers += [point] * len(radii)
+            radius_of_shell += radii
+    if not parts:
+        return out
+    # the samples of a shell are center + r * dirs, as one point's probe has them
+    samples = np.array(centers)[:, None] + np.array(radius_of_shell)[:, None, None] * dirs
+    samples = samples.reshape(-1, field.dimension)
+    g = field.grad_batch(samples)
     norms = linalg.row_norms(g)
-    norms[np.isnan(norms)] = math.inf  # a NaN never beats the running minimum
-    first_min = int(np.argmin(norms))
-    min_norm = float(norms[first_min])
-    witness = samples[first_min] if min_norm < math.inf else None
-    if min_norm <= grad_floor:
-        kind = IsolationKind.NOT_ISOLATED
-        wit = tuple(float(v) for v in witness)
-    elif min_norm > 10.0 * grad_floor:
-        kind = IsolationKind.ISOLATED_EVIDENCE
-        wit = None
-    else:
-        kind = IsolationKind.INCONCLUSIVE
-        wit = tuple(float(v) for v in witness)
-    return IsolationVerdict(
-        kind=kind, min_grad_norm=min_norm, witness=wit, shells=tuple(radii)
-    )
+    nan = np.isnan(norms)  # every sample outside D is one
+    norms[nan] = math.inf  # a NaN never beats the running minimum
+    ends = np.cumsum([len(radii) * len(dirs) for _, radii in parts])
+    starts = np.concatenate([[0], ends[:-1]])
+    for (k, radii), lo, hi, bad, min_norm in zip(
+            parts, starts.tolist(), ends.tolist(), np.logical_or.reduceat(nan, starts).tolist(),
+            np.minimum.reduceat(norms, starts).tolist()):
+        if bad:  # raise as a row-by-row probe would
+            stop = lo + _inside_prefix(field, samples[lo:hi])
+            try:
+                reraise_row_error(samples[lo:stop], g[lo:stop], field.grad)
+            except (EvalDomainError, OutsideDomainError) as err:
+                out[k] = err
+                continue
+            if stop < hi:
+                out[k] = OutsideDomainError(
+                    f"shell sample {samples[stop].tolist()} is outside the domain")
+                continue
+        if min_norm > 10.0 * grad_floor:
+            kind, witness = IsolationKind.ISOLATED_EVIDENCE, None
+        else:
+            kind = IsolationKind.NOT_ISOLATED if min_norm <= grad_floor \
+                else IsolationKind.INCONCLUSIVE
+            witness = tuple(samples[lo + int(np.argmin(norms[lo:hi]))].tolist())
+        out[k] = IsolationVerdict(kind=kind, min_grad_norm=min_norm, witness=witness,
+                                  shells=tuple(radii))
+    return out

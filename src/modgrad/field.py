@@ -179,26 +179,30 @@ class ExpressionField(ScalarField):
 
     def _exact_rows(self, kind, x, shape):
         """The expression's exact array kernel for *kind* on the rows inside
-        D, NaN elsewhere.  When the kernel raises for some row, the scalar
-        function runs on each row inside D instead, and a row where it
-        raises is NaN."""
+        D, NaN elsewhere."""
         x = self._check_rows(x)
-        inside = self.inside_batch(x)
+        inside = linalg.row_all((x >= self._lo) & (x <= self._hi))
+        if inside.all():
+            return self._kernel_rows(kind, x, shape)
         out = np.full((len(x),) + shape, np.nan)
-        rows = slice(None) if inside.all() else inside
+        out[inside] = self._kernel_rows(kind, x[inside], shape)
+        return out
+
+    def _kernel_rows(self, kind, x, shape):
+        """The exact kernel on rows inside D.  When it raises, each half is
+        retried (the bits are the same, row by row), and a single row that
+        raises runs the scalar function, NaN where that raises too."""
         try:
-            out[rows] = getattr(self.expression, kind + "_exact")(
-                np.ascontiguousarray(x[rows].T))
-            return out
+            return getattr(self.expression, kind + "_exact")(np.ascontiguousarray(x.T))
         except (ArithmeticError, ValueError):
             pass
-        fn = getattr(self.expression, kind)
-        for i in np.flatnonzero(inside):
-            try:
-                out[i] = fn(x[i])
-            except EvalDomainError:
-                pass
-        return out
+        if len(x) > 1:
+            return np.concatenate([self._kernel_rows(kind, part, shape)
+                                   for part in np.array_split(x, 2)])
+        try:
+            return np.reshape(self._scalar(kind, x[0]), (1,) + shape)
+        except EvalDomainError:
+            return np.full((1,) + shape, np.nan)
 
     def __repr__(self):
         return f"ExpressionField({str(self.expression)!r})"
@@ -314,11 +318,12 @@ class System(Record):
     def rhs_batch(self, t, x):
         """P(t) * grad f(x) row by row for times t (shape (m,)) and states x
         (shape (m, n)); NaN rows where x is outside D or grad f hits a domain
-        error there.  A domain error in P(t) raises."""
+        error there.  A domain error in P(t) raises.  The product is
+        ``linalg.row_matvecs``'s, with the same bits on every CPU."""
         g = self.field.grad_batch(x)
         if self.matrix.is_identity:
             return g
-        return (self.matrix.value_batch(t) @ g[:, :, None])[:, :, 0]
+        return linalg.row_matvecs(self.matrix.value_batch(t), g)
 
 
 class H0Report(Record):

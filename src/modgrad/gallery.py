@@ -220,9 +220,14 @@ class _RadialField(ScalarField):
     def grad_batch(self, x):
         x, r, inside = self._radii(x)
         u = -r
+        c = self.cubic
+        i = c._piece(u)
+        s = u - c.knots[i]
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = (self.cubic.slope(u) / u)[:, None] * x  # the bits of -p'(-r) / r
-        g[r == 0.0] = 0.0
+            # the bits of -p'(-r) / r, with ``PiecewiseCubic.slope`` inlined
+            g = (3.0 * c.alpha[i] * s * (s - c.widths[i]) / u)[:, None] * x
+        if not r.all():
+            g[r == 0.0] = 0.0
         if not inside.all():
             g[~inside] = np.nan
         return g

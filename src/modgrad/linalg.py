@@ -3,7 +3,8 @@
 Small kernels behind the smallest eigenvalue lambda_1(P(t)), the Hessian
 spectra and the finite-horizon eigenvalue-condition integral.  Eigenvalues
 come from LAPACK's symmetric eigensolver through ``np.linalg.eigvalsh``,
-which also takes a stack of matrices.
+which also takes a stack of matrices.  LAPACK and OpenBLAS pick their
+kernels for the CPU at run time; ``row_matvecs`` keeps out of BLAS.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "check_symmetric",
     "row_all",
     "row_dots",
+    "row_matvecs",
     "row_norms",
 ]
 
@@ -34,8 +36,16 @@ def row_all(b):
 
 def row_dots(a, b):
     """Dot product of each row of a with the same row of b, bit for bit the
-    1-D ``a[i] @ b[i]`` (stacked matmul reaches the same kernel)."""
+    1-D ``a[i] @ b[i]``: both run the dot kernel that OpenBLAS picks for
+    the CPU, so the bits may differ between machines."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_matvecs(p, v):
+    """``p[i] @ v[i]`` for each matrix of p (shape (m, n, n)) and row of v,
+    without BLAS: each entry is its products added left to right (a reduce
+    over the outer axis), the bits of Python floats on every CPU."""
+    return np.add.reduce(np.moveaxis(p, 2, 0) * v.T[:, :, None], axis=0)
 
 
 def row_norms(v):

@@ -8,13 +8,15 @@ There is one integrator, ``simulate_batch``: it advances a batch of starts
 in lockstep along a leading axis, with every row keeping its own step size,
 error history and status, so each stage costs one batched right-hand-side
 call however many trajectories are running.  ``simulate`` is its batch of
-one.  The batched arithmetic is the 1-D arithmetic row by row (stacked
-matmuls for stage sums and norms; the controller's powers are libm's
-``pow`` mapped over Python floats, as ``np.power`` rounds some of them
-differently), so a row's trajectory does not depend on the batch it ran
-in.  A stage state outside D gets a NaN right-hand side (the contract of
-``ScalarField.grad_batch``) and ends its row with LEFT_DOMAIN, so every
-accepted state, the last stage's, is inside D with no further check.
+one.  The batched arithmetic is the 1-D arithmetic row by row, so a row's
+trajectory does not depend on the batch it ran in: stage sums, the error
+estimate and P(t) grad f add their products left to right as Python
+floats do (a reduce over the outer axis of a stack, not a BLAS kernel
+chosen for the CPU), and the controller's powers are libm's ``pow``, as
+``np.power`` rounds some of them differently.  A stage state outside D
+gets a NaN right-hand side (``ScalarField.grad_batch``), which reaches
+every later stage; its row ends with LEFT_DOMAIN, so every accepted
+state, the last stage's, is inside D with no further check.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ __all__ = [
     "lyapunov_traces",
 ]
 
-# Butcher tableau, Dormand & Prince (1980)
+# Butcher tableau, Dormand & Prince (1980); rows shaped to scale stage stacks
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = tuple(
-    np.array(row)
+    np.array(row).reshape(-1, 1, 1)
     for row in (
         (),
         (1 / 5,),
@@ -58,7 +60,7 @@ _A = tuple(
 # 5th-order weights equal the last A row (FSAL); error weights are b5 - b4
 _E = np.array(
     (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-)
+).reshape(-1, 1, 1)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -146,11 +148,7 @@ class Trajectory(Record):
     def checkpoints(self, times=(10.0, 1e2, 1e3, 1e4)):
         """States at exponentially spaced times that fall inside the run;
         the finite-horizon stand-in for 'what happens as t grows'."""
-        out = []
-        for t in times:
-            if self.times[0] <= t <= self.times[-1]:
-                out.append((t, self.sample_at(t)))
-        return out
+        return [(t, self.sample_at(t)) for t in times if self.times[0] <= t <= self.times[-1]]
 
 
 def _rms(v):
@@ -178,14 +176,11 @@ def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
     d2 = (_rms((f1 - f0) / scale) / h0).tolist()
     out = []
     for h, a, b, failed in zip(h0.tolist(), d1, d2, np.isnan(f1).any(axis=1)):
-        if failed:  # the probe step left D
-            out.append(max(1e-6, h * 1e-3))
-            continue
-        if max(a, b) <= 1e-15:
+        if failed or max(a, b) <= 1e-15:  # failed: the probe step left D
             h1 = max(1e-6, h * 1e-3)
         else:
             h1 = (0.01 / max(a, b)) ** 0.2
-        out.append(min(100.0 * h, h1, t_end - t0))
+        out.append(h1 if failed else min(100.0 * h, h1, t_end - t0))
     return np.array(out)
 
 
@@ -271,30 +266,34 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
             a[mask] for a in (rows, t, h, x, f, err_prev, rejected_at_hmin, goal, dist)
         )
 
+    uses_t = system.matrix.uses_t
     for _ in range(opts.max_steps):
         if not len(rows):
             break
         h = np.minimum(h, t_end - t)
-        k = np.empty((len(rows), 7, x.shape[1]))
-        k[:, 0] = f
+        k = np.empty((7,) + x.shape)  # the stages, summed over the outer axis
+        k[0] = f
+        xs = [x]  # the stage states
         for i in range(1, 7):
-            xi = x + h[:, None] * (_A[i] @ k[:, :i])
-            ki = k[:, i] = system.rhs_batch(t + _C[i] * h, xi)
-            if np.isnan(ki).any():
-                # a stage left D: the step straddles the boundary
-                left = np.isnan(ki).any(axis=1)
-                rhs_evals[rows[left]] += i
-                for j in np.flatnonzero(left):
-                    finish(j, Status.LEFT_DOMAIN, exit_point=xi[j].copy(),
-                           detail=f"stage evaluation left the domain near t={t[j] + h[j]:.6g}")
-                k, xi = k[~left], xi[~left]
-                keep(~left)
+            xs.append(x + h[:, None] * np.add.reduce(_A[i] * k[:i], axis=0))
+            k[i] = system.rhs_batch(t + _C[i] * h if uses_t else t, xs[i])
         rhs_evals[rows] += 6
-        if not len(rows):
-            break
-        x_new = xi  # 7th stage point is the 5th-order solution (FSAL), inside D
-        f_new = k[:, 6].copy()  # a view would keep all of k alive in accepted
-        err_vec = h[:, None] * (_E @ k)
+        if np.isnan(k[6]).any():
+            # a stage left D: the step straddles the boundary.  A NaN stage
+            # reaches every later one; the first NaN stage is where it left.
+            left = np.isnan(k[6]).any(axis=1)
+            first = np.argmax(np.isnan(k[:, left]).any(axis=2), axis=0).tolist()
+            for j, i in zip(np.flatnonzero(left), first):
+                rhs_evals[rows[j]] += i - 6
+                finish(j, Status.LEFT_DOMAIN, exit_point=xs[i][j].copy(),
+                       detail=f"stage evaluation left the domain near t={t[j] + h[j]:.6g}")
+            k, xs[6] = k[:, ~left], xs[6][~left]
+            keep(~left)
+            if not len(rows):
+                break
+        x_new = xs[6]  # 7th stage point is the 5th-order solution (FSAL), inside D
+        f_new = k[6].copy()  # a view would keep all of k alive in accepted
+        err_vec = h[:, None] * np.add.reduce(_E * k, axis=0)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
         err = _rms(err_vec / scale)
         t_new = t + h
@@ -305,28 +304,35 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
             near_err = _rms(err_vec / (opts.abs_tol + _NEAR_TARGET_REL * amp)[:, None])
             err = np.where(near, near_err, err)
         accept = err <= 1.0
-        conv = accept & (dist_new < radius) & (linalg.row_norms(f_new) < _RHS_FLOOR)
-        if accept.all():
+        conv = accept & (dist_new < radius)
+        if conv.any():
+            conv &= linalg.row_norms(f_new) < _RHS_FLOOR
+
+        # step sizes: the PI controller (Gustafsson) where accepted, reacting
+        # to this error and the last one; a plain cut where rejected
+        zero = err == 0.0
+        base = np.where(zero, 1.0, err) if zero.any() else err
+        every = accept.all()
+        power = _pow(base, -0.17 if every else np.where(accept, -0.17, -0.2))
+        grow = _SAFETY * power * _pow(err_prev, 0.04)
+        grow = np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, grow))
+        grow[zero] = _MAX_FACTOR
+        grown = np.minimum(np.maximum(h * grow, opts.h_min), h_max)
+        if every:
             accepted.append((rows, t_new, x_new, f_new))
             t, x, f, dist = t_new, x_new, f_new, dist_new
+            h, err_prev = grown, np.maximum(err, 1e-4)
+            rejected_at_hmin = np.zeros(len(rows), dtype=int)
         else:
             accepted.append((rows[accept], t_new[accept], x_new[accept], f_new[accept]))
             steps_rejected[rows[~accept]] += 1
             t, dist = np.where(accept, t_new, t), np.where(accept, dist_new, dist)
             x, f = np.where(accept[:, None], x_new, x), np.where(accept[:, None], f_new, f)
-
-        # step sizes: the PI controller (Gustafsson) where accepted, reacting
-        # to this error and the last one; a plain cut where rejected
-        zero = err == 0.0
-        power = _pow(np.where(zero, 1.0, err), np.where(accept, -0.17, -0.2))
-        grow = _SAFETY * power * _pow(err_prev, 0.04)
-        grow = np.where(zero, _MAX_FACTOR, np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, grow)))
-        pinned = h <= opts.h_min * (1.0 + 1e-12)
-        rejected_at_hmin = np.where(accept, 0, rejected_at_hmin + pinned)
+            pinned = h <= opts.h_min * (1.0 + 1e-12)
+            rejected_at_hmin = np.where(accept, 0, rejected_at_hmin + pinned)
+            h = np.where(accept, grown, np.maximum(h * np.fmax(0.1, _SAFETY * power), opts.h_min))
+            err_prev = np.where(accept, np.maximum(err, 1e-4), err_prev)
         failed = rejected_at_hmin >= 3
-        h = np.where(accept, np.minimum(np.maximum(h * grow, opts.h_min), h_max),
-                     np.maximum(h * np.fmax(0.1, _SAFETY * power), opts.h_min))
-        err_prev = np.where(accept, np.maximum(err, 1e-4), err_prev)
 
         end = accept & ~conv & (t_new >= t_end)
         done = conv | end | failed
@@ -443,7 +449,7 @@ def _traces(system, trajectories, anchors):
     v = fld.eval_batch(x)
     reraise_row_error(x, np.column_stack([g, v]), fld.grad, fld.eval)
     p = system.matrix.value_batch(times)
-    pg = (p @ g[:, :, None])[:, :, 0]
+    pg = linalg.row_matvecs(p, g)
     rows = np.column_stack([
         times,
         np.repeat(m_values, counts) - v,

@@ -23,8 +23,8 @@ from .equilibria import (
     IsolationKind,
     IsolationVerdict,
     _inside_prefix,
-    _shell_points,
-    isolation_probe,
+    _shell_dirs,
+    isolation_probes,
 )
 from .errors import OutsideDomainError
 
@@ -219,10 +219,8 @@ def _confirm_local_max(field, point, radius):
     when their spectrum was misread.
     """
     f0 = field.eval(point)
-    parts = [
-        (r, _shell_points(np.asarray(point, float), r, 32, field.dimension))
-        for r in (radius, radius / 4.0)
-    ]
+    dirs = _shell_dirs(32, field.dimension)
+    parts = [(r, point + r * dirs) for r in (radius, radius / 4.0)]
     samples = np.concatenate([p for _, p in parts])
     shell_of = [r for r, p in parts for _ in p]
     stop = _inside_prefix(field, samples)
@@ -264,15 +262,19 @@ def certify_all(system, points, opts=None, critical_points=None):
     if not all(isinstance(p, CriticalPoint) for p in points):
         raise TypeError("certify expects a CriticalPoint from find_critical_points")
 
+    xs = [np.asarray(point.location, dtype=float) for point in points]
+    radii = [opts.shell_radius if opts.shell_radius is not None
+             else _auto_shell_radius(fld, x) for x in xs]
+    shells = [(r, r / 4.0, r / 16.0) if opts.isolation_shells is None
+              else opts.isolation_shells for r in radii]
+    # all H2 probes in one batch; a probe's error is raised in its point's turn
+    probes = isolation_probes(fld, xs, shells, opts.samples_per_shell, opts.grad_floor)
     checks = []  # per point: (x, radius, h1_pass, h1_note, h2)
     h3 = None
     locations = np.array([p.location for p in critical_points or ()], dtype=float)
-    for point in points:
-        x = np.asarray(point.location, dtype=float)
-        radius = opts.shell_radius if opts.shell_radius is not None \
-            else _auto_shell_radius(fld, x)
+    for point, x, radius, shell, probe in zip(points, xs, radii, shells, probes):
         h1_pass, h1_note = _h1(fld, point, x, radius)
-        h2 = _h2(fld, x, radius, opts, critical_points, locations)
+        h2 = _h2(probe, x, radius, shell, opts, critical_points, locations)
         if h3 is None:  # P(t) alone decides H3; graded where a one-point run would
             h3 = ec_check(system.matrix, opts.ec_horizon, opts.quad_tol)
         checks.append((x, radius, h1_pass, h1_note, h2))
@@ -312,31 +314,20 @@ def _h1(fld, point, x, radius):
     return h1_pass, h1_note
 
 
-def _h2(fld, x, radius, opts, critical_points, locations):
-    """H2: shell probe, plus the found critical list (at *locations*, one
-    row each) as witnesses; the first one in list order wins."""
-    shells = opts.isolation_shells
-    if shells is None:
-        shells = (radius, radius / 4.0, radius / 16.0)
-    if radius <= 0.0 and opts.isolation_shells is None:
-        h2 = IsolationVerdict(
-            kind=IsolationKind.INCONCLUSIVE,
-            min_grad_norm=math.inf,
-            witness=None,
-            shells=(),
-        )
+def _h2(probe, x, radius, shells, opts, critical_points, locations):
+    """H2: the shell probe's result (``isolation_probes``), plus the found
+    critical list (at *locations*, one row each) as witnesses; the first
+    one in list order wins."""
+    unfit = radius <= 0.0 and opts.isolation_shells is None  # no shell was asked for
+    if unfit or isinstance(probe, OutsideDomainError):
+        # the shells do not fit around this point; degrade, do not error
+        # (failed sub-checks are results, not crashes)
+        h2 = IsolationVerdict(kind=IsolationKind.INCONCLUSIVE, min_grad_norm=math.inf,
+                              witness=None, shells=() if unfit else tuple(shells))
+    elif isinstance(probe, Exception):
+        raise probe
     else:
-        try:
-            h2 = isolation_probe(fld, x, shells, opts.samples_per_shell, opts.grad_floor)
-        except OutsideDomainError:
-            # the requested shells do not fit around this point; degrade,
-            # do not error (failed sub-checks are results, not crashes)
-            h2 = IsolationVerdict(
-                kind=IsolationKind.INCONCLUSIVE,
-                min_grad_norm=math.inf,
-                witness=None,
-                shells=tuple(shells),
-            )
+        h2 = probe
     if h2.kind is not IsolationKind.NOT_ISOLATED and critical_points:
         d = linalg.row_norms(locations - x)
         near = (0.0 < d) & (d <= max(shells))
@@ -358,10 +349,8 @@ def _descent_checks(system, checks, opts):
     spans = []  # (point index, its first row, its row count)
     for k, (x, radius, *_) in enumerate(checks):
         if opts.descent_trajectories > 0 and radius > 0.0:
-            shell = _shell_points(
-                x, _DESCENT_RADIUS_SCALE * radius,
-                max(opts.descent_trajectories, 8), system.dimension,
-            )[: opts.descent_trajectories]
+            dirs = _shell_dirs(max(opts.descent_trajectories, 8), system.dimension)
+            shell = (x + _DESCENT_RADIUS_SCALE * radius * dirs)[: opts.descent_trajectories]
             spans.append((k, len(starts), len(shell)))
             starts.extend(shell)
             targets.extend([x] * len(shell))
@@ -375,15 +364,12 @@ def _descent_checks(system, checks, opts):
     traces = ode.lyapunov_traces(system, trajectories, targets)
     for k, first, count in spans:
         mine = trajectories[first:first + count]
-        max_inc = 0.0
-        max_violation = -math.inf
-        for trace in traces[first:first + count]:
-            max_inc = max(max_inc, trace.max_increase())
-            max_violation = max(max_violation, trace.max_bound_violation())
+        checked = traces[first:first + count]
         descents[k] = DescentSummary(
             trajectories=len(mine),
-            max_v_increase=max_inc,
-            max_bound_violation=max_violation,
+            max_v_increase=max([0.0] + [trace.max_increase() for trace in checked]),
+            max_bound_violation=max([-math.inf]
+                                    + [trace.max_bound_violation() for trace in checked]),
             statuses=tuple(traj.status.value for traj in mine),
         )
     return descents

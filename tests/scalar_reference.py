@@ -9,13 +9,18 @@ are deliberately simple and slow.
 """
 
 import math
+import operator
 from collections import deque
+from functools import reduce
 
 import numpy as np
 
 from modgrad import linalg
 from modgrad.basin import GridComponent, HypothesisVerdict
-from modgrad.equilibria import CriticalPoint, FinderDiagnostics, classify_spectrum
+from modgrad.equilibria import (
+    CriticalPoint, FinderDiagnostics, IsolationKind, IsolationVerdict, _shell_dirs,
+    classify_spectrum,
+)
 from modgrad.errors import EvalDomainError, OutsideDomainError
 from modgrad.field import reraise_row_error
 from modgrad.ode import (
@@ -121,6 +126,34 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
         )
     points.sort(key=lambda p: p.location)
     return points, diags
+
+
+def isolation_probe(field, point, shell_radii, samples_per_shell=32, grad_floor=1e-8):
+    """``equilibria.isolation_probe`` one shell sample at a time: the first
+    sample outside D or whose gradient raises ends the probe with that
+    error; the first smallest |grad f| (NaN never smallest) decides."""
+    point = np.asarray(point, dtype=float)
+    radii = [float(r) for r in shell_radii]
+    if not radii or any(r <= 0 for r in radii) or samples_per_shell < 8:
+        raise ValueError("bad shell radii or samples_per_shell")
+    if max(radii) > field.box.clip_radius(point):
+        raise OutsideDomainError(
+            f"shell radius {max(radii)} exits the box around {point.tolist()}")
+    best, witness = math.inf, None
+    for r in radii:
+        for sample in point + r * _shell_dirs(samples_per_shell, field.dimension):
+            if not field.inside(sample):
+                raise OutsideDomainError(f"shell sample {sample.tolist()} is outside the domain")
+            norm = float(np.linalg.norm(field.grad(sample)))
+            if norm < best:
+                best, witness = norm, tuple(sample.tolist())
+    if best <= grad_floor:
+        kind = IsolationKind.NOT_ISOLATED
+    elif best > 10.0 * grad_floor:
+        kind, witness = IsolationKind.ISOLATED_EVIDENCE, None
+    else:
+        kind = IsolationKind.INCONCLUSIVE
+    return IsolationVerdict(kind=kind, min_grad_norm=best, witness=witness, shells=tuple(radii))
 
 
 def flood_bfs(predicate, start):
@@ -490,6 +523,16 @@ def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
     return np.array(out)
 
 
+def _stage_sums(coeffs, k):
+    """sum over j of coeffs[j] * k[:, j] (k of shape (m, j, n)), each row's
+    each element a sum of Python floats added left to right."""
+    coeffs = np.ravel(coeffs).tolist()
+    return np.array([
+        [reduce(operator.add, [c * v for c, v in zip(coeffs, stages)]) for stages in zip(*row)]
+        for row in k.tolist()
+    ]).reshape(len(k), k.shape[2])
+
+
 def simulate(system, x0, t0, t_end, opts=None, targets=None):
     """``ode.simulate_batch`` with the step loop written row by row: the PI
     controller's factors in a list comprehension, one loop iteration per
@@ -561,7 +604,7 @@ def simulate(system, x0, t0, t_end, opts=None, targets=None):
         k = np.zeros((len(rows), 7, x.shape[1]))
         k[:, 0] = f
         for i in range(1, 7):
-            xi = x + h[:, None] * (_A[i] @ k[:, :i])
+            xi = x + h[:, None] * _stage_sums(_A[i], k[:, :i])
             k[:, i] = system.rhs_batch(t + _C[i] * h, xi)
             rhs_evals[rows] += 1
             left = np.isnan(k[:, i]).any(axis=1)
@@ -576,7 +619,7 @@ def simulate(system, x0, t0, t_end, opts=None, targets=None):
             break
         x_new = xi  # 7th stage point is the 5th-order solution (FSAL)
         f_new = k[:, 6]
-        err_vec = h[:, None] * (_E @ k)
+        err_vec = h[:, None] * _stage_sums(_E, k)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
         err = _rms(err_vec / scale)
         if targets is not None:

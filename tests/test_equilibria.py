@@ -15,8 +15,9 @@ from modgrad.equilibria import (
     classify_spectrum,
     find_critical_points,
     isolation_probe,
+    isolation_probes,
 )
-from modgrad.errors import OutsideDomainError
+from modgrad.errors import EvalDomainError, OutsideDomainError
 from modgrad.expr import parse
 from modgrad.field import Box, ExpressionField, MatrixPath
 
@@ -225,6 +226,44 @@ class TestIsolationProbe:
     def test_shell_exits_domain(self, ex22):
         with pytest.raises(OutsideDomainError):
             isolation_probe(ex22.system.field, (0.9, 0.0), [0.5])
+
+    @pytest.mark.parametrize("gid, points, shells", [
+        # ex22's disk: shells that fit, one that exits the box, one that
+        # leaves D inside the box, and bad radii
+        ("ex22", [(0.0, 0.0), (0.5, 0.0), (0.95, 0.0), (0.6, 0.6), (0.1, -0.2), (0.0, 0.3)],
+         [[0.5], [0.25, 0.125], [0.5], [0.3], [], [0.2, -0.1]]),
+        ("ex31", [(2.0, 1.0), (2.0, 4.0), (2.0, 2.0), (0.5, 5.5)],
+         [[0.5, 0.1, 0.01], [0.3], [0.25, 0.0625], [0.4]]),
+    ])
+    def test_batch_matches_sample_by_sample_probes(self, gid, points, shells):
+        fld = gallery.build(gid).system.field
+        self._check_batch(fld, points, shells)
+
+    def test_batch_keeps_each_point_s_domain_error(self):
+        # ln(x2) fails below x2 = 0: the second point's shell reaches it
+        fld = ExpressionField(parse("ln(x2) - x1^2 - (x2 - 1)^2", 2),
+                              Box((-2.0, -2.0), (2.0, 2.0)))
+        batch = self._check_batch(fld, [(0.0, 1.0), (0.0, 0.2), (1.0, 0.5)],
+                                  [[0.1], [0.3], [0.2, 0.05]])
+        assert isinstance(batch[1], EvalDomainError)
+        assert not isinstance(batch[2], Exception)
+
+    @staticmethod
+    def _check_batch(fld, points, shells):
+        batch = isolation_probes(fld, points, shells)
+        assert len(batch) == len(points)
+        for point, radii, got in zip(points, shells, batch):
+            try:
+                want = ref.isolation_probe(fld, point, radii)
+            except ValueError as err:  # OutsideDomainError too
+                assert type(got) is type(err)
+                if isinstance(err, OutsideDomainError):
+                    assert str(got) == str(err)
+            except EvalDomainError as err:
+                assert type(got) is type(err) and str(got) == str(err)
+            else:
+                assert got == want
+        return batch
 
     def test_validation(self, ex31):
         with pytest.raises(ValueError):

@@ -33,6 +33,24 @@ class _ExactKernelsOnly:
         return getattr(self._expression, name)
 
 
+class _CountingScalars:
+    """Stands in for an Expression and counts the rows its scalar
+    functions are called on, per function."""
+
+    def __init__(self, expression):
+        self._expression = expression
+        self.rows = {"eval": 0, "grad": 0, "hessian": 0}
+
+    def __getattr__(self, name):
+        if name not in self.rows:
+            return getattr(self._expression, name)
+
+        def scalar(x):
+            self.rows[name] += 1
+            return getattr(self._expression, name)(x)
+        return scalar
+
+
 class TestBox:
     def test_membership(self):
         box = Box((-1.0, 0.0), (1.0, 2.0))
@@ -228,6 +246,26 @@ class TestExactBatches:
         v, _ = self._assert_rows_equal(f, x)
         TestHessianBatch._assert_rows_equal(f, x)
         assert np.flatnonzero(np.isnan(v)).tolist() == [*failing, len(x) - 1]
+
+    @pytest.mark.parametrize("bad", [[700], [0, 1999], [3, 4, 5, 1000, 1500]])
+    def test_failing_rows_are_bisected_out(self, bad):
+        # the kernel raises for the whole batch; its halves are retried, so
+        # only single rows reach the scalar function, and the bits stay
+        f = ExpressionField(parse("ln(x1*x2) - x1 - x2", 2), Box((-3.0, -3.0), (3.0, 3.0)))
+        x = np.random.default_rng(11).uniform(0.1, 2.0, size=(2000, 2))
+        x[bad, 0] = -0.5
+        x[1234] = (4.0, 1.0)  # outside D
+        want = {kind: row_loop(getattr(f.expression, kind), f, x, shape)
+                for kind, shape in (("eval", ()), ("grad", (2,)), ("hessian", (2, 2)))}
+        f.expression = counter = _CountingScalars(f.expression)
+        for kind in ("eval", "grad", "hessian"):
+            got = getattr(f, kind + "_batch")(x)
+            assert np.array_equal(got, want[kind], equal_nan=True)
+            nan_rows = np.flatnonzero(np.isnan(got.reshape(len(x), -1)).any(axis=1))
+            assert nan_rows.tolist() == sorted([*bad, 1234])
+        if len(bad) == 1:
+            bound = 2 * math.ceil(math.log2(len(x)))
+            assert all(0 < rows <= bound for rows in counter.rows.values())
 
     def test_libm_errors_raise_for_the_whole_batch(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,11 @@
 """Integrator and Lyapunov-trace tests against closed-form and RK4 oracles."""
 
+import json
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -475,4 +481,66 @@ class TestScalarReference:
         opts = SimOptions(max_steps=7)
         batch = self._check(ex21.system, [(2.0, 2.0), (0.0, 3.0)], 100.0, opts)
         assert [t.detail for t in batch] == ["max_steps exhausted"] * 2
+
+    def test_rows_leave_at_inner_stages_and_the_last(self):
+        # an ascent that blows up in finite time: with one long first step,
+        # rows leave D at every stage, inner ones and the last in one batch,
+        # which pins the stage each row's work count and exit point name
+        system = _box_system("x1^3", (-1.0,), (1.0,))
+        opts = SimOptions(h_init=0.5, rel_tol=1e-3, abs_tol=1e-6)
+        batch = self._check(system, np.linspace(0.05, 0.95, 19)[:, None], 10.0, opts)
+        assert {t.status for t in batch} == {Status.LEFT_DOMAIN}
+        # with h_init given: one rhs at t0, six per finished attempt, then
+        # one per stage up to the one that left
+        stages = {(t.rhs_evals - 1) % 6 or 6 for t in batch}
+        assert {2, 3, 4, 5, 6} <= stages
+        assert all(not system.field.inside(t.exit_point) for t in batch)
+
+
+def _openblas_picks_its_kernel():
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel for the
+    CPU at run time (``DYNAMIC_ARCH``) on x86-64, where the Prescott kernel
+    runs on every CPU."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return False
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+_KERNEL_RUN = """
+import hashlib, json, sys
+import numpy as np
+from modgrad import ode
+from modgrad.field import MatrixPath
+from modgrad.gallery import example_3_1
+system = example_3_1(MatrixPath(json.loads(sys.argv[1]))).system
+starts = np.random.default_rng(3).uniform([0.5, 0.0], [3.5, 5.0], size=(12, 2))
+targets = np.where(starts[:, 1:] > 2.5, [2.0, 4.0], [2.0, 1.0])
+batch = ode.simulate_batch(system, starts, 0.0, 20.0, ode.SimOptions(convergence_radius=1e-6),
+                           targets=targets)
+def digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+print(json.dumps([[t.status.value, t.steps_rejected, t.rhs_evals,
+                   digest(t.times), digest(t.states), digest(t.derivs)] for t in batch]))
+"""
+
+
+@pytest.mark.skipif(not _openblas_picks_its_kernel(),
+                    reason="needs numpy on a DYNAMIC_ARCH OpenBLAS on x86-64")
+def test_trajectories_do_not_depend_on_the_blas_kernel():
+    # the same batch under the kernel OpenBLAS picks for this CPU and under
+    # its plain SSE3 one: equal bytes of times, states and derivatives
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = src
+    runs = []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        out = subprocess.run([sys.executable, "-c", _KERNEL_RUN, json.dumps(OSC_P)],
+                             env={**env, **extra}, capture_output=True, text=True, check=True)
+        runs.append(json.loads(out.stdout))
+    assert runs[0] == runs[1]
+    assert {row[0] for row in runs[0]} >= {"Converged"}
 

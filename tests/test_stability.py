@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from modgrad.equilibria import IsolationKind, find_critical_points
+from modgrad.equilibria import Classification, CriticalPoint, IsolationKind, find_critical_points
+from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
-from modgrad.field import Box, ExpressionField, MatrixPath
+from modgrad.field import Box, ExpressionField, MatrixPath, System
 from modgrad.stability import (
     CertifyOptions,
     Conclusion,
@@ -154,6 +155,27 @@ class TestCertifyAll:
     def test_rejects_non_critical_points(self, ex31):
         with pytest.raises(TypeError):
             certify_all(ex31.system, [(2.0, 1.0)])
+
+    def test_errors_come_in_point_order(self):
+        # f fails for x1 >= 0.05 (ln) and for x2 < -0.9 (sqrt).  a's H1
+        # shell (r = 0.1) reaches the ln error, while its H2 shell
+        # (r = 0.01) does not; b's H2 shell reaches the sqrt error.  The
+        # H2 probes run as one batch, yet each error comes in its point's
+        # turn, after that point's H1.
+        f = ExpressionField(parse("0 - x1^2 - x2^2 - ln(0.05 - x1) + sqrt(x2 + 0.9)", 2),
+                            Box((-1.0, -1.0), (1.0, 1.0)))
+        system = System(f, MatrixPath.identity(2))
+
+        def point(x, kind):
+            return CriticalPoint(location=x, classification=kind, hessian_spectrum=(-1.0, -1.0),
+                                 grad_norm=0.0)
+        a = point((0.0, 0.0), Classification.ISOLATED_LOCAL_MAX)
+        b = point((-0.5, -0.895), Classification.SADDLE)
+        opts = CertifyOptions(shell_radius=0.1, isolation_shells=(0.01,), descent_trajectories=0)
+        with pytest.raises(EvalDomainError, match="ln of non-positive"):
+            certify_all(system, [a, b], opts)
+        with pytest.raises(EvalDomainError, match="sqrt of negative"):
+            certify_all(system, [b, a], opts)
 
 
 class TestLocalMaxShells:
