@@ -7,8 +7,6 @@ connectivity under-approximates the true component: it never leaks through
 a saddle pinch, which keeps the basin guarantee sound.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

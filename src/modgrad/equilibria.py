@@ -13,8 +13,6 @@ every point's in one batch; the result is labeled evidence, not proof --
 sampling cannot decide isolation.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 

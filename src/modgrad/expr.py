@@ -44,8 +44,6 @@ symbol ``t`` as one more atom; ``field.MatrixPath`` parses them with
 ``_tree`` and compiles them with ``_compile`` into one function of t.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re
@@ -650,6 +648,19 @@ class Expression:
         values as the upper one."""
         h = np.array(self._call(self._hessian, point))
         return h.reshape(self.dimension, self.dimension)
+
+    def scalar_rows(self, kind, rows):
+        """``eval``, ``grad`` or ``hessian`` (*kind*) at each of *rows*
+        (lists of floats) as a flat tuple with the bits they give, or None
+        where they raise a domain error, which is not located."""
+        fn = self._value if kind == "eval" else getattr(self, "_" + kind)
+        out = []
+        for row in rows:
+            try:
+                out.append(fn(*row))
+            except (ZeroDivisionError, ValueError, OverflowError):
+                out.append(None)
+        return out
 
     def eval_exact(self, columns):
         """``eval`` at every row of *columns* (one array per variable, all of

@@ -16,14 +16,14 @@ whose evaluation hits a domain error, comes back NaN instead of raising;
 row-by-row loop would have raised.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from . import expr as expr_mod
 from . import linalg
 from ._record import Record
 from .errors import EvalDomainError, OutsideDomainError
+
+_FEW_ROWS = 16  # failing kernel rows run the scalar functions below this, not halved
 
 __all__ = [
     "Box",
@@ -182,27 +182,37 @@ class ExpressionField(ScalarField):
         D, NaN elsewhere."""
         x = self._check_rows(x)
         inside = linalg.row_all((x >= self._lo) & (x <= self._hi))
-        if inside.all():
-            return self._kernel_rows(kind, x, shape)
+        rows = x if inside.all() else x[inside]
+        got = self._kernel(kind, rows)
+        if got is None:
+            got = self._failed_rows(kind, rows, shape)
+        if rows is x:
+            return got
         out = np.full((len(x),) + shape, np.nan)
-        out[inside] = self._kernel_rows(kind, x[inside], shape)
+        out[inside] = got
         return out
 
-    def _kernel_rows(self, kind, x, shape):
-        """The exact kernel on rows inside D.  When it raises, each half is
-        retried (the bits are the same, row by row), and a single row that
-        raises runs the scalar function, NaN where that raises too."""
+    def _kernel(self, kind, x):
+        """The exact kernel on rows inside D; None when it raises."""
         try:
             return getattr(self.expression, kind + "_exact")(np.ascontiguousarray(x.T))
         except (ArithmeticError, ValueError):
-            pass
-        if len(x) > 1:
-            return np.concatenate([self._kernel_rows(kind, part, shape)
-                                   for part in np.array_split(x, 2)])
-        try:
-            return np.reshape(self._scalar(kind, x[0]), (1,) + shape)
-        except EvalDomainError:
-            return np.full((1,) + shape, np.nan)
+            return None
+
+    def _failed_rows(self, kind, x, shape):
+        """*kind* on rows inside D whose kernel raised.  The halves of more
+        than ``_FEW_ROWS`` rows are retried (same bits: the kernel is
+        row-independent); when both raise, failing rows are not rare, and
+        the scalar functions run row by row, NaN where those raise."""
+        if len(x) > _FEW_ROWS:
+            halves = np.array_split(x, 2)
+            got = [self._kernel(kind, half) for half in halves]
+            if any(g is not None for g in got):
+                return np.concatenate([self._failed_rows(kind, half, shape) if g is None else g
+                                       for half, g in zip(halves, got)])
+        nan = (np.nan,) * int(np.prod(shape))
+        values = self.expression.scalar_rows(kind, x.tolist())
+        return np.array([nan if v is None else v for v in values]).reshape((len(x),) + shape)
 
     def __repr__(self):
         return f"ExpressionField({str(self.expression)!r})"
@@ -318,8 +328,7 @@ class System(Record):
     def rhs_batch(self, t, x):
         """P(t) * grad f(x) row by row for times t (shape (m,)) and states x
         (shape (m, n)); NaN rows where x is outside D or grad f hits a domain
-        error there.  A domain error in P(t) raises.  The product is
-        ``linalg.row_matvecs``'s, with the same bits on every CPU."""
+        error there.  A domain error in P(t) raises."""
         g = self.field.grad_batch(x)
         if self.matrix.is_identity:
             return g

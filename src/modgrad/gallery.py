@@ -12,8 +12,6 @@ Three entries:
   basin-of-attraction estimates.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from . import expr as expr_mod
@@ -220,12 +218,8 @@ class _RadialField(ScalarField):
     def grad_batch(self, x):
         x, r, inside = self._radii(x)
         u = -r
-        c = self.cubic
-        i = c._piece(u)
-        s = u - c.knots[i]
         with np.errstate(divide="ignore", invalid="ignore"):
-            # the bits of -p'(-r) / r, with ``PiecewiseCubic.slope`` inlined
-            g = (3.0 * c.alpha[i] * s * (s - c.widths[i]) / u)[:, None] * x
+            g = (self.cubic.slope(u) / u)[:, None] * x  # the bits of -p'(-r) / r
         if not r.all():
             g[r == 0.0] = 0.0
         if not inside.all():

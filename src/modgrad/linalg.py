@@ -7,8 +7,6 @@ which also takes a stack of matrices.  LAPACK and OpenBLAS pick their
 kernels for the CPU at run time; ``row_matvecs`` keeps out of BLAS.
 """
 
-from __future__ import annotations
-
 import math
 from functools import reduce
 

@@ -19,8 +19,6 @@ every later stage; its row ends with LEFT_DOMAIN, so every accepted
 state, the last stage's, is inside D with no further check.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from itertools import repeat
@@ -148,7 +146,11 @@ class Trajectory(Record):
     def checkpoints(self, times=(10.0, 1e2, 1e3, 1e4)):
         """States at exponentially spaced times that fall inside the run;
         the finite-horizon stand-in for 'what happens as t grows'."""
-        return [(t, self.sample_at(t)) for t in times if self.times[0] <= t <= self.times[-1]]
+        out = []
+        for t in times:
+            if self.times[0] <= t <= self.times[-1]:
+                out.append((t, self.sample_at(t)))
+        return out
 
 
 def _rms(v):
@@ -176,11 +178,14 @@ def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
     d2 = (_rms((f1 - f0) / scale) / h0).tolist()
     out = []
     for h, a, b, failed in zip(h0.tolist(), d1, d2, np.isnan(f1).any(axis=1)):
-        if failed or max(a, b) <= 1e-15:  # failed: the probe step left D
+        if failed:  # the probe step left D
+            out.append(max(1e-6, h * 1e-3))
+            continue
+        if max(a, b) <= 1e-15:
             h1 = max(1e-6, h * 1e-3)
         else:
             h1 = (0.01 / max(a, b)) ** 0.2
-        out.append(h1 if failed else min(100.0 * h, h1, t_end - t0))
+        out.append(min(100.0 * h, h1, t_end - t0))
     return np.array(out)
 
 
@@ -276,7 +281,10 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
         xs = [x]  # the stage states
         for i in range(1, 7):
             xs.append(x + h[:, None] * np.add.reduce(_A[i] * k[:i], axis=0))
-            k[i] = system.rhs_batch(t + _C[i] * h if uses_t else t, xs[i])
+            ti = t
+            if uses_t:  # a row whose stage state is NaN has left: P at t, known to be defined
+                ti = np.where(np.isnan(xs[i]).any(axis=1), t, t + _C[i] * h)
+            k[i] = system.rhs_batch(ti, xs[i])
         rhs_evals[rows] += 6
         if np.isnan(k[6]).any():
             # a stage left D: the step straddles the boundary.  A NaN stage

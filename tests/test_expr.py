@@ -222,6 +222,21 @@ class TestExactDerivatives:
         assert named in str(exc.value)
 
 
+@pytest.mark.parametrize("kind", ["eval", "grad", "hessian"])
+def test_scalar_rows_match_the_scalar_functions(kind):
+    # the scalar functions' bits per row, None where they raise
+    e = parse("ln(x1*x2) + 1/(x1 - 2) - sqrt(x2)", 2)
+    rows = [[0.5, 1.5], [-1.0, 2.0], [2.0, 1.0], [3.0, 0.25], [0.1, -0.3]]
+    got = e.scalar_rows(kind, rows)
+    for row, values in zip(rows, got):
+        try:
+            want = np.ravel(getattr(e, kind)(row)).tolist()
+        except EvalDomainError:
+            want = None
+        assert (None if values is None else list(values)) == want
+    assert [v is None for v in got] == [False, True, True, False, True]
+
+
 class TestAutodiffAgainstFiniteDifferences:
     def test_200_random_expressions_gradient(self):
         rng = np.random.default_rng(20240810)

@@ -28,7 +28,7 @@ class _ExactKernelsOnly:
         self._expression = expression
 
     def __getattr__(self, name):
-        if name in ("eval", "grad", "hessian"):
+        if name in ("eval", "grad", "hessian", "scalar_rows"):
             return lambda *args, **kwargs: pytest.fail("row loop used")
         return getattr(self._expression, name)
 
@@ -42,13 +42,13 @@ class _CountingScalars:
         self.rows = {"eval": 0, "grad": 0, "hessian": 0}
 
     def __getattr__(self, name):
-        if name not in self.rows:
-            return getattr(self._expression, name)
+        if name in self.rows:
+            return lambda *args, **kwargs: pytest.fail("located row error")
+        return getattr(self._expression, name)
 
-        def scalar(x):
-            self.rows[name] += 1
-            return getattr(self._expression, name)(x)
-        return scalar
+    def scalar_rows(self, kind, rows):
+        self.rows[kind] += len(rows)
+        return self._expression.scalar_rows(kind, rows)
 
 
 class TestBox:
@@ -250,7 +250,8 @@ class TestExactBatches:
     @pytest.mark.parametrize("bad", [[700], [0, 1999], [3, 4, 5, 1000, 1500]])
     def test_failing_rows_are_bisected_out(self, bad):
         # the kernel raises for the whole batch; its halves are retried, so
-        # only single rows reach the scalar function, and the bits stay
+        # one failing row sends only a few rows to the scalar functions, and
+        # failing rows in both halves send every row; the bits stay
         f = ExpressionField(parse("ln(x1*x2) - x1 - x2", 2), Box((-3.0, -3.0), (3.0, 3.0)))
         x = np.random.default_rng(11).uniform(0.1, 2.0, size=(2000, 2))
         x[bad, 0] = -0.5
@@ -266,6 +267,8 @@ class TestExactBatches:
         if len(bad) == 1:
             bound = 2 * math.ceil(math.log2(len(x)))
             assert all(0 < rows <= bound for rows in counter.rows.values())
+        else:
+            assert set(counter.rows.values()) == {len(x) - 1}  # all rows inside D
 
     def test_libm_errors_raise_for_the_whole_batch(self):
         with pytest.raises(ValueError):

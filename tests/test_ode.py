@@ -496,6 +496,17 @@ class TestScalarReference:
         assert {2, 3, 4, 5, 6} <= stages
         assert all(not system.field.inside(t.exit_point) for t in batch)
 
+    def test_p_undefined_after_every_row_has_left(self):
+        # every row leaves D at stage 1 or 2 of its first step, before
+        # sqrt(0.3 - t) is undefined at stage 3's time (t = 0.4): P is never
+        # evaluated there, so the run ends in LEFT_DOMAIN instead of raising
+        field = ExpressionField(parse("x1^3", 1), Box((-1.0,), (1.0,)))
+        system = System(field, MatrixPath([["sqrt(0.3 - t)"]]))
+        opts = SimOptions(h_init=0.5, rel_tol=1e-3, abs_tol=1e-6)
+        batch = self._check(system, np.linspace(0.84, 0.98, 8)[:, None], 10.0, opts)
+        assert {t.status for t in batch} == {Status.LEFT_DOMAIN}
+        assert {t.rhs_evals for t in batch} == {2, 3}  # t0, then stages up to the one that left
+
 
 def _openblas_picks_its_kernel():
     """Whether numpy's BLAS is an OpenBLAS that picks its kernel for the
