@@ -20,7 +20,6 @@ from .equilibria import (
     IsolationKind,
     IsolationVerdict,
     find_critical_points,
-    isolation_probe,
     isolation_probes,
 )
 from .errors import (
@@ -91,7 +90,6 @@ __all__ = [
     "IsolationKind",
     "IsolationVerdict",
     "find_critical_points",
-    "isolation_probe",
     "isolation_probes",
     "EcKind",
     "EcVerdict",

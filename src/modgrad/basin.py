@@ -14,7 +14,6 @@ import numpy as np
 from . import linalg, ode
 from ._record import Record
 from .errors import NumericFailure, OutsideDomainError
-from .field import reraise_row_error
 
 __all__ = [
     "GridComponent",
@@ -261,12 +260,12 @@ def _bisect_crossings(field, inside_pts, outside_pts, levels, steps=40):
     segment-by-segment loop would have raised a domain error, the first
     segment's error (in row order) is raised, after the loop.
     """
-    suspects = []  # (row, step, point) for the NaNs at points inside D
+    suspects = []  # (row, step, point) for the domain errors at points inside D
 
     def f(points, step):
-        values = field.eval_batch(points)
-        rows = np.flatnonzero(np.isnan(values) & field.inside_batch(points))
-        suspects.extend((int(r), step, points[r]) for r in rows)
+        values, failed = field.batch("eval", points)
+        rows = np.flatnonzero(failed)
+        suspects.extend((int(r), step, points[r]) for r in rows[field.inside_batch(points[rows])])
         return values
 
     a = np.array(inside_pts, dtype=float)
@@ -281,9 +280,8 @@ def _bisect_crossings(field, inside_pts, outside_pts, levels, steps=40):
     mid = 0.5 * (a + b)
     f_mid = f(mid, steps)
     if suspects:
-        suspects.sort(key=lambda s: s[:2])
-        points = np.array([p for *_, p in suspects])
-        reraise_row_error(points, np.full(len(points), np.nan), field.eval)
+        *_, point = min(suspects, key=lambda s: s[:2])
+        field.raise_row_error([point], [True], "eval")
     return mid, f_mid
 
 
@@ -292,8 +290,9 @@ def _lipschitz_estimate(field, component, sample_cap=256):
     cells = component.boundary_cells
     stride = max(1, len(cells) // sample_cap)
     centers = component.cell_centers(cells[::stride])
-    grads = field.grad_batch(centers)
-    reraise_row_error(centers, grads, lambda p: field.inside(p) and field.grad(p))
+    grads, failed = field.batch("grad", centers)
+    failed[failed] = field.inside_batch(centers[failed])  # a center outside D is no error
+    field.raise_row_error(centers, failed, "grad")
     # NaN rows (outside D) never win, as with Python's max
     return max([0.0, *linalg.row_norms(grads).tolist()])
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import typing
 
@@ -726,6 +727,10 @@ def build_parser():
     pr = galsub.add_parser("run", help="run a gallery entry's oracle self-test")
     pr.add_argument("id", choices=gallery.GALLERY_IDS)
     pr.set_defaults(func=cmd_gallery, action="run")
+    # take "-0.5,1" and "-1e-3" as values, as argparse's (private) test for a
+    # negative number takes "-1": no modgrad flag starts with "-" and a digit or "."
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -5,12 +5,13 @@ the Hessian is near singular) seeded from a regular grid over the box.  All
 seeds run in lockstep along a leading axis, as in ``ode.simulate_batch``:
 each iteration is one ``grad_batch`` and one ``hessian_batch`` call on the
 rows still running, with stacked ``det`` and ``solve``, and a row leaves
-the batch when it converges or is dropped.  When the stacked solve raises,
-that iteration's rows are solved one at a time and only the singular ones
-are dropped.  Every row takes the steps a one-seed loop would take, bit
-for bit.  Isolation is probed by sampling |grad f| on shrinking shells,
-every point's in one batch; the result is labeled evidence, not proof --
-sampling cannot decide isolation.
+the batch when it converges or is dropped; the kernels' own mask of
+failing rows (``ScalarField.batch``) says which rows hit a domain error.
+When the stacked solve raises, that iteration's rows are solved one at a
+time and only the singular ones are dropped.  Every row takes the steps a
+one-seed loop would take, bit for bit.  Isolation is probed by sampling
+|grad f| on shrinking shells, every point's in one batch; the result is
+labeled evidence, not proof -- sampling cannot decide isolation.
 """
 
 import enum
@@ -21,7 +22,6 @@ import numpy as np
 from . import linalg
 from ._record import Record
 from .errors import EvalDomainError, OutsideDomainError
-from .field import reraise_row_error
 
 __all__ = [
     "Classification",
@@ -30,7 +30,6 @@ __all__ = [
     "CriticalPoint",
     "FinderDiagnostics",
     "find_critical_points",
-    "isolation_probe",
     "isolation_probes",
     "classify_spectrum",
 ]
@@ -99,18 +98,6 @@ def classify_spectrum(spectrum):
     return Classification.SADDLE
 
 
-def _failing_rows(fn, x, values):
-    """Rows of the batch result *values* that are NaN because the scalar
-    *fn* raises EvalDomainError there; a NaN it returns is a value."""
-    failing = np.zeros(len(x), dtype=bool)
-    for i in np.flatnonzero(np.isnan(values).any(axis=tuple(range(1, values.ndim)))):
-        try:
-            fn(x[i])
-        except EvalDomainError:
-            failing[i] = True
-    return failing
-
-
 def _solve_rows(h, b):
     """``np.linalg.solve`` of each matrix of h with its row of b, and which
     rows are singular: one stacked call, or one call per row when the stack
@@ -169,13 +156,13 @@ def _newton_batch(field, seeds, newton_tol, max_iters):
         xe = np.where(in_box[:, None], x, np.clip(x, lo, hi))
         gone = ((x < lo - margin) | (x > hi + margin)).any(axis=1)
         x, xe = finish(gone | ~field.inside_batch(xe), "outside", x, xe)
-        g = field.grad_batch(xe)
-        x, xe, g = finish(_failing_rows(field.grad, xe, g), "domain", x, xe, g)
+        g, failed = field.batch("grad", xe)  # xe is inside D: a failed row hit a domain error
+        x, xe, g = finish(failed, "domain", x, xe, g)
         done = linalg.row_norms(g) <= newton_tol
         x_out[rows[done]] = x[done]
         x, xe, g = finish(done, "converged", x, xe, g)
-        h = field.hessian_batch(xe)
-        x, g, h = finish(_failing_rows(field.hessian, xe, h), "domain", x, g, h)
+        h, failed = field.batch("hessian", xe)
+        x, g, h = finish(failed, "domain", x, g, h)
         h_norm = linalg.row_norms(h.reshape(len(h), n * n))
         det = np.linalg.det(h)
         shift = np.array([abs(d) <= 1e-12 * max(1.0, hn) ** n
@@ -237,18 +224,18 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
         kept += 1
     reps = reps[:kept]
 
-    g = field.grad_batch(reps)
-    reraise_row_error(reps, g, field.grad)
+    g, failed = field.batch("grad", reps)
+    field.raise_row_error(reps, failed, "grad")
     g_norm = linalg.row_norms(g)
     # dedup representatives must still satisfy the tolerance
     stale = g_norm > newton_tol
     diags.dropped_no_convergence += int(stale.sum())
     reps, g_norm = reps[~stale], g_norm[~stale]
-    h = field.hessian_batch(reps)
-    reraise_row_error(reps, h, field.hessian)
+    h, failed = field.batch("hessian", reps)
+    field.raise_row_error(reps, failed, "hessian")
     spectra = linalg.eigen_all(h)
-    values = field.eval_batch(reps)
-    reraise_row_error(reps, values, field.eval)
+    values, failed = field.batch("eval", reps)
+    field.raise_row_error(reps, failed, "eval")
     points = [
         CriticalPoint(
             location=tuple(root),
@@ -279,34 +266,16 @@ def _shell_dirs(count, dimension):
     return dirs
 
 
-def _inside_prefix(field, samples):
-    """How many samples come before the first one outside D.  A row-by-row
-    probe evaluates exactly these before it meets the outside one."""
-    outside = ~field.inside_batch(samples)
-    return int(np.argmax(outside)) if outside.any() else len(samples)
-
-
-def isolation_probe(field, point, shell_radii, samples_per_shell=32,
-                    grad_floor=DEFAULT_GRAD_FLOOR):
-    """Probe whether *point* looks like an isolated critical point.
-
-    NotIsolated when some shell sample has |grad f| <= grad_floor (with the
-    witness); IsolatedEvidence when every sample clears 10x the floor;
-    Inconclusive in the band between.  This is ``isolation_probes`` on one
-    point, raising its error.
-    """
-    (verdict,) = isolation_probes(field, [point], [shell_radii], samples_per_shell, grad_floor)
-    if isinstance(verdict, Exception):
-        raise verdict
-    return verdict
-
-
 def isolation_probes(field, points, shell_radii, samples_per_shell=32,
                      grad_floor=DEFAULT_GRAD_FLOOR):
-    """``isolation_probe`` of each of *points* with its own sequence of
-    *shell_radii*, all shell samples in one ``grad_batch`` call.
+    """Probe whether each of *points* looks like an isolated critical
+    point, on its own sequence of *shell_radii*, all shell samples in one
+    ``batch`` call.
 
-    Returns one entry per point: its IsolationVerdict, or the error its
+    A point is NotIsolated when some shell sample has |grad f| <=
+    grad_floor (with the witness), IsolatedEvidence when every sample
+    clears 10x the floor, and Inconclusive in the band between.  Returns one
+    entry per point: its IsolationVerdict, or the error a sample-by-sample
     probe raises (a bad argument, a shell that exits the box or D, or a
     sample's domain error), for the caller to raise in that point's turn.
     """
@@ -332,26 +301,23 @@ def isolation_probes(field, points, shell_radii, samples_per_shell=32,
     # the samples of a shell are center + r * dirs, as one point's probe has them
     samples = np.array(centers)[:, None] + np.array(radius_of_shell)[:, None, None] * dirs
     samples = samples.reshape(-1, field.dimension)
-    g = field.grad_batch(samples)
+    g, failed = field.batch("grad", samples)
     norms = linalg.row_norms(g)
-    nan = np.isnan(norms)  # every sample outside D is one
-    norms[nan] = math.inf  # a NaN never beats the running minimum
+    norms[np.isnan(norms)] = math.inf  # a NaN never beats the running minimum
     ends = np.cumsum([len(radii) * len(dirs) for _, radii in parts])
     starts = np.concatenate([[0], ends[:-1]])
     for (k, radii), lo, hi, bad, min_norm in zip(
-            parts, starts.tolist(), ends.tolist(), np.logical_or.reduceat(nan, starts).tolist(),
+            parts, starts.tolist(), ends.tolist(), np.logical_or.reduceat(failed, starts).tolist(),
             np.minimum.reduceat(norms, starts).tolist()):
-        if bad:  # raise as a row-by-row probe would
-            stop = lo + _inside_prefix(field, samples[lo:hi])
+        if bad:  # the error of its first failing sample, where a sample-by-sample probe stops
             try:
-                reraise_row_error(samples[lo:stop], g[lo:stop], field.grad)
-            except (EvalDomainError, OutsideDomainError) as err:
+                field.raise_row_error(samples[lo:hi], failed[lo:hi], "grad")
+            except OutsideDomainError:
+                sample = samples[lo + int(np.argmax(failed[lo:hi]))].tolist()
+                out[k] = OutsideDomainError(f"shell sample {sample} is outside the domain")
+            except EvalDomainError as err:
                 out[k] = err
-                continue
-            if stop < hi:
-                out[k] = OutsideDomainError(
-                    f"shell sample {samples[stop].tolist()} is outside the domain")
-                continue
+            continue
         if min_norm > 10.0 * grad_floor:
             kind, witness = IsolationKind.ISOLATED_EVIDENCE, None
         else:

@@ -11,9 +11,10 @@ Each quantity of a field has one kernel, a batch method over states
 stacked along a leading axis; the scalar ``eval``/``grad``/``hessian``
 are its batch of one (``ExpressionField``'s run the expression's compiled
 scalar function, which gives the same bits).  A row outside D, or one
-whose evaluation hits a domain error, comes back NaN instead of raising;
-``reraise_row_error`` turns the first such row back into the error a
-row-by-row loop would have raised.
+whose evaluation hits a domain error, comes back NaN instead of raising.
+``ScalarField.batch`` also says which rows those are, and
+``raise_row_error`` re-runs the first of them alone to raise the error a
+row-by-row loop would have raised; no other module re-runs rows.
 """
 
 import numpy as np
@@ -33,22 +34,7 @@ __all__ = [
     "System",
     "H0Report",
     "validate_h0",
-    "reraise_row_error",
 ]
-
-
-def reraise_row_error(x, values, *scalar_fns):
-    """Raise what a row-by-row loop over *scalar_fns* would have raised.
-
-    *values* is a batch result for the rows of *x*; each row holding a NaN
-    is re-run through the scalar functions in order, and the first one
-    that raises ends the scan.  A NaN that the scalar functions return
-    without raising is a value, and the scan moves on.
-    """
-    bad = np.isnan(values).any(axis=tuple(range(1, np.ndim(values))))
-    for i in np.flatnonzero(bad):
-        for fn in scalar_fns:
-            fn(x[i])
 
 
 class Box(Record):
@@ -90,10 +76,10 @@ class ScalarField:
 
     A subclass implements the batch kernels ``eval_batch``, ``grad_batch``
     (shape (m, n)) and ``hessian_batch`` (shape (m, n, n)) for an (m, n)
-    array of points, NaN on the rows where the scalar method would raise,
-    and ``eval_grid``; where D is not the box, also ``inside_batch`` and
-    ``inside``.  ``eval``, ``grad`` and ``hessian`` check the point and run
-    ``_scalar``, by default the batch kernel on one row.
+    array of points, NaN on exactly the rows where the scalar method would
+    raise, and ``eval_grid``; where D is not the box, also ``inside_batch``
+    and ``inside``.  ``eval``, ``grad`` and ``hessian`` check the point and
+    run ``_scalar``, by default the batch kernel on one row.
     """
 
     def __init__(self, dimension, box):
@@ -130,6 +116,22 @@ class ScalarField:
         """*kind* ("eval", "grad" or "hessian") at x inside D.  A subclass
         whose kernels can hit a domain error overrides this to raise it."""
         return getattr(self, kind + "_batch")(np.asarray(x, dtype=float)[None])[0]
+
+    def batch(self, kind, x):
+        """*kind*'s batch kernel at the rows of x, and the mask of the rows
+        where the scalar *kind* raises (outside D, or a domain error): here
+        the NaN rows.  A subclass whose kernels return NaN values overrides
+        this."""
+        values = getattr(self, kind + "_batch")(x)
+        return values, np.isnan(values).any(axis=tuple(range(1, values.ndim)))
+
+    def raise_row_error(self, x, failed, *kinds):
+        """Raise what the scalar *kinds*, run in order, raise at the first
+        row of x that *failed* (``batch``'s mask) marks; that row alone is
+        re-run, and nothing happens when no row is marked."""
+        for i in np.flatnonzero(failed)[:1]:
+            for kind in kinds:
+                getattr(self, kind)(x[i])
 
     def eval_grid(self, columns):
         """Vectorized f over broadcastable coordinate arrays, one per
@@ -169,28 +171,31 @@ class ExpressionField(ScalarField):
         return self.expression.eval_array(columns)
 
     def eval_batch(self, x):
-        return self._exact_rows("eval", x, ())
+        return self.batch("eval", x)[0]
 
     def grad_batch(self, x):
-        return self._exact_rows("grad", x, (self.dimension,))
+        return self.batch("grad", x)[0]
 
     def hessian_batch(self, x):
-        return self._exact_rows("hessian", x, (self.dimension,) * 2)
+        return self.batch("hessian", x)[0]
 
-    def _exact_rows(self, kind, x, shape):
+    def batch(self, kind, x):
         """The expression's exact array kernel for *kind* on the rows inside
-        D, NaN elsewhere."""
+        D, NaN elsewhere, and the mask of the rows outside D or where the
+        scalar *kind* raises (a NaN it returns is a value, and unmarked)."""
         x = self._check_rows(x)
+        shape = (self.dimension,) * ("eval", "grad", "hessian").index(kind)
         inside = linalg.row_all((x >= self._lo) & (x <= self._hi))
         rows = x if inside.all() else x[inside]
         got = self._kernel(kind, rows)
+        failed = ~inside
         if got is None:
-            got = self._failed_rows(kind, rows, shape)
+            got, failed[inside] = self._failed_rows(kind, rows, shape)
         if rows is x:
-            return got
+            return got, failed
         out = np.full((len(x),) + shape, np.nan)
         out[inside] = got
-        return out
+        return out, failed
 
     def _kernel(self, kind, x):
         """The exact kernel on rows inside D; None when it raises."""
@@ -200,19 +205,22 @@ class ExpressionField(ScalarField):
             return None
 
     def _failed_rows(self, kind, x, shape):
-        """*kind* on rows inside D whose kernel raised.  The halves of more
-        than ``_FEW_ROWS`` rows are retried (same bits: the kernel is
-        row-independent); when both raise, failing rows are not rare, and
-        the scalar functions run row by row, NaN where those raise."""
+        """*kind* on rows inside D whose kernel raised, and which of them
+        raise.  The halves of more than ``_FEW_ROWS`` rows are retried (same
+        bits: the kernel is row-independent); when both raise, failing rows
+        are not rare, and the scalar functions run row by row, NaN where
+        those raise."""
         if len(x) > _FEW_ROWS:
             halves = np.array_split(x, 2)
             got = [self._kernel(kind, half) for half in halves]
             if any(g is not None for g in got):
-                return np.concatenate([self._failed_rows(kind, half, shape) if g is None else g
-                                       for half, g in zip(halves, got)])
+                parts = [self._failed_rows(kind, half, shape) if g is None
+                         else (g, np.zeros(len(g), dtype=bool)) for half, g in zip(halves, got)]
+                return tuple(np.concatenate(part) for part in zip(*parts))
         nan = (np.nan,) * int(np.prod(shape))
         values = self.expression.scalar_rows(kind, x.tolist())
-        return np.array([nan if v is None else v for v in values]).reshape((len(x),) + shape)
+        got = np.array([nan if v is None else v for v in values]).reshape((len(x),) + shape)
+        return got, np.array([v is None for v in values], dtype=bool)
 
     def __repr__(self):
         return f"ExpressionField({str(self.expression)!r})"

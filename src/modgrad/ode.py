@@ -28,7 +28,6 @@ import numpy as np
 from . import linalg
 from ._record import Record
 from .errors import EvalDomainError, OutsideDomainError
-from .field import reraise_row_error
 
 __all__ = [
     "SimOptions",
@@ -238,8 +237,9 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
         raise ValueError("convergence_target requires convergence_radius")
     goal = np.broadcast_to(np.asarray(targets, dtype=float), x.shape)  # per row
 
-    f = system.rhs_batch(np.full(m, t0), x)
-    reraise_row_error(x, f, system.field.grad)  # rhs_batch raised a fault of P(t0)
+    f = system.rhs_batch(np.full(m, t0), x)  # raises a fault of P(t0) before a gradient's
+    if np.isnan(f).any():
+        system.field.raise_row_error(x, system.field.batch("grad", x)[1], "grad")
     rows = np.arange(m)  # the row ids still integrating
     accepted = [(rows, np.full(m, t0), x.copy(), f)]  # (row ids, t, x, rhs) per step
     outcome = [None] * m  # row id -> (status, Trajectory fields)
@@ -448,14 +448,14 @@ def _traces(system, trajectories, anchors):
         return []
     fld = system.field
     anchors = np.array(anchors, dtype=float).reshape(len(trajectories), system.dimension)
-    m_values = fld.eval_batch(anchors)
-    reraise_row_error(anchors, m_values, fld.eval)
+    m_values, failed = fld.batch("eval", anchors)
+    fld.raise_row_error(anchors, failed, "eval")
     x = np.concatenate([traj.states for traj in trajectories])
     times = np.concatenate([traj.times for traj in trajectories])
     counts = [len(traj.times) for traj in trajectories]
-    g = fld.grad_batch(x)
-    v = fld.eval_batch(x)
-    reraise_row_error(x, np.column_stack([g, v]), fld.grad, fld.eval)
+    g, g_failed = fld.batch("grad", x)
+    v, v_failed = fld.batch("eval", x)
+    fld.raise_row_error(x, g_failed | v_failed, "grad", "eval")
     p = system.matrix.value_batch(times)
     pg = linalg.row_matvecs(p, g)
     rows = np.column_stack([

@@ -20,7 +20,6 @@ from .equilibria import (
     CriticalPoint,
     IsolationKind,
     IsolationVerdict,
-    _inside_prefix,
     _shell_dirs,
     isolation_probes,
 )
@@ -221,17 +220,18 @@ def _confirm_local_max(field, point, radius):
     parts = [(r, point + r * dirs) for r in (radius, radius / 4.0)]
     samples = np.concatenate([p for _, p in parts])
     shell_of = [r for r, p in parts for _ in p]
-    stop = _inside_prefix(field, samples)
-    gaps = field.eval_batch(samples[:stop]) - f0
-    for j in np.flatnonzero(~(gaps < 0.0)):
-        if np.isnan(gaps[j]):
-            field.eval(samples[j])  # raises that sample's own error
-            continue
+    values, failed = field.batch("eval", samples)
+    # a sample-by-sample check stops at the first failing sample
+    stop = int(np.argmax(failed)) if failed.any() else len(samples)
+    gaps = values[:stop] - f0
+    for j in np.flatnonzero(gaps >= 0.0):  # a NaN value is not
         return False, (
             f"f({[round(v, 6) for v in samples[j].tolist()]}) >= f(x̄) "
             f"on shell r={shell_of[j]:g}"
         )
-    if stop < len(samples):
+    try:
+        field.raise_row_error(samples, failed, "eval")
+    except OutsideDomainError:
         return False, "probe shell exits the domain"
     worst = max([-math.inf] + gaps.tolist())
     return True, f"f strictly smaller on shells r={radius:g} and r={radius / 4:g} " \

@@ -22,7 +22,6 @@ from modgrad.equilibria import (
     classify_spectrum,
 )
 from modgrad.errors import EvalDomainError, OutsideDomainError
-from modgrad.field import reraise_row_error
 from modgrad.ode import (
     _A, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _NEAR_TARGET_REL, _RHS_FLOOR, _SAFETY,
     SimOptions, Status, Trajectory,
@@ -129,9 +128,10 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
 
 
 def isolation_probe(field, point, shell_radii, samples_per_shell=32, grad_floor=1e-8):
-    """``equilibria.isolation_probe`` one shell sample at a time: the first
-    sample outside D or whose gradient raises ends the probe with that
-    error; the first smallest |grad f| (NaN never smallest) decides."""
+    """``equilibria.isolation_probes`` for one point, one shell sample at a
+    time: the first sample outside D or whose gradient raises ends the
+    probe with that error; the first smallest |grad f| (NaN never smallest)
+    decides."""
     point = np.asarray(point, dtype=float)
     radii = [float(r) for r in shell_radii]
     if not radii or any(r <= 0 for r in radii) or samples_per_shell < 8:
@@ -558,8 +558,9 @@ def simulate(system, x0, t0, t_end, opts=None, targets=None):
         if opts.convergence_radius is None:
             raise ValueError("convergence_target requires convergence_radius")
 
-    f = system.rhs_batch(np.full(m, t0), x)
-    reraise_row_error(x, f, system.field.grad)  # rhs_batch raised a fault of P(t0)
+    f = system.rhs_batch(np.full(m, t0), x)  # raises a fault of P(t0) first
+    for i in np.flatnonzero(np.isnan(f).any(axis=1)):
+        system.field.grad(x[i])  # raises the first row's gradient error
     rows = np.arange(m)  # the row ids still integrating
     accepted = [(rows, np.full(m, t0), x.copy(), f)]  # (row ids, t, x, rhs) per step
     outcome = [None] * m  # row id -> (status, Trajectory fields)

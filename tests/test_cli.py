@@ -229,6 +229,16 @@ class TestSimulate:
         r = np.hypot(rows[:, 1], rows[:, 2])
         assert abs(r[-1] - 0.5) < 1e-2
 
+    def test_negative_vector_value(self, tmp_path):
+        # argparse takes a token starting with '-' for a flag unless it is a
+        # plain negative number; "-0.5,1" is a value here
+        cfg = write_config(tmp_path, EX31_CONFIG)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out, "--quiet",
+                     "--x0", "-0.5,1", "--t-end", "1"]) == 0
+        rows = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1)
+        assert rows[0, 1:3].tolist() == [-0.5, 1.0]
+
     def test_bad_vector_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, EX21_CONFIG)
         assert main(["simulate", "--config", cfg, "--x0", "2",
@@ -285,6 +295,15 @@ class TestBasinCommand:
             tuple(round(v) for v in w) for w in hyp["hypotheses"]["h6"]["witnesses"]
         }
         assert witnesses == {(2, 1), (2, 2)}
+
+    def test_negative_exponent_form_c(self, tmp_path):
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"},
+                                      "options": {"grid_per_axis": 20, "basin_samples": 5}})
+        out = str(tmp_path / "out")
+        assert main(["basin", "--config", cfg, "--out", out, "--quiet",
+                     "--anchor", "2,1", "--c", "-1e-3", "--resolution", "64"]) == 0
+        with open(os.path.join(out, "hypotheses.json")) as fh:
+            assert json.load(fh)["c"] == -1e-3
 
     def test_c_above_m_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, EX31_CONFIG)

@@ -12,9 +12,9 @@ from modgrad.cli import load_config
 from modgrad.equilibria import (
     Classification,
     IsolationKind,
+    _shell_dirs,
     classify_spectrum,
     find_critical_points,
-    isolation_probe,
     isolation_probes,
 )
 from modgrad.errors import EvalDomainError, OutsideDomainError
@@ -99,6 +99,28 @@ def _field(source, lo, hi):
     return ExpressionField(parse(source, n), Box(lo, hi))
 
 
+class _LocatedAt:
+    """Stands in for an Expression: the array kernels and ``scalar_rows``
+    delegate to it, and its located ``eval``/``grad``/``hessian`` fail the
+    test unless called at one of *points*; the calls are kept in order."""
+
+    def __init__(self, expression, points=()):
+        self._expression = expression
+        self._points = {tuple(p) for p in points}
+        self.calls = []
+
+    def __getattr__(self, name):
+        if name not in ("eval", "grad", "hessian"):
+            return getattr(self._expression, name)
+
+        def located(point):
+            if tuple(point) not in self._points:
+                pytest.fail(f"located {name} at {list(point)}")
+            self.calls.append((name, tuple(point)))
+            return getattr(self._expression, name)(point)
+        return located
+
+
 class TestBatchedFinder:
     """The lockstep finder against the seed-by-seed reference loop: the same
     diagnostics, and points equal bit for bit."""
@@ -149,6 +171,16 @@ class TestBatchedFinder:
         points, diags = self._assert_same(_field(source, lo, hi), 11)
         assert diags.dropped_domain > 0 and points
 
+    def test_domain_rows_are_dropped_without_locating_them(self):
+        # the kernels' mask says which rows hit a domain error; no row is
+        # re-run through the located scalar functions
+        f = _field("ln(x1*x2) - x1 - x2", (-1.0, -1.0), (3.0, 3.0))
+        want = ref.find_critical_points(f, 20)
+        f.expression = _LocatedAt(f.expression)
+        got = find_critical_points(f, 20)
+        assert got[1] == want[1] and got[1].dropped_domain == 236
+        assert _hex_points(got[0]) == _hex_points(want[0])
+
     def test_every_row_singular(self):
         _, diags = self._assert_same(_field("x1 + x2", (0.0, 0.0), (1.0, 1.0)), 5)
         assert diags.dropped_singular == diags.seeds == 25
@@ -197,14 +229,14 @@ class TestClassify:
 
 class TestIsolationProbe:
     def test_example_22_critical_circle_witness(self, ex22):
-        verdict = isolation_probe(ex22.system.field, (0.0, 0.0), [0.5])
+        (verdict,) = isolation_probes(ex22.system.field, [(0.0, 0.0)], [[0.5]])
         assert verdict.kind is IsolationKind.NOT_ISOLATED
         witness = np.asarray(verdict.witness)
         assert np.linalg.norm(witness) == pytest.approx(0.5, abs=1e-12)
 
     def test_example_31_p1_isolated_with_dense_oracle(self, ex31):
         shells = [0.5, 0.1, 0.01]
-        verdict = isolation_probe(ex31.system.field, (2.0, 1.0), shells)
+        (verdict,) = isolation_probes(ex31.system.field, [(2.0, 1.0)], [shells])
         assert verdict.kind is IsolationKind.ISOLATED_EVIDENCE
         # dense sampling oracle: 10^4 points per shell bound |grad f| below
         fld = ex31.system.field
@@ -219,13 +251,13 @@ class TestIsolationProbe:
     def test_quadratic_gradient_scales_with_radius(self, ex21):
         # |grad f| = 2|x - (1,1)| analytically
         for r in (0.5, 0.1, 0.01):
-            verdict = isolation_probe(ex21.system.field, (1.0, 1.0), [r])
+            (verdict,) = isolation_probes(ex21.system.field, [(1.0, 1.0)], [[r]])
             assert verdict.kind is IsolationKind.ISOLATED_EVIDENCE
             assert verdict.min_grad_norm == pytest.approx(2.0 * r, rel=1e-12)
 
     def test_shell_exits_domain(self, ex22):
-        with pytest.raises(OutsideDomainError):
-            isolation_probe(ex22.system.field, (0.9, 0.0), [0.5])
+        (verdict,) = isolation_probes(ex22.system.field, [(0.9, 0.0)], [[0.5]])
+        assert isinstance(verdict, OutsideDomainError)
 
     @pytest.mark.parametrize("gid, points, shells", [
         # ex22's disk: shells that fit, one that exits the box, one that
@@ -248,6 +280,20 @@ class TestIsolationProbe:
         assert isinstance(batch[1], EvalDomainError)
         assert not isinstance(batch[2], Exception)
 
+    def test_only_the_first_failing_sample_is_located(self):
+        fld = ExpressionField(parse("ln(x2) - x1^2 - (x2 - 1)^2", 2),
+                              Box((-2.0, -2.0), (2.0, 2.0)))
+        samples = np.array([0.0, 0.2]) + 0.3 * _shell_dirs(32, 2)
+        first = samples[np.argmax(samples[:, 1] <= 0.0)]
+        want = [ref.isolation_probe(fld, (0.0, 1.0), [0.1])]
+        with pytest.raises(EvalDomainError) as err:
+            ref.isolation_probe(fld, (0.0, 0.2), [0.3])
+        fld.expression = counter = _LocatedAt(fld.expression, [first])
+        got = isolation_probes(fld, [(0.0, 1.0), (0.0, 0.2)], [[0.1], [0.3]])
+        assert got[0] == want[0]
+        assert type(got[1]) is EvalDomainError and str(got[1]) == str(err.value)
+        assert counter.calls == [("grad", tuple(first))]
+
     @staticmethod
     def _check_batch(fld, points, shells):
         batch = isolation_probes(fld, points, shells)
@@ -266,9 +312,10 @@ class TestIsolationProbe:
         return batch
 
     def test_validation(self, ex31):
-        with pytest.raises(ValueError):
-            isolation_probe(ex31.system.field, (2.0, 1.0), [])
-        with pytest.raises(ValueError):
-            isolation_probe(ex31.system.field, (2.0, 1.0), [0.1], samples_per_shell=4)
-        with pytest.raises(ValueError):
-            isolation_probe(ex31.system.field, (2.0, 1.0), [-0.1])
+        fld = ex31.system.field
+        (verdict,) = isolation_probes(fld, [(2.0, 1.0)], [[]])
+        assert isinstance(verdict, ValueError)
+        (verdict,) = isolation_probes(fld, [(2.0, 1.0)], [[0.1]], samples_per_shell=4)
+        assert isinstance(verdict, ValueError)
+        (verdict,) = isolation_probes(fld, [(2.0, 1.0)], [[-0.1]])
+        assert isinstance(verdict, ValueError)

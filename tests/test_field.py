@@ -107,16 +107,14 @@ class TestBatchEvaluation:
         assert np.isnan(v[1]) and np.isnan(v[2])
 
     def test_reraise_row_error_raises_the_first_scalar_error(self):
-        from modgrad.field import reraise_row_error
-
         f = ExpressionField(parse("ln(x1) + x2^2", 2), Box((-1.0, -1.0), (2.0, 2.0)))
         x = np.array([[0.5, 0.3], [-0.5, 0.2], [3.0, 0.0]])
         with pytest.raises(EvalDomainError) as batch_err:
-            reraise_row_error(x, f.grad_batch(x), f.grad)
+            f.raise_row_error(x, f.batch("grad", x)[1], "grad")
         with pytest.raises(EvalDomainError) as scalar_err:
             f.grad(x[1])
         assert str(batch_err.value) == str(scalar_err.value)
-        reraise_row_error(x[:1], f.grad_batch(x[:1]), f.grad)  # no NaN: no error
+        f.raise_row_error(x[:1], f.batch("grad", x[:1])[1], "grad")  # no NaN: no error
 
     def test_shape_checked(self):
         f = ExpressionField(parse("x1 + x2", 2), Box((-1.0, -1.0), (1.0, 1.0)))

@@ -18,10 +18,16 @@ libm's ``exp`` element by element, and
 unequal height.  ``basin-quad3-r48`` runs a 3-D quadratic peak
 (``QUAD3_CONFIG``) on a non-cubic box, and ``simulate-leave``/
 ``simulate-hmin`` trajectories that end with ``LeftDomain`` and
-``StepFailure``.  The tool
+``StepFailure``.  ``analyze-ln-drop``, ``basin-div0-bisect`` and
+``analyze-ln-probe`` run fields defined on part of the box (``ln``, ``/``):
+the finder drops seeds for domain errors, and H5's bisection and an
+isolation shell meet one, which ends the run with exit 3.  The tool
 writes these configs into the work directory, so every checkout runs the
 same files.
 Prints one ``<run>/<file> <sha256> <exit code>`` line per emitted file,
+and one ``<run>/stderr`` line with the digest of the run's standard error
+(the CLI runs with ``-W ignore``, so that no warning's file path or line
+number enters it: error text and its order are compared byte for byte),
 sorted.  With
 ``--compare FILE`` (the saved output of another checkout), it prints the
 lines that differ instead and exits 1 when any do; a byte-identity check
@@ -131,8 +137,31 @@ HMIN_CONFIG = {
 }
 RUNS["simulate-hmin"] = ["simulate", "--config", "{work}/hmin.json",
                          "--x0", "0.5", "--t-end", "50"]
+
+# fields defined on part of the box, for the failed-row paths and their
+# messages: the finder drops grid seeds whose gradient or Hessian hits ln's
+# domain error (exit 0); H5's bisection meets a division by zero (exit 3);
+# an isolation shell reaches ln's domain error (exit 3)
+LN_CONFIG = {"dimension": 2, "f": "ln(x1*x2) - x1 - x2", "box": [[-1.0, 3.0], [-1.0, 3.0]]}
+RUNS["analyze-ln-drop"] = ["analyze", "--config", "{work}/ln.json"]
+DIV0_CONFIG = {
+    "dimension": 2,
+    "f": "0 - x1^2 - x2^2 + 0/(x1 - 0.5) + 0/(x2 - 0.5)",
+    "box": [[-2.0, 2.0], [-2.0, 2.0]],
+    "options": {"tol_boundary": 1.0},
+}
+RUNS["basin-div0-bisect"] = ["basin", "--config", "{work}/div0.json", "--anchor", "0,0",
+                             "--c=-0.3", "--resolution", "32"]
+LN_PROBE_CONFIG = {
+    "dimension": 2,
+    "f": "ln(x2) - x1^2 - (x2 - 1)^2",
+    "box": [[-2.0, 2.0], [-2.0, 4.0]],
+    "options": {"isolation_shells": [1.5]},
+}
+RUNS["analyze-ln-probe"] = ["analyze", "--config", "{work}/lnprobe.json"]
 GENERATED = {"oscP.json": OSC_P_CONFIG, "fnP.json": FN_P_CONFIG, "exp.json": EXP_CONFIG,
-             "quad3.json": QUAD3_CONFIG, "leave.json": LEAVE_CONFIG, "hmin.json": HMIN_CONFIG}
+             "quad3.json": QUAD3_CONFIG, "leave.json": LEAVE_CONFIG, "hmin.json": HMIN_CONFIG,
+             "ln.json": LN_CONFIG, "div0.json": DIV0_CONFIG, "lnprobe.json": LN_PROBE_CONFIG}
 
 
 def digests(repo, work):
@@ -145,16 +174,19 @@ def digests(repo, work):
         out = os.path.join(work, name)
         os.makedirs(out)
         argv = [a.format(work=work) for a in argv]
-        code = subprocess.run(
-            [sys.executable, "-m", "modgrad.cli", *argv, "--out", out, "--quiet"],
-            cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode
+        # -W ignore: no warning's file path or line number enters stderr
+        run = subprocess.run(
+            [sys.executable, "-W", "ignore", "-m", "modgrad.cli", *argv, "--out", out, "--quiet"],
+            cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        code = run.returncode
         for fname in sorted(os.listdir(out)):
             with open(os.path.join(out, fname), "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             lines.append(f"{name}/{fname} {digest} {code}")
         if not os.listdir(out):
             lines.append(f"{name}/- - {code}")
+        lines.append(f"{name}/stderr {hashlib.sha256(run.stderr).hexdigest()} {code}")
     return sorted(lines)
 
 
