@@ -43,33 +43,46 @@ def _fmt_float(x):
     return format(x, ".17g")
 
 
-def _json_text(obj, indent=0):
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [_json_text(v, indent + 1) for v in obj]
-        if not items:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + s for s in items)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        items = [
-            "  " * (indent + 1) + json.dumps(str(k)) + ": " + _json_text(v, indent + 1)
-            for k, v in obj.items()
-        ]
-        if not items:
-            return "{}"
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+_json_string = json.encoder.encode_basestring_ascii  # the text of json.dumps(str)
+
+
+def _json_text(obj):
+    parts = []
+    _json_parts(obj, parts, "\n")
+    return "".join(parts)
+
+
+def _json_parts(obj, out, newline):
+    """Append obj's text to *out*; *newline* breaks to obj's indentation.
+    Exact types first; numpy values and subclasses take ``isinstance``."""
+    kind = type(obj)
+    if kind is float:
+        out.append(_fmt_float(obj))
+    elif kind is str:
+        out.append(_json_string(obj))
+    elif kind is dict or kind is list or kind is tuple:
+        brackets = "{}" if kind is dict else "[]"
+        inner = newline + "  "
+        sep = brackets[0] + inner
+        for v in obj:
+            out.append(sep + _json_string(str(v)) + ": " if kind is dict else sep)
+            _json_parts(obj[v] if kind is dict else v, out, inner)
+            sep = "," + inner
+        out.append(newline + brackets[1] if obj else brackets)
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(_json_string(obj))
+    elif isinstance(obj, (list, tuple, np.ndarray, dict)):
+        _json_parts(dict(obj) if isinstance(obj, dict) else list(obj), out, newline)
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _write_json(path, obj):

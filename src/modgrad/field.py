@@ -337,10 +337,14 @@ class System(Record):
         """P(t) * grad f(x) row by row for times t (shape (m,)) and states x
         (shape (m, n)); NaN rows where x is outside D or grad f hits a domain
         error there.  A domain error in P(t) raises."""
-        g = self.field.grad_batch(x)
+        return self.p_times(t, self.field.grad_batch(x))
+
+    def p_times(self, t, g, p=None):
+        """P(t) * g row by row for g of shape (m, n), given p = ``matrix.value_batch(t)``
+        if the caller holds it; g itself when P is the identity."""
         if self.matrix.is_identity:
             return g
-        return linalg.row_matvecs(self.matrix.value_batch(t), g)
+        return linalg.row_matvecs(self.matrix.value_batch(t) if p is None else p, g)
 
 
 class H0Report(Record):

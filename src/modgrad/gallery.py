@@ -15,7 +15,6 @@ Three entries:
 import numpy as np
 
 from . import expr as expr_mod
-from . import linalg
 from ._record import Record
 from .field import Box, ExpressionField, MatrixPath, ScalarField, System
 
@@ -123,27 +122,22 @@ class PiecewiseCubic:
         self.values = np.array(
             [(1.0 - 4.0 ** -n) / 3.0 for n in range(depth + 1)] + [1.0 / 3.0]
         )
-        alpha = [-(2.0 ** (n + 2)) for n in range(depth)]
-        beta = [3.0] * depth
-        gamma = [0.0] * depth
-        delta = [(1.0 - 4.0 ** -n) / 3.0 for n in range(depth)]
-        # blend piece: Hermite cubic with zero end slopes over [x_depth, 0]
+        # piece n < depth starts at z_n; the blend piece, a Hermite cubic
+        # with zero end slopes over [x_depth, 0], at z_depth
         w = 2.0 ** -depth
         rise = self.values[-1] - self.values[-2]
-        alpha.append(-2.0 * rise / w**3)
-        beta.append(3.0 * rise / w**2)
-        gamma.append(0.0)
-        delta.append(self.values[-2])
-        self.alpha = np.array(alpha)
-        self.beta = np.array(beta)
-        self.gamma = np.array(gamma)
-        self.delta = np.array(delta)
+        self.alpha = np.array([-(2.0 ** (n + 2)) for n in range(depth)] + [-2.0 * rise / w**3])
+        self.beta = np.array([3.0] * depth + [3.0 * rise / w**2])
+        self.gamma = np.zeros(depth + 1)
+        self.delta = self.values[:-1].copy()
         self.widths = np.diff(self.knots)
+        self._inner = self.knots[1:-1].copy()
+        self._alpha3 = 3.0 * self.alpha  # the bits of 3.0 * alpha[i]
 
     def _piece(self, u):
         """Index of the piece holding u: the number of inner knots <= u, so
         u < -1 takes piece 0 and u >= 0 (or NaN) the blend piece."""
-        return np.searchsorted(self.knots[1:-1], u, side="right")
+        return self._inner.searchsorted(u, side="right")
 
     def value(self, u):
         """p(u) for u in [-1, 0] (vectorized)."""
@@ -163,7 +157,7 @@ class PiecewiseCubic:
         u = np.asarray(u, dtype=float)
         i = self._piece(u)
         s = u - self.knots[i]
-        return 3.0 * self.alpha[i] * s * (s - self.widths[i])
+        return self._alpha3[i] * s * (s - self.widths[i])
 
     def curvature(self, u):
         u = np.asarray(u, dtype=float)
@@ -203,10 +197,11 @@ class _RadialField(ScalarField):
         return np.where(r <= 1.0, out, np.nan)
 
     def _radii(self, x):
-        """The checked rows of x, their radii, and which rows are inside D."""
+        """The checked rows of x, their radii, and which rows are inside D:
+        r <= 1, as a faithfully rounded hypot is never below |x_i|."""
         x = self._check_rows(x)
         r = np.hypot(x[:, 0], x[:, 1])
-        return x, r, linalg.row_all(np.abs(x) <= 1.0) & (r <= 1.0)
+        return x, r, r <= 1.0
 
     def inside_batch(self, x):
         return self._radii(x)[2]

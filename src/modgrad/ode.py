@@ -12,16 +12,16 @@ one.  The batched arithmetic is the 1-D arithmetic row by row, so a row's
 trajectory does not depend on the batch it ran in: stage sums, the error
 estimate and P(t) grad f add their products left to right as Python
 floats do (a reduce over the outer axis of a stack, not a BLAS kernel
-chosen for the CPU), and the controller's powers are libm's ``pow``, as
-``np.power`` rounds some of them differently.  A stage state outside D
-gets a NaN right-hand side (``ScalarField.grad_batch``), which reaches
-every later stage; its row ends with LEFT_DOMAIN, so every accepted
-state, the last stage's, is inside D with no further check.
+chosen for the CPU).  The controller's powers are ``np.float_power``'s,
+whose float64 loop is libm's ``pow`` per element; ``np.power`` dispatches
+to SIMD kernels chosen for the CPU, which round some powers differently.
+A stage state outside D gets a NaN right-hand side (``ScalarField.grad_batch``),
+which reaches every later stage; its row ends with LEFT_DOMAIN, so every
+accepted state, the last stage's, is inside D with no further check.
 """
 
 import enum
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class Status(enum.Enum):
 
 
 class SimOptions(Record):
-    """Integrator settings; ``h_max`` defaults to (t_end - t0) / 10."""
+    """Integrator settings; ``h_max`` defaults to (t_end - t0) / 10 and is >= ``h_min``."""
 
     _fields = ("rel_tol", "abs_tol", "h_init", "h_min", "h_max",
                "convergence_radius", "convergence_target", "max_steps")
@@ -94,6 +94,8 @@ class SimOptions(Record):
                 raise ValueError(f"{name} must be >= 0, got {v}")
         if rel_tol == 0.0 and abs_tol == 0.0:
             raise ValueError("rel_tol and abs_tol must not both be 0")
+        if h_max is not None and h_max < h_min:  # the step would crawl at h_max to max_steps
+            raise ValueError(f"h_max must be >= h_min, got h_max = {h_max:g} < h_min = {h_min:g}")
         self._fill(rel_tol, abs_tol, h_init, h_min, h_max,
                    convergence_radius, convergence_target, max_steps)
 
@@ -155,13 +157,6 @@ class Trajectory(Record):
 def _rms(v):
     """Root mean square of each row (the sum and division of ``np.mean``)."""
     return np.sqrt(np.add.reduce(v * v, axis=1) / v.shape[1])
-
-
-def _pow(base, exponent):
-    """base ** exponent per element, by libm's ``pow`` on Python floats (not
-    ``np.power``'s bits); *exponent* is one float or an array like *base*."""
-    exponents = exponent.tolist() if isinstance(exponent, np.ndarray) else repeat(exponent)
-    return np.fromiter(map(pow, base.tolist(), exponents), float, len(base))
 
 
 def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
@@ -276,11 +271,13 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
         if not len(rows):
             break
         h = np.minimum(h, t_end - t)
+        hc = h[:, None]
         k = np.empty((7,) + x.shape)  # the stages, summed over the outer axis
         k[0] = f
         xs = [x]  # the stage states
         for i in range(1, 7):
-            xs.append(x + h[:, None] * np.add.reduce(_A[i] * k[:i], axis=0))
+            # a sum of one term is that term
+            xs.append(x + hc * (_A[1][0] * f if i == 1 else np.add.reduce(_A[i] * k[:i], axis=0)))
             ti = t
             if uses_t:  # a row whose stage state is NaN has left: P at t, known to be defined
                 ti = np.where(np.isnan(xs[i]).any(axis=1), t, t + _C[i] * h)
@@ -299,9 +296,10 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
             keep(~left)
             if not len(rows):
                 break
+            hc = h[:, None]
         x_new = xs[6]  # 7th stage point is the 5th-order solution (FSAL), inside D
         f_new = k[6].copy()  # a view would keep all of k alive in accepted
-        err_vec = h[:, None] * np.add.reduce(_E * k, axis=0)
+        err_vec = hc * np.add.reduce(_E * k, axis=0)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
         err = _rms(err_vec / scale)
         t_new = t + h
@@ -319,12 +317,14 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
         # step sizes: the PI controller (Gustafsson) where accepted, reacting
         # to this error and the last one; a plain cut where rejected
         zero = err == 0.0
-        base = np.where(zero, 1.0, err) if zero.any() else err
+        any_zero = zero.any()
+        base = np.where(zero, 1.0, err) if any_zero else err
         every = accept.all()
-        power = _pow(base, -0.17 if every else np.where(accept, -0.17, -0.2))
-        grow = _SAFETY * power * _pow(err_prev, 0.04)
+        power = np.float_power(base, -0.17 if every else np.where(accept, -0.17, -0.2))
+        grow = _SAFETY * power * np.float_power(err_prev, 0.04)
         grow = np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, grow))
-        grow[zero] = _MAX_FACTOR
+        if any_zero:
+            grow[zero] = _MAX_FACTOR
         grown = np.minimum(np.maximum(h * grow, opts.h_min), h_max)
         if every:
             accepted.append((rows, t_new, x_new, f_new))
@@ -387,23 +387,22 @@ class LyapunovTrace(Record):
 
     Columns: t, V_x, V'_x, lambda_1(P(t)), |grad f|^2.  V'_x comes from the
     formula -(P(t) grad f) . grad f, not from differencing, so the bound
-    V'_x <= -lambda_1 |grad f|^2 is checkable row by row.
+    V'_x <= -lambda_1 |grad f|^2 is checkable row by row; ``lyapunov_traces``
+    stores the two maxima over the rows with them.
     """
 
-    _fields = ("anchor", "anchor_value", "rows")
+    _fields = ("anchor", "anchor_value", "rows", "bound_violation", "increase")
 
-    def __init__(self, anchor, anchor_value, rows):  # rows: shape (m, 5)
-        self._fill(anchor, anchor_value, rows)
+    def __init__(self, anchor, anchor_value, rows, bound_violation, increase):
+        self._fill(anchor, anchor_value, rows, bound_violation, increase)  # rows: shape (m, 5)
 
     def max_bound_violation(self):
         """max over rows of V'_x - (-lambda_1 |grad f|^2); <= 0 is ideal."""
-        return float(np.max(self.rows[:, 2] + self.rows[:, 3] * self.rows[:, 4]))
+        return self.bound_violation
 
     def max_increase(self):
-        """max over consecutive samples of V(t_{k+1}) - V(t_k)."""
-        if len(self.rows) < 2:
-            return 0.0
-        return float(np.max(np.diff(self.rows[:, 1])))
+        """max over consecutive samples of V(t_{k+1}) - V(t_k); 0.0 for one sample."""
+        return self.increase
 
 
 # Rows per pass of ``lyapunov_traces``: bounds the pass's array temporaries
@@ -452,21 +451,31 @@ def _traces(system, trajectories, anchors):
     fld.raise_row_error(anchors, failed, "eval")
     x = np.concatenate([traj.states for traj in trajectories])
     times = np.concatenate([traj.times for traj in trajectories])
-    counts = [len(traj.times) for traj in trajectories]
+    counts = np.array([len(traj.times) for traj in trajectories])
     g, g_failed = fld.batch("grad", x)
     v, v_failed = fld.batch("eval", x)
     fld.raise_row_error(x, g_failed | v_failed, "grad", "eval")
     p = system.matrix.value_batch(times)
-    pg = linalg.row_matvecs(p, g)
     rows = np.column_stack([
         times,
         np.repeat(m_values, counts) - v,
-        -linalg.row_dots(pg, g),
+        -linalg.row_dots(system.p_times(times, g, p), g),
         system.matrix.stack_lambda1(times, p),
         linalg.row_dots(g, g),
     ])
-    ends = np.cumsum(counts).tolist()
+    # each trajectory's maxima in one reduce over the pass: np.max's bits.  A
+    # trajectory's last row has no successor in it (-inf); one row's is 0.0
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rise = np.empty(len(rows))
+    rise[:-1] = rows[1:, 1] - rows[:-1, 1]
+    rise[ends - 1] = -np.inf
+    increase = np.where(counts > 1, np.maximum.reduceat(rise, starts), 0.0)
+    violation = np.maximum.reduceat(rows[:, 2] + rows[:, 3] * rows[:, 4], starts)
     return [
-        LyapunovTrace(anchor=tuple(anchor), anchor_value=m_value, rows=rows[hi - k:hi])
-        for anchor, m_value, k, hi in zip(anchors.tolist(), m_values.tolist(), counts, ends)
+        LyapunovTrace(anchor=tuple(anchor), anchor_value=m_value, rows=rows[lo:hi],
+                      bound_violation=vmax, increase=imax)
+        for anchor, m_value, lo, hi, vmax, imax in zip(
+            anchors.tolist(), m_values.tolist(), starts.tolist(), ends.tolist(),
+            violation.tolist(), increase.tolist())
     ]

@@ -361,16 +361,11 @@ def _descent_checks(system, checks, opts):
     )
     traces = ode.lyapunov_traces(system, trajectories, targets)
     for k, first, count in spans:
-        mine = trajectories[first:first + count]
-        max_inc = 0.0
-        max_violation = -math.inf
-        for trace in traces[first:first + count]:
-            max_inc = max(max_inc, trace.max_increase())
-            max_violation = max(max_violation, trace.max_bound_violation())
+        mine = traces[first:first + count]
         descents[k] = DescentSummary(
-            trajectories=len(mine),
-            max_v_increase=max_inc,
-            max_bound_violation=max_violation,
-            statuses=tuple(traj.status.value for traj in mine),
+            trajectories=count,
+            max_v_increase=max([0.0] + [trace.max_increase() for trace in mine]),
+            max_bound_violation=max([-math.inf] + [trace.max_bound_violation() for trace in mine]),
+            statuses=tuple(traj.status.value for traj in trajectories[first:first + count]),
         )
     return descents

@@ -470,6 +470,11 @@ class TestNumericInputs:
         ({}, ["--target", "1,1", "--radius", "nan"],
          "convergence_radius must be a finite number > 0"),
         ({}, ["--t-end", "inf"], "t_end < inf"),
+        # below h_min the step would sit at h_max until max_steps
+        pytest.param({"h_max": 1e-13}, [],
+                     "config error: h_max must be >= h_min, got h_max = 1e-13", id="h_max-config"),
+        pytest.param({}, ["--h-max", "1e-300"],
+                     "input error: h_max must be >= h_min, got h_max = 1e-300", id="h_max-flag"),
     ])
     def test_bad_integrator_settings_exit_2(self, tmp_path, capsys, options, flags, message):
         cfg = write_config(tmp_path, {"f": {"gallery": "ex21"}, "options": options})

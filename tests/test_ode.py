@@ -232,6 +232,26 @@ class TestLyapunovTrace:
         assert traces[1].rows[0, 1] - traces[0].rows[-1, 1] > 1.0
         assert max(t.max_increase() for t in traces) <= 1e-7
 
+    def test_stored_maxima_are_each_trajectory_s_own(self, ex31, monkeypatch):
+        # passes of 7 rows, so trajectories straddle pass boundaries; the
+        # first and third starts sit on their target: one row each
+        monkeypatch.setattr(ode, "_ROWS_PER_PASS", 7)
+        system = ex31.system
+        starts = [(2.0, 4.0), (2.4, 3.7), (2.0, 4.0), (0.0, 5.5), (2.3, 1.2), (1.6, 0.7)]
+        targets = [(2.0, 4.0)] * 4 + [(2.0, 1.0)] * 2
+        trajs = ode.simulate_batch(system, starts, 0.0, 2.0, TIGHT.replace(convergence_radius=1e-8),
+                                   targets=targets)
+        assert len(trajs[0].times) == len(trajs[2].times) == 1
+        assert sum(len(t.times) for t in trajs) > 3 * ode._ROWS_PER_PASS
+        for trace in lyapunov_traces(system, trajs, targets):
+            rows = trace.rows
+            increase = np.max(np.diff(rows[:, 1])) if len(rows) > 1 else 0.0
+            assert trace.max_increase() == increase
+            assert type(trace.max_increase()) is float
+            violation = np.max(rows[:, 2] + rows[:, 3] * rows[:, 4])
+            assert trace.max_bound_violation() == violation
+            assert type(trace.max_bound_violation()) is float
+
     def test_failure_is_the_first_trajectory_s_error(self, ex31):
         system = ex31.system
         trajs = [simulate(system, x0, 0.0, 1.0, TIGHT) for x0 in [(2.4, 3.7), (2.1, 1.2)]]
@@ -398,6 +418,17 @@ def _box_system(source, lo, hi):
 OSC_P = [["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]]
 _RING = np.stack([np.cos(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)),
                   np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))], axis=-1)
+
+
+def test_controller_powers_are_libm_pow():
+    # the premise of the controller's np.float_power: its float64 loop is
+    # libm's pow element by element, Python's pow bit for bit, on this CPU
+    rng = np.random.default_rng(7)
+    errors = np.concatenate([np.geomspace(1e-16, 1e3, 50_000),
+                             10.0 ** rng.uniform(-16.0, 3.0, 50_000)])
+    for p in (-0.17, -0.2, 0.04):
+        want = np.array([pow(v, p) for v in errors.tolist()])
+        assert np.float_power(errors, p).tobytes() == want.tobytes()
 
 
 class TestScalarReference:
