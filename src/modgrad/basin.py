@@ -4,15 +4,19 @@ The component E anchored at an equilibrium x̄ is the face-connected flood
 fill, from the anchor cell, of cells whose center satisfies c < f < M with
 M = f(x̄) (the anchor cell itself is exempt, since f(x̄) = M).  Face
 connectivity under-approximates the true component: it never leaks through
-a saddle pinch, which keeps the basin guarantee sound.
+a saddle pinch, which keeps the basin guarantee sound.  The fill joins runs
+of cells along the last axis (``_flood``).  Sampled starts are drawn from
+the standard library's ``random.Random(seed).random()``.
 """
 
 import math
+import random
 
 import numpy as np
 
 from . import linalg, ode
 from ._record import Record
+from .equilibria import _unit_vector
 from .errors import NumericFailure, OutsideDomainError
 
 __all__ = [
@@ -88,28 +92,60 @@ class GridComponent(Record):
         return bool(self.mask[self.cell_of(point)])
 
 
+def row_runs(grid):
+    """The runs of True cells along the last axis of the bool array *grid*:
+    each run's first cell and one past its last, as flat row-major indices,
+    in row-major order."""
+    rows = grid.reshape(-1, grid.shape[-1])
+    edge = np.empty_like(rows)
+    edge[:, 0] = rows[:, 0]
+    np.greater(rows[:, 1:], rows[:, :-1], out=edge[:, 1:])  # True after False
+    first = np.flatnonzero(edge)
+    edge[:, -1] = rows[:, -1]
+    np.greater(rows[:, :-1], rows[:, 1:], out=edge[:, :-1])  # True before False
+    return first, np.flatnonzero(edge) + 1
+
+
 def _flood(predicate, start):
     """Cells face-connected to *start* through *predicate* (a bool grid).
 
-    Grows one frontier of flat indices at a time, on a copy padded with a
-    False border, so that a neighbour is a fixed offset away and never off
-    the grid.
+    Works on the runs of ``row_runs``: two runs are joined when they overlap
+    in rows that neighbour along a leading axis, the runs' components come
+    from min-label hooking and pointer jumping (Shiloach & Vishkin), and the
+    mask is one ``np.repeat`` of the start's component's runs.  The cost
+    grows with the number of runs, not with the component's depth.
     """
-    allowed = np.pad(predicate, 1, constant_values=False)
-    shape = allowed.shape
-    allowed = allowed.ravel()
-    mask = np.zeros(allowed.size, dtype=bool)
-    strides = np.cumprod((1,) + shape[:0:-1])[::-1]  # flat-index step per axis
-    offsets = np.concatenate([(-s, s) for s in strides])
-    frontier = np.array([np.ravel_multi_index(tuple(i + 1 for i in start), shape)])
-    mask[frontier] = True
-    while frontier.size:
-        reached = (frontier[:, None] + offsets).ravel()
-        reached = reached[allowed[reached] & ~mask[reached]]
-        reached.sort()
-        frontier = np.concatenate((reached[:1], reached[1:][reached[1:] != reached[:-1]]))
-        mask[frontier] = True
-    return mask.reshape(shape)[(slice(1, -1),) * len(shape)]
+    shape = predicate.shape
+    width = shape[-1]
+    first, stop = row_runs(predicate)
+    row = first // width
+    src, dst = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]  # none in 1-D
+    step = 1  # rows between neighbours along the axis
+    for size in reversed(shape[:-1]):
+        i = np.flatnonzero(row // step % size < size - 1)
+        shift = step * width
+        # the runs of the neighbouring row that overlap run i: a contiguous range
+        lo = stop.searchsorted(first[i] + shift, side="right")
+        count = np.maximum(first.searchsorted(stop[i] + shift) - lo, 0)
+        src.append(np.repeat(i, count))
+        dst.append(np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count))
+        step *= size
+    src = np.concatenate(src, dtype=np.intp)
+    dst = np.concatenate(dst, dtype=np.intp)
+    label = np.arange(len(first))
+    while src.size:  # until no join is left between two components
+        a, b = label[src], label[dst]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))  # hook roots on smaller roots
+        up = label[label]
+        while not np.array_equal(up, label):  # jump until every run points at its root
+            label, up = up, up[up]
+        apart = label[src] != label[dst]
+        src, dst = src[apart], dst[apart]
+    anchor = np.ravel_multi_index(start, shape)
+    keep = label == label[first.searchsorted(anchor, side="right") - 1]
+    ends = np.stack((first[keep], stop[keep]), axis=-1).ravel()
+    pattern = np.arange(len(ends) + 1) % 2 == 1  # gap, run, gap, .., run, gap
+    return np.repeat(pattern, np.diff(ends, prepend=0, append=predicate.size)).reshape(shape)
 
 
 def axis_centers(lo, widths, resolution):
@@ -421,21 +457,19 @@ class BasinVerification(Record):
 
 
 def sample_cells(component, count, seed=0):
-    """*count* starts in masked cell interiors, deterministic in *seed*."""
+    """*count* starts in masked cell interiors, deterministic in *seed*: start
+    k takes the k-th n + 1 draws u, a masked cell ``int(u * cells)`` (row-major)
+    and per axis a jitter ``0.1 + 0.8 * u`` in cell widths, whatever *count*."""
     masked = np.flatnonzero(component.mask)  # row-major, as np.argwhere
     if len(masked) == 0:
         raise ValueError("component has no masked cells")
-    lo = np.array(component.box_lo)
-    widths = np.array(component.cell_widths)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xBA51]))
-    picks = rng.integers(0, len(masked), size=int(count))
+    n = component.dimension
+    rng = random.Random(int(seed))
+    draws = np.array([rng.random() for _ in range(int(count) * (n + 1))]).reshape(-1, n + 1)
+    picks = (draws[:, 0] * len(masked)).astype(np.intp)
     cells = np.stack(np.unravel_index(masked[picks], component.mask.shape), axis=-1)
-    starts = []
-    for k, cell in enumerate(cells):
-        sub_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(k)]))
-        jitter = sub_rng.uniform(0.1, 0.9, size=component.dimension)
-        starts.append(lo + (cell + jitter) * widths)
-    return starts
+    jitter = 0.1 + 0.8 * draws[:, 1:]
+    return list(np.array(component.box_lo) + (cells + jitter) * np.array(component.cell_widths))
 
 
 def sample_region(field, anchor, c, count, seed=0):
@@ -450,16 +484,15 @@ def sample_region(field, anchor, c, count, seed=0):
     m_value = float(field.eval(anchor))
     if c >= m_value:
         raise ValueError(f"c must be below f(anchor) = {m_value:g}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A3]))
+    rng = random.Random(int(seed))
     r_max = field.box.clip_radius(anchor)
     samples = []
     tries = 0
     radius = 0.05 * r_max
     while len(samples) < count and tries < 200_000:
         tries += 1
-        direction = rng.standard_normal(field.dimension)
-        direction /= np.linalg.norm(direction)
-        x = anchor + radius * rng.uniform(0.0, 1.0) ** (1.0 / field.dimension) * direction
+        direction = _unit_vector(rng, field.dimension)
+        x = anchor + radius * rng.random() ** (1.0 / field.dimension) * direction
         if field.inside(x) and c < field.eval(x) < m_value:
             samples.append(x)
         if tries % 2000 == 0 and radius < r_max:

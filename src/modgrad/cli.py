@@ -110,28 +110,29 @@ def _write_csv(path, header, rows):
 
 
 def _write_cells_csv(path, component):
-    """The masked cells' centers in row-major order, as ``_write_csv``
-    writes them.  A center's coordinates come from the grid's per-axis
-    centers, so each distinct coordinate is formatted once, with the
-    separator that follows it; a block of rows is then a sum of object
-    arrays of text, indexed by the cells of one axis-0 slab of the mask."""
+    """The masked cells' centers in row-major order, as ``_write_csv`` writes
+    them, a run of cells along the last axis (``basin.row_runs``) at a time.
+    Each distinct coordinate is formatted once, with the separator after it;
+    a run from a to b is ``p + p.join(text[a:b])``, p its row's prefix text.
+    Text goes to the file every ``_CSV_BLOCK_ROWS`` or so cells."""
     axes = component.axis_centers()
     ends = [","] * (len(axes) - 1) + ["\n"]
-    text = [np.array(["%.17g" % v + end for v in axis.tolist()], dtype=object)
-            for axis, end in zip(axes, ends)]
+    text = [["%.17g" % v + end for v in axis.tolist()] for axis, end in zip(axes, ends)]
     mask = component.mask
-    rows = basin_mod.slab_rows(mask.shape)  # no index array of the whole grid
+    first, stop = basin_mod.row_runs(mask)
+    *lead, col = np.unravel_index(first, mask.shape)
     with open(path, "w") as fh:
         fh.write(",".join(f"x{d + 1}" for d in range(mask.ndim)) + "\n")
-        for first in range(0, len(mask), rows):
-            slab = mask[first:first + rows]
-            cells = np.unravel_index(np.flatnonzero(slab), slab.shape)  # row-major
-            for start in range(0, len(cells[0]), _CSV_BLOCK_ROWS):
-                block = slice(start, start + _CSV_BLOCK_ROWS)
-                lines = text[0][first + cells[0][block]]
-                for axis_text, idx in zip(text[1:], cells[1:]):
-                    lines = lines + axis_text[idx[block]]
-                fh.write("".join(lines.tolist()))
+        parts, pending = [], 0
+        for *idx, a, b in zip(*(i.tolist() for i in lead), col.tolist(),
+                              (col + stop - first).tolist()):
+            p = "".join([t[i] for t, i in zip(text, idx)])
+            parts += [p, p.join(text[-1][a:b])]
+            pending += b - a
+            if pending >= _CSV_BLOCK_ROWS:
+                fh.write("".join(parts))
+                parts, pending = [], 0
+        fh.write("".join(parts))
 
 
 def _write_pgm(path, mask):
@@ -194,11 +195,15 @@ def _write_svg(path, component, critical_points, segments):
         f'<rect x="0" y="0" width="{f(width)}" height="{f(height)}" '
         'fill="white" stroke="black" stroke-width="1"/>',
     ]
+    # sx and sy on the columns, each block of segments in one % format
+    xy = np.empty_like(segments)
+    xy[:, 0::2] = (segments[:, 0::2] - lo[0]) * scale
+    xy[:, 1::2] = (hi[1] - segments[:, 1::2]) * scale
     path_bits = []
-    for x0, y0, x1, y1 in segments.tolist():
-        path_bits.append(
-            f"M {f(sx(x0))} {f(sy(y0))} L {f(sx(x1))} {f(sy(y1))}"
-        )
+    for start in range(0, len(xy), _CSV_BLOCK_ROWS):
+        chunk = xy[start:start + _CSV_BLOCK_ROWS]
+        path_bits.append(" ".join(["M %.6g %.6g L %.6g %.6g"] * len(chunk))
+                         % tuple(chunk.ravel().tolist()))
     parts.append(
         '<path d="' + " ".join(path_bits) + '" stroke="#1060c0" '
         'stroke-width="1" fill="none"/>'

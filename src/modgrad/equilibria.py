@@ -16,6 +16,7 @@ labeled evidence, not proof -- sampling cannot decide isolation.
 
 import enum
 import math
+import random
 
 import numpy as np
 
@@ -251,6 +252,18 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
     return points, diags
 
 
+def _unit_vector(rng, dimension):
+    """A direction uniform on the unit sphere from *rng* (a ``random.Random``):
+    *dimension* normals by Box–Muller from ``rng.random()``, over their norm.
+    Only ``random()`` is drawn, whose sequence Python fixes for an int seed."""
+    z = []
+    while len(z) < dimension:
+        rho = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        theta = 2.0 * math.pi * rng.random()
+        z += [rho * math.cos(theta), rho * math.sin(theta)]
+    return np.array(z[:dimension]) / math.hypot(*z[:dimension])
+
+
 def _shell_dirs(count, dimension):
     """Deterministic, roughly uniform unit vectors (*count* of them, or the
     two axis directions in 1-D); the points of the sphere |x - c| = r are
@@ -260,10 +273,8 @@ def _shell_dirs(count, dimension):
     if dimension == 2:
         angles = 2.0 * math.pi * np.arange(count) / count
         return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    rng = np.random.default_rng(1234)
-    dirs = rng.standard_normal((count, dimension))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return dirs
+    rng = random.Random(1234)
+    return np.array([_unit_vector(rng, dimension) for _ in range(count)])
 
 
 def isolation_probes(field, points, shell_radii, samples_per_shell=32,

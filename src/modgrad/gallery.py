@@ -197,22 +197,23 @@ class _RadialField(ScalarField):
         return np.where(r <= 1.0, out, np.nan)
 
     def _radii(self, x):
-        """The checked rows of x, their radii, and which rows are inside D:
-        r <= 1, as a faithfully rounded hypot is never below |x_i|."""
+        """The checked rows of x, their radii, which rows are inside D (r <= 1,
+        as a faithfully rounded hypot is never below |x_i|), and -r clamped
+        to the cubic's [-1, 0]: -r itself inside D, and no overflow far out."""
         x = self._check_rows(x)
         r = np.hypot(x[:, 0], x[:, 1])
-        return x, r, r <= 1.0
+        u = -r
+        return x, r, r <= 1.0, np.maximum(u, -1.0, out=u)
 
     def inside_batch(self, x):
         return self._radii(x)[2]
 
     def eval_batch(self, x):
-        _, r, inside = self._radii(x)
-        return np.where(inside, self.cubic.value(-r), np.nan)
+        _, _, inside, u = self._radii(x)
+        return np.where(inside, self.cubic.value(u), np.nan)
 
     def grad_batch(self, x):
-        x, r, inside = self._radii(x)
-        u = -r
+        x, r, inside, u = self._radii(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = (self.cubic.slope(u) / u)[:, None] * x  # the bits of -p'(-r) / r
         if not r.all():
@@ -222,13 +223,13 @@ class _RadialField(ScalarField):
         return g
 
     def hessian_batch(self, x):
-        x, r, inside = self._radii(x)
-        gpp = self.cubic.curvature(-r)[:, None, None]
+        x, r, inside, u = self._radii(x)
+        gpp = self.cubic.curvature(u)[:, None, None]
         eye = np.eye(2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = x / r[:, None]
-            proj = u[:, :, None] * u[:, None, :]
-            h = gpp * proj + (-self.cubic.slope(-r) / r)[:, None, None] * (eye - proj)
+            unit = x / r[:, None]
+            proj = unit[:, :, None] * unit[:, None, :]
+            h = gpp * proj + (-self.cubic.slope(u) / r)[:, None, None] * (eye - proj)
         at_origin = r == 0.0
         h[at_origin] = gpp[at_origin] * eye
         h[~inside] = np.nan

@@ -1,5 +1,9 @@
 """Grid-component extraction, H4-H6 checks, and simulation verification."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +25,8 @@ from modgrad.equilibria import find_critical_points
 from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
 from modgrad.field import Box, ExpressionField, MatrixPath, System
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +149,8 @@ class TestScalarReference:
     """The array kernels against the cell-by-cell loops they replace
     (``scalar_reference``): equal masks, verdicts, witnesses and notes."""
 
-    @pytest.mark.parametrize("shape", [(40, 37), (64, 64), (12, 9, 11), (16, 16, 16)])
+    @pytest.mark.parametrize("shape", [(40, 37), (64, 64), (12, 9, 11), (16, 16, 16),
+                                       (1, 50), (50, 1), (60,), (5, 6, 7, 8)])
     def test_flood_matches_bfs_on_random_predicates(self, shape):
         rng = np.random.default_rng(sum(shape))
         for density in (0.45, 0.6, 0.8):
@@ -151,6 +158,56 @@ class TestScalarReference:
             start = tuple(int(rng.integers(0, r)) for r in shape)
             predicate[start] = True
             assert np.array_equal(_flood(predicate, start), ref.flood_bfs(predicate, start))
+
+    @staticmethod
+    def _combs_and_serpentines(n=64):
+        teeth_along_rows = np.zeros((n, n), dtype=bool)  # full rows on a column-0 spine
+        teeth_along_rows[::2] = True
+        teeth_along_rows[:, 0] = True
+        teeth_along_cols = teeth_along_rows.T.copy()  # many short runs per row
+        serpentine = np.zeros((n, n), dtype=bool)  # one path through every other row
+        serpentine[::2, :-1] = True
+        serpentine[1::4, -2] = True
+        serpentine[3::4, 0] = True
+        return [teeth_along_rows, teeth_along_cols, serpentine, serpentine.T.copy()]
+
+    def test_flood_matches_bfs_on_combs_and_serpentines(self):
+        for predicate in self._combs_and_serpentines():
+            for start in [tuple(c) for c in np.argwhere(predicate)[[0, 17, -1]]]:
+                got = _flood(predicate, start)
+                assert np.array_equal(got, ref.flood_bfs(predicate, start))
+                assert np.array_equal(got, predicate)  # each is one component
+
+    def test_flood_does_not_join_a_row_end_to_the_next_row_start(self):
+        # runs that touch in row-major order but not across a face
+        predicate = np.zeros((6, 10), dtype=bool)
+        predicate[2, 6:] = True
+        predicate[3, :4] = True
+        got = _flood(predicate, (2, 9))
+        assert np.array_equal(got, ref.flood_bfs(predicate, (2, 9)))
+        assert got.sum() == 4 and not got[3, 0]
+        # the last row of one axis-0 plane against the first row of the next,
+        # and a run of the next plane's last row across a face from it
+        predicate = np.zeros((2, 3, 8), dtype=bool)
+        predicate[0, 2, 4:] = True
+        predicate[1, 0, :4] = True
+        predicate[1, 2, 1:5] = True
+        for start, size in [((0, 2, 7), 8), ((1, 0, 0), 4), ((1, 2, 1), 8)]:
+            got = _flood(predicate, start)
+            assert np.array_equal(got, ref.flood_bfs(predicate, start))
+            assert got.sum() == size
+
+    @pytest.mark.parametrize("shape", [(9, 8), (5, 4, 3), (32,)])
+    def test_flood_of_a_one_cell_component(self, shape):
+        # alone, and on a checkerboard, whose cells meet only at corners
+        start = tuple(r // 2 for r in shape)
+        alone = np.zeros(shape, dtype=bool)
+        alone[start] = True
+        board = np.indices(shape).sum(axis=0) % 2 == sum(start) % 2
+        for predicate in (alone, board):
+            got = _flood(predicate, start)
+            assert np.array_equal(got, ref.flood_bfs(predicate, start))
+            assert np.argwhere(got).tolist() == [list(start)]
 
     def _assert_same_h4_h5(self, comp, field, tol_boundary=None):
         rep = check_hypotheses(comp, field, [], tol_boundary)
@@ -239,6 +296,7 @@ class TestOpenGrid:
                       Box((-1.0, -1.5, -1.0), (1.0, 1.0, 1.25))), (0.0, 0.0, 0.25), 0.2, 40),
         "exp": (_field(EX31_F + " + exp(-(x1-2)^2)", EX31_BOX), (2.0, 4.0), 33.0, 128),
         "non-square": ("ex31", (2.0, 1.0), 20.0, (96, 160)),
+        "1d": (_field("1 - x1^2 + 0.5*x1^3", Box((-2.0,), (1.5,))), (0.0,), 0.3, 64),
         # 300 rows in slabs of 218: the second slab is short
         "slabs": (_field(EX31_F + " + exp(-(x1-2)^2)", EX31_BOX), (2.0, 4.0), 33.0, 300),
     }
@@ -407,6 +465,58 @@ class TestVerifyBasin:
         traj = ode.simulate(ex31.system, p1.location, 0.0, 50.0, opts)
         assert traj.status is ode.Status.CONVERGED
         assert traj.converged_at == 0.0
+
+
+class TestStarts:
+    """The starts come from ``random.Random(seed).random()``: no path
+    imports numpy.random, and the same seed gives the same starts."""
+
+    @pytest.fixture(scope="class")
+    def comp(self, ex31):
+        return extract_component(ex31.system.field, (2.0, 4.0), 20.0, 128)
+
+    def test_fewer_starts_are_a_prefix(self, comp):
+        full = np.array(sample_cells(comp, 100, seed=5))
+        for k in (0, 1, 7, 99):
+            assert np.array_equal(np.reshape(sample_cells(comp, k, seed=5), (k, 2)), full[:k])
+
+    def test_starts_lie_strictly_inside_masked_cells(self, comp):
+        starts = np.array(sample_cells(comp, 500, seed=11))
+        lo, widths = np.array(comp.box_lo), np.array(comp.cell_widths)
+        cells = np.floor((starts - lo) / widths).astype(int)
+        assert comp.mask[tuple(cells.T)].all()
+        assert np.all(lo + cells * widths < starts)
+        assert np.all(starts < lo + (cells + 1) * widths)
+        offset = (starts - lo) / widths - cells  # the jitter, in [0.1, 0.9)
+        assert offset.min() >= 0.1 - 1e-9 and offset.max() < 0.9 + 1e-9
+
+    def test_same_seed_same_starts(self, comp):
+        assert np.array_equal(sample_cells(comp, 30, seed=3), sample_cells(comp, 30, seed=3))
+        assert not np.array_equal(sample_cells(comp, 30, seed=3), sample_cells(comp, 30, seed=4))
+        f = _field("1 - x1^2 - 2*x2^2 - 3*x3^2", Box((-1.0,) * 3, (1.0,) * 3))
+        a = sample_region(f, (0.0,) * 3, 0.5, 25, seed=3)
+        assert np.array_equal(a, sample_region(f, (0.0,) * 3, 0.5, 25, seed=3))
+        assert not np.array_equal(a, sample_region(f, (0.0,) * 3, 0.5, 25, seed=4))
+        assert all(f.inside(x) and 0.5 < f.eval(x) < 1.0 for x in a)
+
+    @pytest.mark.parametrize("argv", [
+        ["basin", "--config", "configs/ex31.json", "--anchor", "2,4", "--c", "33",
+         "--resolution", "64"],
+        ["analyze", "--config", "{tmp}/quad3.json"],
+    ], ids=["basin", "analyze-3d"])
+    def test_no_run_imports_numpy_random(self, argv, tmp_path):
+        # the 3-D analyze draws the shell directions of _shell_dirs
+        config = {"dimension": 3, "f": "1 - x1^2 - 2*x2^2 - 3*(x3 - 0.25)^2",
+                  "box": [[-1.0, 1.0], [-1.5, 1.0], [-1.0, 1.25]],
+                  "options": {"grid_per_axis": 5, "basin_samples": 4}}
+        (tmp_path / "quad3.json").write_text(json.dumps(config))
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out"), "--quiet"]
+        code = ("import sys; from modgrad.cli import main; code = main(sys.argv[1:]); "
+                "print(code, 'numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT,
+                             env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "False"]
 
 
 class TestHighDimensionFallback:

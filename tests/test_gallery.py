@@ -1,5 +1,7 @@
 """Gallery constructions against their closed-form oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,23 @@ class TestExample22Field:
             else:
                 assert np.isnan(h[i]).all()
         assert np.isnan(h[72]).all() and not np.isnan(h[73]).any()
+
+    def test_rows_far_outside_give_nan_rows_without_warnings(self, ex22):
+        # the cubic is evaluated at -r clamped to [-1, 0]: no overflow at
+        # r = 1e300, and no invalid operation outside np.errstate
+        fld = ex22.system.field
+        x = np.array([[1e300, 0.0], [np.inf, 0.0], [np.nan, 0.0], [0.0, np.nan],
+                      [-np.inf, np.inf], [0.5, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v, g, h = fld.eval_batch(x), fld.grad_batch(x), fld.hessian_batch(x)
+            inside = fld.inside_batch(x)
+        assert inside.tolist() == [False] * 5 + [True] * 2
+        assert np.isnan(v[:5]).all() and np.isnan(g[:5]).all() and np.isnan(h[:5]).all()
+        for i in (5, 6):
+            assert v[i] == radial_eval(fld, x[i])
+            assert np.array_equal(g[i], radial_grad(fld, x[i]))
+            assert h[i].tobytes() == radial_hessian(fld, x[i]).tobytes()
 
     def test_radial_reduction_matches_2d_simulation(self, ex22):
         # r' = -p'(-r) in 1-D must reproduce the 2-D trajectory radius

@@ -16,8 +16,9 @@ runs ex31's f with an ``exp`` term (``EXP_CONFIG``), whose batches call
 libm's ``exp`` element by element, and
 ``basin-ex31-exp-r1000`` extracts a basin of that f in axis-0 slabs of
 unequal height.  ``basin-quad3-r48`` runs a 3-D quadratic peak
-(``QUAD3_CONFIG``) on a non-cubic box, and ``simulate-leave``/
-``simulate-hmin`` trajectories that end with ``LeftDomain`` and
+(``QUAD3_CONFIG``) on a non-cubic box, ``basin-wind-r512`` a component
+that winds along the ridge x2 = sin(3 x1) (``WIND_CONFIG``), and
+``simulate-leave``/``simulate-hmin`` trajectories that end with ``LeftDomain`` and
 ``StepFailure``.  ``analyze-ln-drop``, ``basin-div0-bisect`` and
 ``analyze-ln-probe`` run fields defined on part of the box (``ln``, ``/``):
 the finder drops seeds for domain errors, and H5's bisection and an
@@ -123,6 +124,17 @@ QUAD3_CONFIG = {
 RUNS["basin-quad3-r48"] = ["basin", "--config", "{work}/quad3.json",
                            "--anchor", "0,0,0.25", "--c", "0.2", "--resolution", "48"]
 
+# a long, winding component: the ridge x2 = sin(3*x1) over four periods,
+# for the run flood fill and the cells.csv, mask and SVG writers on a
+# component that turns back and forth across the grid's rows
+WIND_CONFIG = {
+    "dimension": 2,
+    "f": "1 - (x2 - sin(3*x1))^2 - 0.02*x1^2",
+    "box": [[-4.0, 4.0], [-2.0, 2.0]],
+}
+RUNS["basin-wind-r512"] = ["basin", "--config", "{work}/wind.json", "--anchor", "0,0",
+                           "--c", "0.5", "--resolution", "512", "--seed", "3"]
+
 # simulate runs that end early: a linear ascent that leaves the unit box
 # (LeftDomain), and a pinned step size whose error cannot meet the
 # tolerance (StepFailure, exit 3), as in the integrator's h_min test
@@ -161,7 +173,8 @@ LN_PROBE_CONFIG = {
 RUNS["analyze-ln-probe"] = ["analyze", "--config", "{work}/lnprobe.json"]
 GENERATED = {"oscP.json": OSC_P_CONFIG, "fnP.json": FN_P_CONFIG, "exp.json": EXP_CONFIG,
              "quad3.json": QUAD3_CONFIG, "leave.json": LEAVE_CONFIG, "hmin.json": HMIN_CONFIG,
-             "ln.json": LN_CONFIG, "div0.json": DIV0_CONFIG, "lnprobe.json": LN_PROBE_CONFIG}
+             "ln.json": LN_CONFIG, "div0.json": DIV0_CONFIG, "lnprobe.json": LN_PROBE_CONFIG,
+             "wind.json": WIND_CONFIG}
 
 
 def digests(repo, work):
