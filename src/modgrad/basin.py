@@ -422,13 +422,10 @@ def check_hypotheses(component, field, critical_points, tol_boundary=None):
 
     # H6 --------------------------------------------------------------
     anchor = np.asarray(component.anchor)
-    h6_witnesses = []
-    for cp in critical_points:
-        loc = cp.as_array()
-        if float(np.linalg.norm(loc - anchor)) <= 1e-9:
-            continue
-        if component.contains_point(loc):
-            h6_witnesses.append(cp.location)
+    locations = np.array([cp.location for cp in critical_points]).reshape(-1, len(anchor))
+    at_anchor = linalg.row_norms(locations - anchor) <= 1e-9
+    h6_witnesses = [cp.location for cp, loc, near in zip(critical_points, locations, at_anchor)
+                    if not near and component.contains_point(loc)]
     h6 = HypothesisVerdict(
         name="H6",
         passed=not h6_witnesses,

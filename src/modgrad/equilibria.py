@@ -4,14 +4,14 @@ Newton's method on grad f = 0 (Hessian as Jacobian, Levenberg damping when
 the Hessian is near singular) seeded from a regular grid over the box.  All
 seeds run in lockstep along a leading axis, as in ``ode.simulate_batch``:
 each iteration is one ``grad_batch`` and one ``hessian_batch`` call on the
-rows still running, with stacked ``det`` and ``solve``, and a row leaves
-the batch when it converges or is dropped; the kernels' own mask of
-failing rows (``ScalarField.batch``) says which rows hit a domain error.
-When the stacked solve raises, that iteration's rows are solved one at a
-time and only the singular ones are dropped.  Every row takes the steps a
-one-seed loop would take, bit for bit.  Isolation is probed by sampling
-|grad f| on shrinking shells, every point's in one batch; the result is
-labeled evidence, not proof -- sampling cannot decide isolation.
+rows still running and one stacked elimination (``linalg.solve_rows``),
+which gives each row its det, its step and whether it is singular; a row
+leaves the batch when it converges or is dropped.  The kernels' own mask
+of failing rows (``ScalarField.batch``) says which rows hit a domain
+error.  Every row takes the steps a one-seed loop would take, bit for bit,
+on every CPU.  Isolation is probed by sampling |grad f| on shrinking
+shells, every point's in one batch; the result is labeled evidence, not
+proof -- sampling cannot decide isolation.
 """
 
 import enum
@@ -88,7 +88,7 @@ class FinderDiagnostics(Record):
 def classify_spectrum(spectrum):
     """Sign-pattern classification with a relative degeneracy band."""
     spectrum = np.asarray(spectrum, dtype=float)
-    h_norm = float(np.linalg.norm(spectrum))
+    h_norm = float(linalg.row_norms(spectrum[None])[0])
     band = DEGENERACY_TOL * h_norm
     if np.any(np.abs(spectrum) <= band) or h_norm == 0.0:
         return Classification.DEGENERATE
@@ -97,24 +97,6 @@ def classify_spectrum(spectrum):
     if np.all(spectrum > 0.0):
         return Classification.LOCAL_MIN
     return Classification.SADDLE
-
-
-def _solve_rows(h, b):
-    """``np.linalg.solve`` of each matrix of h with its row of b, and which
-    rows are singular: one stacked call, or one call per row when the stack
-    raises."""
-    singular = np.zeros(len(h), dtype=bool)
-    try:
-        return np.linalg.solve(h, b[:, :, None])[:, :, 0], singular
-    except np.linalg.LinAlgError:
-        pass
-    out = np.empty_like(b)
-    for i in range(len(h)):
-        try:
-            out[i] = np.linalg.solve(h[i], b[i])
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return out, singular
 
 
 def _newton_batch(field, seeds, newton_tol, max_iters):
@@ -126,7 +108,10 @@ def _newton_batch(field, seeds, newton_tol, max_iters):
     EvalDomainError), "singular" (singular damped Hessian) or
     "no_convergence", and x[i] is row i's root when it converged.  Each
     row takes the steps a one-seed loop takes: the stacked kernels give
-    every row the bits of one call per row.
+    every row the bits of one call per row.  A Hessian whose |det| is at
+    most 1e-12 max(1, |H|_F)^n is damped by 1e-6 |H|_F on the diagonal and
+    eliminated again; the powers are ``np.float_power``'s, libm's ``pow``,
+    the bits of Python's ``**``.
     """
     lo = np.asarray(field.box.lo)
     hi = np.asarray(field.box.hi)
@@ -165,11 +150,11 @@ def _newton_batch(field, seeds, newton_tol, max_iters):
         h, failed = field.batch("hessian", xe)
         x, g, h = finish(failed, "domain", x, g, h)
         h_norm = linalg.row_norms(h.reshape(len(h), n * n))
-        det = np.linalg.det(h)
-        shift = np.array([abs(d) <= 1e-12 * max(1.0, hn) ** n
-                          for d, hn in zip(det.tolist(), h_norm.tolist())], dtype=bool)
-        h[shift] = h[shift] + (1e-6 * h_norm[shift])[:, None, None] * np.eye(n)
-        step, singular = _solve_rows(h, -g)
+        step, det, singular = linalg.solve_rows(h, -g)
+        shift = np.abs(det) <= 1e-12 * np.float_power(np.fmax(1.0, h_norm), n)
+        if shift.any():
+            damped = h[shift] + (1e-6 * h_norm[shift])[:, None, None] * np.eye(n)
+            step[shift], _, singular[shift] = linalg.solve_rows(damped, -g[shift])
         x, step = finish(singular, "singular", x, step)
         norm = linalg.row_norms(step)
         big = norm > cap
@@ -214,16 +199,17 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
         dropped_domain=int((outcome == "domain").sum()),
     )
 
+    # each pass keeps the first remaining root and drops the remaining
+    # roots within the radius of it, so a root is kept when no earlier kept
+    # root is that near, as in a one-root-at-a-time loop
     dedup_radius = 10.0 * newton_tol
-    reps = np.empty_like(roots)
-    kept = 0
-    for root in roots:
-        if (linalg.row_norms(root - reps[:kept]) <= dedup_radius).any():
-            diags.duplicates_merged += 1
-            continue
-        reps[kept] = root
-        kept += 1
-    reps = reps[:kept]
+    kept = []
+    rest = roots
+    while len(rest):
+        kept.append(rest[0])
+        rest = rest[1:][~(linalg.row_norms(rest[1:] - rest[0]) <= dedup_radius)]
+    reps = np.array(kept).reshape(-1, field.dimension)
+    diags.duplicates_merged = len(roots) - len(reps)
 
     g, failed = field.batch("grad", reps)
     field.raise_row_error(reps, failed, "grad")

@@ -17,6 +17,8 @@ whose evaluation hits a domain error, comes back NaN instead of raising.
 row-by-row loop would have raised; no other module re-runs rows.
 """
 
+import math
+
 import numpy as np
 
 from . import expr as expr_mod
@@ -296,10 +298,21 @@ class MatrixPath:
     def smallest_eigenvalue(self, t):
         """lambda_1(P(t)) for one time t (a float) or a 1-D array of times
         (an array); raises EvalDomainError naming the first time at which
-        P has a non-finite entry."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        lam = self.stack_lambda1(ts, self.value_batch(ts))
-        return float(lam[0]) if np.ndim(t) == 0 else lam
+        P has a non-finite entry.  For one time and n <= 2, the closed form
+        runs on the compiled upper triangle's Python floats, with the bits
+        the array path gives."""
+        if np.ndim(t):
+            ts = np.asarray(t, dtype=float)
+            return self.stack_lambda1(ts, self.value_batch(ts))
+        if self._constant_lambda1 is not None:
+            return self._constant_lambda1
+        if self.dimension > 2:
+            ts = [float(t)]
+            return float(self.stack_lambda1(ts, self.value_batch(ts))[0])
+        upper = expr_mod._run(self._upper, (float(t),))
+        if not all(map(math.isfinite, upper)):
+            raise EvalDomainError(f"P(t) has a non-finite entry at t = {float(t):.17g}")
+        return float(upper[0]) if self.dimension == 1 else linalg.lambda1_2x2(*upper)
 
     def stack_lambda1(self, t, p):
         """lambda_1 of each matrix of p = ``value_batch(t)``, for a caller
@@ -311,7 +324,7 @@ class MatrixPath:
             raise EvalDomainError(
                 f"P(t) has a non-finite entry at t = {t[np.argmax(bad)]:.17g}"
             )
-        return np.linalg.eigvalsh(p)[:, 0]
+        return linalg.eigen_all(p)[:, 0]
 
     def __repr__(self):
         return f"MatrixPath(dimension={self.dimension}, uses_t={self.uses_t})"
@@ -368,7 +381,7 @@ def validate_h0(system, sample_times=None, psd_tol=1e-10):
     not prove, positive semi-definiteness over all t.
     """
     if sample_times is None:  # t = 0 plus 63 log-spaced times up to 1e4
-        sample_times = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 63)])
+        sample_times = [0.0, *linalg.geomspace(1e-3, 1e4, 63)]
     times = [float(t) for t in sample_times]
     if not times:
         raise ValueError("sample_times must be non-empty")

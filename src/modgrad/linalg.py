@@ -1,10 +1,16 @@
-"""Symmetric eigenvalues, adaptive quadrature and row-wise dot products.
+"""Symmetric eigenvalues, a stacked linear solve, adaptive quadrature and
+row-wise dot products.
 
 Small kernels behind the smallest eigenvalue lambda_1(P(t)), the Hessian
-spectra and the finite-horizon eigenvalue-condition integral.  Eigenvalues
-come from LAPACK's symmetric eigensolver through ``np.linalg.eigvalsh``,
-which also takes a stack of matrices.  LAPACK and OpenBLAS pick their
-kernels for the CPU at run time; ``row_matvecs`` keeps out of BLAS.
+spectra, the finder's Newton step and the finite-horizon
+eigenvalue-condition integral.  Every kernel runs over a leading axis in
+elementwise numpy, built from the correctly rounded ``+ - * / sqrt`` (and
+exact power-of-two scaling), so it gives the same bits on every CPU and
+the bits of the same arithmetic on Python floats.  The one exception is
+``eigen_all`` for n >= 3, which calls LAPACK's symmetric eigensolver
+through ``np.linalg.eigvalsh``; LAPACK picks its kernels for the CPU at
+run time, so those eigenvalues may differ between machines in the last
+bits.
 """
 
 import math
@@ -16,12 +22,16 @@ from .errors import NumericFailure
 
 __all__ = [
     "eigen_all",
+    "eigen_2x2",
+    "lambda1_2x2",
+    "geomspace",
     "integrate_adaptive",
     "check_symmetric",
     "row_all",
     "row_dots",
     "row_matvecs",
     "row_norms",
+    "solve_rows",
 ]
 
 _EPS = np.finfo(float).eps
@@ -33,10 +43,10 @@ def row_all(b):
 
 
 def row_dots(a, b):
-    """Dot product of each row of a with the same row of b, bit for bit the
-    1-D ``a[i] @ b[i]``: both run the dot kernel that OpenBLAS picks for
-    the CPU, so the bits may differ between machines."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Dot product of each row of a with the same row of b: the products
+    added left to right over the columns, the bits of Python floats on
+    every CPU."""
+    return reduce(np.add, (a * b).T)
 
 
 def row_matvecs(p, v):
@@ -47,7 +57,7 @@ def row_matvecs(p, v):
 
 
 def row_norms(v):
-    """Euclidean norm of each row, bit for bit the 1-D ``np.linalg.norm``."""
+    """Euclidean norm of each row: the square root of ``row_dots(v, v)``."""
     return np.sqrt(row_dots(v, v))
 
 
@@ -69,9 +79,107 @@ def check_symmetric(m):
 
 def eigen_all(m):
     """All eigenvalues of a symmetric matrix, ascending, or of each matrix
-    of a stack (LAPACK's symmetric eigensolver through
-    ``np.linalg.eigvalsh``)."""
-    return np.linalg.eigvalsh(check_symmetric(m))
+    of a stack: in closed form for n <= 2 (``eigen_2x2``), from LAPACK's
+    symmetric eigensolver (``np.linalg.eigvalsh``) for n >= 3."""
+    a = check_symmetric(m)
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0].copy()
+    if n == 2:
+        return np.stack(eigen_2x2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]), axis=-1)
+    return np.linalg.eigvalsh(a)
+
+
+def eigen_2x2(a, b, d):
+    """Both eigenvalues (lo, hi) of each symmetric [[a, b], [b, d]], for
+    arrays of finite entries.
+
+    With m = (a + d)/2, h = (a - d)/2 and r = sqrt(h^2 + b^2), the
+    eigenvalue of larger magnitude is m + r when m is +0 or more and m - r
+    otherwise; the other is det / that one, which avoids the cancellation
+    of m - r (Goldberg 1991).  The zero matrix gives 0, 0.  Each matrix is
+    first scaled by the power of two that brings its largest entry into
+    [1/2, 1), which is exact and keeps the squares from overflowing or
+    underflowing.  ``lambda1_2x2`` is lo for Python floats, with the same
+    bits.
+    """
+    e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(d)))[1]
+    down = -e
+    a, b, d = np.ldexp(a, down), np.ldexp(b, down), np.ldexp(d, down)
+    m = 0.5 * (a + d)
+    h = 0.5 * (a - d)
+    big = m + np.copysign(np.sqrt(h * h + b * b), m)
+    small = (a * d - b * b) / np.where(big == 0.0, 1.0, big)
+    first = small < big
+    return np.ldexp(np.where(first, small, big), e), np.ldexp(np.where(first, big, small), e)
+
+
+def lambda1_2x2(a, b, d):
+    """The smaller eigenvalue of the symmetric [[a, b], [b, d]], for finite
+    Python floats: ``eigen_2x2``'s lo, operation for operation."""
+    e = math.frexp(max(abs(a), abs(b), abs(d)))[1]
+    a, b, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(d, -e)
+    m = 0.5 * (a + d)
+    h = 0.5 * (a - d)
+    big = m + math.copysign(math.sqrt(h * h + b * b), m)
+    small = (a * d - b * b) / (1.0 if big == 0.0 else big)
+    return math.ldexp(small if small < big else big, e)
+
+
+def solve_rows(a, b):
+    """Solve ``a[i] x = b[i]`` for each matrix of a (shape (m, n, n)) and row
+    of b (shape (m, n)) by Gaussian elimination with partial pivoting, run
+    over the leading axis (Higham 2002, ch. 9).
+
+    Returns (x, det, singular).  Column k's pivot is its first entry of
+    largest magnitude on or below the diagonal: the rows below are scanned
+    in order, and row k swaps with each one whose entry is strictly larger
+    than row k's.  det is the product of the pivots, negated once per swap.
+    A row is singular where a pivot is exactly zero, as LAPACK's gesv
+    reports it: its det is 0 and its x is meaningless.  Back substitution
+    subtracts the known terms left to right.
+    """
+    n = b.shape[1]
+    u = [[a[:, i, j] for j in range(n)] for i in range(n)]
+    y = [b[:, i] for i in range(n)]
+    flips = singular = False
+    det = 1.0
+    with np.errstate(all="ignore"):  # a singular or non-finite row divides by 0 or inf
+        for k in range(n):
+            for i in range(k + 1, n):
+                swap = np.abs(u[i][k]) > np.abs(u[k][k])
+                if swap.any():
+                    for j in range(k, n):
+                        u[k][j], u[i][j] = (np.where(swap, u[i][j], u[k][j]),
+                                            np.where(swap, u[k][j], u[i][j]))
+                    y[k], y[i] = np.where(swap, y[i], y[k]), np.where(swap, y[k], y[i])
+                    flips = flips ^ swap
+            pivot = u[k][k]
+            singular = singular | (pivot == 0.0)
+            det = det * pivot
+            for i in range(k + 1, n):
+                factor = u[i][k] / pivot
+                for j in range(k + 1, n):
+                    u[i][j] = u[i][j] - factor * u[k][j]
+                y[i] = y[i] - factor * y[k]
+        x = [None] * n
+        for i in reversed(range(n)):
+            s = y[i]
+            for j in range(i + 1, n):
+                s = s - u[i][j] * x[j]
+            x[i] = s / u[i][i]
+    det = np.where(flips, -det, det)
+    return np.stack(x, axis=1), np.where(singular, 0.0, det), singular
+
+
+def geomspace(start, stop, num):
+    """*num* >= 2 points from start to stop (both > 0), evenly spaced in
+    log, as Python floats from libm's ``log`` and ``exp``; the ends are
+    start and stop exactly.  ``np.geomspace`` goes through ``np.power``,
+    whose SIMD kernels numpy picks for the CPU."""
+    lo = math.log(start)
+    step = (math.log(stop) - lo) / (num - 1)
+    return [start, *(math.exp(lo + k * step) for k in range(1, num - 1)), stop]
 
 
 def _simpson(fa, fm, fb, h):

@@ -107,13 +107,11 @@ def ec_check(matrix, horizon=1e4, quad_tol=2e-5):
     i_full = sum(segs)
 
     # least-squares fit of log lambda_1 vs log t over the last decade
-    ts = np.geomspace(horizon / 10.0, horizon, 64)
-    lams = np.maximum(matrix.smallest_eigenvalue(ts), 0.0)
-    if np.all(lams > 0.0):
-        slope, _ = np.polyfit(np.log(ts), np.log(lams), 1)
-        p_fit = -float(slope)
-    else:
-        p_fit = None
+    ts = linalg.geomspace(horizon / 10.0, horizon, 64)
+    lams = matrix.smallest_eigenvalue(np.array(ts)).tolist()
+    p_fit = None
+    if min(lams) > 0.0:
+        p_fit = -_slope([math.log(t) for t in ts], [math.log(v) for v in lams])
 
     tail = i_full - i_half
     prev_tail = i_half - i_quarter
@@ -165,6 +163,15 @@ def ec_check(matrix, horizon=1e4, quad_tol=2e-5):
         evidence=note,
         clipped_negative=clipped,
     )
+
+
+def _slope(xs, ys):
+    """Least-squares slope of ys against xs, from the closed-form sums,
+    each one correctly rounded (``math.fsum``)."""
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    return math.fsum(u * (y - y_mean) for u, y in zip(dx, ys)) / math.fsum(u * u for u in dx)
 
 
 class CertifyOptions(Record):

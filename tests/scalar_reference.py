@@ -28,6 +28,49 @@ from modgrad.ode import (
 )
 
 
+def dot(u, v):
+    """Dot product of two vectors as ``linalg.row_dots`` takes it: the
+    products added left to right, as Python floats."""
+    return reduce(operator.add, [a * b for a, b in zip(np.ravel(u).tolist(), np.ravel(v).tolist())])
+
+
+def norm(v):
+    """Euclidean norm of a vector as ``linalg.row_norms`` takes it."""
+    return math.sqrt(dot(v, v))
+
+
+def eliminate(h, b):
+    """``linalg.solve_rows`` for one matrix, on Python floats: Gaussian
+    elimination with partial pivoting, row k swapping with each later row
+    whose column-k entry is strictly larger in magnitude.  Returns (det, x),
+    or (0.0, None) at an exactly zero pivot."""
+    u = np.array(h, dtype=float).tolist()
+    y = np.array(b, dtype=float).tolist()
+    n = len(y)
+    det = 1.0
+    for k in range(n):
+        for i in range(k + 1, n):
+            if abs(u[i][k]) > abs(u[k][k]):
+                u[k], u[i] = u[i], u[k]
+                y[k], y[i] = y[i], y[k]
+                det = -det
+        if u[k][k] == 0.0:
+            return 0.0, None
+        det = det * u[k][k]
+        for i in range(k + 1, n):
+            factor = u[i][k] / u[k][k]
+            for j in range(k + 1, n):
+                u[i][j] = u[i][j] - factor * u[k][j]
+            y[i] = y[i] - factor * y[k]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        s = y[i]
+        for j in range(i + 1, n):
+            s = s - u[i][j] * x[j]
+        x[i] = s / u[i][i]
+    return det, np.array(x)
+
+
 def newton(field, seed, newton_tol, max_iters):
     """Damped Newton iteration for grad f = 0 from one seed.
 
@@ -43,26 +86,25 @@ def newton(field, seed, newton_tol, max_iters):
             return None, "outside"
         try:
             g = field.grad(np.clip(x, lo, hi)) if not field.inside(x) else field.grad(x)
-            if float(np.linalg.norm(g)) <= newton_tol:
+            if norm(g) <= newton_tol:
                 return x, "converged"
             h = field.hessian(np.clip(x, lo, hi)) if not field.inside(x) else field.hessian(x)
         except OutsideDomainError:
             return None, "outside"
         except EvalDomainError:
             return None, "domain"
-        h_norm = float(np.linalg.norm(h))
-        det = float(np.linalg.det(h))
+        h_norm = norm(h)
+        det, step = eliminate(h, -g)
         if abs(det) <= 1e-12 * max(1.0, h_norm) ** h.shape[0]:
             h = h + 1e-6 * h_norm * np.eye(h.shape[0])
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
+            _, step = eliminate(h, -g)
+        if step is None:
             return None, "singular"
         # trust-region-ish cap: a Newton step across the whole box is noise
         cap = float(np.max(hi - lo))
-        norm = float(np.linalg.norm(step))
-        if norm > cap:
-            step *= cap / norm
+        step_norm = norm(step)
+        if step_norm > cap:
+            step *= cap / step_norm
         x = x + step
     return None, "no_convergence"
 
@@ -101,14 +143,14 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
             diags.dropped_outside += 1
             continue
         diags.converged += 1
-        if any(np.linalg.norm(root - r) <= dedup_radius for r in roots):
+        if any(norm(root - r) <= dedup_radius for r in roots):
             diags.duplicates_merged += 1
             continue
         roots.append(root)
 
     points = []
     for root in roots:
-        g_norm = float(np.linalg.norm(field.grad(root)))
+        g_norm = norm(field.grad(root))
         if g_norm > newton_tol:
             # dedup representative must still satisfy the tolerance
             diags.dropped_no_convergence += 1
@@ -144,9 +186,9 @@ def isolation_probe(field, point, shell_radii, samples_per_shell=32, grad_floor=
         for sample in point + r * _shell_dirs(samples_per_shell, field.dimension):
             if not field.inside(sample):
                 raise OutsideDomainError(f"shell sample {sample.tolist()} is outside the domain")
-            norm = float(np.linalg.norm(field.grad(sample)))
-            if norm < best:
-                best, witness = norm, tuple(sample.tolist())
+            grad_norm = norm(field.grad(sample))
+            if grad_norm < best:
+                best, witness = grad_norm, tuple(sample.tolist())
     if best <= grad_floor:
         kind = IsolationKind.NOT_ISOLATED
     elif best > 10.0 * grad_floor:
@@ -326,7 +368,7 @@ def lipschitz_estimate(field, component, sample_cap=256):
     for cell in cells[::stride]:
         center = cell_center(component, cell)
         if field.inside(center):
-            worst = max(worst, float(np.linalg.norm(field.grad(center))))
+            worst = max(worst, norm(field.grad(center)))
     return worst
 
 

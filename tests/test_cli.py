@@ -445,6 +445,36 @@ class TestEcCommand:
             assert json.load(fh)["kind"] == "ConvergentLikely"
 
 
+class TestNoLapackIn2D:
+    """2-D runs take no number from LAPACK or BLAS: with numpy's solvers,
+    norms and fits patched to raise, every command still exits 0."""
+
+    @pytest.fixture(autouse=True)
+    def no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK or BLAS called on a 2-D path")
+        for name in ("eigvalsh", "solve", "det", "norm", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np, "dot", refuse)
+
+    @pytest.mark.parametrize("gid", ["ex21", "ex22", "ex31"])
+    def test_analyze(self, tmp_path, gid):
+        cfg = os.path.join(CONFIGS, f"{gid}.json")
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+    def test_basin(self, tmp_path):
+        assert main(["basin", "--config", os.path.join(CONFIGS, "ex31.json"),
+                     "--out", str(tmp_path / "o"), "--quiet",
+                     "--anchor", "2,4", "--c", "33", "--resolution", "64"]) == 0
+
+    def test_ec_and_simulate(self, tmp_path):
+        cfg = os.path.join(CONFIGS, "ex21.json")
+        assert main(["ec", "--config", cfg, "--out", str(tmp_path / "e"), "--quiet"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet",
+                     "--x0", "2,2", "--t-end", "100"]) == 0
+
+
 class TestNumericInputs:
     """Integrator and quadrature settings that used to hang or pass
     silently end with one line on stderr and exit 2 or 3."""

@@ -186,7 +186,7 @@ class TestBatchedFinder:
         assert diags.dropped_singular == diags.seeds == 25
 
     def test_some_rows_singular(self):
-        # the stacked solve raises; only the singular rows are dropped
+        # some damped Hessians still have a zero pivot; only those rows are dropped
         _, diags = self._assert_same(_field("x1^3 - 3*x1 + x2^2*x1^2", (-2.0, -2.0),
                                             (2.0, 2.0)), 9)
         assert 0 < diags.dropped_singular < diags.seeds - diags.dropped_outside

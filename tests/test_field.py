@@ -14,6 +14,7 @@ from modgrad.field import (
     System,
     validate_h0,
 )
+from modgrad.linalg import eigen_all
 
 from helpers import random_poly_source, random_psd_matrix, rhs_of
 from scalar_reference import row_loop
@@ -423,8 +424,16 @@ class TestMatrixPath:
         stacked = m.smallest_eigenvalue(ts)
         assert stacked.shape == ts.shape
         assert np.array_equal(stacked, [m.smallest_eigenvalue(t) for t in ts])
-        assert np.array_equal(stacked, [np.linalg.eigvalsh(m.value_batch([t])[0])[0] for t in ts])
+        assert np.array_equal(stacked, [eigen_all(m.value_batch([t])[0])[0] for t in ts])
         assert all(type(m.smallest_eigenvalue(t)) is float for t in ts[:3])
+
+    def test_one_time_lambda1_builds_no_stack(self, monkeypatch):
+        # one time runs the closed form on the compiled triangle's floats
+        m = MatrixPath([["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]])
+        ts = np.linspace(0.0, 50.0, 101)
+        stacked = m.smallest_eigenvalue(ts)
+        monkeypatch.setattr(MatrixPath, "value_batch", None)
+        assert np.array_equal(stacked, [m.smallest_eigenvalue(t) for t in ts])
 
     def test_constant_lambda1_for_an_array(self):
         m = MatrixPath.constant([[2.0, 1.0], [1.0, 2.0]])

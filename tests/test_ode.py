@@ -191,8 +191,9 @@ class TestLyapunovTrace:
             for row, t, x in zip(trace.rows, traj.times, traj.states):
                 g = system.field.grad(x)
                 p = system.matrix.value_batch([t])[0]
-                want = [t, m_value - system.field.eval(x), -float((p @ g) @ g),
-                        system.matrix.smallest_eigenvalue(t), float(g @ g)]
+                pg = [scalar_reference.dot(row, g) for row in p]
+                want = [t, m_value - system.field.eval(x), -scalar_reference.dot(pg, g),
+                        system.matrix.smallest_eigenvalue(t), scalar_reference.dot(g, g)]
                 assert np.array_equal(row, want)
 
     @pytest.mark.parametrize("gid", ["ex21", "ex22", "ex31-oscP"])
