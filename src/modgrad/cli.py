@@ -21,7 +21,7 @@ import typing
 import numpy as np
 
 from . import basin as basin_mod
-from . import equilibria, gallery, ode, stability
+from . import equilibria, gallery, linalg, ode, stability
 from ._record import Record
 from .errors import EvalDomainError, NumericFailure, OutsideDomainError, ParseError
 from .expr import parse as parse_expr
@@ -490,7 +490,9 @@ def cmd_analyze(args):
     out = _outdir(args, config)
     opts = config.options
 
-    h0 = validate_h0(config.system, psd_tol=opts.psd_tol)
+    # as far as H3 integrates lambda_1, and at least to 1e4
+    h0_times = [0.0, *linalg.geomspace(1e-3, max(1e4, opts.ec_horizon), 63)]
+    h0 = validate_h0(config.system, h0_times, opts.psd_tol)
     if not h0.passed:
         print(
             f"H0 FAILED: min lambda_1 = {h0.min_lambda1:.6g} < -{opts.psd_tol:g} "

@@ -41,7 +41,7 @@ and unary minuses nest at most ``MAX_NESTING`` (100) levels deep.
 
 The entries of a matrix path P(t) use the same grammar with the time
 symbol ``t`` as one more atom; ``field.MatrixPath`` parses them with
-``_tree`` and compiles them with ``_compile`` into one function of t.
+``_tree`` and runs them over an array of times through ``_exact``.
 """
 
 import math
@@ -409,6 +409,19 @@ def _domain_reason(node):
     return "division by zero" if isinstance(node, BinOp) and node.op == "/" else None
 
 
+def _exact(fn, columns):
+    """*fn*, compiled for ``_EXACT_NS``, over *columns* (one array per
+    parameter) as a (roots, m) array; raises as ``eval_exact``."""
+    if len(columns) != len(fn.params):
+        raise ValueError("wrong number of columns")
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        values = fn(*columns)
+    out = np.empty((len(values), len(columns[0])))
+    for row, v in zip(out, values):
+        row[...] = v  # a constant component is a Python float
+    return out
+
+
 def _run(fn, args):
     """A compiled scalar function at *args* (Python floats, so that 1/0
     raises); a domain error raises EvalDomainError naming the
@@ -671,27 +684,17 @@ class Expression:
         error, and on overflow and invalid operations, which the scalar
         code lets pass; the caller then evaluates the rows one at a time.
         """
-        return self._exact(self._value_exact, columns)[0]
+        return _exact(self._value_exact, columns)[0]
 
     def grad_exact(self, columns):
         """``grad`` at every row of *columns*, shape (m, n); as ``eval_exact``."""
-        return self._exact(self._grad_exact, columns).T
+        return _exact(self._grad_exact, columns).T
 
     def hessian_exact(self, columns):
         """``hessian`` at every row of *columns*, shape (m, n, n); as
         ``eval_exact``."""
         n = self.dimension
-        return self._exact(self._hessian_exact, columns).T.reshape(-1, n, n)
-
-    def _exact(self, fn, columns):
-        if len(columns) != self.dimension:
-            raise ValueError("wrong number of columns")
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            values = fn(*columns)
-        out = np.empty((len(values), len(columns[0])))
-        for row, v in zip(out, values):
-            row[...] = v  # a constant component is a Python float
-        return out
+        return _exact(self._hessian_exact, columns).T.reshape(-1, n, n)
 
     def eval_array(self, columns):
         """Vectorized evaluation over numpy arrays (one per variable).

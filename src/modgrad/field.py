@@ -17,8 +17,6 @@ whose evaluation hits a domain error, comes back NaN instead of raising.
 row-by-row loop would have raised; no other module re-runs rows.
 """
 
-import math
-
 import numpy as np
 
 from . import expr as expr_mod
@@ -235,7 +233,9 @@ class MatrixPath:
     the time symbol ``t``); each lower entry must render as its mirror does.
     The upper triangle is compiled once, into one function of t returning
     every entry, and mirrored structurally, so every value is exactly
-    symmetric.
+    symmetric.  It runs over an array of times in ``expr``'s exact
+    namespace, and lambda_1 comes from ``linalg.eigen_all`` on the stack;
+    one time is an array of one.
     """
 
     def __init__(self, entries):
@@ -265,7 +265,8 @@ class MatrixPath:
         self.dimension = n
         self.uses_t = any(isinstance(node, expr_mod.TimeVar)
                           for node in expr_mod._postorder(roots))
-        (self._upper,) = expr_mod._compile(roots, [], ["t"])
+        self._upper, self._upper_exact = expr_mod._compile(
+            roots, [], ["t"], (expr_mod._MATH_NS, expr_mod._EXACT_NS))
         self._constant_value = self._constant_lambda1 = None
         if not self.uses_t:
             self._constant_value = self.value_batch([0.0])[0]
@@ -287,9 +288,13 @@ class MatrixPath:
         shape = (len(t), self.dimension, self.dimension)
         if self._constant_value is not None:
             return np.broadcast_to(self._constant_value, shape)
-        upper = np.empty((len(t), len(self._rows)))
-        for row, s in zip(upper, t):  # time by time: an error names the first bad t
-            row[...] = expr_mod._run(self._upper, (float(s),))
+        t = np.asarray(t, dtype=float)
+        try:
+            upper = expr_mod._exact(self._upper_exact, [t]).T
+        except (ArithmeticError, ValueError):
+            # time by time: a domain error names the first bad t and entry;
+            # an overflow the scalar code lets pass gives its inf
+            upper = np.array([expr_mod._run(self._upper, (s,)) for s in t.tolist()])
         out = np.empty(shape)
         out[:, self._rows, self._cols] = upper
         out[:, self._cols, self._rows] = upper
@@ -298,21 +303,10 @@ class MatrixPath:
     def smallest_eigenvalue(self, t):
         """lambda_1(P(t)) for one time t (a float) or a 1-D array of times
         (an array); raises EvalDomainError naming the first time at which
-        P has a non-finite entry.  For one time and n <= 2, the closed form
-        runs on the compiled upper triangle's Python floats, with the bits
-        the array path gives."""
-        if np.ndim(t):
-            ts = np.asarray(t, dtype=float)
-            return self.stack_lambda1(ts, self.value_batch(ts))
-        if self._constant_lambda1 is not None:
-            return self._constant_lambda1
-        if self.dimension > 2:
-            ts = [float(t)]
-            return float(self.stack_lambda1(ts, self.value_batch(ts))[0])
-        upper = expr_mod._run(self._upper, (float(t),))
-        if not all(map(math.isfinite, upper)):
-            raise EvalDomainError(f"P(t) has a non-finite entry at t = {float(t):.17g}")
-        return float(upper[0]) if self.dimension == 1 else linalg.lambda1_2x2(*upper)
+        P has a non-finite entry."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        lam = self.stack_lambda1(ts, self.value_batch(ts))
+        return lam if np.ndim(t) else float(lam[0])
 
     def stack_lambda1(self, t, p):
         """lambda_1 of each matrix of p = ``value_batch(t)``, for a caller

@@ -6,7 +6,8 @@ spectra, the finder's Newton step and the finite-horizon
 eigenvalue-condition integral.  Every kernel runs over a leading axis in
 elementwise numpy, built from the correctly rounded ``+ - * / sqrt`` (and
 exact power-of-two scaling), so it gives the same bits on every CPU and
-the bits of the same arithmetic on Python floats.  The one exception is
+the bits of the same arithmetic on Python floats; the quadrature calls
+its integrand once per subdivision level.  The one exception is
 ``eigen_all`` for n >= 3, which calls LAPACK's symmetric eigensolver
 through ``np.linalg.eigvalsh``; LAPACK picks its kernels for the CPU at
 run time, so those eigenvalues may differ between machines in the last
@@ -23,7 +24,6 @@ from .errors import NumericFailure
 __all__ = [
     "eigen_all",
     "eigen_2x2",
-    "lambda1_2x2",
     "geomspace",
     "integrate_adaptive",
     "check_symmetric",
@@ -100,8 +100,7 @@ def eigen_2x2(a, b, d):
     of m - r (Goldberg 1991).  The zero matrix gives 0, 0.  Each matrix is
     first scaled by the power of two that brings its largest entry into
     [1/2, 1), which is exact and keeps the squares from overflowing or
-    underflowing.  ``lambda1_2x2`` is lo for Python floats, with the same
-    bits.
+    underflowing.
     """
     e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(d)))[1]
     down = -e
@@ -112,18 +111,6 @@ def eigen_2x2(a, b, d):
     small = (a * d - b * b) / np.where(big == 0.0, 1.0, big)
     first = small < big
     return np.ldexp(np.where(first, small, big), e), np.ldexp(np.where(first, big, small), e)
-
-
-def lambda1_2x2(a, b, d):
-    """The smaller eigenvalue of the symmetric [[a, b], [b, d]], for finite
-    Python floats: ``eigen_2x2``'s lo, operation for operation."""
-    e = math.frexp(max(abs(a), abs(b), abs(d)))[1]
-    a, b, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(d, -e)
-    m = 0.5 * (a + d)
-    h = 0.5 * (a - d)
-    big = m + math.copysign(math.sqrt(h * h + b * b), m)
-    small = (a * d - b * b) / (1.0 if big == 0.0 else big)
-    return math.ldexp(small if small < big else big, e)
 
 
 def solve_rows(a, b):
@@ -187,16 +174,21 @@ def _simpson(fa, fm, fb, h):
 
 
 def integrate_adaptive(g, a, b, tol=1e-10, max_depth=50):
-    """Adaptive Simpson integral of g over [a, b] to absolute tolerance.
+    """Adaptive Simpson integral of g over [a, b] to absolute tolerance;
+    g maps a 1-D float array of times to the array of its values there.
 
     Panels are halved until the Richardson error estimate of each panel
     falls under its share of the tolerance; the extrapolated value is
     returned, which is exact for cubics on a panel.  A panel that misses
-    its share at the recursion cap, or whose share is under the rounding
+    its share at the depth cap, or whose share is under the rounding
     error of its own sum (no subdivision can certify it), stops there, and
-    the integral raises NumericFailure carrying the partial estimate.  A
-    non-finite value of g raises NumericFailure at once.  ``tol = 0``
-    subdivides every panel down to the cap.
+    the integral raises NumericFailure carrying the partial estimate and
+    naming the leftmost such panel.  ``tol = 0`` subdivides every panel
+    down to the cap.  The panels are the depth-first recursion's (Lyness
+    1969), worked a level at a time, and a split panel's value is its left
+    half's plus its right half's, so the total keeps the recursion's bits.
+    A non-finite value of g raises NumericFailure naming its first t in
+    level order, which is not the recursion's order.
     """
     a = float(a)
     b = float(b)
@@ -208,36 +200,44 @@ def integrate_adaptive(g, a, b, tol=1e-10, max_depth=50):
         return 0.0
 
     def f(t):
-        v = g(t)
-        if not math.isfinite(v):
-            raise NumericFailure(f"integrand is {v} at t = {t:.17g}")
+        v = np.asarray(g(t), dtype=float)
+        for i in np.flatnonzero(~np.isfinite(v))[:1]:
+            raise NumericFailure(f"integrand is {float(v[i])} at t = {float(t[i]):.17g}")
         return v
 
-    def adapt(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = _simpson(fa, flm, fm, m - a)
-        right = _simpson(fm, frm, fb, b - m)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0, None
-        if depth <= 0:
-            return left + right + delta / 15.0, f"subdivision depth {max_depth}"
-        if 0.0 < tol < _EPS * abs(left + right):
-            return left + right + delta / 15.0, f"the rounding level on [{a:.17g}, {b:.17g}]"
-        lv, lfail = adapt(a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-        rv, rfail = adapt(m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-        return lv + rv, lfail or rfail
-
-    fa = f(a)
-    fb = f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    total, failed = adapt(a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
+    fa, fm, fb = f(np.array([a, 0.5 * (a + b), b])).tolist()
+    panels = np.array([[a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a)]])  # a level's open panels
+    levels = []  # per level: each panel's value, and which panels split
+    failed = None  # (a, reason) of the leftmost panel that stopped short
+    share, depth = tol, max_depth
+    while len(panels):
+        lo, hi, fa, fm, fb, whole = panels.T
+        m = 0.5 * (lo + hi)
+        flm, frm = f(np.column_stack((0.5 * (lo + m), 0.5 * (m + hi))).ravel()).reshape(-1, 2).T
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as for floats
+            left = _simpson(fa, flm, fm, m - lo)
+            right = _simpson(fm, frm, fb, hi - m)
+            delta = left + right - whole
+            missed = ~(np.abs(delta) <= 15.0 * share)
+            stop = missed if depth <= 0 else \
+                missed & (0.0 < share) & (share < _EPS * np.abs(left + right))
+            split = missed & ~stop
+            levels.append((left + right + delta / 15.0, split))
+        if stop.any():
+            i = int(np.argmax(stop))
+            if failed is None or lo[i] <= failed[0]:  # one further left starts no later
+                failed = (lo[i], f"subdivision depth {max_depth}" if depth <= 0
+                          else f"the rounding level on [{lo[i]:.17g}, {hi[i]:.17g}]")
+        # each split panel's halves, left then right
+        panels = np.column_stack((lo, m, fa, flm, fm, left, m, hi, fm, frm, fb, right)
+                                 )[split].reshape(-1, 6)
+        share /= 2.0
+        depth -= 1
+    total = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        value[split] = total[0::2] + total[1::2]
+        total = value
     if failed:
-        raise NumericFailure(f"adaptive Simpson hit {failed} short of tolerance {tol:g}",
-                             partial=total)
-    return total
+        raise NumericFailure(f"adaptive Simpson hit {failed[1]} short of tolerance {tol:g}",
+                             partial=float(total[0]))
+    return float(total[0])

@@ -89,13 +89,12 @@ def ec_check(matrix, horizon=1e4, quad_tol=2e-5):
 
     clipped = False
 
-    def integrand(t):
+    def integrand(t):  # one lambda_1 stack per quadrature level
         nonlocal clipped
         lam = matrix.smallest_eigenvalue(t)
-        if lam < 0.0:
-            clipped = True
-            return 0.0
-        return lam
+        negative = lam < 0.0
+        clipped = clipped or bool(negative.any())
+        return np.where(negative, 0.0, lam)
 
     quarters = [0.0, horizon / 4.0, horizon / 2.0, horizon]
     segs = [

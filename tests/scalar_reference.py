@@ -21,7 +21,7 @@ from modgrad.equilibria import (
     CriticalPoint, FinderDiagnostics, IsolationKind, IsolationVerdict, _shell_dirs,
     classify_spectrum,
 )
-from modgrad.errors import EvalDomainError, OutsideDomainError
+from modgrad.errors import EvalDomainError, NumericFailure, OutsideDomainError
 from modgrad.ode import (
     _A, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _NEAR_TARGET_REL, _RHS_FLOOR, _SAFETY,
     SimOptions, Status, Trajectory,
@@ -69,6 +69,64 @@ def eliminate(h, b):
             s = s - u[i][j] * x[j]
         x[i] = s / u[i][i]
     return det, np.array(x)
+
+
+def lambda1_2x2(a, b, d):
+    """The smaller eigenvalue of the symmetric [[a, b], [b, d]], for finite
+    Python floats: ``linalg.eigen_2x2``'s lo, operation for operation."""
+    e = math.frexp(max(abs(a), abs(b), abs(d)))[1]
+    a, b, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(d, -e)
+    m = 0.5 * (a + d)
+    h = 0.5 * (a - d)
+    big = m + math.copysign(math.sqrt(h * h + b * b), m)
+    small = (a * d - b * b) / (1.0 if big == 0.0 else big)
+    return math.ldexp(small if small < big else big, e)
+
+
+def integrate_adaptive(g, a, b, tol=1e-10, max_depth=50):
+    """``linalg.integrate_adaptive`` as the depth-first recursion, for a
+    scalar integrand g: f(a), f(b), f(midpoint), then each panel's two
+    quarter points, left subtree before right.  The total is the same
+    sum; a failure names the leftmost panel that stopped short."""
+    a = float(a)
+    b = float(b)
+    if a == b:
+        return 0.0
+
+    def f(t):
+        v = g(t)
+        if not math.isfinite(v):
+            raise NumericFailure(f"integrand is {v} at t = {t:.17g}")
+        return v
+
+    def simpson(fa, fm, fb, h):
+        return h / 6.0 * (fa + 4.0 * fm + fb)
+
+    def adapt(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        flm = f(0.5 * (a + m))
+        frm = f(0.5 * (m + b))
+        left = simpson(fa, flm, fm, m - a)
+        right = simpson(fm, frm, fb, b - m)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0, None
+        if depth <= 0:
+            return left + right + delta / 15.0, f"subdivision depth {max_depth}"
+        if 0.0 < tol < np.finfo(float).eps * abs(left + right):
+            return left + right + delta / 15.0, f"the rounding level on [{a:.17g}, {b:.17g}]"
+        lv, lfail = adapt(a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
+        rv, rfail = adapt(m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
+        return lv + rv, lfail or rfail
+
+    fa = f(a)
+    fb = f(b)
+    fm = f(0.5 * (a + b))
+    total, failed = adapt(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, max_depth)
+    if failed:
+        raise NumericFailure(f"adaptive Simpson hit {failed} short of tolerance {tol:g}",
+                             partial=total)
+    return total
 
 
 def newton(field, seed, newton_tol, max_iters):

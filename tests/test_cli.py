@@ -82,6 +82,19 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "H0" in capsys.readouterr().err
 
+    def test_h0_samples_up_to_the_ec_horizon(self, tmp_path, capsys):
+        # lambda_1 turns negative at t = 2e4: past 1e4, inside the horizon
+        body = {"f": {"gallery": "ex31"}, "P": [["1", "0"], ["0", "1 - t/20000"]],
+                "options": {"grid_per_axis": 8, "ec_horizon": 1e5}}
+        cfg = write_config(tmp_path, body)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "H0 FAILED: min lambda_1 = -4 < -1e-10 at t = 100000" in err
+        body["options"]["ec_horizon"] = 1e4  # sampled to 1e4 as before: passes
+        cfg = write_config(tmp_path, body)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "H0: pass (min lambda_1 = 0.5 over 64 samples)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["analyze", "ec"])
     def test_non_symmetric_matrix_exits_2(self, tmp_path, capsys, command):
         # the lower triangle is read, not mirrored from the upper one

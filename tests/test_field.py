@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from modgrad import expr as expr_mod
 from modgrad.errors import EvalDomainError, OutsideDomainError
 from modgrad.expr import parse
 from modgrad.field import (
@@ -427,13 +428,20 @@ class TestMatrixPath:
         assert np.array_equal(stacked, [eigen_all(m.value_batch([t])[0])[0] for t in ts])
         assert all(type(m.smallest_eigenvalue(t)) is float for t in ts[:3])
 
-    def test_one_time_lambda1_builds_no_stack(self, monkeypatch):
-        # one time runs the closed form on the compiled triangle's floats
-        m = MatrixPath([["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]])
-        ts = np.linspace(0.0, 50.0, 101)
-        stacked = m.smallest_eigenvalue(ts)
-        monkeypatch.setattr(MatrixPath, "value_batch", None)
-        assert np.array_equal(stacked, [m.smallest_eigenvalue(t) for t in ts])
+    @pytest.mark.parametrize("entries", [
+        [["(t+1)^(-2)", "0"], ["0", "(t+1)^(-1)"]],
+        [["2+sin(t)", "0.5*cos(t)"], ["0.5*cos(t)", "1+1/(t+1)"]],
+        [["exp(-t) + (t + 1)^(-1.5)", "0.1*exp(-t)*ln(t + 2)"],
+         ["0.1*exp(-t)*ln(t + 2)", "sqrt(t + 1)"]],
+    ])
+    def test_value_batch_is_one_array_call_with_the_scalar_bits(self, entries, monkeypatch):
+        # the compiled scalar function, time by time, is only the error path
+        m = MatrixPath(entries)
+        ts = np.linspace(0.0, 1e4, 10_001)
+        loop = [expr_mod._run(m._upper, (t,)) for t in ts.tolist()]
+        monkeypatch.setattr(expr_mod, "_run", None)
+        upper = m.value_batch(ts)[:, m._rows, m._cols]
+        assert upper.tobytes() == np.array(loop).tobytes()
 
     def test_constant_lambda1_for_an_array(self):
         m = MatrixPath.constant([[2.0, 1.0], [1.0, 2.0]])

@@ -1,5 +1,5 @@
 """Property checks of the elementwise kernels in ``linalg`` against LAPACK
-and BLAS (through numpy) and against Python-float loops."""
+and BLAS (through numpy) and against Python-float loops and recursions."""
 
 import math
 import operator
@@ -13,7 +13,10 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from modgrad.linalg import eigen_2x2, eigen_all, lambda1_2x2, row_dots, row_norms, solve_rows  # noqa: E402
+from modgrad.errors import NumericFailure  # noqa: E402
+from modgrad.linalg import (  # noqa: E402
+    eigen_2x2, eigen_all, integrate_adaptive, row_dots, row_norms, solve_rows,
+)
 
 import scalar_reference as ref  # noqa: E402
 
@@ -36,8 +39,9 @@ def _bits(x):
 
 
 class TestClosedForm2x2:
-    """``eigen_2x2`` against ``np.linalg.eigvalsh``, and ``lambda1_2x2``
-    against the array form, bit for bit."""
+    """``eigen_2x2`` against ``np.linalg.eigvalsh``, and the Python-float
+    closed form ``scalar_reference.lambda1_2x2`` against the array form,
+    bit for bit."""
 
     @staticmethod
     def _check(entries):
@@ -48,7 +52,7 @@ class TestClosedForm2x2:
         assert lo[0] <= hi[0]
         assert abs(lo[0] - want[0]) <= 16 * _EPS * scale + 1e-300
         assert abs(hi[0] - want[1]) <= 16 * _EPS * scale + 1e-300
-        assert _bits(lambda1_2x2(*map(float, entries))) == _bits(lo[0])
+        assert _bits(ref.lambda1_2x2(*map(float, entries))) == _bits(lo[0])
         return lo[0], hi[0]
 
     @_PROPERTY
@@ -188,3 +192,79 @@ class TestRowSums:
     def test_row_norms_are_the_reference_norm(self, v):
         assert _bits(row_norms(v)) == _bits([ref.norm(row) for row in v])
         assert np.allclose(row_norms(v), [math.hypot(*row) for row in v.tolist()], rtol=1e-15)
+
+
+def _outcome(integrate, g, a, b, tol, max_depth):
+    """What ``integrate`` gives: ("value", its bits) or ("failure", the
+    message and the partial's bits)."""
+    try:
+        return "value", _bits(integrate(g, a, b, tol, max_depth))
+    except NumericFailure as exc:
+        return "failure", str(exc), _bits(exc.partial)
+
+
+# integrand coefficients, and tolerances from well above to far under the
+# rounding level of the sums (1e-18 .. 1e-2, and 0)
+_COEFF = st.floats(-10.0, 10.0, allow_subnormal=False)
+_TOL = st.one_of(st.just(0.0), st.integers(-18, -2).flatmap(
+    lambda k: st.floats(10.0 ** k, 10.0 ** (k + 1))))
+_QUAD = settings(max_examples=150, deadline=None)
+
+
+class TestLevelSimpson:
+    """``integrate_adaptive``, worked level by level, against the
+    depth-first recursion of ``scalar_reference``: the same evaluation
+    points, the same total and partial, the same failure message naming
+    the leftmost panel that stopped short, bit for bit."""
+
+    @staticmethod
+    def _check(g, a, b, tol, max_depth):
+        seen = {"recursion": [], "levels": []}
+
+        def scalar(t):
+            seen["recursion"].append(t)
+            return g(t)
+
+        def array(t):
+            seen["levels"].extend(t.tolist())
+            return np.array([g(s) for s in t.tolist()])
+
+        got = _outcome(integrate_adaptive, array, a, b, tol, max_depth)
+        want = _outcome(ref.integrate_adaptive, scalar, a, b, tol, max_depth)
+        assert got == want
+        assert sorted(seen["levels"]) == sorted(seen["recursion"])
+        return got
+
+    @_QUAD
+    @given(st.lists(_COEFF, min_size=1, max_size=7), st.floats(-10.0, 10.0),
+           st.floats(1e-3, 10.0), _TOL, st.integers(0, 12))
+    def test_polynomials(self, coeffs, a, width, tol, max_depth):
+        def g(t):
+            return reduce(lambda acc, c: acc * t + c, coeffs, 0.0)
+
+        self._check(g, a, a + width, tol, max_depth)
+
+    @_QUAD
+    @given(_COEFF, _COEFF, st.floats(0.1, 20.0), st.floats(-3.0, 3.0),
+           st.floats(0.0, 10.0), st.floats(1e-3, 10.0), _TOL, st.integers(0, 12))
+    def test_trigonometric(self, c0, c1, w, phase, a, width, tol, max_depth):
+        def g(t):
+            return c0 + c1 * math.sin(w * t * t + phase)
+
+        self._check(g, a, a + width, tol, max_depth)
+
+    @pytest.mark.parametrize("smooth_left", [False, True])
+    def test_failures_name_the_leftmost_panel(self, smooth_left):
+        # the large, smooth half misses its share under the rounding level
+        # one level down; the oscillating half runs on to the depth cap.
+        # The recursion names the one on the left, whichever level it is on
+        def g(t):
+            smooth = (t < 1.0) == smooth_left
+            return 1e6 + 1e3 * t ** 4 if smooth else math.sin(50.0 * t * t)
+
+        for max_depth in (6, 8):
+            kind, message, partial = self._check(g, 0.0, 2.0, 3e-10, max_depth)
+            assert message == "adaptive Simpson hit " + (
+                "the rounding level on [0, 1]" if smooth_left
+                else f"subdivision depth {max_depth}") + " short of tolerance 3e-10"
+            assert math.isfinite(np.frombuffer(partial)[0])

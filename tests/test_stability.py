@@ -58,6 +58,14 @@ class TestEcCheck:
         assert verdict.clipped_negative
         assert verdict.horizon_integral == 0.0
 
+    def test_fast_oscillation_ends_with_a_verdict(self):
+        # sin(t^3) turns ~3e4 radians per unit of t near t = 100: the
+        # quadrature evaluates lambda_1 at ~6.7e6 times, up to 846,820 in
+        # one level's stack
+        verdict = ec_check(MatrixPath([["2", "0"], ["0", "sin(t^3)"]]), 100.0, 1e-3)
+        assert verdict.clipped_negative
+        assert verdict.kind is EcKind.DIVERGENT_LIKELY
+
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):
             ec_check(MatrixPath.identity(1), horizon=50.0)
