@@ -283,10 +283,6 @@ class HypothesesReport(Record):
     def __init__(self, h4, h5, h6):
         self._fill(h4, h5, h6)
 
-    @property
-    def all_pass(self):
-        return self.h4.passed and self.h5.passed and self.h6.passed
-
 
 def _bisect_crossings(field, inside_pts, outside_pts, levels, steps=40):
     """Locate f = levels[i] on each segment [inside_pts[i], outside_pts[i]]
@@ -447,10 +443,6 @@ class BasinVerification(Record):
                  failures,  # (start point, status string, final state)
                  note):
         self._fill(sample_count, converged_count, failures, note)
-
-    @property
-    def all_converged(self):
-        return self.converged_count == self.sample_count
 
 
 def sample_cells(component, count, seed=0):

@@ -3,24 +3,21 @@
 Scalar expressions over the variables x1..xn.  Each expression is
 differentiated symbolically once, when it is parsed; its value, gradient
 and Hessian are rendered to Python source and compiled into straight-line
-functions.  The same sources also run over numpy arrays, in one of two
-namespaces:
+functions.  The same sources also run over numpy arrays, in one "exact"
+namespace that gives every element the bits the scalar code gives it.
+Elementwise ``+ - * /``, negation and ``sqrt`` are correctly rounded in
+numpy as in Python; integer powers are ``_ipow``'s chain of products, which
+works elementwise on arrays; ``exp``, ``ln``, ``sin``, ``cos`` and real
+powers call the scalar code's libm functions on each element
+(``np.frompyfunc``), so no array value depends on numpy's CPU dispatch.
+The libm maps handle errors as a ufunc does, under numpy's error state:
 
-* ``eval_array`` (grid scans) runs the value's source with numpy's
-  functions, integer powers through ``np.power``.  ``np.power`` is not
-  bitwise the scalar chain of products; grid masks were always computed
-  this way and keep their bits.
-* ``eval_exact``/``grad_exact``/``hessian_exact`` (row batches) run the
-  value's, the gradient's and the Hessian's sources in an "exact"
-  namespace that gives every row the bits the scalar code gives it.
-  Elementwise ``+ - * /``, negation and ``sqrt`` are correctly rounded in
-  numpy as in Python; integer powers are ``_ipow``'s chain of products,
-  which works elementwise on arrays; ``exp``, ``ln``, ``sin``, ``cos`` and
-  real powers call the scalar code's libm functions on each element
-  (``np.frompyfunc``).  The exact functions run with floating-point errors
-  raised, so a row where the scalar code would raise (and overflow, which
-  the scalar code lets pass) raises for the whole batch, and callers fall
-  back to the rows one at a time.
+* ``eval_exact``/``grad_exact``/``hessian_exact`` (row batches) run with
+  floating-point errors raised, so a row where the scalar code would raise
+  (and overflow, which the scalar code lets pass) raises for the whole
+  batch, and callers fall back to the rows one at a time.
+* ``eval_array`` (grid scans) runs the value with errors ignored: an
+  element where a libm call raises is NaN, a division by zero inf or NaN.
 
 Grammar (precedence low to high: +,- < *,/ < unary minus < ^):
 
@@ -47,6 +44,7 @@ symbol ``t`` as one more atom; ``field.MatrixPath`` parses them with
 import math
 import operator
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -78,25 +76,37 @@ def _rpow(v, e):
     return math.exp(e * math.log(v))
 
 
-def _elementwise(fn, nin=1):
-    """*fn* called on each element of its array arguments, as a float array."""
-    ufunc = np.frompyfunc(fn, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+def _elementwise(fn, valid):
+    """*fn* called on each element of an array, as a float array, with a
+    ufunc's error handling: where fn raises, the map raises under
+    ``np.errstate(invalid="raise")``; otherwise it maps again with the
+    elements outside *valid*, where fn would raise, set to NaN."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+
+    def apply(x):
+        try:
+            return np.asarray(ufunc(x), dtype=float)
+        except (ValueError, OverflowError):
+            if np.geterr()["invalid"] == "raise":
+                raise
+        return np.asarray(ufunc(np.where(valid(x), x, math.nan)), dtype=float)
+    return apply
 
 
 # names the rendered source calls: the math functions raise on a domain
-# error, the numpy ones return NaN/inf
+# error
 _MATH_NS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
             "sqrt": math.sqrt, "ipow": _ipow, "rpow": _rpow,
             "inf": math.inf, "nan": math.nan}
-_NUMPY_NS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
-             "sqrt": np.sqrt, "ipow": np.power, "rpow": np.power,
-             "inf": math.inf, "nan": math.nan}
-# arrays with the scalar namespace's bits: libm element by element, and
-# numpy only where it is correctly rounded
-_EXACT_NS = {"exp": _elementwise(math.exp), "ln": _elementwise(math.log),
-             "sin": _elementwise(math.sin), "cos": _elementwise(math.cos),
-             "sqrt": np.sqrt, "ipow": _ipow, "rpow": _elementwise(_rpow, 2),
+_EXP_MAX = math.log(sys.float_info.max)  # math.exp overflows above it, inf aside
+_EXP = _elementwise(math.exp, lambda x: (x <= _EXP_MAX) | (x == math.inf))
+_LN = _elementwise(math.log, lambda x: x > 0.0)
+# arrays with the scalar namespace's bits: libm element by element (a real
+# power as _rpow's exp and log), and numpy only where it is correctly rounded
+_EXACT_NS = {"exp": _EXP, "ln": _LN,
+             "sin": _elementwise(math.sin, np.isfinite),
+             "cos": _elementwise(math.cos, np.isfinite),
+             "sqrt": np.sqrt, "ipow": _ipow, "rpow": lambda v, e: _EXP(e * _LN(v)),
              "inf": math.inf, "nan": math.nan}
 _FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
 
@@ -608,14 +618,14 @@ class Expression:
     error raises EvalDomainError naming the failing sub-expression.
     """
 
-    __slots__ = ("ast", "dimension", "_value", "_value_array", "_value_exact",
+    __slots__ = ("ast", "dimension", "_value", "_value_exact",
                  "_grad", "_grad_exact", "_hessian", "_hessian_exact")
 
     def __init__(self, ast, dimension):
         grads, square = _derivatives(ast, dimension)
         params = [f"x{i}" for i in range(dimension)]
-        kernels = (_MATH_NS, _EXACT_NS)  # scalar, then row batches
-        value = _compile([ast], [], params, (*kernels, _NUMPY_NS))
+        kernels = (_MATH_NS, _EXACT_NS)  # scalar, then arrays
+        value = _compile([ast], [], params, kernels)
         # a derivative is undefined wherever the value is, so derivative
         # code also runs the value's operations that can fail
         grad = _compile(grads, [ast], params, kernels)
@@ -625,7 +635,6 @@ class Expression:
             "dimension": dimension,
             "_value": value[0],
             "_value_exact": value[1],
-            "_value_array": value[2],
             "_grad": grad[0],
             "_grad_exact": grad[1],
             "_hessian": hessian[0],
@@ -697,15 +706,18 @@ class Expression:
         return _exact(self._hessian_exact, columns).T.reshape(-1, n, n)
 
     def eval_array(self, columns):
-        """Vectorized evaluation over numpy arrays (one per variable).
-
-        Domain violations yield NaN/inf instead of raising, so callers can
-        treat bad cells as "outside" when scanning grids.
+        """``eval`` over numpy arrays (one per variable, broadcastable): the
+        exact kernel of ``eval_exact`` with floating-point errors ignored, so
+        every element has the bits ``eval`` gives it.  Where ``eval`` raises
+        a domain error the element is not finite, so callers can treat bad
+        cells as "outside" when scanning grids: NaN where a libm call raises
+        (also ``ln(0)`` and a real power of 0, where numpy's functions gave
+        -inf and 0), inf or NaN for a division by zero.
         """
         if len(columns) != self.dimension:
             raise ValueError("wrong number of columns")
         with np.errstate(all="ignore"):
-            out = self._value_array(*columns)[0]
+            out = self._value_exact(*columns)[0]
         return np.asarray(out, dtype=float)
 
 

@@ -193,14 +193,6 @@ class DescentSummary(Record):
     def __init__(self, trajectories, max_v_increase, max_bound_violation, statuses):
         self._fill(trajectories, max_v_increase, max_bound_violation, statuses)
 
-    @property
-    def monotone(self):
-        return self.max_v_increase <= 1e-7
-
-    @property
-    def bound_holds(self):
-        return self.max_bound_violation <= 1e-10
-
 
 class StabilityReport(Record):
     _fields = ("equilibrium", "h1_pass", "h1_note", "h2", "h3", "conclusion", "descent")

@@ -1,5 +1,7 @@
 """Parser, evaluation and symbolic-derivative tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,32 @@ class TestExactDerivatives:
         with pytest.raises(EvalDomainError) as exc:
             getattr(e, method)(point)
         assert named in str(exc.value)
+
+
+class TestEvalArray:
+    """``eval_array`` is ``eval`` element by element, and NaN where a libm
+    call raises (overflow included) without raising itself."""
+
+    CASES = [
+        ("ln(x1)", [2.0, 0.0, -1.0, math.inf, math.nan]),
+        ("x1^2.5", [3.0, 0.0, -4.0, 1e200, math.inf]),
+        ("exp(x1)", [1.5, 709.0, 709.8, math.inf, -math.inf]),
+        ("sin(x1) + cos(x1)", [0.5, 1e300, math.inf, -math.inf, math.nan]),
+    ]
+
+    @pytest.mark.parametrize("source,xs", CASES)
+    def test_eval_bits_and_nan_where_eval_raises(self, source, xs):
+        e = parse(source, 1)
+        got = e.eval_array([np.array(xs)])
+        for x, v in zip(xs, got):
+            try:
+                want = e.eval((x,))
+            except EvalDomainError:
+                assert math.isnan(v), x
+                continue
+            assert v == want or (math.isnan(v) and math.isnan(want)), x
+        with pytest.raises((ArithmeticError, ValueError)):
+            e.eval_exact([np.array(xs)])  # the row batches still raise
 
 
 @pytest.mark.parametrize("kind", ["eval", "grad", "hessian"])

@@ -15,7 +15,9 @@ grades a P whose entries use ``exp``, ``ln``, ``sqrt`` and a real power
 runs ex31's f with an ``exp`` term (``EXP_CONFIG``), whose batches call
 libm's ``exp`` element by element, and
 ``basin-ex31-exp-r1000`` extracts a basin of that f in axis-0 slabs of
-unequal height.  ``basin-quad3-r48`` runs a 3-D quadratic peak
+unequal height; ``basin-ex31-exp-cell-r1000`` puts its c on one cell's f,
+so that a grid whose f depends on the CPU in the last bit shows as a
+changed mask under another CPU setting.  ``basin-quad3-r48`` runs a 3-D quadratic peak
 (``QUAD3_CONFIG``) on a non-cubic box, ``basin-wind-r512`` a component
 that winds along the ridge x2 = sin(3 x1) (``WIND_CONFIG``), and
 ``simulate-leave``/``simulate-hmin`` trajectories that end with ``LeftDomain`` and
@@ -100,9 +102,14 @@ EXP_CONFIG = {
 RUNS["analyze-ex31-exp"] = ["analyze", "--config", "{work}/exp.json"]
 # the same f on a grid whose side, 1000, is not a multiple of the basin
 # grid's slab height (65 rows at 1000 cells a row): f is evaluated through
-# eval_array's np.exp and np.power on 16 slabs, the last one short
+# eval_array's libm exp and _ipow's products on 16 slabs, the last one short
 RUNS["basin-ex31-exp-r1000"] = ["basin", "--config", "{work}/exp.json", "--anchor", "2,4",
                                 "--c", "33", "--resolution", "1000"]
+# c is f at cell (419, 528) as numpy's own exp and power once computed it on
+# an AVX-512 host, so that a one-ulp change in the grid's f flips a mask
+# cell: the run shows whether the grid's bits depend on the CPU
+RUNS["basin-ex31-exp-cell-r1000"] = ["basin", "--config", "{work}/exp.json", "--anchor", "2,4",
+                                     "--c=36.981455569768855", "--resolution", "1000"]
 
 # ex22's radial field is NaN outside the unit disk: at c = -0.05 the
 # component reaches the disk's edge and H4 fails on NaN neighbours
