@@ -3,13 +3,14 @@ and BLAS (through numpy) and against Python-float loops and recursions."""
 
 import math
 import operator
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -69,14 +70,22 @@ class TestClosedForm2x2:
 
     @_PROPERTY
     @given(_SMALL, _SMALL, st.floats(-1e-6, 1e-6), st.sampled_from([1.0, -1.0]))
+    @example(8.840118616772725e-80, 8.840118616772725e-80, -9.199008868151214e-07, 1.0)
     def test_near_singular(self, x, y, delta, sign):
         # [[x^2, xy(1+delta)], [xy(1+delta), y^2]] has det ~ -2 delta x^2 y^2;
-        # the closed form keeps the small eigenvalue to a few ulps of the large one
+        # the closed form keeps the small eigenvalue to a few ulps of the large one.
+        # Products and bound are exact rationals: in floats, entries near 1e-158
+        # square to subnormals and the bound underflows to 0.  Below that, the
+        # small eigenvalue can only round to the subnormal grid: half its
+        # spacing 2^-1074, times |hi| <= 2 scale
         b = x * y * (1.0 + delta)
         entries = (sign * x * x, sign * b, sign * y * y)
         lo, hi = self._check(entries)
-        det = entries[0] * entries[2] - entries[1] * entries[1]
-        assert abs(lo * hi - det) <= 16 * _EPS * max(abs(v) for v in entries) ** 2
+        a_, b_, d_ = map(Fraction, entries)
+        det = a_ * d_ - b_ * b_
+        scale = max(abs(a_), abs(b_), abs(d_))
+        bound = 16 * Fraction(_EPS) * scale ** 2 + Fraction(2) ** -1074 * scale
+        assert abs(Fraction(lo) * Fraction(hi) - det) <= bound
 
     def test_zero_matrix_and_signed_zeros(self):
         for a, b, d in [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, 0.0)]:
