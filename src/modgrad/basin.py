@@ -519,9 +519,8 @@ def verify_basin(system, region, sample_count=100, t_end=50.0,
                   "without a connectivity check")
     failures = ()
     if len(starts):
-        opts = sim_opts.replace(convergence_target=tuple(anchor),
-                                convergence_radius=converge_radius)
-        trajectories = ode.simulate_batch(system, starts, 0.0, t_end, opts)
+        opts = sim_opts.replace(convergence_radius=converge_radius)
+        trajectories = ode.simulate_batch(system, starts, 0.0, t_end, opts, anchor)
         failures = tuple(
             (tuple(start.tolist()), traj.status.value, tuple(traj.final_state.tolist()))
             for start, traj in zip(starts, trajectories)

@@ -549,10 +549,9 @@ def cmd_simulate(args):
     sim = config.sim_options
     opts = sim.replace(
         h_max=sim.h_max if args.h_max is None else args.h_max,
-        convergence_target=None if target is None else tuple(target),
         convergence_radius=None if target is None else args.radius,
     )
-    traj = ode.simulate(config.system, x0, args.t0, args.t_end, opts)
+    traj = ode.simulate(config.system, x0, args.t0, args.t_end, opts, target)
 
     n = config.system.dimension
     _write_csv(
@@ -766,6 +765,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except (ParseError, OutsideDomainError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # options that ask for arrays past any memory
+        print(f"input error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericFailure, EvalDomainError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -10,14 +10,12 @@ numpy as in Python; integer powers are ``_ipow``'s chain of products, which
 works elementwise on arrays; ``exp``, ``ln``, ``sin``, ``cos`` and real
 powers call the scalar code's libm functions on each element
 (``np.frompyfunc``), so no array value depends on numpy's CPU dispatch.
-The libm maps handle errors as a ufunc does, under numpy's error state:
-
-* ``eval_exact``/``grad_exact``/``hessian_exact`` (row batches) run with
-  floating-point errors raised, so a row where the scalar code would raise
-  (and overflow, which the scalar code lets pass) raises for the whole
-  batch, and callers fall back to the rows one at a time.
-* ``eval_array`` (grid scans) runs the value with errors ignored: an
-  element where a libm call raises is NaN, a division by zero inf or NaN.
+The array code runs in one pass with numpy's floating-point errors
+ignored (an overflow is the scalar code's inf) and reports its own domain
+errors: each operation that can fail comes with an elementwise test of
+exactly where the scalar operation raises (``_FAILS``), and the array
+function returns the OR of these tests with its values.  An element that
+fails is NaN in a libm map; NaN passes every test, as it passes ``math``.
 
 Grammar (precedence low to high: +,- < *,/ < unary minus < ^):
 
@@ -76,20 +74,17 @@ def _rpow(v, e):
     return math.exp(e * math.log(v))
 
 
-def _elementwise(fn, valid):
-    """*fn* called on each element of an array, as a float array, with a
-    ufunc's error handling: where fn raises, the map raises under
-    ``np.errstate(invalid="raise")``; otherwise it maps again with the
-    elements outside *valid*, where fn would raise, set to NaN."""
+def _elementwise(fn, fails):
+    """*fn* called on each element of an array, as a float array; only when
+    fn raises is it mapped again, with the elements that *fails* marks set
+    to NaN."""
     ufunc = np.frompyfunc(fn, 1, 1)
 
     def apply(x):
         try:
             return np.asarray(ufunc(x), dtype=float)
         except (ValueError, OverflowError):
-            if np.geterr()["invalid"] == "raise":
-                raise
-        return np.asarray(ufunc(np.where(valid(x), x, math.nan)), dtype=float)
+            return np.asarray(ufunc(np.where(fails(x), math.nan, x)), dtype=float)
     return apply
 
 
@@ -99,15 +94,18 @@ _MATH_NS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
             "sqrt": math.sqrt, "ipow": _ipow, "rpow": _rpow,
             "inf": math.inf, "nan": math.nan}
 _EXP_MAX = math.log(sys.float_info.max)  # math.exp overflows above it, inf aside
-_EXP = _elementwise(math.exp, lambda x: (x <= _EXP_MAX) | (x == math.inf))
-_LN = _elementwise(math.log, lambda x: x > 0.0)
-# arrays with the scalar namespace's bits: libm element by element (a real
-# power as _rpow's exp and log), and numpy only where it is correctly rounded
-_EXACT_NS = {"exp": _EXP, "ln": _LN,
-             "sin": _elementwise(math.sin, np.isfinite),
-             "cos": _elementwise(math.cos, np.isfinite),
-             "sqrt": np.sqrt, "ipow": _ipow, "rpow": lambda v, e: _EXP(e * _LN(v)),
-             "inf": math.inf, "nan": math.nan}
+# where each function of _MATH_NS, and a division by x, raises, elementwise;
+# never at NaN
+_FAILS = {"exp": lambda x: (x > _EXP_MAX) & (x != math.inf), "ln": lambda x: x <= 0.0,
+          "sin": np.isinf, "cos": np.isinf, "sqrt": lambda x: x < 0.0, "div": lambda x: x == 0.0}
+# arrays with the scalar namespace's bits: libm element by element, and
+# numpy only where it is correctly rounded; the array source writes a real
+# power as _rpow's exp and ln, and a negative integer power as _ipow's
+# reciprocal, so that their tests are those of exp, ln and the division
+_EXACT_NS = {**{name: _elementwise(_MATH_NS[name], _FAILS[name])
+                for name in ("exp", "ln", "sin", "cos")},
+             **{name + "_fails": test for name, test in _FAILS.items()},
+             "sqrt": np.sqrt, "ipow": _ipow, "inf": math.inf, "nan": math.nan}
 _FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
 
 
@@ -356,35 +354,53 @@ def _op_source(node, args):
     return f"{args[0]} {node.op} {args[1]}"
 
 
-def _compile(roots, guarded, params, namespaces=(_MATH_NS,)):
-    """Compile ``f(*params)`` returning *roots* as a tuple, once per
-    namespace; *params* names the variables (``x0``, ``x1``, .. or ``t``).
-    Operations of the same text are computed once; the operations under
-    *guarded* that can fail run too, for the domain errors they raise.
-    ``f.ops`` and ``f.params`` are kept for the error locator.  The source
-    holds no text of the parsed input.
+def _compile(roots, guarded, params, exact):
+    """Compile ``f(*params)`` returning *roots* as a tuple: for Python floats
+    (``_MATH_NS``), or, when *exact*, for arrays (``_EXACT_NS``), returning
+    also the OR of its domain tests; *params* names the variables (``x0``,
+    ``x1``, .. or ``t``).  Operations of the same text are computed once;
+    the operations under *guarded* that can fail run too, for the domain
+    errors they raise.  ``f.ops`` and ``f.params`` are kept for the error
+    locator.  The source holds no text of the parsed input.
     """
     text = {}  # id(node) -> operand text
     temps = {}  # operation text -> local name
     ops = []  # (local name, operation text, node, operand texts)
+    tests = {}  # domain test source -> the operand text it tests
+
+    def emit(node, args):  # the local of *node*'s operation on *args*
+        txt = _op_source(node, args)
+        if txt not in temps:
+            temps[txt] = f"_{len(temps)}"
+            ops.append((temps[txt], txt, node, args))
+            if exact and _domain_reason(node):  # a function's argument, or a divisor
+                tests[f"{getattr(node, 'func', 'div')}_fails({args[-1]})"] = args[-1]
+        return temps[txt]
+
     checks = [n for n in _postorder(guarded) if _domain_reason(n)]
     for node in _postorder([*roots, *checks]):
         args = [text[id(c)] for c in _children(node)]
-        txt = _op_source(node, args)
-        if args:
-            if txt not in temps:
-                temps[txt] = f"_{len(temps)}"
-                ops.append((temps[txt], txt, node, args))
-            txt = temps[txt]
-        text[id(node)] = txt
+        if not args:
+            text[id(node)] = _op_source(node, args)
+        elif exact and isinstance(node, Pow) and not node.integral:
+            log = emit(BinOp("*", None, None), [repr(node.exponent), emit(Call("ln", None), args)])
+            text[id(node)] = emit(Call("exp", None), [log])
+        elif exact and isinstance(node, Pow) and node.exponent < 0:
+            chain = emit(Pow(None, -node.exponent, True), args)
+            text[id(node)] = emit(BinOp("/", None, None), ["1.0", chain])
+        else:
+            text[id(node)] = emit(node, args)
     # A local used once is written into its user instead, so that numpy
     # frees each intermediate grid as soon as it is used; nesting stays
-    # well inside the parser's limit.
+    # well inside the parser's limit.  The array code drops the operations
+    # whose value nothing uses: only their tests count.
     uses = Counter(a for *_, args in ops for a in args)
-    uses.update(text[id(r)] for r in roots)
+    uses.update([*(text[id(r)] for r in roots), *tests.values()])
     inline = {}  # local -> (parenthesized source, nesting depth)
     body = []
     for name, _, node, args in ops:
+        if exact and not uses[name]:
+            continue
         parts = [inline.pop(a, (a, 0)) for a in args]
         source = _op_source(node, [p for p, _ in parts])
         depth = 1 + max(d for _, d in parts)
@@ -393,16 +409,14 @@ def _compile(roots, guarded, params, namespaces=(_MATH_NS,)):
         else:
             body.append(f"    {name} = {source}\n")
     values = "".join(inline.pop(text[id(r)], (text[id(r)], 0))[0] + ", " for r in roots)
+    if exact:
+        values = f"({values}), " + (" | ".join(tests) or "False")
     code = compile(f"def f({', '.join(params)}):\n{''.join(body)}    return ({values})\n",
                    "<modgrad expression>", "exec")
-    functions = []
-    for namespace in namespaces:
-        scope = dict(namespace)
-        exec(code, scope)
-        scope["f"].ops = ops
-        scope["f"].params = params
-        functions.append(scope["f"])
-    return functions
+    scope = dict(_EXACT_NS if exact else _MATH_NS)
+    exec(code, scope)
+    scope["f"].ops, scope["f"].params, scope["f"].width = ops, params, len(roots)
+    return scope["f"]
 
 
 _REASONS = {"ln": "ln of non-positive argument", "sqrt": "sqrt of negative argument"}
@@ -421,15 +435,23 @@ def _domain_reason(node):
 
 def _exact(fn, columns):
     """*fn*, compiled for ``_EXACT_NS``, over *columns* (one array per
-    parameter) as a (roots, m) array; raises as ``eval_exact``."""
+    parameter, all of one length m): a (roots, m) array with the bits the
+    scalar function gives each row, and the mask of the rows where it
+    raises, whose values are not defined."""
     if len(columns) != len(fn.params):
         raise ValueError("wrong number of columns")
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        values = fn(*columns)
-    out = np.empty((len(values), len(columns[0])))
+    m = len(columns[0])
+    try:
+        with np.errstate(all="ignore"):
+            values, failed = fn(*columns)
+    except ZeroDivisionError:  # of two constants: the scalar code raises at every row
+        return np.full((fn.width, m), math.nan), np.ones(m, dtype=bool)
+    out = np.empty((len(values), m))
     for row, v in zip(out, values):
         row[...] = v  # a constant component is a Python float
-    return out
+    mask = np.empty(m, dtype=bool)
+    mask[...] = failed  # a Python bool when no test depends on a column
+    return out, mask
 
 
 def _run(fn, args):
@@ -624,12 +646,11 @@ class Expression:
     def __init__(self, ast, dimension):
         grads, square = _derivatives(ast, dimension)
         params = [f"x{i}" for i in range(dimension)]
-        kernels = (_MATH_NS, _EXACT_NS)  # scalar, then arrays
-        value = _compile([ast], [], params, kernels)
+        value = [_compile([ast], [], params, e) for e in (False, True)]  # scalar, arrays
         # a derivative is undefined wherever the value is, so derivative
         # code also runs the value's operations that can fail
-        grad = _compile(grads, [ast], params, kernels)
-        hessian = _compile(square, [ast, *grads], params, kernels)
+        grad = [_compile(grads, [ast], params, e) for e in (False, True)]
+        hessian = [_compile(square, [ast, *grads], params, e) for e in (False, True)]
         fields = {
             "ast": ast,
             "dimension": dimension,
@@ -671,54 +692,37 @@ class Expression:
         h = np.array(self._call(self._hessian, point))
         return h.reshape(self.dimension, self.dimension)
 
-    def scalar_rows(self, kind, rows):
-        """``eval``, ``grad`` or ``hessian`` (*kind*) at each of *rows*
-        (lists of floats) as a flat tuple with the bits they give, or None
-        where they raise a domain error, which is not located."""
-        fn = self._value if kind == "eval" else getattr(self, "_" + kind)
-        out = []
-        for row in rows:
-            try:
-                out.append(fn(*row))
-            except (ZeroDivisionError, ValueError, OverflowError):
-                out.append(None)
-        return out
-
     def eval_exact(self, columns):
         """``eval`` at every row of *columns* (one array per variable, all of
-        one length m), with the bits ``eval`` gives that row.
-
-        Raises ArithmeticError or ValueError (FloatingPointError, or libm's
-        OverflowError or ValueError) when any row would raise a domain
-        error, and on overflow and invalid operations, which the scalar
-        code lets pass; the caller then evaluates the rows one at a time.
+        one length m), with the bits ``eval`` gives that row, and the mask of
+        the rows where ``eval`` raises a domain error (their values are not
+        defined).  Overflow, which the scalar code lets pass, gives its inf.
         """
-        return _exact(self._value_exact, columns)[0]
+        values, failed = _exact(self._value_exact, columns)
+        return values[0], failed
 
     def grad_exact(self, columns):
         """``grad`` at every row of *columns*, shape (m, n); as ``eval_exact``."""
-        return _exact(self._grad_exact, columns).T
+        values, failed = _exact(self._grad_exact, columns)
+        return values.T, failed
 
     def hessian_exact(self, columns):
         """``hessian`` at every row of *columns*, shape (m, n, n); as
         ``eval_exact``."""
-        n = self.dimension
-        return _exact(self._hessian_exact, columns).T.reshape(-1, n, n)
+        values, failed = _exact(self._hessian_exact, columns)
+        return values.T.reshape(-1, self.dimension, self.dimension), failed
 
     def eval_array(self, columns):
         """``eval`` over numpy arrays (one per variable, broadcastable): the
-        exact kernel of ``eval_exact`` with floating-point errors ignored, so
-        every element has the bits ``eval`` gives it.  Where ``eval`` raises
-        a domain error the element is not finite, so callers can treat bad
-        cells as "outside" when scanning grids: NaN where a libm call raises
-        (also ``ln(0)`` and a real power of 0, where numpy's functions gave
-        -inf and 0), inf or NaN for a division by zero.
+        exact kernel of ``eval_exact``, so every element has the bits
+        ``eval`` gives it, and NaN where ``eval`` raises a domain error;
+        callers scanning grids treat those cells as "outside".
         """
         if len(columns) != self.dimension:
             raise ValueError("wrong number of columns")
         with np.errstate(all="ignore"):
-            out = self._value_exact(*columns)[0]
-        return np.asarray(out, dtype=float)
+            (out,), failed = self._value_exact(*columns)
+        return np.where(failed, math.nan, out) if np.any(failed) else np.asarray(out, dtype=float)
 
 
 def _tree(source, dimension, allow_t=False):

@@ -24,8 +24,6 @@ from . import linalg
 from ._record import Record
 from .errors import EvalDomainError, OutsideDomainError
 
-_FEW_ROWS = 16  # failing kernel rows run the scalar functions below this, not halved
-
 __all__ = [
     "Box",
     "ScalarField",
@@ -181,46 +179,21 @@ class ExpressionField(ScalarField):
 
     def batch(self, kind, x):
         """The expression's exact array kernel for *kind* on the rows inside
-        D, NaN elsewhere, and the mask of the rows outside D or where the
-        scalar *kind* raises (a NaN it returns is a value, and unmarked)."""
+        D, and the mask of the rows outside D or where the scalar *kind*
+        raises, from the kernel's own domain tests: those rows are NaN (a
+        NaN the kernel returns elsewhere is a value, and unmarked)."""
         x = self._check_rows(x)
-        shape = (self.dimension,) * ("eval", "grad", "hessian").index(kind)
         inside = linalg.row_all((x >= self._lo) & (x <= self._hi))
         rows = x if inside.all() else x[inside]
-        got = self._kernel(kind, rows)
-        failed = ~inside
-        if got is None:
-            got, failed[inside] = self._failed_rows(kind, rows, shape)
+        got, bad = getattr(self.expression, kind + "_exact")(np.ascontiguousarray(rows.T))
+        got[bad] = np.nan
         if rows is x:
-            return got, failed
-        out = np.full((len(x),) + shape, np.nan)
+            return got, bad
+        failed = ~inside
+        failed[inside] = bad
+        out = np.full((len(x),) + got.shape[1:], np.nan)
         out[inside] = got
         return out, failed
-
-    def _kernel(self, kind, x):
-        """The exact kernel on rows inside D; None when it raises."""
-        try:
-            return getattr(self.expression, kind + "_exact")(np.ascontiguousarray(x.T))
-        except (ArithmeticError, ValueError):
-            return None
-
-    def _failed_rows(self, kind, x, shape):
-        """*kind* on rows inside D whose kernel raised, and which of them
-        raise.  The halves of more than ``_FEW_ROWS`` rows are retried (same
-        bits: the kernel is row-independent); when both raise, failing rows
-        are not rare, and the scalar functions run row by row, NaN where
-        those raise."""
-        if len(x) > _FEW_ROWS:
-            halves = np.array_split(x, 2)
-            got = [self._kernel(kind, half) for half in halves]
-            if any(g is not None for g in got):
-                parts = [self._failed_rows(kind, half, shape) if g is None
-                         else (g, np.zeros(len(g), dtype=bool)) for half, g in zip(halves, got)]
-                return tuple(np.concatenate(part) for part in zip(*parts))
-        nan = (np.nan,) * int(np.prod(shape))
-        values = self.expression.scalar_rows(kind, x.tolist())
-        got = np.array([nan if v is None else v for v in values]).reshape((len(x),) + shape)
-        return got, np.array([v is None for v in values], dtype=bool)
 
     def __repr__(self):
         return f"ExpressionField({str(self.expression)!r})"
@@ -265,8 +238,8 @@ class MatrixPath:
         self.dimension = n
         self.uses_t = any(isinstance(node, expr_mod.TimeVar)
                           for node in expr_mod._postorder(roots))
-        self._upper, self._upper_exact = expr_mod._compile(
-            roots, [], ["t"], (expr_mod._MATH_NS, expr_mod._EXACT_NS))
+        self._upper, self._upper_exact = (expr_mod._compile(roots, [], ["t"], exact)
+                                          for exact in (False, True))
         self._constant_value = self._constant_lambda1 = None
         if not self.uses_t:
             self._constant_value = self.value_batch([0.0])[0]
@@ -289,15 +262,12 @@ class MatrixPath:
         if self._constant_value is not None:
             return np.broadcast_to(self._constant_value, shape)
         t = np.asarray(t, dtype=float)
-        try:
-            upper = expr_mod._exact(self._upper_exact, [t]).T
-        except (ArithmeticError, ValueError):
-            # time by time: a domain error names the first bad t and entry;
-            # an overflow the scalar code lets pass gives its inf
-            upper = np.array([expr_mod._run(self._upper, (s,)) for s in t.tolist()])
+        upper, failed = expr_mod._exact(self._upper_exact, [t])
+        for s in t[failed][:1].tolist():  # raises, naming the first bad t's entry
+            expr_mod._run(self._upper, (s,))
         out = np.empty(shape)
-        out[:, self._rows, self._cols] = upper
-        out[:, self._cols, self._rows] = upper
+        out[:, self._rows, self._cols] = upper.T
+        out[:, self._cols, self._rows] = upper.T
         return out
 
     def smallest_eigenvalue(self, t):

@@ -81,10 +81,10 @@ class SimOptions(Record):
     """Integrator settings; ``h_max`` defaults to (t_end - t0) / 10 and is >= ``h_min``."""
 
     _fields = ("rel_tol", "abs_tol", "h_init", "h_min", "h_max",
-               "convergence_radius", "convergence_target", "max_steps")
+               "convergence_radius", "max_steps")
 
     def __init__(self, rel_tol=1e-9, abs_tol=1e-12, h_init=None, h_min=1e-12, h_max=None,
-                 convergence_radius=None, convergence_target=None, max_steps=1_000_000):
+                 convergence_radius=None, max_steps=1_000_000):
         for name, v in (("h_init", h_init), ("h_min", h_min), ("h_max", h_max),
                         ("convergence_radius", convergence_radius)):
             if v is not None and not (math.isfinite(v) and v > 0.0):
@@ -96,8 +96,7 @@ class SimOptions(Record):
             raise ValueError("rel_tol and abs_tol must not both be 0")
         if h_max is not None and h_max < h_min:  # the step would crawl at h_max to max_steps
             raise ValueError(f"h_max must be >= h_min, got h_max = {h_max:g} < h_min = {h_min:g}")
-        self._fill(rel_tol, abs_tol, h_init, h_min, h_max,
-                   convergence_radius, convergence_target, max_steps)
+        self._fill(rel_tol, abs_tol, h_init, h_min, h_max, convergence_radius, max_steps)
 
 
 class Trajectory(Record):
@@ -183,17 +182,17 @@ def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
     return np.array(out)
 
 
-def simulate(system, x0, t0, t_end, opts=None):
+def simulate(system, x0, t0, t_end, opts=None, target=None):
     """Integrate the system from x(t0) = x0 up to t_end.
 
     Stops early with CONVERGED when the state is within
-    ``convergence_radius`` of ``convergence_target`` and |rhs| has dropped
+    ``opts.convergence_radius`` of *target* and |rhs| has dropped
     below 1e-10 (proximity alone is not convergence: Example-2.1-style
     trajectories stall near, but never at, the equilibrium).  Leaving the
     domain stops with LEFT_DOMAIN; a step size forced below h_min stops
     with STEP_FAILURE.  This is ``simulate_batch`` on a batch of one.
     """
-    return simulate_batch(system, [np.asarray(x0, dtype=float)], t0, t_end, opts)[0]
+    return simulate_batch(system, [np.asarray(x0, dtype=float)], t0, t_end, opts, target)[0]
 
 
 def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
@@ -204,10 +203,9 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
     ``System.rhs_batch`` call on the rows still running.  Row i comes out
     bit for bit as a batch of one would give it, whatever the other rows
     do.  ``targets`` gives each row its own convergence target (one row per
-    start, or one point for all); by default all rows use
-    ``opts.convergence_target``.  A row whose stage leaves D or hits a
-    domain error stops alone with LEFT_DOMAIN.  Returns one Trajectory per
-    row, in order.
+    start, or one point for all); without it no row converges.  A row whose
+    stage leaves D or hits a domain error stops alone with LEFT_DOMAIN.
+    Returns one Trajectory per row, in order.
     """
     opts = opts or SimOptions()
     t0 = float(t0)
@@ -223,13 +221,11 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
     m = len(x)
 
     h_max = opts.h_max if opts.h_max is not None else (t_end - t0) / 10.0
-    if targets is None and opts.convergence_target is not None:
-        targets = opts.convergence_target
     radius = opts.convergence_radius
     if targets is None:  # no row converges
         targets, radius = 0.0, -math.inf
     elif radius is None:
-        raise ValueError("convergence_target requires convergence_radius")
+        raise ValueError("targets require convergence_radius")
     goal = np.broadcast_to(np.asarray(targets, dtype=float), x.shape)  # per row
 
     f = system.rhs_batch(np.full(m, t0), x)  # raises a fault of P(t0) before a gradient's

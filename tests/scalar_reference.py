@@ -651,12 +651,10 @@ def simulate(system, x0, t0, t_end, opts=None, targets=None):
     m = len(x)
 
     h_max = opts.h_max if opts.h_max is not None else (t_end - t0) / 10.0
-    if targets is None and opts.convergence_target is not None:
-        targets = opts.convergence_target
     if targets is not None:
         targets = np.broadcast_to(np.asarray(targets, dtype=float), x.shape)
         if opts.convergence_radius is None:
-            raise ValueError("convergence_target requires convergence_radius")
+            raise ValueError("targets require convergence_radius")
 
     f = system.rhs_batch(np.full(m, t0), x)  # raises a fault of P(t0) first
     for i in np.flatnonzero(np.isnan(f).any(axis=1)):

@@ -483,8 +483,8 @@ class TestVerifyBasin:
         from modgrad import ode
 
         p1, _, _ = ex31_named
-        opts = ode.SimOptions(convergence_target=p1.location, convergence_radius=1e-3)
-        traj = ode.simulate(ex31.system, p1.location, 0.0, 50.0, opts)
+        opts = ode.SimOptions(convergence_radius=1e-3)
+        traj = ode.simulate(ex31.system, p1.location, 0.0, 50.0, opts, target=p1.location)
         assert traj.status is ode.Status.CONVERGED
         assert traj.converged_at == 0.0
 
@@ -576,11 +576,11 @@ class TestBatchIndependence:
 
     @staticmethod
     def _alone(system, starts, anchor, t_end, radius):
-        opts = ode.SimOptions(convergence_target=tuple(anchor), convergence_radius=radius)
+        opts = ode.SimOptions(convergence_radius=radius)
         converged = 0
         failures = []
         for start in starts:
-            traj = ode.simulate(system, start, 0.0, t_end, opts)
+            traj = ode.simulate(system, start, 0.0, t_end, opts, target=tuple(anchor))
             if traj.status is ode.Status.CONVERGED:
                 converged += 1
             else:

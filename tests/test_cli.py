@@ -689,6 +689,20 @@ class TestNumericInputs:
         err = capsys.readouterr().err
         assert err == "input error: 10000000000000000 grid cells do not fit in memory\n"
 
+    @pytest.mark.parametrize("option, value", [
+        ("grid_per_axis", 10**7),
+        ("samples_per_shell", 10**14),
+        ("descent_trajectories", 10**14),
+    ])
+    def test_oversized_options_exit_2(self, tmp_path, capsys, option, value):
+        # each asks for 728 TiB: numpy refuses the array at once, and the
+        # run used to end in a traceback with exit 1
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "options": {option: value}})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: out of memory: Unable to allocate 728. TiB")
+        assert err.count("\n") == 1
+
     DEEP_SUM = "(" + "+".join(["x1"] * 3000) + ")/x2"
 
     @pytest.mark.parametrize("f, p00, argv", [

@@ -100,9 +100,9 @@ def _field(source, lo, hi):
 
 
 class _LocatedAt:
-    """Stands in for an Expression: the array kernels and ``scalar_rows``
-    delegate to it, and its located ``eval``/``grad``/``hessian`` fail the
-    test unless called at one of *points*; the calls are kept in order."""
+    """Stands in for an Expression: the array kernels delegate to it, and
+    its located ``eval``/``grad``/``hessian`` fail the test unless called
+    at one of *points*; the calls are kept in order."""
 
     def __init__(self, expression, points=()):
         self._expression = expression

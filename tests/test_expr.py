@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modgrad.expr import MAX_NESTING, EvalDomainError, ParseError, parse
 from modgrad.gallery import _ex31_printed_gradient
@@ -225,8 +227,9 @@ class TestExactDerivatives:
 
 
 class TestEvalArray:
-    """``eval_array`` is ``eval`` element by element, and NaN where a libm
-    call raises (overflow included) without raising itself."""
+    """``eval_array`` is ``eval`` element by element, and NaN where ``eval``
+    raises (a libm overflow included) without raising itself; ``eval_exact``
+    marks the same elements."""
 
     CASES = [
         ("ln(x1)", [2.0, 0.0, -1.0, math.inf, math.nan]),
@@ -239,30 +242,96 @@ class TestEvalArray:
     def test_eval_bits_and_nan_where_eval_raises(self, source, xs):
         e = parse(source, 1)
         got = e.eval_array([np.array(xs)])
-        for x, v in zip(xs, got):
+        values, failed = e.eval_exact([np.array(xs)])
+        raised = []
+        for x, v, w in zip(xs, got, values):
             try:
                 want = e.eval((x,))
             except EvalDomainError:
                 assert math.isnan(v), x
+                raised.append(True)
                 continue
+            raised.append(False)
             assert v == want or (math.isnan(v) and math.isnan(want)), x
-        with pytest.raises((ArithmeticError, ValueError)):
-            e.eval_exact([np.array(xs)])  # the row batches still raise
+            assert _bits(w) == _bits(want), x
+        assert failed.tolist() == raised and any(raised)
+
+
+def _bits(x):
+    """The bytes of x with every NaN made one NaN: a NaN's sign and payload
+    are no part of the contract (numpy's loops and Python floats propagate
+    different NaNs)."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), math.nan, x).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["eval", "grad", "hessian"])
 def test_scalar_rows_match_the_scalar_functions(kind):
-    # the scalar functions' bits per row, None where they raise
+    # (the name this test has always had in the suite) the exact kernel's
+    # rows have the scalar functions' bits, and its mask marks the rows
+    # where they raise
     e = parse("ln(x1*x2) + 1/(x1 - 2) - sqrt(x2)", 2)
     rows = [[0.5, 1.5], [-1.0, 2.0], [2.0, 1.0], [3.0, 0.25], [0.1, -0.3]]
-    got = e.scalar_rows(kind, rows)
-    for row, values in zip(rows, got):
+    got, failed = getattr(e, kind + "_exact")(np.array(rows).T)
+    for row, values, marked in zip(rows, got, failed):
         try:
-            want = np.ravel(getattr(e, kind)(row)).tolist()
+            want = getattr(e, kind)(row)
         except EvalDomainError:
-            want = None
-        assert (None if values is None else list(values)) == want
-    assert [v is None for v in got] == [False, True, True, False, True]
+            assert marked
+            continue
+        assert not marked and _bits(values) == _bits(want)
+    assert failed.tolist() == [False, True, True, False, True]
+
+
+# A random expression over x1, x2 with every operation that can fail, and
+# rows of ordinary and edge values: signed zeros, infinities, NaN, either
+# side of exp's overflow threshold, subnormals, and bases whose square
+# underflows to 0 (or to a subnormal whose reciprocal overflows)
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 709.78, 709.79, -709.79,
+          5e-324, -5e-324, 1e-310, 1e-200, -1e-200, 1e-160, 1e155]
+_LEAF = st.sampled_from(["x1", "x2", "0", "1", "2.5", "0.5"])
+_EXPONENTS = ["2", "3", "(-1)", "(-2)", "(-3)", "1.5", "0.5", "(-0.5)"]
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["exp", "ln", "sqrt", "sin", "cos"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.sampled_from(_EXPONENTS)).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda a: f"-{a}"),
+    )
+
+
+_SOURCES = st.recursive(_LEAF, _grow, max_leaves=6)
+_VALUE = st.one_of(st.sampled_from(_EDGES), st.floats(-4.0, 4.0))
+_ROWS = st.lists(st.tuples(_VALUE, _VALUE), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SOURCES, _ROWS)
+@example("exp(x1) + sin(x2)", [(709.79, math.inf), (709.78, -math.inf), (math.inf, math.nan),
+                               (-math.inf, 1e300)])
+@example("cos(x1) - sqrt(x2) / x1^(-2)", [(math.inf, 1.0), (1e-200, 4.0), (1e-160, -0.0),
+                                          (-0.0, -1e-310), (math.nan, -math.inf)])
+@example("x1 + 1/(2 - 2)", [(1.0, 0.0), (math.nan, 2.0)])  # fails at every row
+@example("(x1)^1.5 * ln(x2)", [(0.0, 1.0), (-1.0, 2.0), (1e300, 0.5), (math.inf, math.nan),
+                               (5e-324, -0.0), (math.nan, 0.0)])
+def test_exact_kernels_mark_where_the_scalar_functions_raise(source, rows):
+    e = parse(source, 2)
+    columns = np.array(rows).reshape(-1, 2).T
+    for kind in ("eval", "grad", "hessian"):
+        got, failed = getattr(e, kind + "_exact")(columns)
+        assert got.shape[0] == failed.shape[0] == len(rows)
+        for row, values, marked in zip(rows, got, failed):
+            try:
+                want = getattr(e, kind)(row)
+            except EvalDomainError:
+                assert marked, (kind, row)
+                continue
+            assert not marked, (kind, row)
+            assert _bits(values) == _bits(want), (kind, row)
 
 
 class TestAutodiffAgainstFiniteDifferences:

@@ -53,10 +53,9 @@ class TestClosedFormExample21:
         opts = SimOptions(
             rel_tol=1e-9,
             abs_tol=1e-12,
-            convergence_target=(1.0, 1.0),
             convergence_radius=0.2,
         )
-        traj = simulate(ex21.system, (1.1, 1.1), 0.0, 100.0, opts)
+        traj = simulate(ex21.system, (1.1, 1.1), 0.0, 100.0, opts, target=(1.0, 1.0))
         assert traj.status is Status.REACHED_END
         assert traj.final_state[0] == pytest.approx(1.1 * np.exp(-2.0) - np.exp(-2.0) + 1.0, rel=1e-3)
 
@@ -86,14 +85,14 @@ class TestStatuses:
         assert np.abs(traj.states - np.array([2.0, 4.0])).max() <= 1e-12
 
     def test_converged_at_t0_when_starting_on_target(self, ex31):
-        opts = SimOptions(convergence_target=(2.0, 4.0), convergence_radius=1e-6)
-        traj = simulate(ex31.system, (2.0, 4.0), 0.0, 10.0, opts)
+        opts = SimOptions(convergence_radius=1e-6)
+        traj = simulate(ex31.system, (2.0, 4.0), 0.0, 10.0, opts, target=(2.0, 4.0))
         assert traj.status is Status.CONVERGED
         assert traj.converged_at == 0.0
 
     def test_convergence_to_p1_matches_rk4_reference(self, ex31):
-        opts = SimOptions(convergence_target=(2.0, 1.0), convergence_radius=1e-6)
-        traj = simulate(ex31.system, (2.1, 1.2), 0.0, 50.0, opts)
+        opts = SimOptions(convergence_radius=1e-6)
+        traj = simulate(ex31.system, (2.1, 1.2), 0.0, 50.0, opts, target=(2.0, 1.0))
         assert traj.status is Status.CONVERGED
         assert np.linalg.norm(traj.final_state - np.array([2.0, 1.0])) < 1e-6
         # independent fixed-step RK4 reference over the transient
@@ -320,6 +319,8 @@ def _same(a, b):
 def _check_independence(system, starts, t_end, opts, targets=None):
     """Rows run alone, as a batch and as a permuted batch agree exactly."""
     starts = np.asarray(starts, dtype=float)
+    if targets is not None:  # one row per start
+        targets = np.broadcast_to(np.asarray(targets, dtype=float), starts.shape)
     alone = [
         ode.simulate_batch(system, [x], 0.0, t_end, opts,
                            targets=None if targets is None else [targets[i]])[0]
@@ -342,8 +343,8 @@ class TestBatch:
     def test_ex31_rows_independent_of_batch(self, ex31):
         rng = np.random.default_rng(3)
         starts = rng.uniform([0.5, 0.0], [3.5, 5.0], size=(12, 2))
-        opts = SimOptions(convergence_target=(2.0, 4.0), convergence_radius=1e-3)
-        batch = _check_independence(ex31.system, starts, 50.0, opts)
+        opts = SimOptions(convergence_radius=1e-3)
+        batch = _check_independence(ex31.system, starts, 50.0, opts, targets=(2.0, 4.0))
         statuses = {t.status for t in batch}
         assert statuses == {Status.CONVERGED, Status.REACHED_END}
 
@@ -463,8 +464,8 @@ class TestScalarReference:
     def test_ex31(self, ex31):
         rng = np.random.default_rng(3)
         starts = rng.uniform([0.5, 0.0], [3.5, 5.0], size=(12, 2))
-        opts = SimOptions(convergence_target=(2.0, 4.0), convergence_radius=1e-3)
-        batch = self._check(ex31.system, starts, 50.0, opts)
+        opts = SimOptions(convergence_radius=1e-3)
+        batch = self._check(ex31.system, starts, 50.0, opts, targets=(2.0, 4.0))
         assert {t.status for t in batch} == {Status.CONVERGED, Status.REACHED_END}
         assert all(t.steps_rejected > 0 for t in batch)
 

@@ -24,7 +24,10 @@ that winds along the ridge x2 = sin(3 x1) (``WIND_CONFIG``), and
 ``StepFailure``.  ``analyze-ln-drop``, ``basin-div0-bisect`` and
 ``analyze-ln-probe`` run fields defined on part of the box (``ln``, ``/``):
 the finder drops seeds for domain errors, and H5's bisection and an
-isolation shell meet one, which ends the run with exit 3.  The tool
+isolation shell meet one, which ends the run with exit 3.
+``analyze-pow-drop`` drops seeds where a negative integer power or a real
+power is undefined, and ``ec-ex31-divP`` grades a P(t) that divides by
+zero inside the horizon (exit 3).  The tool
 writes these configs into the work directory, so every checkout runs the
 same files.
 Prints one ``<run>/<file> <sha256> <exit code>`` line per emitted file,
@@ -178,10 +181,24 @@ LN_PROBE_CONFIG = {
     "options": {"isolation_shells": [1.5]},
 }
 RUNS["analyze-ln-probe"] = ["analyze", "--config", "{work}/lnprobe.json"]
+# a P(t) that divides by zero at t = 1250, inside the EC horizon: the
+# quadrature's batch of times marks that time, and the scalar code run at
+# it names the division (exit 3)
+DIV_P_CONFIG = {"f": {"gallery": "ex31"}, "P": [["1/(t - 1250)", "0"], ["0", "1"]]}
+RUNS["ec-ex31-divP"] = ["ec", "--config", "{work}/divP.json"]
+# a negative integer power and a real power undefined on half the box: the
+# finder drops the seeds on x1 = 0 and x2 <= 0 for domain errors
+POW_CONFIG = {
+    "dimension": 2,
+    "f": "0 - (x1 - 0.5)^2 - (x2 - 1)^2 + 0.1*x2^1.5 + 0*x1^(-2)",
+    "box": [[-2.0, 2.0], [-2.0, 2.0]],
+    "options": {"grid_per_axis": 21},
+}
+RUNS["analyze-pow-drop"] = ["analyze", "--config", "{work}/pow.json"]
 GENERATED = {"oscP.json": OSC_P_CONFIG, "fnP.json": FN_P_CONFIG, "exp.json": EXP_CONFIG,
              "quad3.json": QUAD3_CONFIG, "leave.json": LEAVE_CONFIG, "hmin.json": HMIN_CONFIG,
              "ln.json": LN_CONFIG, "div0.json": DIV0_CONFIG, "lnprobe.json": LN_PROBE_CONFIG,
-             "wind.json": WIND_CONFIG}
+             "wind.json": WIND_CONFIG, "divP.json": DIV_P_CONFIG, "pow.json": POW_CONFIG}
 
 
 def digests(repo, work):
