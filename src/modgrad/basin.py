@@ -25,7 +25,6 @@ __all__ = [
     "HypothesesReport",
     "BasinVerification",
     "extract_component",
-    "grid_values",
     "check_hypotheses",
     "verify_basin",
     "sample_cells",
@@ -193,13 +192,6 @@ def slab_rows(resolution):
     return max(1, _SLAB_CELLS // math.prod(resolution[1:]))
 
 
-def _slab_values(field, axes, start, stop):
-    """f (NaN outside D) on axis-0 rows start..stop-1, from ``eval_grid`` on their open
-    grid: a term in fewer variables than n is computed over those axes only."""
-    grids = np.meshgrid(axes[0][start:stop], *axes[1:], indexing="ij", sparse=True)
-    return np.broadcast_arrays(field.eval_grid(grids), *grids)[0]
-
-
 def extract_component(field, anchor, c, resolution):
     """Flood-fill the component of {c < f < M} (anchor exempt) around x̄."""
     n = field.dimension
@@ -235,7 +227,10 @@ def extract_component(field, anchor, c, resolution):
     rows = slab_rows(resolution)
     with np.errstate(invalid="ignore"):
         for start in range(0, resolution[0], rows):
-            values = _slab_values(field, axes, start, start + rows)
+            # f (NaN outside D) from eval_grid on the slab's open grid: a
+            # term in fewer variables than n is computed over those axes only
+            grids = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij", sparse=True)
+            values = field.eval_grid(grids)
             np.logical_and(values > c, values < m_value, out=predicate[start:start + rows])
 
     anchor_cell = _cell_index(anchor, lo, widths, resolution)
@@ -254,20 +249,6 @@ def extract_component(field, anchor, c, resolution):
         anchor_cell=anchor_cell,
         boundary_cells=exposed_cells(mask),
     )
-
-
-def grid_values(field, component, cells):
-    """f (NaN outside D) at the cells whose indices are the rows of the int array *cells*, with
-    the dense grid's bits, from the axis-0 slabs that hold the cells, one at a time."""
-    axes = component.axis_centers()
-    rows = slab_rows(component.resolution)
-    slab = cells[:, 0] // rows
-    out = np.empty(len(cells))
-    for s in np.flatnonzero(np.bincount(slab)).tolist():  # np.unique imports numpy.ma
-        at = slab == s
-        values = _slab_values(field, axes, s * rows, (s + 1) * rows)
-        out[at] = values[(cells[at, 0] - s * rows, *cells[at, 1:].T)]
-    return out
 
 
 class HypothesisVerdict(Record):
@@ -351,7 +332,7 @@ def check_hypotheses(component, field, critical_points, tol_boundary=None):
     nbs, in_box = neighbour_cells(cells, component.resolution)
     face_cell = np.nonzero(in_box)[0]
     nbs = nbs[in_box]
-    f_nb = grid_values(field, component, nbs)
+    f_nb = field.batch("eval", component.cell_centers(nbs))[0]
 
     # H4 --------------------------------------------------------------
     # a face on the box wall or on a NaN cell

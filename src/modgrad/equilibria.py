@@ -3,11 +3,11 @@
 Newton's method on grad f = 0 (Hessian as Jacobian, Levenberg damping when
 the Hessian is near singular) seeded from a regular grid over the box.  All
 seeds run in lockstep along a leading axis, as in ``ode.simulate_batch``:
-each iteration is one ``grad_batch`` and one ``hessian_batch`` call on the
-rows still running and one stacked elimination (``linalg.solve_rows``),
-which gives each row its det, its step and whether it is singular; a row
-leaves the batch when it converges or is dropped.  The kernels' own mask
-of failing rows (``ScalarField.batch``) says which rows hit a domain
+each iteration is one gradient and one Hessian ``ScalarField.batch`` call
+on the rows still running and one stacked elimination
+(``linalg.solve_rows``), which gives each row its det, its step and
+whether it is singular; a row leaves the batch when it converges or is
+dropped.  The batch's mask of failing rows says which rows hit a domain
 error.  Every row takes the steps a one-seed loop would take, bit for bit,
 on every CPU.  Isolation is probed by sampling |grad f| on shrinking
 shells, every point's in one batch; the result is labeled evidence, not

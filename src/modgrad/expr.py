@@ -75,17 +75,10 @@ def _rpow(v, e):
 
 
 def _elementwise(fn, fails):
-    """*fn* called on each element of an array, as a float array; only when
-    fn raises is it mapped again, with the elements that *fails* marks set
-    to NaN."""
+    """*fn* called on each element of an array, as a float array, with the
+    elements that *fails* marks set to NaN first, so that none raises."""
     ufunc = np.frompyfunc(fn, 1, 1)
-
-    def apply(x):
-        try:
-            return np.asarray(ufunc(x), dtype=float)
-        except (ValueError, OverflowError):
-            return np.asarray(ufunc(np.where(fails(x), math.nan, x)), dtype=float)
-    return apply
+    return lambda x: np.asarray(ufunc(np.where(fails(x), math.nan, x)), dtype=float)
 
 
 # names the rendered source calls: the math functions raise on a domain
@@ -433,19 +426,27 @@ def _domain_reason(node):
     return "division by zero" if isinstance(node, BinOp) and node.op == "/" else None
 
 
+def _call_exact(fn, columns):
+    """*fn*, compiled for ``_EXACT_NS``, over *columns* with numpy's
+    floating-point errors ignored: its values and failure mask, which
+    broadcast to the columns' shape.  A division of two constants raises at
+    every row in the scalar code, so it gives NaN values and True."""
+    if len(columns) != len(fn.params):
+        raise ValueError("wrong number of columns")
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*columns)
+    except ZeroDivisionError:
+        return [math.nan] * fn.width, True
+
+
 def _exact(fn, columns):
     """*fn*, compiled for ``_EXACT_NS``, over *columns* (one array per
     parameter, all of one length m): a (roots, m) array with the bits the
     scalar function gives each row, and the mask of the rows where it
     raises, whose values are not defined."""
-    if len(columns) != len(fn.params):
-        raise ValueError("wrong number of columns")
+    values, failed = _call_exact(fn, columns)
     m = len(columns[0])
-    try:
-        with np.errstate(all="ignore"):
-            values, failed = fn(*columns)
-    except ZeroDivisionError:  # of two constants: the scalar code raises at every row
-        return np.full((fn.width, m), math.nan), np.ones(m, dtype=bool)
     out = np.empty((len(values), m))
     for row, v in zip(out, values):
         row[...] = v  # a constant component is a Python float
@@ -718,10 +719,7 @@ class Expression:
         ``eval`` gives it, and NaN where ``eval`` raises a domain error;
         callers scanning grids treat those cells as "outside".
         """
-        if len(columns) != self.dimension:
-            raise ValueError("wrong number of columns")
-        with np.errstate(all="ignore"):
-            (out,), failed = self._value_exact(*columns)
+        (out,), failed = _call_exact(self._value_exact, columns)
         return np.where(failed, math.nan, out) if np.any(failed) else np.asarray(out, dtype=float)
 
 

@@ -7,14 +7,14 @@ P(t) * grad f(x) computed by ``System.rhs_batch`` for a stack of states
 (the integrator's path) is the single source of truth for the vector
 field.
 
-Each quantity of a field has one kernel, a batch method over states
-stacked along a leading axis; the scalar ``eval``/``grad``/``hessian``
-are its batch of one (``ExpressionField``'s run the expression's compiled
-scalar function, which gives the same bits).  A row outside D, or one
-whose evaluation hits a domain error, comes back NaN instead of raising.
-``ScalarField.batch`` also says which rows those are, and
-``raise_row_error`` re-runs the first of them alone to raise the error a
-row-by-row loop would have raised; no other module re-runs rows.
+A field has one kernel, ``ScalarField.batch(kind, x)``, for its value,
+gradient and Hessian over states stacked along a leading axis; the scalar
+``eval``/``grad``/``hessian`` are its batch of one (``ExpressionField``'s
+run the expression's compiled scalar function, which gives the same
+bits).  A row outside D, or one whose evaluation hits a domain error,
+comes back NaN instead of raising, and ``batch`` says which rows those
+are; ``raise_row_error`` re-runs the first of them alone to raise the
+error a row-by-row loop would have raised; no other module re-runs rows.
 """
 
 import numpy as np
@@ -72,12 +72,10 @@ class Box(Record):
 class ScalarField:
     """f on D: evaluation, gradient and Hessian, answered only inside D.
 
-    A subclass implements the batch kernels ``eval_batch``, ``grad_batch``
-    (shape (m, n)) and ``hessian_batch`` (shape (m, n, n)) for an (m, n)
-    array of points, NaN on exactly the rows where the scalar method would
-    raise, and ``eval_grid``; where D is not the box, also ``inside_batch``
-    and ``inside``.  ``eval``, ``grad`` and ``hessian`` check the point and
-    run ``_scalar``, by default the batch kernel on one row.
+    A subclass implements ``batch`` and ``eval_grid``; where D is not the
+    box, also ``inside_batch`` and ``inside``.  ``eval``, ``grad`` and
+    ``hessian`` check the point and run ``_scalar``, by default ``batch``
+    on one row.
     """
 
     def __init__(self, dimension, box):
@@ -113,15 +111,14 @@ class ScalarField:
     def _scalar(self, kind, x):
         """*kind* ("eval", "grad" or "hessian") at x inside D.  A subclass
         whose kernels can hit a domain error overrides this to raise it."""
-        return getattr(self, kind + "_batch")(np.asarray(x, dtype=float)[None])[0]
+        return self.batch(kind, np.asarray(x, dtype=float)[None])[0][0]
 
     def batch(self, kind, x):
-        """*kind*'s batch kernel at the rows of x, and the mask of the rows
-        where the scalar *kind* raises (outside D, or a domain error): here
-        the NaN rows.  A subclass whose kernels return NaN values overrides
-        this."""
-        values = getattr(self, kind + "_batch")(x)
-        return values, np.isnan(values).any(axis=tuple(range(1, values.ndim)))
+        """*kind* ("eval", "grad" or "hessian") at each row of the (m, n)
+        array x, shape (m,), (m, n) or (m, n, n), and the mask of the rows
+        where the scalar *kind* raises (outside D, or a domain error),
+        whose values are NaN."""
+        raise NotImplementedError
 
     def raise_row_error(self, x, failed, *kinds):
         """Raise what the scalar *kinds*, run in order, raise at the first
@@ -167,15 +164,6 @@ class ExpressionField(ScalarField):
 
     def eval_grid(self, columns):
         return self.expression.eval_array(columns)
-
-    def eval_batch(self, x):
-        return self.batch("eval", x)[0]
-
-    def grad_batch(self, x):
-        return self.batch("grad", x)[0]
-
-    def hessian_batch(self, x):
-        return self.batch("hessian", x)[0]
 
     def batch(self, kind, x):
         """The expression's exact array kernel for *kind* on the rows inside
@@ -314,7 +302,7 @@ class System(Record):
         """P(t) * grad f(x) row by row for times t (shape (m,)) and states x
         (shape (m, n)); NaN rows where x is outside D or grad f hits a domain
         error there.  A domain error in P(t) raises."""
-        return self.p_times(t, self.field.grad_batch(x))
+        return self.p_times(t, self.field.batch("grad", x)[0])
 
     def p_times(self, t, g, p=None):
         """P(t) * g row by row for g of shape (m, n), given p = ``matrix.value_batch(t)``

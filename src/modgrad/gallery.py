@@ -208,32 +208,29 @@ class _RadialField(ScalarField):
     def inside_batch(self, x):
         return self._radii(x)[2]
 
-    def eval_batch(self, x):
-        _, _, inside, u = self._radii(x)
-        return np.where(inside, self.cubic.value(u), np.nan)
-
-    def grad_batch(self, x):
+    def batch(self, kind, x):
+        # the kernels are NaN only off the disk, so the failed rows are those
         x, r, inside, u = self._radii(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = (self.cubic.slope(u) / u)[:, None] * x  # the bits of -p'(-r) / r
-        if not r.all():
-            g[r == 0.0] = 0.0
-        if not inside.all():
-            g[~inside] = np.nan
-        return g
-
-    def hessian_batch(self, x):
-        x, r, inside, u = self._radii(x)
-        gpp = self.cubic.curvature(u)[:, None, None]
-        eye = np.eye(2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = x / r[:, None]
-            proj = unit[:, :, None] * unit[:, None, :]
-            h = gpp * proj + (-self.cubic.slope(u) / r)[:, None, None] * (eye - proj)
-        at_origin = r == 0.0
-        h[at_origin] = gpp[at_origin] * eye
-        h[~inside] = np.nan
-        return h
+        if kind == "eval":
+            values = self.cubic.value(u)
+        elif kind == "grad":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = (self.cubic.slope(u) / u)[:, None] * x  # the bits of -p'(-r) / r
+            if not r.all():
+                values[r == 0.0] = 0.0
+        else:
+            gpp = self.cubic.curvature(u)[:, None, None]
+            eye = np.eye(2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                unit = x / r[:, None]
+                proj = unit[:, :, None] * unit[:, None, :]
+                values = gpp * proj + (-self.cubic.slope(u) / r)[:, None, None] * (eye - proj)
+            at_origin = r == 0.0
+            values[at_origin] = gpp[at_origin] * eye
+        failed = ~inside
+        if failed.any():
+            values[failed] = np.nan
+        return values, failed
 
 
 def example_2_2(depth=20):

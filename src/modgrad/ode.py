@@ -15,7 +15,7 @@ floats do (a reduce over the outer axis of a stack, not a BLAS kernel
 chosen for the CPU).  The controller's powers are ``np.float_power``'s,
 whose float64 loop is libm's ``pow`` per element; ``np.power`` dispatches
 to SIMD kernels chosen for the CPU, which round some powers differently.
-A stage state outside D gets a NaN right-hand side (``ScalarField.grad_batch``),
+A stage state outside D gets a NaN right-hand side (``ScalarField.batch``),
 which reaches every later stage; its row ends with LEFT_DOMAIN, so every
 accepted state, the last stage's, is inside D with no further check.
 """

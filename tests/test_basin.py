@@ -15,7 +15,6 @@ from modgrad.basin import _flood, _lipschitz_estimate
 from modgrad.basin import (
     check_hypotheses,
     extract_component,
-    grid_values,
     sample_cells,
     sample_region,
     verify_basin,
@@ -313,7 +312,8 @@ class TestOpenGrid:
         got = extract_component(field, anchor, c, resolution)
         want = ref.extract_component(field, anchor, c, resolution)
 
-        values = grid_values(field, got, _every_cell(got)).reshape(got.resolution)
+        values = field.batch("eval", got.cell_centers(_every_cell(got)))[0]
+        values = values.reshape(got.resolution)
         assert want.values.shape == got.resolution
         assert np.array_equal(values.view(np.uint64),
                               np.ascontiguousarray(want.values).view(np.uint64))
@@ -345,7 +345,8 @@ class TestOpenGrid:
             return comp, check_hypotheses(comp, field, [])
 
         comp, hyp = rep("ex22-nan")
-        values = grid_values(fields["ex22"].system.field, comp, _every_cell(comp))
+        field = fields["ex22"].system.field
+        values = field.batch("eval", comp.cell_centers(_every_cell(comp)))[0]
         assert np.isnan(values).any() and not hyp.h4.passed
         assert not rep("ex21-wall")[1].h4.passed
         assert any(w[2] == "crossing hits f = M" for w in rep("ex31-p1-c20")[1].h5.witnesses)
@@ -367,7 +368,8 @@ class TestOpenGrid:
         rows = basin.slab_rows(got.resolution)
         assert rows == 1 if got.dimension == 3 else got.resolution[0] % rows
 
-        values = grid_values(field, got, _every_cell(got)).reshape(got.resolution)
+        values = field.batch("eval", got.cell_centers(_every_cell(got)))[0]
+        values = values.reshape(got.resolution)
         assert np.array_equal(values.view(np.uint64),
                               np.ascontiguousarray(want.values).view(np.uint64))
         assert np.array_equal(got.mask, want.mask)
@@ -406,20 +408,20 @@ class TestOpenGrid:
         box = Box((0.0, 0.0), (1.0, 2.0))
         comp = extract_component(_field("x2", box), (0.5, 1.5), 0.25, (40, 64))
         want = ref.extract_component(_field("x2", box), (0.5, 1.5), 0.25, (40, 64))
-        values = grid_values(_field("x2", box), comp, _every_cell(comp))
+        values = _field("x2", box).batch("eval", comp.cell_centers(_every_cell(comp)))[0]
         assert np.array_equal(values.reshape(comp.resolution), want.values)
         assert np.array_equal(comp.mask, want.mask)
         assert np.array_equal(comp.boundary_cells, want.boundary_cells)
         # a constant: only the anchor cell, which is exempt from c < f < M
         comp = extract_component(_field("5", box), (1.0, 1.0), -10.0, 32)
-        values = grid_values(_field("5", box), comp, _every_cell(comp))
+        values = _field("5", box).batch("eval", comp.cell_centers(_every_cell(comp)))[0]
         assert values.shape == (32 * 32,) and np.all(values == 5.0)
         assert np.argwhere(comp.mask).tolist() == [list(comp.anchor_cell)]
         assert np.array_equal(comp.boundary_cells, [comp.anchor_cell])
 
 
 class TestGridIsTheBatch:
-    """The grid pass's f at each cell center is ``eval_batch``'s f there,
+    """The grid pass's f at each cell center is ``batch("eval", x)``'s f there,
     bit for bit, and not finite where the batch marks the row as failed."""
 
     @pytest.mark.parametrize("field", [

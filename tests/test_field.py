@@ -77,13 +77,28 @@ class TestScalarField:
                 assert grid[i, j] == f.eval((g1[i, j], g2[i, j]))
 
 
+    def test_constant_division_by_zero_is_nan_on_the_whole_grid(self):
+        # 1/(2-2) raises at every point in the scalar code: the grid is NaN
+        # throughout, without raising, as the batch marks every row
+        e = parse("x1 + 1/(2-2)", 2)
+        f = ExpressionField(e, Box((-1.0, -1.0), (1.0, 1.0)))
+        xs = np.linspace(-1.0, 1.0, 5)
+        columns = np.meshgrid(xs, xs, indexing="ij", sparse=True)
+        for grid in (e.eval_array(columns), f.eval_grid(columns)):
+            assert np.isnan(np.broadcast_to(grid, (5, 5))).all()
+        values, failed = f.batch("eval", np.zeros((3, 2)))
+        assert failed.all() and np.isnan(values).all()
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            f.eval((0.0, 0.0))
+
+
 class TestBatchEvaluation:
     def test_rows_match_scalar_and_nan_where_scalar_raises(self):
         f = ExpressionField(parse("ln(x1) + x2^2", 2), Box((-1.0, -1.0), (2.0, 2.0)))
         x = np.array([[0.5, 0.3], [3.0, 0.0], [-0.5, 0.2], [1.5, -1.0]])
         assert f.inside_batch(x).tolist() == [True, False, True, True]
-        g = f.grad_batch(x)
-        v = f.eval_batch(x)
+        g = f.batch("grad", x)[0]
+        v = f.batch("eval", x)[0]
         for i in (0, 3):
             assert np.array_equal(g[i], f.grad(x[i]))
             assert v[i] == f.eval(x[i])
@@ -103,7 +118,7 @@ class TestBatchEvaluation:
     def test_shape_checked(self):
         f = ExpressionField(parse("x1 + x2", 2), Box((-1.0, -1.0), (1.0, 1.0)))
         with pytest.raises(ValueError, match="shape"):
-            f.grad_batch([0.0, 0.0])
+            f.batch("grad", [0.0, 0.0])
 
     def test_rhs_batch_matches_rhs_for_time_varying_path(self, ex21):
         t = np.array([0.0, 0.5, 3.0, 40.0])
@@ -117,8 +132,8 @@ class TestBatchEvaluation:
 
 
 class TestExactBatches:
-    """``ExpressionField.eval_batch``/``grad_batch`` run the expression's
-    exact array kernel; they must equal the scalar row loop bit for bit."""
+    """``ExpressionField.batch`` runs the expression's exact array kernel;
+    it must equal the scalar row loop bit for bit."""
 
     @staticmethod
     def _row_loop(f, x):
@@ -127,7 +142,7 @@ class TestExactBatches:
 
     def _assert_rows_equal(self, f, x):
         want_v, want_g = self._row_loop(f, x)
-        got_v, got_g = f.eval_batch(x), f.grad_batch(x)
+        got_v, got_g = f.batch("eval", x)[0], f.batch("grad", x)[0]
         assert got_v.shape == want_v.shape and got_g.shape == want_g.shape
         assert np.array_equal(got_v, want_v, equal_nan=True)
         assert np.array_equal(got_g, want_g, equal_nan=True)
@@ -146,8 +161,8 @@ class TestExactBatches:
         f = ExpressionField(ex31.system.field.expression, ex31.system.field.box)
         f.expression = _ExactKernelsOnly(f.expression)
         x = np.array([[2.0, 4.0], [9.0, 0.0], [0.5, 3.0]])
-        assert np.isnan(f.eval_batch(x)).tolist() == [False, True, False]
-        assert np.isnan(f.grad_batch(x)).any(axis=1).tolist() == [False, True, False]
+        assert np.isnan(f.batch("eval", x)[0]).tolist() == [False, True, False]
+        assert np.isnan(f.batch("grad", x)[0]).any(axis=1).tolist() == [False, True, False]
 
     def test_random_polynomials(self):
         rng = np.random.default_rng(2718)
@@ -202,9 +217,9 @@ class TestExactBatches:
         inside = f.inside_batch(x)
         assert 0 < inside.sum() < len(x) and not np.isnan(v[inside]).any()
         f.expression = _ExactKernelsOnly(f.expression)
-        assert f.eval_batch(x).tobytes() == v.tobytes()
-        assert f.grad_batch(x).tobytes() == g.tobytes()
-        assert f.hessian_batch(x).tobytes() == h.tobytes()
+        assert f.batch("eval", x)[0].tobytes() == v.tobytes()
+        assert f.batch("grad", x)[0].tobytes() == g.tobytes()
+        assert f.batch("hessian", x)[0].tobytes() == h.tobytes()
 
     # rows: x1 = 0 and x1 = -1 are domain errors of ln, sqrt and real powers;
     # x1 = 1000 overflows libm's exp, and x1^400 overflows to inf at x1 = 10
@@ -268,12 +283,12 @@ class TestExactBatches:
 
 
 class TestHessianBatch:
-    """``hessian_batch`` equals the scalar ``hessian`` row by row, bit for
-    bit, NaN where ``hessian`` raises: the exact kernel and the row loop."""
+    """``batch("hessian", x)`` equals the scalar ``hessian`` row by row, bit
+    for bit, NaN where ``hessian`` raises: the exact kernel and the row loop."""
 
     @staticmethod
     def _assert_rows_equal(f, x):
-        got = f.hessian_batch(x)
+        got = f.batch("hessian", x)[0]
         assert got.shape == (len(x), f.dimension, f.dimension)
         want = row_loop(f.expression.hessian, f, x, (f.dimension,) * 2)
         assert got.tobytes() == want.tobytes()
@@ -290,7 +305,7 @@ class TestHessianBatch:
         h = self._assert_rows_equal(f, x)
         assert np.isnan(h).any() and not np.isnan(h[f.inside_batch(x)]).any()
         f.expression = _ExactKernelsOnly(f.expression)
-        assert f.hessian_batch(x).tobytes() == h.tobytes()
+        assert f.batch("hessian", x)[0].tobytes() == h.tobytes()
 
     def test_random_polynomials(self):
         rng = np.random.default_rng(4242)
@@ -318,12 +333,12 @@ class TestHessianBatch:
 
 class TestGradContract:
     """What the integrator relies on to skip a re-check of accepted states:
-    ``grad_batch`` rows are all NaN exactly where ``inside_batch`` is
+    ``batch("grad", x)`` rows are all NaN exactly where ``inside_batch`` is
     False (and, for fields without domain errors, free of NaN inside D)."""
 
     @staticmethod
     def _assert_contract(f, x):
-        g = f.grad_batch(x)
+        g = f.batch("grad", x)[0]
         inside = f.inside_batch(x)
         assert np.array_equal(np.isnan(g).all(axis=1), ~inside)
         assert not np.isnan(g[inside]).any()

@@ -130,8 +130,8 @@ class TestExample22Field:
         x[50] = 0.0
         x[51:55] = [[0.5, 0.0], [0.0, -0.25], [0.9, 0.9], [1.0, 0.0]]
         inside = fld.inside_batch(x)
-        g = fld.grad_batch(x)
-        v = fld.eval_batch(x)
+        g = fld.batch("grad", x)[0]
+        v = fld.batch("eval", x)[0]
         for i, row in enumerate(x):
             assert inside[i] == radial_inside(fld, row) == fld.inside(row)
             if inside[i]:
@@ -153,7 +153,7 @@ class TestExample22Field:
         x[42:62] = [[2.0 ** -n, 0.0] for n in range(20)]
         x[62:72] = [[0.0, -(2.0 ** -n)] for n in range(10)]
         x[72:76] = [[0.9, 0.9], [1.0, 0.0], [1.5, 0.0], [0.6 ** 0.5, 0.4 ** 0.5]]
-        h = fld.hessian_batch(x)
+        h = fld.batch("hessian", x)[0]
         assert h.shape == (400, 2, 2)
         for i, row in enumerate(x):
             if radial_inside(fld, row):
@@ -163,6 +163,25 @@ class TestExample22Field:
                 assert np.isnan(h[i]).all()
         assert np.isnan(h[72]).all() and not np.isnan(h[73]).any()
 
+    def test_batch_mask_is_the_nan_rows(self, ex22):
+        # the mask is the rows off the disk; it equals the rows where each
+        # kernel is NaN, and an unmarked row is never NaN: inside the disk,
+        # at the origin and tiny radii, on r = 1, outside it, NaN and +-inf
+        fld = ex22.system.field
+        x = np.array([[0.3, -0.4], [0.0, 0.0], [-0.0, 1e-300], [5e-324, 0.0],
+                      [2.0 ** -20, 0.0], [1.0, 0.0], [0.0, -1.0], [0.6, 0.8],
+                      [0.8, 0.8], [1.5, 0.0], [1e300, 1e300], [np.nan, 0.0],
+                      [0.0, np.nan], [np.inf, 0.0], [-np.inf, 0.5], [0.0, -np.inf]])
+        inside = fld.inside_batch(x)
+        assert inside[:7].all() and not inside[8:].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for kind in ("eval", "grad", "hessian"):
+                values, failed = fld.batch(kind, x)
+                nan = np.isnan(values.reshape(len(x), -1))
+                assert np.array_equal(failed, nan.any(axis=1))
+                assert np.array_equal(failed, ~inside) and nan[failed].all()
+
     def test_rows_far_outside_give_nan_rows_without_warnings(self, ex22):
         # the cubic is evaluated at -r clamped to [-1, 0]: no overflow at
         # r = 1e300, and no invalid operation outside np.errstate
@@ -171,7 +190,7 @@ class TestExample22Field:
                       [-np.inf, np.inf], [0.5, 0.0], [0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            v, g, h = fld.eval_batch(x), fld.grad_batch(x), fld.hessian_batch(x)
+            v, g, h = fld.batch("eval", x)[0], fld.batch("grad", x)[0], fld.batch("hessian", x)[0]
             inside = fld.inside_batch(x)
         assert inside.tolist() == [False] * 5 + [True] * 2
         assert np.isnan(v[:5]).all() and np.isnan(g[:5]).all() and np.isnan(h[:5]).all()

@@ -24,7 +24,9 @@ that winds along the ridge x2 = sin(3 x1) (``WIND_CONFIG``), and
 ``StepFailure``.  ``analyze-ln-drop``, ``basin-div0-bisect`` and
 ``analyze-ln-probe`` run fields defined on part of the box (``ln``, ``/``):
 the finder drops seeds for domain errors, and H5's bisection and an
-isolation shell meet one, which ends the run with exit 3.
+isolation shell meet one, which ends the run with exit 3;
+``basin-ln-edge-r256`` extracts a basin whose H4 check meets cells where
+``ln`` is undefined.
 ``analyze-pow-drop`` drops seeds where a negative integer power or a real
 power is undefined, and ``ec-ex31-divP`` grades a P(t) that divides by
 zero inside the horizon (exit 3).  The tool
@@ -166,6 +168,11 @@ RUNS["simulate-hmin"] = ["simulate", "--config", "{work}/hmin.json",
 # an isolation shell reaches ln's domain error (exit 3)
 LN_CONFIG = {"dimension": 2, "f": "ln(x1*x2) - x1 - x2", "box": [[-1.0, 3.0], [-1.0, 3.0]]}
 RUNS["analyze-ln-drop"] = ["analyze", "--config", "{work}/ln.json"]
+# a basin of the same f whose boundary reaches the cells where ln is
+# undefined: H4 fails on faces that border those (NaN) cells or the box
+# wall, and H5 refines the other exposed faces (exit 0)
+RUNS["basin-ln-edge-r256"] = ["basin", "--config", "{work}/ln.json", "--anchor", "1,1",
+                              "--c=-6", "--resolution", "256"]
 DIV0_CONFIG = {
     "dimension": 2,
     "f": "0 - x1^2 - x2^2 + 0/(x1 - 0.5) + 0/(x2 - 0.5)",
