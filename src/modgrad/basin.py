@@ -445,8 +445,10 @@ def sample_cells(component, count, seed=0):
 def sample_region(field, anchor, c, count, seed=0):
     """Rejection-sample starts satisfying c < f < M near the anchor.
 
-    Fallback for dimensions beyond grid reach: draws from balls of growing
-    radius around the anchor and keeps points inside D with c < f < M.
+    Fallback for dimensions beyond grid reach: draws 2,000 points from each
+    ball of growing radius around the anchor, one batch a radius and
+    200,000 at most, and keeps the first *count* inside D with c < f < M; a
+    domain error raises at the first draw that hits one before that.
     Near the anchor the predicate set coincides with the component E, but
     connectivity is NOT checked here; that is what the grid path is for.
     """
@@ -454,18 +456,23 @@ def sample_region(field, anchor, c, count, seed=0):
     m_value = float(field.eval(anchor))
     if c >= m_value:
         raise ValueError(f"c must be below f(anchor) = {m_value:g}")
+    n = field.dimension
     rng = random.Random(int(seed))
     r_max = field.box.clip_radius(anchor)
     samples = []
-    tries = 0
     radius = 0.05 * r_max
-    while len(samples) < count and tries < 200_000:
-        tries += 1
-        direction = _unit_vector(rng, field.dimension)
-        x = anchor + radius * rng.random() ** (1.0 / field.dimension) * direction
-        if field.inside(x) and c < field.eval(x) < m_value:
-            samples.append(x)
-        if tries % 2000 == 0 and radius < r_max:
+    for _ in range(100):
+        if len(samples) >= count:
+            break
+        draws = [(_unit_vector(rng, n), rng.random()) for _ in range(2000)]
+        scale = np.array([radius * u ** (1.0 / n) for _, u in draws])
+        x = anchor + scale[:, None] * np.array([d for d, _ in draws])
+        values, failed = field.batch("eval", x)
+        kept = ~failed & (c < values) & (values < m_value)
+        need = count - len(samples)
+        field.raise_row_error(x, failed & field.inside_batch(x) & (np.cumsum(kept) < need), "eval")
+        samples += list(x[kept][:need])
+        if radius < r_max:
             radius = min(2.0 * radius, r_max)
     if len(samples) < count:
         raise NumericFailure(

@@ -77,7 +77,6 @@ class CriticalPoint(Record):
 class FinderDiagnostics(Record):
     _fields = ("seeds", "converged", "dropped_no_convergence", "dropped_outside",
                "dropped_singular", "dropped_domain", "duplicates_merged")
-    _mutable = True
 
     def __init__(self, seeds=0, converged=0, dropped_no_convergence=0, dropped_outside=0,
                  dropped_singular=0, dropped_domain=0, duplicates_merged=0):
@@ -189,15 +188,6 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
     roots = x[outcome == "converged"]
     root_inside = field.inside_batch(roots)
     roots = roots[root_inside]
-    diags = FinderDiagnostics(
-        seeds=len(seeds),
-        converged=len(roots),
-        dropped_no_convergence=int((outcome == "no_convergence").sum()),
-        dropped_outside=int((~inside).sum() + (outcome == "outside").sum()
-                            + (~root_inside).sum()),
-        dropped_singular=int((outcome == "singular").sum()),
-        dropped_domain=int((outcome == "domain").sum()),
-    )
 
     # each pass keeps the first remaining root and drops the remaining
     # roots within the radius of it, so a root is kept when no earlier kept
@@ -209,14 +199,22 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
         kept.append(rest[0])
         rest = rest[1:][~(linalg.row_norms(rest[1:] - rest[0]) <= dedup_radius)]
     reps = np.array(kept).reshape(-1, field.dimension)
-    diags.duplicates_merged = len(roots) - len(reps)
 
     g, failed = field.batch("grad", reps)
     field.raise_row_error(reps, failed, "grad")
     g_norm = linalg.row_norms(g)
     # dedup representatives must still satisfy the tolerance
     stale = g_norm > newton_tol
-    diags.dropped_no_convergence += int(stale.sum())
+    diags = FinderDiagnostics(
+        seeds=len(seeds),
+        converged=len(roots),
+        dropped_no_convergence=int((outcome == "no_convergence").sum() + stale.sum()),
+        dropped_outside=int((~inside).sum() + (outcome == "outside").sum()
+                            + (~root_inside).sum()),
+        dropped_singular=int((outcome == "singular").sum()),
+        dropped_domain=int((outcome == "domain").sum()),
+        duplicates_merged=len(roots) - len(reps),
+    )
     reps, g_norm = reps[~stale], g_norm[~stale]
     h, failed = field.batch("hessian", reps)
     field.raise_row_error(reps, failed, "hessian")

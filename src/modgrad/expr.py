@@ -2,20 +2,20 @@
 
 Scalar expressions over the variables x1..xn.  Each expression is
 differentiated symbolically once, when it is parsed; its value, gradient
-and Hessian are rendered to Python source and compiled into straight-line
-functions.  The same sources also run over numpy arrays, in one "exact"
-namespace that gives every element the bits the scalar code gives it.
-Elementwise ``+ - * /``, negation and ``sqrt`` are correctly rounded in
-numpy as in Python; integer powers are ``_ipow``'s chain of products, which
-works elementwise on arrays; ``exp``, ``ln``, ``sin``, ``cos`` and real
-powers call the scalar code's libm functions on each element
-(``np.frompyfunc``), so no array value depends on numpy's CPU dispatch.
-The array code runs in one pass with numpy's floating-point errors
-ignored (an overflow is the scalar code's inf) and reports its own domain
-errors: each operation that can fail comes with an elementwise test of
-exactly where the scalar operation raises (``_FAILS``), and the array
-function returns the OR of these tests with its values.  An element that
-fails is NaN in a libm map; NaN passes every test, as it passes ``math``.
+and Hessian are rendered to Python source and each compiled once, into a
+straight-line kernel that runs over numpy arrays (``Expression.batch``) and
+over one row of Python floats (``eval``, ``grad``, ``hessian``) with the
+same bits: elementwise ``+ - * /``, negation and ``sqrt`` are correctly
+rounded in numpy as in Python; integer powers are ``_ipow``'s chain of
+products; ``exp``, ``ln``, ``sin`` and ``cos`` call libm on each element
+(``np.frompyfunc``), so no value depends on numpy's CPU dispatch.  Each
+operation that can fail comes with an elementwise test of exactly where
+Python floats and ``math`` raise (``_FAILS``); the kernel runs with
+numpy's floating-point errors ignored (an overflow is inf) and returns the
+OR of its tests with its values.  A libm map sets the elements its test
+marks to NaN; NaN passes every test, as it passes ``math``.  On a marked
+row, ``_locate`` replays the kernel's operations and names the
+sub-expression of the first whose test fires.
 
 Grammar (precedence low to high: +,- < *,/ < unary minus < ^):
 
@@ -52,13 +52,11 @@ from .errors import EvalDomainError, ParseError
 __all__ = ["Expression", "parse", "ParseError", "EvalDomainError"]
 
 
-# -- scalar and array namespaces --------------------------------------------
+# -- the array namespace -----------------------------------------------------
 
 
 def _ipow(v, n):
-    """v**n by repeated (binary) multiplication."""
-    if n < 0:
-        return 1.0 / _ipow(v, -n)
+    """v**n, n >= 0, by repeated (binary) multiplication."""
     r = 1.0
     p = v
     while n:
@@ -70,35 +68,26 @@ def _ipow(v, n):
     return r
 
 
-def _rpow(v, e):
-    return math.exp(e * math.log(v))
-
-
-def _elementwise(fn, fails):
+def _elementwise(fn):
     """*fn* called on each element of an array, as a float array, with the
-    elements that *fails* marks set to NaN first, so that none raises."""
+    elements that the mask *failed* marks set to NaN first, so that none
+    raises."""
     ufunc = np.frompyfunc(fn, 1, 1)
-    return lambda x: np.asarray(ufunc(np.where(fails(x), math.nan, x)), dtype=float)
+    return lambda x, failed: np.asarray(ufunc(np.where(failed, math.nan, x)), dtype=float)
 
 
-# names the rendered source calls: the math functions raise on a domain
-# error
-_MATH_NS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
-            "sqrt": math.sqrt, "ipow": _ipow, "rpow": _rpow,
-            "inf": math.inf, "nan": math.nan}
+_LIBM = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos}
 _EXP_MAX = math.log(sys.float_info.max)  # math.exp overflows above it, inf aside
-# where each function of _MATH_NS, and a division by x, raises, elementwise;
-# never at NaN
+# where each libm function, math.sqrt and a division by x raise on a Python
+# float, elementwise; never at NaN
 _FAILS = {"exp": lambda x: (x > _EXP_MAX) & (x != math.inf), "ln": lambda x: x <= 0.0,
           "sin": np.isinf, "cos": np.isinf, "sqrt": lambda x: x < 0.0, "div": lambda x: x == 0.0}
-# arrays with the scalar namespace's bits: libm element by element, and
-# numpy only where it is correctly rounded; the array source writes a real
-# power as _rpow's exp and ln, and a negative integer power as _ipow's
-# reciprocal, so that their tests are those of exp, ln and the division
-_EXACT_NS = {**{name: _elementwise(_MATH_NS[name], _FAILS[name])
-                for name in ("exp", "ln", "sin", "cos")},
-             **{name + "_fails": test for name, test in _FAILS.items()},
-             "sqrt": np.sqrt, "ipow": _ipow, "inf": math.inf, "nan": math.nan}
+# the names the compiled source calls; it writes a real power as
+# exp(e*ln(base)) and a negative integer power as the reciprocal of _ipow's
+# chain, so that their tests are those of exp, ln and the division
+_NS = {**{name: _elementwise(fn) for name, fn in _LIBM.items()},
+       **{name + "_fails": test for name, test in _FAILS.items()},
+       "sqrt": np.sqrt, "ipow": _ipow, "inf": math.inf, "nan": math.nan}
 _FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
 
 
@@ -336,38 +325,43 @@ def _op_source(node, args):
         return "t"
     if isinstance(node, Neg):
         return f"-{args[0]}"
-    if isinstance(node, Pow):
-        if node.integral:
-            return f"ipow({args[0]}, {int(node.exponent)})"
-        return f"rpow({args[0]}, {node.exponent!r})"
-    if isinstance(node, Call):
-        return f"{node.func}({args[0]})"
+    if isinstance(node, Pow):  # an integer exponent >= 0
+        return f"ipow({args[0]}, {int(node.exponent)})"
+    if isinstance(node, Call):  # a libm map's last operand is its test's mask
+        return f"{node.func}({', '.join(args)})"
     if node.op in "+*":
         args = sorted(args)  # commutative in floating point too
     return f"{args[0]} {node.op} {args[1]}"
 
 
-def _compile(roots, guarded, params, exact):
-    """Compile ``f(*params)`` returning *roots* as a tuple: for Python floats
-    (``_MATH_NS``), or, when *exact*, for arrays (``_EXACT_NS``), returning
-    also the OR of its domain tests; *params* names the variables (``x0``,
-    ``x1``, .. or ``t``).  Operations of the same text are computed once;
-    the operations under *guarded* that can fail run too, for the domain
-    errors they raise.  ``f.ops`` and ``f.params`` are kept for the error
-    locator.  The source holds no text of the parsed input.
+def _compile(roots, guarded, params):
+    """Compile ``f(*params)`` returning *roots* as a tuple and the OR of the
+    domain tests of its operations, over arrays or one row of Python
+    floats; *params* names the variables (``x0``, ``x1``, .. or ``t``).
+    Operations of the same text are computed once, and so is each test,
+    into a local that the mask ORs and a libm map takes; the operations
+    under *guarded* that can fail are tested too.  ``f.ops`` and
+    ``f.params`` are kept for the error locator.  The source holds no text
+    of the parsed input.
     """
     text = {}  # id(node) -> operand text
     temps = {}  # operation text -> local name
-    ops = []  # (local name, operation text, node, operand texts)
-    tests = {}  # domain test source -> the operand text it tests
+    ops = []  # (local name, node, operand texts, source node, (test local, test source))
+    tests = {}  # test source -> (its local name, the operand text it tests)
 
-    def emit(node, args):  # the local of *node*'s operation on *args*
+    def emit(node, args, source):  # the local of *node*'s operation on *args*
         txt = _op_source(node, args)
         if txt not in temps:
             temps[txt] = f"_{len(temps)}"
-            ops.append((temps[txt], txt, node, args))
-            if exact and _domain_reason(node):  # a function's argument, or a divisor
-                tests[f"{getattr(node, 'func', 'div')}_fails({args[-1]})"] = args[-1]
+            test = None
+            if _domain_reason(node):  # a function's argument, or a divisor
+                kind = getattr(node, "func", "div")
+                check = f"{kind}_fails({args[-1]})"
+                local = tests.setdefault(check, (f"_t{len(tests)}", args[-1]))[0]
+                test = (local, check)
+                if kind in _LIBM:
+                    args = [*args, local]
+            ops.append((temps[txt], node, args, source, test))
         return temps[txt]
 
     checks = [n for n in _postorder(guarded) if _domain_reason(n)]
@@ -375,24 +369,29 @@ def _compile(roots, guarded, params, exact):
         args = [text[id(c)] for c in _children(node)]
         if not args:
             text[id(node)] = _op_source(node, args)
-        elif exact and isinstance(node, Pow) and not node.integral:
-            log = emit(BinOp("*", None, None), [repr(node.exponent), emit(Call("ln", None), args)])
-            text[id(node)] = emit(Call("exp", None), [log])
-        elif exact and isinstance(node, Pow) and node.exponent < 0:
-            chain = emit(Pow(None, -node.exponent, True), args)
-            text[id(node)] = emit(BinOp("/", None, None), ["1.0", chain])
+        elif isinstance(node, Pow) and not node.integral:  # exp(e*ln(base))
+            log = emit(BinOp("*", None, None),
+                       [repr(node.exponent), emit(Call("ln", None), args, node)], node)
+            text[id(node)] = emit(Call("exp", None), [log], node)
+        elif isinstance(node, Pow) and node.exponent < 0:  # 1 / base^-e
+            chain = emit(Pow(None, -node.exponent, True), args, node)
+            text[id(node)] = emit(BinOp("/", None, None), ["1.0", chain], node)
         else:
-            text[id(node)] = emit(node, args)
+            text[id(node)] = emit(node, args, node)
     # A local used once is written into its user instead, so that numpy
     # frees each intermediate grid as soon as it is used; nesting stays
-    # well inside the parser's limit.  The array code drops the operations
-    # whose value nothing uses: only their tests count.
-    uses = Counter(a for *_, args in ops for a in args)
-    uses.update([*(text[id(r)] for r in roots), *tests.values()])
+    # well inside the parser's limit.  The operations whose value nothing
+    # uses are left out: only their tests count.
+    uses = Counter(a for _, _, args, _, _ in ops for a in args)
+    uses.update([*(text[id(r)] for r in roots), *(a for _, a in tests.values())])
     inline = {}  # local -> (parenthesized source, nesting depth)
     body = []
-    for name, _, node, args in ops:
-        if exact and not uses[name]:
+    bound = set()  # the test locals assigned so far
+    for name, node, args, _, test in ops:
+        if test and test[0] not in bound:  # a test's first operation binds it
+            bound.add(test[0])
+            body.append(f"    {test[0]} = {test[1]}\n")
+        if not uses[name]:
             continue
         parts = [inline.pop(a, (a, 0)) for a in args]
         source = _op_source(node, [p for p, _ in parts])
@@ -402,11 +401,10 @@ def _compile(roots, guarded, params, exact):
         else:
             body.append(f"    {name} = {source}\n")
     values = "".join(inline.pop(text[id(r)], (text[id(r)], 0))[0] + ", " for r in roots)
-    if exact:
-        values = f"({values}), " + (" | ".join(tests) or "False")
-    code = compile(f"def f({', '.join(params)}):\n{''.join(body)}    return ({values})\n",
+    mask = " | ".join(local for local, _ in tests.values()) or "False"
+    code = compile(f"def f({', '.join(params)}):\n{''.join(body)}    return ({values}), {mask}\n",
                    "<modgrad expression>", "exec")
-    scope = dict(_EXACT_NS if exact else _MATH_NS)
+    scope = dict(_NS)
     exec(code, scope)
     scope["f"].ops, scope["f"].params, scope["f"].width = ops, params, len(roots)
     return scope["f"]
@@ -416,7 +414,7 @@ _REASONS = {"ln": "ln of non-positive argument", "sqrt": "sqrt of negative argum
 
 
 def _domain_reason(node):
-    """Why *node*'s own scalar operation can fail; None when it cannot."""
+    """Why *node*'s own operation can fail; None when it cannot."""
     if isinstance(node, Pow):
         if not node.integral:
             return "non-positive base for real exponent"
@@ -427,10 +425,10 @@ def _domain_reason(node):
 
 
 def _call_exact(fn, columns):
-    """*fn*, compiled for ``_EXACT_NS``, over *columns* with numpy's
+    """*fn*, compiled by ``_compile``, over *columns* with numpy's
     floating-point errors ignored: its values and failure mask, which
-    broadcast to the columns' shape.  A division of two constants raises at
-    every row in the scalar code, so it gives NaN values and True."""
+    broadcast to the columns' shape.  A division of Python floats by zero
+    (two constants, or a row of floats) gives NaN values and True."""
     if len(columns) != len(fn.params):
         raise ValueError("wrong number of columns")
     try:
@@ -441,10 +439,10 @@ def _call_exact(fn, columns):
 
 
 def _exact(fn, columns):
-    """*fn*, compiled for ``_EXACT_NS``, over *columns* (one array per
-    parameter, all of one length m): a (roots, m) array with the bits the
-    scalar function gives each row, and the mask of the rows where it
-    raises, whose values are not defined."""
+    """*fn*, compiled by ``_compile``, over *columns* (one array per
+    parameter, all of one length m): a (roots, m) array with the bits *fn*
+    gives each row alone, and the mask of the rows where one of its
+    operations fails, whose values are not defined."""
     values, failed = _call_exact(fn, columns)
     m = len(columns[0])
     out = np.empty((len(values), m))
@@ -455,29 +453,19 @@ def _exact(fn, columns):
     return out, mask
 
 
-def _run(fn, args):
-    """A compiled scalar function at *args* (Python floats, so that 1/0
-    raises); a domain error raises EvalDomainError naming the
-    sub-expression of the first operation that fails."""
-    try:
-        return fn(*args)
-    except (ZeroDivisionError, ValueError, OverflowError):
-        _locate(fn, args)
-        raise
-
-
-def _locate(fn, args):
-    """Run *fn*'s operations one at a time and raise EvalDomainError for
-    the first that fails.  Only called once *fn* has raised."""
-    scope = dict(_MATH_NS)
-    scope.update(zip(fn.params, args))
-    for name, op, node, _ in fn.ops:
-        try:
-            scope[name] = eval(op, scope)
-        except OverflowError:
-            raise EvalDomainError(f"overflow in '{_render(node)}'") from None
-        except (ZeroDivisionError, ValueError):
-            raise EvalDomainError(f"{_domain_reason(node)} in '{_render(node)}'") from None
+def _locate(fn, row):
+    """Replay *fn*'s operations on one *row* (a Python float per parameter)
+    and raise EvalDomainError for the first whose own domain test fires,
+    naming the sub-expression it computes.  Only called on a marked row."""
+    scope = {**_NS, **dict(zip(fn.params, row))}
+    with np.errstate(all="ignore"):
+        for name, node, args, source, test in fn.ops:
+            if test:
+                scope[test[0]] = eval(test[1], scope)
+                if scope[test[0]]:
+                    why = "overflow" if test[1].startswith("exp_fails") else _domain_reason(source)
+                    raise EvalDomainError(f"{why} in '{_render(source)}'")
+            scope[name] = eval(_op_source(node, args), scope)
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -637,32 +625,23 @@ class _Parser:
 
 class Expression:
     """Immutable parsed expression; evaluation, gradient and Hessian are
-    pure functions of the inputs and safe for concurrent use.  A domain
-    error raises EvalDomainError naming the failing sub-expression.
+    pure functions of the inputs and safe for concurrent use.  Each is one
+    compiled kernel, run over arrays by ``batch`` and on one row of Python
+    floats by ``eval``, ``grad`` and ``hessian``, which raise
+    EvalDomainError naming the failing sub-expression.
     """
 
-    __slots__ = ("ast", "dimension", "_value", "_value_exact",
-                 "_grad", "_grad_exact", "_hessian", "_hessian_exact")
+    __slots__ = ("ast", "dimension", "_kernels")
 
     def __init__(self, ast, dimension):
         grads, square = _derivatives(ast, dimension)
         params = [f"x{i}" for i in range(dimension)]
-        value = [_compile([ast], [], params, e) for e in (False, True)]  # scalar, arrays
         # a derivative is undefined wherever the value is, so derivative
-        # code also runs the value's operations that can fail
-        grad = [_compile(grads, [ast], params, e) for e in (False, True)]
-        hessian = [_compile(square, [ast, *grads], params, e) for e in (False, True)]
-        fields = {
-            "ast": ast,
-            "dimension": dimension,
-            "_value": value[0],
-            "_value_exact": value[1],
-            "_grad": grad[0],
-            "_grad_exact": grad[1],
-            "_hessian": hessian[0],
-            "_hessian_exact": hessian[1],
-        }
-        for name, value in fields.items():
+        # code also tests the value's operations that can fail
+        kernels = {"eval": _compile([ast], [], params),
+                   "grad": _compile(grads, [ast], params),
+                   "hessian": _compile(square, [ast, *grads], params)}
+        for name, value in (("ast", ast), ("dimension", dimension), ("_kernels", kernels)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -674,52 +653,48 @@ class Expression:
     def __repr__(self):
         return f"Expression({str(self)!r}, dimension={self.dimension})"
 
-    def _call(self, fn, point):
+    def _row(self, kind, point):
         if len(point) != self.dimension:
             raise ValueError(
                 f"point has length {len(point)}, expression dimension is {self.dimension}"
             )
-        return _run(fn, np.asarray(point, dtype=float).tolist())
+        row = np.asarray(point, dtype=float).tolist()
+        values, failed = _call_exact(self._kernels[kind], row)
+        if failed:
+            _locate(self._kernels[kind], row)
+        return values
 
     def eval(self, point):
-        return self._call(self._value, point)[0]
+        return float(self._row("eval", point)[0])
 
     def grad(self, point):
-        return np.array(self._call(self._grad, point))
+        return np.array(self._row("grad", point), dtype=float)
 
     def hessian(self, point):
         """Hessian, exactly symmetric: the lower triangle holds the same
         values as the upper one."""
-        h = np.array(self._call(self._hessian, point))
+        h = np.array(self._row("hessian", point), dtype=float)
         return h.reshape(self.dimension, self.dimension)
 
-    def eval_exact(self, columns):
-        """``eval`` at every row of *columns* (one array per variable, all of
-        one length m), with the bits ``eval`` gives that row, and the mask of
-        the rows where ``eval`` raises a domain error (their values are not
-        defined).  Overflow, which the scalar code lets pass, gives its inf.
+    def batch(self, kind, columns):
+        """*kind* ("eval", "grad" or "hessian") at every row of *columns*
+        (one array per variable, all of one length m), shape (m,), (m, n) or
+        (m, n, n), with the bits Python floats and ``math`` give that row,
+        and the mask of the rows where they raise a domain error (their
+        values are not defined).  An overflow outside ``exp``, which Python
+        floats let pass, gives inf.
         """
-        values, failed = _exact(self._value_exact, columns)
-        return values[0], failed
-
-    def grad_exact(self, columns):
-        """``grad`` at every row of *columns*, shape (m, n); as ``eval_exact``."""
-        values, failed = _exact(self._grad_exact, columns)
-        return values.T, failed
-
-    def hessian_exact(self, columns):
-        """``hessian`` at every row of *columns*, shape (m, n, n); as
-        ``eval_exact``."""
-        values, failed = _exact(self._hessian_exact, columns)
-        return values.T.reshape(-1, self.dimension, self.dimension), failed
+        values, failed = _exact(self._kernels[kind], columns)
+        shape = {"eval": (), "grad": (self.dimension,)}.get(kind, (self.dimension,) * 2)
+        return values.T.reshape(len(failed), *shape), failed
 
     def eval_array(self, columns):
         """``eval`` over numpy arrays (one per variable, broadcastable): the
-        exact kernel of ``eval_exact``, so every element has the bits
-        ``eval`` gives it, and NaN where ``eval`` raises a domain error;
-        callers scanning grids treat those cells as "outside".
+        kernel of ``batch``, so every element has the bits ``eval`` gives
+        it, and NaN where ``eval`` raises a domain error; callers scanning
+        grids treat those cells as "outside".
         """
-        (out,), failed = _call_exact(self._value_exact, columns)
+        (out,), failed = _call_exact(self._kernels["eval"], columns)
         return np.where(failed, math.nan, out) if np.any(failed) else np.asarray(out, dtype=float)
 
 

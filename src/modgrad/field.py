@@ -10,11 +10,11 @@ field.
 A field has one kernel, ``ScalarField.batch(kind, x)``, for its value,
 gradient and Hessian over states stacked along a leading axis; the scalar
 ``eval``/``grad``/``hessian`` are its batch of one (``ExpressionField``'s
-run the expression's compiled scalar function, which gives the same
-bits).  A row outside D, or one whose evaluation hits a domain error,
-comes back NaN instead of raising, and ``batch`` says which rows those
-are; ``raise_row_error`` re-runs the first of them alone to raise the
-error a row-by-row loop would have raised; no other module re-runs rows.
+run the expression's kernel on one row, which names a domain error).  A
+row outside D, or one whose evaluation hits a domain error, comes back NaN
+instead of raising, and ``batch`` says which rows those are;
+``raise_row_error`` re-runs the first of them alone to raise the error a
+row-by-row loop would have raised; no other module re-runs rows.
 """
 
 import numpy as np
@@ -159,7 +159,7 @@ class ExpressionField(ScalarField):
         self.expression = expression
 
     def _scalar(self, kind, x):
-        # Python-float speed, and a domain error naming the sub-expression
+        # the kernel on one row, and a domain error naming the sub-expression
         return getattr(self.expression, kind)(x)
 
     def eval_grid(self, columns):
@@ -173,7 +173,7 @@ class ExpressionField(ScalarField):
         x = self._check_rows(x)
         inside = linalg.row_all((x >= self._lo) & (x <= self._hi))
         rows = x if inside.all() else x[inside]
-        got, bad = getattr(self.expression, kind + "_exact")(np.ascontiguousarray(rows.T))
+        got, bad = self.expression.batch(kind, np.ascontiguousarray(rows.T))
         got[bad] = np.nan
         if rows is x:
             return got, bad
@@ -192,11 +192,10 @@ class MatrixPath:
 
     Entries are expression strings in t only (the grammar of ``expr`` with
     the time symbol ``t``); each lower entry must render as its mirror does.
-    The upper triangle is compiled once, into one function of t returning
-    every entry, and mirrored structurally, so every value is exactly
-    symmetric.  It runs over an array of times in ``expr``'s exact
-    namespace, and lambda_1 comes from ``linalg.eigen_all`` on the stack;
-    one time is an array of one.
+    The upper triangle is compiled once, into one ``expr`` kernel of t
+    returning every entry, and mirrored structurally, so every value is
+    exactly symmetric.  It runs over an array of times, and lambda_1 comes
+    from ``linalg.eigen_all`` on the stack; one time is an array of one.
     """
 
     def __init__(self, entries):
@@ -226,8 +225,7 @@ class MatrixPath:
         self.dimension = n
         self.uses_t = any(isinstance(node, expr_mod.TimeVar)
                           for node in expr_mod._postorder(roots))
-        self._upper, self._upper_exact = (expr_mod._compile(roots, [], ["t"], exact)
-                                          for exact in (False, True))
+        self._upper = expr_mod._compile(roots, [], ["t"])
         self._constant_value = self._constant_lambda1 = None
         if not self.uses_t:
             self._constant_value = self.value_batch([0.0])[0]
@@ -250,9 +248,9 @@ class MatrixPath:
         if self._constant_value is not None:
             return np.broadcast_to(self._constant_value, shape)
         t = np.asarray(t, dtype=float)
-        upper, failed = expr_mod._exact(self._upper_exact, [t])
+        upper, failed = expr_mod._exact(self._upper, [t])
         for s in t[failed][:1].tolist():  # raises, naming the first bad t's entry
-            expr_mod._run(self._upper, (s,))
+            expr_mod._locate(self._upper, [s])
         out = np.empty(shape)
         out[:, self._rows, self._cols] = upper.T
         out[:, self._cols, self._rows] = upper.T

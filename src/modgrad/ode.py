@@ -106,7 +106,6 @@ class Trajectory(Record):
 
     _fields = ("t0", "status", "times", "states", "derivs", "converged_at",
                "exit_point", "detail", "steps_rejected", "rhs_evals")
-    _mutable = True
 
     def __init__(self, t0, status,
                  times,    # strictly increasing accepted times

@@ -5,12 +5,15 @@ Each function is the straightforward seed-by-seed, cell-by-cell (or
 value-by-value) loop that the array kernel in ``modgrad`` replaces, or the
 earlier whole-grid array form of a kernel (dense meshgrids, stacks of every
 cell's face neighbours); tests assert that both give equal results.  They
-are deliberately simple and slow.
+are deliberately simple and slow.  ``math_kind`` and ``math_function``
+evaluate expression ASTs in Python floats and ``math``, the semantics the
+compiled expression kernels must reproduce bit for bit.
 """
 
 import math
 import operator
-from collections import deque
+import random
+from collections import Counter, deque
 from functools import reduce
 
 import numpy as np
@@ -19,9 +22,10 @@ from modgrad import linalg
 from modgrad.basin import GridComponent, HypothesisVerdict
 from modgrad.equilibria import (
     CriticalPoint, FinderDiagnostics, IsolationKind, IsolationVerdict, _shell_dirs,
-    classify_spectrum,
+    _unit_vector, classify_spectrum,
 )
 from modgrad.errors import EvalDomainError, NumericFailure, OutsideDomainError
+from modgrad.expr import BinOp, Call, Const, Neg, Pow, TimeVar, Var, _derivatives
 from modgrad.ode import (
     _A, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _NEAR_TARGET_REL, _RHS_FLOOR, _SAFETY,
     SimOptions, Status, Trajectory,
@@ -179,30 +183,30 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
     mesh = np.meshgrid(*axes, indexing="ij")
     seeds = np.stack([m.ravel() for m in mesh], axis=-1)
 
-    diags = FinderDiagnostics(seeds=len(seeds))
+    counts = Counter()  # FinderDiagnostics field -> count
     roots = []
     dedup_radius = 10.0 * newton_tol
     for seed in seeds:
         if not field.inside(seed):
-            diags.dropped_outside += 1
+            counts["dropped_outside"] += 1
             continue
         root, outcome = newton(field, seed, newton_tol, max_newton_iters)
         if root is None:
             if outcome == "outside":
-                diags.dropped_outside += 1
+                counts["dropped_outside"] += 1
             elif outcome == "singular":
-                diags.dropped_singular += 1
+                counts["dropped_singular"] += 1
             elif outcome == "domain":
-                diags.dropped_domain += 1
+                counts["dropped_domain"] += 1
             else:
-                diags.dropped_no_convergence += 1
+                counts["dropped_no_convergence"] += 1
             continue
         if not field.inside(root):
-            diags.dropped_outside += 1
+            counts["dropped_outside"] += 1
             continue
-        diags.converged += 1
+        counts["converged"] += 1
         if any(norm(root - r) <= dedup_radius for r in roots):
-            diags.duplicates_merged += 1
+            counts["duplicates_merged"] += 1
             continue
         roots.append(root)
 
@@ -211,7 +215,7 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
         g_norm = norm(field.grad(root))
         if g_norm > newton_tol:
             # dedup representative must still satisfy the tolerance
-            diags.dropped_no_convergence += 1
+            counts["dropped_no_convergence"] += 1
             continue
         spectrum = linalg.eigen_all(field.hessian(root))
         points.append(
@@ -224,7 +228,7 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
             )
         )
     points.sort(key=lambda p: p.location)
-    return points, diags
+    return points, FinderDiagnostics(seeds=len(seeds), **counts)
 
 
 def isolation_probe(field, point, shell_radii, samples_per_shell=32, grad_floor=1e-8):
@@ -403,6 +407,34 @@ def _fval(field, x):
         return math.nan
 
 
+def sample_region(field, anchor, c, count, seed=0):
+    """Rejection-sampled starts with c < f < M near the anchor, one draw
+    and one scalar ``eval`` at a time."""
+    anchor = np.asarray(anchor, dtype=float)
+    m_value = float(field.eval(anchor))
+    if c >= m_value:
+        raise ValueError(f"c must be below f(anchor) = {m_value:g}")
+    rng = random.Random(int(seed))
+    r_max = field.box.clip_radius(anchor)
+    samples = []
+    tries = 0
+    radius = 0.05 * r_max
+    while len(samples) < count and tries < 200_000:
+        tries += 1
+        direction = _unit_vector(rng, field.dimension)
+        x = anchor + radius * rng.random() ** (1.0 / field.dimension) * direction
+        if field.inside(x) and c < field.eval(x) < m_value:
+            samples.append(x)
+        if tries % 2000 == 0 and radius < r_max:
+            radius = min(2.0 * radius, r_max)
+    if len(samples) < count:
+        raise NumericFailure(
+            f"rejection sampling found only {len(samples)}/{count} starts",
+            partial=samples,
+        )
+    return samples
+
+
 def bisect_crossing(field, inside_pt, outside_pt, level, steps=40):
     """Locate f = level on the segment [inside_pt, outside_pt] by bisection."""
     a = np.asarray(inside_pt, dtype=float)
@@ -560,6 +592,101 @@ def row_loop(fn, field, x, shape=()):
         except EvalDomainError:
             pass
     return out
+
+
+# -- expressions in Python floats ------------------------------------------
+# What the compiled kernels compute on one row, written over the ASTs with
+# math and Python floats: libm's exp, log, sin, cos and sqrt, integer powers
+# as a chain of products (a negative one as its reciprocal), real powers as
+# exp(e*log(base)), and float division.  The functions raise where math and
+# Python raise: ValueError, OverflowError or ZeroDivisionError.
+
+
+def _ipow(v, n):
+    if n < 0:
+        return 1.0 / _ipow(v, -n)
+    r, p = 1.0, v
+    while n:
+        if n & 1:
+            r = r * p
+        if n > 1:
+            p = p * p
+        n >>= 1
+    return r
+
+
+_MATH = {"exp": "math.exp", "ln": "math.log", "sin": "math.sin", "cos": "math.cos",
+         "sqrt": "math.sqrt"}
+
+
+def _operands(node):
+    if isinstance(node, BinOp):
+        return (node.a, node.b)
+    if isinstance(node, (Neg, Call)):
+        return (node.a,)
+    return (node.base,) if isinstance(node, Pow) else ()
+
+
+def _math_source(node, a):
+    """Python source of *node* on the names *a* of its operands."""
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return f"x{node.index}"
+    if isinstance(node, TimeVar):
+        return "t"
+    if isinstance(node, Neg):
+        return f"-{a[0]}"
+    if isinstance(node, BinOp):
+        return f"{a[0]} {node.op} {a[1]}"
+    if isinstance(node, Call):
+        return f"{_MATH[node.func]}({a[0]})"
+    if node.integral:
+        return f"ipow({a[0]}, {int(node.exponent)})"
+    return f"math.exp({node.exponent!r} * math.log({a[0]}))"
+
+
+def math_function(roots, guarded, params):
+    """The Python-float function of *params* (``x0``, .. or ``t``) that
+    returns the values of the ASTs *roots* as a tuple, one statement per
+    distinct node; the nodes under *guarded* run too, for what they raise."""
+    names = {}  # id(node) -> the local holding its value
+    lines = []
+
+    def visit(node):
+        if id(node) not in names:
+            a = [visit(c) for c in _operands(node)]
+            names[id(node)] = f"v{len(lines)}"
+            lines.append(f"    {names[id(node)]} = {_math_source(node, a)}\n")
+        return names[id(node)]
+
+    values = [visit(r) for r in roots]
+    for node in guarded:
+        visit(node)
+    scope = {"math": math, "ipow": _ipow, "inf": math.inf, "nan": math.nan}
+    exec(f"def f({', '.join(params)}):\n{''.join(lines)}    return ({', '.join(values)},)\n",
+         scope)
+    return scope["f"]
+
+
+def math_kind(expression, kind):
+    """The Python-float *kind* ("eval", "grad" or "hessian") of
+    *expression* at one point, from its ASTs: a float or an array, and
+    EvalDomainError where math or Python raises."""
+    n = expression.dimension
+    grads, square = _derivatives(expression.ast, n)
+    roots, guarded, shape = {"eval": ([expression.ast], [], ()),
+                             "grad": (grads, [expression.ast], (n,)),
+                             "hessian": (square, [expression.ast, *grads], (n, n))}[kind]
+    fn = math_function(roots, guarded, [f"x{i}" for i in range(n)])
+
+    def at(point):
+        try:
+            values = fn(*(float(v) for v in point))
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise EvalDomainError(f"{type(exc).__name__}: {exc}") from None
+        return values[0] if kind == "eval" else np.array(values).reshape(shape)
+    return at
 
 
 # ex22's radial field f(x) = p(-|x|) at one point, in scalar arithmetic;

@@ -523,6 +523,28 @@ class TestStarts:
         assert not np.array_equal(a, sample_region(f, (0.0,) * 3, 0.5, 25, seed=4))
         assert all(f.inside(x) and 0.5 < f.eval(x) < 1.0 for x in a)
 
+    @pytest.mark.parametrize("source, c, count, seed", [
+        ("1 - x1^2 - 2*x2^2 - 3*x3^2", 0.5, 25, 3),
+        ("1 - x1^2 - 2*x2^2 - 3*x3^2", 0.5, 25, 4),
+        ("0 - x1^2 - x2^2 - x3^2", -0.5, 6, 2),
+        ("1 - x1^2 - 2*x2^2 - 3*x3^2", 0.99, 2100, 5),  # past the first 2,000 draws
+        # the draws at the fourth radius, 0.4, hit ln's domain error: the
+        # seventh draw there, after the 2,982nd start (which ends the sampling)
+        # and before the 2,983rd (which it raises for)
+        ("ln(x1 + 0.2) - x2^2 - x3^2", -3.0, 2982, 10),
+        ("ln(x1 + 0.2) - x2^2 - x3^2", -3.0, 2983, 10),
+    ])
+    def test_sample_region_matches_the_draw_by_draw_loop(self, source, c, count, seed):
+        f = _field(source, Box((-1.0,) * 3, (1.0,) * 3))
+        try:
+            want = ref.sample_region(f, (0.0,) * 3, c, count, seed)
+        except EvalDomainError as exc:
+            with pytest.raises(EvalDomainError) as got:
+                sample_region(f, (0.0,) * 3, c, count, seed)
+            assert str(got.value) == str(exc)
+            return
+        assert np.array_equal(sample_region(f, (0.0,) * 3, c, count, seed), want)
+
     @pytest.mark.parametrize("argv", [
         ["basin", "--config", "configs/ex31.json", "--anchor", "2,4", "--c", "33",
          "--resolution", "64"],

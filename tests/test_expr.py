@@ -11,6 +11,7 @@ from modgrad.expr import MAX_NESTING, EvalDomainError, ParseError, parse
 from modgrad.gallery import _ex31_printed_gradient
 
 from helpers import central_diff_grad, random_poly_source
+from scalar_reference import math_kind
 
 EX21_F = "4 - (x1-1)^2 - (x2-1)^2"
 EX31_F = "96*x2 - 84*x2^2 + 28*x2^3 - 3*x2^4 - 10*(x1-2)^2"
@@ -227,9 +228,10 @@ class TestExactDerivatives:
 
 
 class TestEvalArray:
-    """``eval_array`` is ``eval`` element by element, and NaN where ``eval``
-    raises (a libm overflow included) without raising itself; ``eval_exact``
-    marks the same elements."""
+    """``eval_array`` gives each element the bits of the Python-float
+    reference (``scalar_reference.math_kind``), and NaN where it raises (a
+    libm overflow included) without raising itself; ``batch("eval", ...)``
+    marks the same elements, and ``eval`` raises at them."""
 
     CASES = [
         ("ln(x1)", [2.0, 0.0, -1.0, math.inf, math.nan]),
@@ -241,19 +243,21 @@ class TestEvalArray:
     @pytest.mark.parametrize("source,xs", CASES)
     def test_eval_bits_and_nan_where_eval_raises(self, source, xs):
         e = parse(source, 1)
+        reference = math_kind(e, "eval")
         got = e.eval_array([np.array(xs)])
-        values, failed = e.eval_exact([np.array(xs)])
+        values, failed = e.batch("eval", [np.array(xs)])
         raised = []
         for x, v, w in zip(xs, got, values):
             try:
-                want = e.eval((x,))
+                want = reference((x,))
             except EvalDomainError:
                 assert math.isnan(v), x
+                with pytest.raises(EvalDomainError):
+                    e.eval((x,))
                 raised.append(True)
                 continue
             raised.append(False)
-            assert v == want or (math.isnan(v) and math.isnan(want)), x
-            assert _bits(w) == _bits(want), x
+            assert _bits(v) == _bits(w) == _bits(want) == _bits(e.eval((x,))), x
         assert failed.tolist() == raised and any(raised)
 
 
@@ -265,21 +269,34 @@ def _bits(x):
     return np.where(np.isnan(x), math.nan, x).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["eval", "grad", "hessian"])
-def test_scalar_rows_match_the_scalar_functions(kind):
-    # (the name this test has always had in the suite) the exact kernel's
-    # rows have the scalar functions' bits, and its mask marks the rows
-    # where they raise
-    e = parse("ln(x1*x2) + 1/(x1 - 2) - sqrt(x2)", 2)
-    rows = [[0.5, 1.5], [-1.0, 2.0], [2.0, 1.0], [3.0, 0.25], [0.1, -0.3]]
-    got, failed = getattr(e, kind + "_exact")(np.array(rows).T)
+def _assert_rows_match_the_reference(e, kind, rows):
+    """``batch(kind, ...)`` over *rows* against the Python-float reference:
+    the same bits where the reference returns, a mark where it raises; the
+    scalar *kind*, the kernel on one row, agrees.  Returns the mask."""
+    reference = math_kind(e, kind)
+    got, failed = e.batch(kind, np.array(rows, dtype=float).reshape(-1, e.dimension).T)
+    assert got.shape[0] == failed.shape[0] == len(rows)
     for row, values, marked in zip(rows, got, failed):
         try:
-            want = getattr(e, kind)(row)
+            want = reference(row)
         except EvalDomainError:
-            assert marked
+            assert marked, (kind, row)
+            with pytest.raises(EvalDomainError):
+                getattr(e, kind)(row)
             continue
-        assert not marked and _bits(values) == _bits(want)
+        assert not marked, (kind, row)
+        assert _bits(values) == _bits(want) == _bits(getattr(e, kind)(row)), (kind, row)
+    return failed
+
+
+@pytest.mark.parametrize("kind", ["eval", "grad", "hessian"])
+def test_scalar_rows_match_the_scalar_functions(kind):
+    # (the name this test has always had in the suite) the kernel's rows
+    # have the Python-float reference's bits, and its mask marks the rows
+    # where the reference raises
+    e = parse("ln(x1*x2) + 1/(x1 - 2) - sqrt(x2)", 2)
+    rows = [[0.5, 1.5], [-1.0, 2.0], [2.0, 1.0], [3.0, 0.25], [0.1, -0.3]]
+    failed = _assert_rows_match_the_reference(e, kind, rows)
     assert failed.tolist() == [False, True, True, False, True]
 
 
@@ -320,18 +337,68 @@ _ROWS = st.lists(st.tuples(_VALUE, _VALUE), min_size=1, max_size=8)
                                (5e-324, -0.0), (math.nan, 0.0)])
 def test_exact_kernels_mark_where_the_scalar_functions_raise(source, rows):
     e = parse(source, 2)
-    columns = np.array(rows).reshape(-1, 2).T
     for kind in ("eval", "grad", "hessian"):
-        got, failed = getattr(e, kind + "_exact")(columns)
-        assert got.shape[0] == failed.shape[0] == len(rows)
-        for row, values, marked in zip(rows, got, failed):
-            try:
-                want = getattr(e, kind)(row)
-            except EvalDomainError:
-                assert marked, (kind, row)
-                continue
-            assert not marked, (kind, row)
-            assert _bits(values) == _bits(want), (kind, row)
+        _assert_rows_match_the_reference(e, kind, rows)
+
+
+# Every kind of domain error, and the message the scalar functions raise
+# for it: the reason and the user's text of the first failing operation, in
+# eval, grad and hessian.  A real power is computed as exp(e*ln(base)) and a
+# negative one as a reciprocal, so those operations name the power; where
+# an operation's text is shared, the first sub-expression to compute it
+# names it.
+_MESSAGES = [
+    ("ln(x1)", -1.0, ("ln of non-positive argument in 'ln(x1)'",) * 3),
+    ("ln(x1)", 0.0, ("ln of non-positive argument in 'ln(x1)'",
+                     "division by zero in '1.0 / x1'", "division by zero in '1.0 / x1'")),
+    ("sqrt(x1)", -1.0, ("sqrt of negative argument in 'sqrt(x1)'",) * 3),
+    ("sqrt(x1 - 1)", 0.5, ("sqrt of negative argument in 'sqrt(x1 - 1.0)'",) * 3),
+    ("x1^1.5", -1.0, ("non-positive base for real exponent in 'x1^1.5'",) * 3),
+    ("x1^1.5", 0.0, ("non-positive base for real exponent in 'x1^1.5'",
+                     "division by zero in '1.0 / x1'", "division by zero in '1.0 / x1'")),
+    ("x1^1.5", 1e300, ("overflow in 'x1^1.5'",) * 3),
+    ("x1^(-0.5)", -2.0, ("non-positive base for real exponent in 'x1^(-0.5)'",) * 3),
+    ("x1^(-2)", 0.0, ("zero base with negative exponent in 'x1^(-2)'",) * 3),
+    ("x1^(-3) + x1", 1e-200, ("zero base with negative exponent in 'x1^(-3)'",) * 3),
+    ("1/(x1 - 2)", 2.0, ("division by zero in '1.0 / (x1 - 2.0)'",) * 3),
+    ("x1 + 1/(2-2)", 1.0, ("division by zero in '1.0 / (2.0 - 2.0)'",) * 3),
+    ("exp(x1)", 1000.0, ("overflow in 'exp(x1)'",) * 3),
+    ("exp(x1^2)", 30.0, ("overflow in 'exp(x1^2)'",) * 3),
+    ("sin(x1)", math.inf, ("sin of non-finite argument in 'sin(x1)'",
+                           "cos of non-finite argument in 'cos(x1)'",
+                           "sin of non-finite argument in 'sin(x1)'")),
+    ("sin(x1)", -math.inf, ("sin of non-finite argument in 'sin(x1)'",
+                            "cos of non-finite argument in 'cos(x1)'",
+                            "sin of non-finite argument in 'sin(x1)'")),
+    ("cos(x1)", math.inf, ("cos of non-finite argument in 'cos(x1)'",
+                           "sin of non-finite argument in 'sin(x1)'",
+                           "cos of non-finite argument in 'cos(x1)'")),
+    ("cos(x1)", -math.inf, ("cos of non-finite argument in 'cos(x1)'",
+                            "sin of non-finite argument in 'sin(x1)'",
+                            "cos of non-finite argument in 'cos(x1)'")),
+    ("ln(x1) + x1^1.5", -1.0, ("ln of non-positive argument in 'ln(x1)'",
+                               "non-positive base for real exponent in 'x1^1.5'",
+                               "non-positive base for real exponent in 'x1^1.5'")),
+    ("x1^1.5 + ln(x1)", -1.0, ("non-positive base for real exponent in 'x1^1.5'",) * 3),
+    ("ln(x1) + x1^1.5", 0.0, ("ln of non-positive argument in 'ln(x1)'",
+                              "division by zero in '1.0 / x1'", "division by zero in '1.0 / x1'")),
+    ("x1^1.5 + ln(x1)", 0.0, ("non-positive base for real exponent in 'x1^1.5'",
+                              "division by zero in '1.0 / x1'", "division by zero in '1.0 / x1'")),
+    ("1/x1^2 + x1^(-2)", 0.0, ("division by zero in '1.0 / x1^2'",) * 3),
+    ("x1^(-2) + 1/x1^2", 0.0, ("zero base with negative exponent in 'x1^(-2)'",) * 3),
+    ("exp(1.5*ln(x1)) + x1^1.5", 1e300, ("overflow in 'exp(1.5 * ln(x1))'",) * 3),
+    ("x1^1.5 + exp(1.5*ln(x1))", 1e300, ("overflow in 'x1^1.5'",) * 3),
+]
+
+
+@pytest.mark.parametrize("source, x, messages", _MESSAGES)
+def test_domain_error_messages(source, x, messages):
+    e = parse(source, 1)
+    for kind, message in zip(("eval", "grad", "hessian"), messages):
+        with pytest.raises(EvalDomainError) as exc:
+            getattr(e, kind)((x,))
+        assert str(exc.value) == message
+        assert e.batch(kind, [np.array([x])])[1].tolist() == [True]
 
 
 class TestAutodiffAgainstFiniteDifferences:

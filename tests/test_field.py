@@ -18,19 +18,19 @@ from modgrad.field import (
 from modgrad.linalg import eigen_all
 
 from helpers import random_poly_source, random_psd_matrix, rhs_of
-from scalar_reference import row_loop
+from scalar_reference import math_function, math_kind, row_loop
 
 
 class _ExactKernelsOnly:
-    """Stands in for an Expression: the array kernels delegate to it, and
-    its scalar functions fail the test, so a batch that runs a scalar row
-    is caught."""
+    """Stands in for an Expression: ``batch`` delegates to it, and its
+    scalar functions fail the test, so a batch that runs a scalar row is
+    caught."""
 
     def __init__(self, expression):
         self._expression = expression
 
     def __getattr__(self, name):
-        if name in ("eval", "grad", "hessian", "_value", "_grad", "_hessian"):
+        if name in ("eval", "grad", "hessian"):
             return lambda *args, **kwargs: pytest.fail("scalar row run")
         return getattr(self._expression, name)
 
@@ -133,12 +133,12 @@ class TestBatchEvaluation:
 
 class TestExactBatches:
     """``ExpressionField.batch`` runs the expression's exact array kernel;
-    it must equal the scalar row loop bit for bit."""
+    it must equal the row loop of the Python-float reference bit for bit."""
 
     @staticmethod
     def _row_loop(f, x):
-        return (row_loop(f.expression.eval, f, x),
-                row_loop(f.expression.grad, f, x, (f.dimension,)))
+        return (row_loop(math_kind(f.expression, "eval"), f, x),
+                row_loop(math_kind(f.expression, "grad"), f, x, (f.dimension,)))
 
     def _assert_rows_equal(self, f, x):
         want_v, want_g = self._row_loop(f, x)
@@ -253,7 +253,7 @@ class TestExactBatches:
         x = np.random.default_rng(11).uniform(0.1, 2.0, size=(2000, 2))
         x[bad, 0] = -0.5
         x[1234] = (4.0, 1.0)  # outside D
-        want = {kind: row_loop(getattr(f.expression, kind), f, x, shape)
+        want = {kind: row_loop(math_kind(f.expression, kind), f, x, shape)
                 for kind, shape in (("eval", ()), ("grad", (2,)), ("hessian", (2, 2)))}
         f.expression = _ExactKernelsOnly(f.expression)
         for kind in ("eval", "grad", "hessian"):
@@ -275,22 +275,22 @@ class TestExactBatches:
             ("x1^0.5", "eval", [-2.0, 4.0], [True, False]),
         ]:
             e = parse(source, 1)
-            got, failed = getattr(e, kind + "_exact")([np.array(xs)])
+            got, failed = e.batch(kind, [np.array(xs)])
             assert failed.tolist() == marked
             (row,) = np.flatnonzero(~failed)
-            want = np.ravel(getattr(e, kind)((xs[row],)))
+            want = np.ravel(math_kind(e, kind)((xs[row],)))
             assert np.ravel(got[row]).tobytes() == want.tobytes()
 
 
 class TestHessianBatch:
-    """``batch("hessian", x)`` equals the scalar ``hessian`` row by row, bit
-    for bit, NaN where ``hessian`` raises: the exact kernel and the row loop."""
+    """``batch("hessian", x)`` equals the Python-float reference and the
+    scalar ``hessian`` row by row, bit for bit, NaN where they raise."""
 
     @staticmethod
     def _assert_rows_equal(f, x):
         got = f.batch("hessian", x)[0]
         assert got.shape == (len(x), f.dimension, f.dimension)
-        want = row_loop(f.expression.hessian, f, x, (f.dimension,) * 2)
+        want = row_loop(math_kind(f.expression, "hessian"), f, x, (f.dimension,) * 2)
         assert got.tobytes() == want.tobytes()
         for i, p in enumerate(x):
             try:
@@ -436,11 +436,14 @@ class TestMatrixPath:
          ["0.1*exp(-t)*ln(t + 2)", "sqrt(t + 1)"]],
     ])
     def test_value_batch_is_one_array_call_with_the_scalar_bits(self, entries, monkeypatch):
-        # the compiled scalar function, time by time, is only the error path
+        # the Python-float reference of the upper entries, time by time; the
+        # error locator, which replays one time, is not run
         m = MatrixPath(entries)
         ts = np.linspace(0.0, 1e4, 10_001)
-        loop = [expr_mod._run(m._upper, (t,)) for t in ts.tolist()]
-        monkeypatch.setattr(expr_mod, "_run", None)
+        upper = [expr_mod._tree(entries[i][j], 1, allow_t=True) for i, j in zip(m._rows, m._cols)]
+        reference = math_function(upper, [], ["t"])
+        loop = [reference(t) for t in ts.tolist()]
+        monkeypatch.setattr(expr_mod, "_locate", None)
         upper = m.value_batch(ts)[:, m._rows, m._cols]
         assert upper.tobytes() == np.array(loop).tobytes()
 
@@ -508,6 +511,28 @@ class TestMatrixPath:
     def test_error_names_the_first_failing_entry(self, entries, named):
         with pytest.raises(EvalDomainError) as exc:
             MatrixPath(entries).value_batch([3.0, 1.0, 0.5])
+        assert str(exc.value) == named
+
+    # every kind of domain error in an entry, as ``test_expr``'s table
+    @pytest.mark.parametrize("entry, t, named", [
+        ("ln(t - 1)", 1.0, "ln of non-positive argument in 'ln(t - 1.0)'"),
+        ("sqrt(t - 2)", 1.0, "sqrt of negative argument in 'sqrt(t - 2.0)'"),
+        ("(t - 1)^1.5", 0.5, "non-positive base for real exponent in '(t - 1.0)^1.5'"),
+        ("t^1.5", 1e300, "overflow in 't^1.5'"),
+        ("(t - 1)^(-2)", 1.0, "zero base with negative exponent in '(t - 1.0)^(-2)'"),
+        ("1/(t - 1)", 1.0, "division by zero in '1.0 / (t - 1.0)'"),
+        ("t + 1/(2 - 2)", 3.0, "division by zero in '1.0 / (2.0 - 2.0)'"),
+        ("exp(t)", 1000.0, "overflow in 'exp(t)'"),
+        ("sin(t)", math.inf, "sin of non-finite argument in 'sin(t)'"),
+        ("cos(t)", math.inf, "cos of non-finite argument in 'cos(t)'"),
+        ("ln(t) + t^1.5", 0.0, "ln of non-positive argument in 'ln(t)'"),
+        ("t^1.5 + ln(t)", 0.0, "non-positive base for real exponent in 't^1.5'"),
+        ("1/t^2 + t^(-2)", 0.0, "division by zero in '1.0 / t^2'"),
+        ("t^(-2) + 1/t^2", 0.0, "zero base with negative exponent in 't^(-2)'"),
+    ])
+    def test_domain_error_messages(self, entry, t, named):
+        with pytest.raises(EvalDomainError) as exc:
+            MatrixPath([[entry]]).value_batch([2.0, t])
         assert str(exc.value) == named
 
 

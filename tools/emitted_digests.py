@@ -29,7 +29,9 @@ isolation shell meet one, which ends the run with exit 3;
 ``ln`` is undefined.
 ``analyze-pow-drop`` drops seeds where a negative integer power or a real
 power is undefined, and ``ec-ex31-divP`` grades a P(t) that divides by
-zero inside the horizon (exit 3).  The tool
+zero inside the horizon (exit 3).  ``basin-real-pow-anchor`` and
+``basin-negative-pow-anchor`` anchor a basin where a real or a negative
+power is undefined (exit 3), and the error names the power.  The tool
 writes these configs into the work directory, so every checkout runs the
 same files.
 Prints one ``<run>/<file> <sha256> <exit code>`` line per emitted file,
@@ -98,7 +100,7 @@ RUNS["ec-ex31-fnP"] = ["ec", "--config", "{work}/fnP.json"]
 
 # ex31's f plus an exp bump centred on its critical line x1 = 2, so the
 # critical points stay put; the gradient and Hessian batches of this field
-# call libm's exp element by element, as the scalar code does
+# call libm's exp element by element, as one row in Python floats does
 EXP_CONFIG = {
     "dimension": 2,
     "f": "96*x2 - 84*x2^2 + 28*x2^3 - 3*x2^4 - 10*(x1-2)^2 + exp(-(x1-2)^2)",
@@ -189,8 +191,8 @@ LN_PROBE_CONFIG = {
 }
 RUNS["analyze-ln-probe"] = ["analyze", "--config", "{work}/lnprobe.json"]
 # a P(t) that divides by zero at t = 1250, inside the EC horizon: the
-# quadrature's batch of times marks that time, and the scalar code run at
-# it names the division (exit 3)
+# quadrature's batch of times marks that time, and the replay of its
+# operations at that time names the division (exit 3)
 DIV_P_CONFIG = {"f": {"gallery": "ex31"}, "P": [["1/(t - 1250)", "0"], ["0", "1"]]}
 RUNS["ec-ex31-divP"] = ["ec", "--config", "{work}/divP.json"]
 # a negative integer power and a real power undefined on half the box: the
@@ -202,10 +204,21 @@ POW_CONFIG = {
     "options": {"grid_per_axis": 21},
 }
 RUNS["analyze-pow-drop"] = ["analyze", "--config", "{work}/pow.json"]
+# a basin anchored where a power is undefined (exit 3): the error names the
+# user's power, not the exp, ln or reciprocal the array code computes it with
+POW_ANCHOR_CONFIG = {
+    "dimension": 2,
+    "f": "x2^1.5 - x1^2 - (x2 - 1)^2 + 0*x1^(-2)",
+    "box": [[-2.0, 2.0], [-2.0, 4.0]],
+}
+for _name, _anchor in (("real", "0.5,0"), ("negative", "0,1")):
+    RUNS[f"basin-{_name}-pow-anchor"] = ["basin", "--config", "{work}/powanchor.json",
+                                         "--anchor", _anchor, "--c=-1", "--resolution", "32"]
 GENERATED = {"oscP.json": OSC_P_CONFIG, "fnP.json": FN_P_CONFIG, "exp.json": EXP_CONFIG,
              "quad3.json": QUAD3_CONFIG, "leave.json": LEAVE_CONFIG, "hmin.json": HMIN_CONFIG,
              "ln.json": LN_CONFIG, "div0.json": DIV0_CONFIG, "lnprobe.json": LN_PROBE_CONFIG,
-             "wind.json": WIND_CONFIG, "divP.json": DIV_P_CONFIG, "pow.json": POW_CONFIG}
+             "wind.json": WIND_CONFIG, "divP.json": DIV_P_CONFIG, "pow.json": POW_CONFIG,
+             "powanchor.json": POW_ANCHOR_CONFIG}
 
 
 def digests(repo, work):
