@@ -202,14 +202,16 @@ def extract_component(field, anchor, c, resolution):
             "verification in higher dimensions"
         )
     anchor = np.asarray(anchor, dtype=float)
-    if not field.inside(anchor):
+    if not field.inside_batch(anchor[None])[0]:
         raise OutsideDomainError(f"anchor {anchor.tolist()} is outside the domain")
     if np.isscalar(resolution) or isinstance(resolution, int):
         resolution = (int(resolution),) * n
     resolution = tuple(int(r) for r in resolution)
     if len(resolution) != n or any(r < 32 for r in resolution):
         raise ValueError("resolution must be >= 32 cells per axis")
-    m_value = float(field.eval(anchor))
+    values, failed = field.batch("eval", anchor[None])
+    field.raise_row_error(anchor[None], failed, "eval")
+    m_value = float(values[0])
     c = float(c)
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c:g}")
@@ -453,7 +455,9 @@ def sample_region(field, anchor, c, count, seed=0):
     connectivity is NOT checked here; that is what the grid path is for.
     """
     anchor = np.asarray(anchor, dtype=float)
-    m_value = float(field.eval(anchor))
+    values, failed = field.batch("eval", anchor[None])
+    field.raise_row_error(anchor[None], failed, "eval")
+    m_value = float(values[0])
     if c >= m_value:
         raise ValueError(f"c must be below f(anchor) = {m_value:g}")
     n = field.dimension

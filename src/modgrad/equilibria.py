@@ -70,9 +70,6 @@ class CriticalPoint(Record):
                  grad_norm, isolation=None, value=0.0):
         self._fill(location, classification, hessian_spectrum, grad_norm, isolation, value)
 
-    def as_array(self):
-        return np.asarray(self.location)
-
 
 class FinderDiagnostics(Record):
     _fields = ("seeds", "converged", "dropped_no_convergence", "dropped_outside",

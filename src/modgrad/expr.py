@@ -3,11 +3,11 @@
 Scalar expressions over the variables x1..xn.  Each expression is
 differentiated symbolically once, when it is parsed; its value, gradient
 and Hessian are rendered to Python source and each compiled once, into a
-straight-line kernel that runs over numpy arrays (``Expression.batch``) and
-over one row of Python floats (``eval``, ``grad``, ``hessian``) with the
-same bits: elementwise ``+ - * /``, negation and ``sqrt`` are correctly
-rounded in numpy as in Python; integer powers are ``_ipow``'s chain of
-products; ``exp``, ``ln``, ``sin`` and ``cos`` call libm on each element
+straight-line kernel that runs over numpy arrays (``Expression.batch``)
+and gives each row the bits Python floats and ``math`` give it:
+elementwise ``+ - * /``, negation and ``sqrt`` are correctly rounded in
+numpy as in Python; integer powers are ``_ipow``'s chain of products;
+``exp``, ``ln``, ``sin`` and ``cos`` call libm on each element
 (``np.frompyfunc``), so no value depends on numpy's CPU dispatch.  Each
 operation that can fail comes with an elementwise test of exactly where
 Python floats and ``math`` raise (``_FAILS``); the kernel runs with
@@ -336,8 +336,8 @@ def _op_source(node, args):
 
 def _compile(roots, guarded, params):
     """Compile ``f(*params)`` returning *roots* as a tuple and the OR of the
-    domain tests of its operations, over arrays or one row of Python
-    floats; *params* names the variables (``x0``, ``x1``, .. or ``t``).
+    domain tests of its operations, over arrays; *params* names the
+    variables (``x0``, ``x1``, .. or ``t``).
     Operations of the same text are computed once, and so is each test,
     into a local that the mask ORs and a libm map takes; the operations
     under *guarded* that can fail are tested too.  ``f.ops`` and
@@ -427,8 +427,8 @@ def _domain_reason(node):
 def _call_exact(fn, columns):
     """*fn*, compiled by ``_compile``, over *columns* with numpy's
     floating-point errors ignored: its values and failure mask, which
-    broadcast to the columns' shape.  A division of Python floats by zero
-    (two constants, or a row of floats) gives NaN values and True."""
+    broadcast to the columns' shape.  A division of two constants by zero,
+    which raises in Python floats, gives NaN values and True."""
     if len(columns) != len(fn.params):
         raise ValueError("wrong number of columns")
     try:
@@ -626,9 +626,9 @@ class _Parser:
 class Expression:
     """Immutable parsed expression; evaluation, gradient and Hessian are
     pure functions of the inputs and safe for concurrent use.  Each is one
-    compiled kernel, run over arrays by ``batch`` and on one row of Python
-    floats by ``eval``, ``grad`` and ``hessian``, which raise
-    EvalDomainError naming the failing sub-expression.
+    compiled kernel, run over arrays by ``batch``, which marks the rows
+    where it fails; ``_locate`` on a marked row raises EvalDomainError
+    naming the failing sub-expression.
     """
 
     __slots__ = ("ast", "dimension", "_kernels")
@@ -653,46 +653,23 @@ class Expression:
     def __repr__(self):
         return f"Expression({str(self)!r}, dimension={self.dimension})"
 
-    def _row(self, kind, point):
-        if len(point) != self.dimension:
-            raise ValueError(
-                f"point has length {len(point)}, expression dimension is {self.dimension}"
-            )
-        row = np.asarray(point, dtype=float).tolist()
-        values, failed = _call_exact(self._kernels[kind], row)
-        if failed:
-            _locate(self._kernels[kind], row)
-        return values
-
-    def eval(self, point):
-        return float(self._row("eval", point)[0])
-
-    def grad(self, point):
-        return np.array(self._row("grad", point), dtype=float)
-
-    def hessian(self, point):
-        """Hessian, exactly symmetric: the lower triangle holds the same
-        values as the upper one."""
-        h = np.array(self._row("hessian", point), dtype=float)
-        return h.reshape(self.dimension, self.dimension)
-
     def batch(self, kind, columns):
         """*kind* ("eval", "grad" or "hessian") at every row of *columns*
         (one array per variable, all of one length m), shape (m,), (m, n) or
         (m, n, n), with the bits Python floats and ``math`` give that row,
         and the mask of the rows where they raise a domain error (their
-        values are not defined).  An overflow outside ``exp``, which Python
-        floats let pass, gives inf.
+        values are not defined); a Hessian is exactly symmetric.  An
+        overflow outside ``exp``, which Python floats let pass, gives inf.
         """
         values, failed = _exact(self._kernels[kind], columns)
         shape = {"eval": (), "grad": (self.dimension,)}.get(kind, (self.dimension,) * 2)
         return values.T.reshape(len(failed), *shape), failed
 
     def eval_array(self, columns):
-        """``eval`` over numpy arrays (one per variable, broadcastable): the
-        kernel of ``batch``, so every element has the bits ``eval`` gives
-        it, and NaN where ``eval`` raises a domain error; callers scanning
-        grids treat those cells as "outside".
+        """f over numpy arrays (one per variable, broadcastable): the
+        kernel of ``batch("eval", ...)``, so every element has the bits that
+        gives its row, and NaN where it marks a domain error; callers
+        scanning grids treat those cells as "outside".
         """
         (out,), failed = _call_exact(self._kernels["eval"], columns)
         return np.where(failed, math.nan, out) if np.any(failed) else np.asarray(out, dtype=float)

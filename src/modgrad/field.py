@@ -8,13 +8,11 @@ P(t) * grad f(x) computed by ``System.rhs_batch`` for a stack of states
 field.
 
 A field has one kernel, ``ScalarField.batch(kind, x)``, for its value,
-gradient and Hessian over states stacked along a leading axis; the scalar
-``eval``/``grad``/``hessian`` are its batch of one (``ExpressionField``'s
-run the expression's kernel on one row, which names a domain error).  A
-row outside D, or one whose evaluation hits a domain error, comes back NaN
-instead of raising, and ``batch`` says which rows those are;
-``raise_row_error`` re-runs the first of them alone to raise the error a
-row-by-row loop would have raised; no other module re-runs rows.
+gradient and Hessian over states stacked along a leading axis; one point
+is a batch of one row.  A row outside D, or one whose evaluation hits a
+domain error, comes back NaN instead of raising, and ``batch`` says which
+rows those are; ``raise_row_error`` names the first of them, the error a
+row-by-row loop would have raised; no other module names a row's error.
 """
 
 import numpy as np
@@ -73,9 +71,8 @@ class ScalarField:
     """f on D: evaluation, gradient and Hessian, answered only inside D.
 
     A subclass implements ``batch`` and ``eval_grid``; where D is not the
-    box, also ``inside_batch`` and ``inside``.  ``eval``, ``grad`` and
-    ``hessian`` check the point and run ``_scalar``, by default ``batch``
-    on one row.
+    box, also ``inside_batch``; where its kernels can fail inside D, also
+    ``_row_error``.
     """
 
     def __init__(self, dimension, box):
@@ -85,48 +82,28 @@ class ScalarField:
         self.box = box
         self._lo, self._hi = np.array(box.lo), np.array(box.hi)
 
-    def _require_inside(self, x):
-        if len(x) != self.dimension:
-            raise ValueError(
-                f"point has length {len(x)}, field dimension is {self.dimension}"
-            )
-        if not self.inside(x):
-            raise OutsideDomainError(f"point {list(map(float, x))} is outside the domain")
-
-    def inside(self, x):
-        return self.box.contains(x)
-
-    def eval(self, x):
-        self._require_inside(x)
-        return self._scalar("eval", x)
-
-    def grad(self, x):
-        self._require_inside(x)
-        return self._scalar("grad", x)
-
-    def hessian(self, x):
-        self._require_inside(x)
-        return self._scalar("hessian", x)
-
-    def _scalar(self, kind, x):
-        """*kind* ("eval", "grad" or "hessian") at x inside D.  A subclass
-        whose kernels can hit a domain error overrides this to raise it."""
-        return self.batch(kind, np.asarray(x, dtype=float)[None])[0][0]
-
     def batch(self, kind, x):
         """*kind* ("eval", "grad" or "hessian") at each row of the (m, n)
         array x, shape (m,), (m, n) or (m, n, n), and the mask of the rows
-        where the scalar *kind* raises (outside D, or a domain error),
-        whose values are NaN."""
+        outside D or where *kind* hits a domain error, whose values are
+        NaN."""
         raise NotImplementedError
 
     def raise_row_error(self, x, failed, *kinds):
-        """Raise what the scalar *kinds*, run in order, raise at the first
-        row of x that *failed* (``batch``'s mask) marks; that row alone is
-        re-run, and nothing happens when no row is marked."""
+        """Raise the error of the first row of x that *failed* (``batch``'s
+        mask) marks: OutsideDomainError when the row is outside D, else the
+        domain error of the first of *kinds* whose kernel fails there.
+        Nothing happens when no row is marked."""
         for i in np.flatnonzero(failed)[:1]:
+            row = np.asarray(x[i], dtype=float)
+            if not self.inside_batch(row[None])[0]:
+                raise OutsideDomainError(f"point {row.tolist()} is outside the domain")
             for kind in kinds:
-                getattr(self, kind)(x[i])
+                self._row_error(kind, row)
+
+    def _row_error(self, kind, row):
+        """Raise the domain error of *kind*'s kernel at *row*, a point inside
+        D, if it fails there; nothing for a field that fails only outside D."""
 
     def eval_grid(self, columns):
         """Vectorized f over broadcastable coordinate arrays, one per
@@ -146,7 +123,7 @@ class ScalarField:
         return x
 
     def inside_batch(self, x):
-        """``inside`` for each row of x (shape (m, n))."""
+        """Whether each row of x (shape (m, n)) is in D."""
         x = self._check_rows(x)
         return linalg.row_all((x >= self._lo) & (x <= self._hi))
 
@@ -158,17 +135,16 @@ class ExpressionField(ScalarField):
         super().__init__(expression.dimension, box)
         self.expression = expression
 
-    def _scalar(self, kind, x):
-        # the kernel on one row, and a domain error naming the sub-expression
-        return getattr(self.expression, kind)(x)
+    def _row_error(self, kind, row):
+        expr_mod._locate(self.expression._kernels[kind], row.tolist())
 
     def eval_grid(self, columns):
         return self.expression.eval_array(columns)
 
     def batch(self, kind, x):
         """The expression's exact array kernel for *kind* on the rows inside
-        D, and the mask of the rows outside D or where the scalar *kind*
-        raises, from the kernel's own domain tests: those rows are NaN (a
+        D, and the mask of the rows outside D or where *kind* hits a domain
+        error, from the kernel's own domain tests: those rows are NaN (a
         NaN the kernel returns elsewhere is a value, and unmarked)."""
         x = self._check_rows(x)
         inside = linalg.row_all((x >= self._lo) & (x <= self._hi))

@@ -75,7 +75,7 @@ def example_2_1():
     system = System(ExpressionField(f, box), matrix)
 
     def self_test():
-        assert abs(system.field.eval((1.0, 1.0)) - 4.0) < 1e-15
+        assert abs(system.field.batch("eval", np.array([[1.0, 1.0]]))[0][0] - 4.0) < 1e-15
         assert abs(matrix.smallest_eigenvalue(0.0) - 1.0) < 1e-12
         assert abs(matrix.smallest_eigenvalue(1.0) - 0.25) < 1e-12
         sol, (c1, c2) = _ex21_closed_form(0.0, (2.0, 2.0))
@@ -188,9 +188,6 @@ class _RadialField(ScalarField):
         super().__init__(2, Box((-1.0, -1.0), (1.0, 1.0)))
         self.cubic = cubic
 
-    def inside(self, x):
-        return self.inside_batch([x])[0]
-
     def eval_grid(self, columns):
         r = np.hypot(columns[0], columns[1])
         out = self.cubic.value(np.minimum(-r, 0.0))
@@ -245,7 +242,7 @@ def example_2_2(depth=20):
         assert abs(cubic.value(-0.25) - 0.3125) < 1e-15
         assert abs(cubic.value(0.0) - 1.0 / 3.0) < 1e-15
         assert abs(cubic.slope_max_on_piece(0) - 0.75) < 1e-15
-        assert field.eval((0.0, 0.0)) == cubic.value(0.0)
+        assert field.batch("eval", np.zeros((1, 2)))[0][0] == cubic.value(0.0)
 
     oracles = {
         "cubic": cubic,
@@ -289,10 +286,10 @@ def example_3_1(matrix=None):
     system = System(ExpressionField(f, box), matrix)
 
     def self_test():
-        assert abs(system.field.eval((2.0, 1.0)) - 37.0) < 1e-12
-        assert abs(system.field.eval((2.0, 4.0)) - 64.0) < 1e-12
-        assert abs(system.field.eval((2.0, 2.0)) - 32.0) < 1e-12
-        assert np.allclose(system.field.grad((2.0, 2.0)), [0.0, 0.0], atol=1e-12)
+        values = system.field.batch("eval", np.array([[2.0, 1.0], [2.0, 4.0], [2.0, 2.0]]))[0]
+        assert (abs(values - [37.0, 64.0, 32.0]) < 1e-12).all()
+        assert np.allclose(system.field.batch("grad", np.array([[2.0, 2.0]]))[0][0], [0.0, 0.0],
+                           atol=1e-12)
         assert abs(_ex31_printed_gradient((2.0, 3.0))[1] - 24.0) < 1e-12
 
     oracles = {

@@ -213,7 +213,8 @@ def _confirm_local_max(field, point, radius):
     Catches flat-topped maxima the Hessian misses, and rejects saddles even
     when their spectrum was misread.
     """
-    f0 = field.eval(point)
+    f0, failed = field.batch("eval", np.array([point], dtype=float))
+    field.raise_row_error([point], failed, "eval")
     dirs = _shell_dirs(32, field.dimension)
     parts = [(r, point + r * dirs) for r in (radius, radius / 4.0)]
     samples = np.concatenate([p for _, p in parts])
@@ -221,7 +222,7 @@ def _confirm_local_max(field, point, radius):
     values, failed = field.batch("eval", samples)
     # a sample-by-sample check stops at the first failing sample
     stop = int(np.argmax(failed)) if failed.any() else len(samples)
-    gaps = values[:stop] - f0
+    gaps = values[:stop] - f0[0]
     for j in np.flatnonzero(gaps >= 0.0):  # a NaN value is not
         return False, (
             f"f({[round(v, 6) for v in samples[j].tolist()]}) >= f(x̄) "

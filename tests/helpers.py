@@ -1,6 +1,28 @@
-"""Shared test oracles, independent of the implementation paths they check."""
+"""Shared test oracles, independent of the implementation paths they check,
+and ``one_row``, the library's value at one point."""
 
 import numpy as np
+
+from modgrad import expr
+from modgrad.expr import Expression
+
+
+def one_row(f, kind, x):
+    """*kind* ("eval", "grad" or "hessian") of a field or an Expression *f*
+    at the one point *x*: row 0 of a one-row batch, or the error that row
+    raises.  A field names it with ``raise_row_error``; an Expression, which
+    has no domain, with ``expr._locate`` on its kernel, so that a point at
+    +-inf or 1e300 reaches it."""
+    if isinstance(f, Expression):
+        row = [float(v) for v in x]
+        values, failed = f.batch(kind, [np.array([v]) for v in row])
+        if failed[0]:
+            expr._locate(f._kernels[kind], row)
+        return values[0]
+    x = np.array([x], dtype=float)
+    values, failed = f.batch(kind, x)
+    f.raise_row_error(x, failed, kind)
+    return values[0]
 
 
 def central_diff_grad(func, point, step=1e-5):

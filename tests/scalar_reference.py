@@ -31,6 +31,13 @@ from modgrad.ode import (
     SimOptions, Status, Trajectory,
 )
 
+from helpers import one_row
+
+
+def inside(field, x):
+    """Whether the one point x is in the field's D."""
+    return field.inside_batch([x])[0]
+
 
 def dot(u, v):
     """Dot product of two vectors as ``linalg.row_dots`` takes it: the
@@ -146,11 +153,12 @@ def newton(field, seed, newton_tol, max_iters):
     for _ in range(max_iters):
         if np.any(x < lo - margin) or np.any(x > hi + margin):
             return None, "outside"
+        at = x if inside(field, x) else np.clip(x, lo, hi)
         try:
-            g = field.grad(np.clip(x, lo, hi)) if not field.inside(x) else field.grad(x)
+            g = one_row(field, "grad", at)
             if norm(g) <= newton_tol:
                 return x, "converged"
-            h = field.hessian(np.clip(x, lo, hi)) if not field.inside(x) else field.hessian(x)
+            h = one_row(field, "hessian", at)
         except OutsideDomainError:
             return None, "outside"
         except EvalDomainError:
@@ -187,7 +195,7 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
     roots = []
     dedup_radius = 10.0 * newton_tol
     for seed in seeds:
-        if not field.inside(seed):
+        if not inside(field, seed):
             counts["dropped_outside"] += 1
             continue
         root, outcome = newton(field, seed, newton_tol, max_newton_iters)
@@ -201,7 +209,7 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
             else:
                 counts["dropped_no_convergence"] += 1
             continue
-        if not field.inside(root):
+        if not inside(field, root):
             counts["dropped_outside"] += 1
             continue
         counts["converged"] += 1
@@ -212,19 +220,19 @@ def find_critical_points(field, grid_per_axis=20, newton_tol=1e-10, max_newton_i
 
     points = []
     for root in roots:
-        g_norm = norm(field.grad(root))
+        g_norm = norm(one_row(field, "grad", root))
         if g_norm > newton_tol:
             # dedup representative must still satisfy the tolerance
             counts["dropped_no_convergence"] += 1
             continue
-        spectrum = linalg.eigen_all(field.hessian(root))
+        spectrum = linalg.eigen_all(one_row(field, "hessian", root))
         points.append(
             CriticalPoint(
                 location=tuple(float(v) for v in root),
                 classification=classify_spectrum(spectrum),
                 hessian_spectrum=tuple(float(v) for v in spectrum),
                 grad_norm=g_norm,
-                value=field.eval(root),
+                value=float(one_row(field, "eval", root)),
             )
         )
     points.sort(key=lambda p: p.location)
@@ -246,9 +254,9 @@ def isolation_probe(field, point, shell_radii, samples_per_shell=32, grad_floor=
     best, witness = math.inf, None
     for r in radii:
         for sample in point + r * _shell_dirs(samples_per_shell, field.dimension):
-            if not field.inside(sample):
+            if not inside(field, sample):
                 raise OutsideDomainError(f"shell sample {sample.tolist()} is outside the domain")
-            grad_norm = norm(field.grad(sample))
+            grad_norm = norm(one_row(field, "grad", sample))
             if grad_norm < best:
                 best, witness = grad_norm, tuple(sample.tolist())
     if best <= grad_floor:
@@ -324,7 +332,7 @@ def extract_component(field, anchor, c, resolution):
     if np.isscalar(resolution):
         resolution = (int(resolution),) * n
     resolution = tuple(int(r) for r in resolution)
-    m_value = float(field.eval(anchor))
+    m_value = float(one_row(field, "eval", anchor))
     lo = np.array(field.box.lo)
     hi = np.array(field.box.hi)
     widths = (hi - lo) / np.array(resolution)
@@ -400,18 +408,32 @@ def cell_center(component, idx):
     ])
 
 
-def _fval(field, x):
-    try:
-        return field.eval(x)
-    except OutsideDomainError:
-        return math.nan
+def point_eval(field):
+    """f at one point in Python floats, NaN outside D: ``math_kind`` of an
+    ExpressionField's expression, ``radial_eval`` for ex22's radial field.
+    Where that raises, ``one_row`` raises the field's own error, which
+    names the failing sub-expression."""
+    if hasattr(field, "expression"):
+        contains, f = field.box.contains, math_kind(field.expression, "eval")
+    else:
+        contains, f = (lambda x: radial_inside(field, x)), (lambda x: radial_eval(field, x))
+
+    def at(x):
+        if not contains(x):
+            return math.nan
+        try:
+            return f(x)
+        except EvalDomainError:
+            one_row(field, "eval", x)
+            raise
+    return at
 
 
 def sample_region(field, anchor, c, count, seed=0):
     """Rejection-sampled starts with c < f < M near the anchor, one draw
-    and one scalar ``eval`` at a time."""
+    and one one-row ``eval`` at a time."""
     anchor = np.asarray(anchor, dtype=float)
-    m_value = float(field.eval(anchor))
+    m_value = float(one_row(field, "eval", anchor))
     if c >= m_value:
         raise ValueError(f"c must be below f(anchor) = {m_value:g}")
     rng = random.Random(int(seed))
@@ -423,7 +445,7 @@ def sample_region(field, anchor, c, count, seed=0):
         tries += 1
         direction = _unit_vector(rng, field.dimension)
         x = anchor + radius * rng.random() ** (1.0 / field.dimension) * direction
-        if field.inside(x) and c < field.eval(x) < m_value:
+        if inside(field, x) and c < one_row(field, "eval", x) < m_value:
             samples.append(x)
         if tries % 2000 == 0 and radius < r_max:
             radius = min(2.0 * radius, r_max)
@@ -435,20 +457,21 @@ def sample_region(field, anchor, c, count, seed=0):
     return samples
 
 
-def bisect_crossing(field, inside_pt, outside_pt, level, steps=40):
-    """Locate f = level on the segment [inside_pt, outside_pt] by bisection."""
+def bisect_crossing(f, inside_pt, outside_pt, level, steps=40):
+    """Locate f = level on the segment [inside_pt, outside_pt] by bisection,
+    with f a function of one point (``point_eval``)."""
     a = np.asarray(inside_pt, dtype=float)
     b = np.asarray(outside_pt, dtype=float)
-    sign_a = _fval(field, a) - level
+    sign_a = f(a) - level
     for _ in range(steps):
         mid = 0.5 * (a + b)
-        fm = _fval(field, mid)
+        fm = f(mid)
         if math.isnan(fm) or (fm - level) * sign_a < 0.0:
             b = mid
         else:
             a = mid
     mid = 0.5 * (a + b)
-    return mid, _fval(field, mid)
+    return mid, f(mid)
 
 
 def lipschitz_estimate(field, component, sample_cap=256):
@@ -457,8 +480,8 @@ def lipschitz_estimate(field, component, sample_cap=256):
     worst = 0.0
     for cell in cells[::stride]:
         center = cell_center(component, cell)
-        if field.inside(center):
-            worst = max(worst, norm(field.grad(center)))
+        if inside(field, center):
+            worst = max(worst, norm(one_row(field, "grad", center)))
     return worst
 
 
@@ -469,6 +492,7 @@ def h4_h5(component, field, tol_boundary=None):
     res = component.resolution
     mask = component.mask
     values = dense_values(field, component.box_lo, component.cell_widths, res)
+    f = point_eval(field)
     c = component.c
     m_value = component.m_value
     cell_diag = math.sqrt(sum(w * w for w in component.cell_widths))
@@ -518,12 +542,12 @@ def h4_h5(component, field, tol_boundary=None):
                     continue
                 checked += 1
                 if f_nb >= m_value:
-                    crossing, f_at = bisect_crossing(field, center, nb_center, m_value)
+                    crossing, f_at = bisect_crossing(f, center, nb_center, m_value)
                     h5_witnesses.append(
                         (tuple(crossing.tolist()), f_at, "crossing hits f = M")
                     )
                 elif f_nb <= c:
-                    crossing, f_at = bisect_crossing(field, center, nb_center, c)
+                    crossing, f_at = bisect_crossing(f, center, nb_center, c)
                     residual = abs(f_at - c)
                     worst_residual = max(worst_residual, residual)
                     if residual > tol_boundary:
@@ -785,7 +809,7 @@ def simulate(system, x0, t0, t_end, opts=None, targets=None):
 
     f = system.rhs_batch(np.full(m, t0), x)  # raises a fault of P(t0) first
     for i in np.flatnonzero(np.isnan(f).any(axis=1)):
-        system.field.grad(x[i])  # raises the first row's gradient error
+        one_row(system.field, "grad", x[i])  # raises the first row's gradient error
     rows = np.arange(m)  # the row ids still integrating
     accepted = [(rows, np.full(m, t0), x.copy(), f)]  # (row ids, t, x, rhs) per step
     outcome = [None] * m  # row id -> (status, Trajectory fields)

@@ -19,7 +19,7 @@ from modgrad.gallery import PiecewiseCubic, _ex21_closed_form
 from modgrad.linalg import eigen_all, integrate_adaptive
 from modgrad.stability import EcKind, ec_check
 
-from helpers import central_diff_grad, random_poly_source, random_psd_matrix
+from helpers import central_diff_grad, one_row, random_poly_source, random_psd_matrix
 
 
 @contextmanager
@@ -94,7 +94,7 @@ def test_criterion_3_example_31_equilibria():
             ((2.0, 4.0), 64.0, Classification.ISOLATED_LOCAL_MAX),
         ]
         for cp, (loc, value, cls) in zip(points, expected):
-            assert np.linalg.norm(cp.as_array() - np.array(loc)) <= 1e-8
+            assert np.linalg.norm(np.asarray(cp.location) - np.array(loc)) <= 1e-8
             assert abs(cp.value - value) <= 1e-9
             assert cp.classification is cls
 
@@ -184,9 +184,9 @@ def test_criterion_6_lyapunov_property_suite():
             for matrix in paths:
                 system = System(field, matrix)
                 traj = ode.simulate(system, x0, 0.0, 3.0, opts)
-                if traj.status is ode.Status.LEFT_DOMAIN and not field.inside(
-                    traj.states[-1]
-                ):
+                if traj.status is ode.Status.LEFT_DOMAIN and not field.inside_batch(
+                    [traj.states[-1]]
+                )[0]:
                     # the exit sample is outside D by design; trace the rest
                     traj = ode.Trajectory(
                         t0=traj.t0,
@@ -212,10 +212,10 @@ def test_criterion_7_kernel_oracles():
                 n,
             )
             point = rng.uniform(-1.5, 1.5, size=n)
-            ad = expr.grad(point)
+            ad = one_row(expr, "grad", point)
             if np.linalg.norm(ad) < 0.1:
                 continue
-            fd = central_diff_grad(lambda p: expr.eval(p), point, step=1e-5)
+            fd = central_diff_grad(lambda p: one_row(expr, "eval", p), point, step=1e-5)
             assert (np.abs(ad - fd) / np.maximum(np.abs(ad), 1.0)).max() <= 1e-6
             checked += 1
 

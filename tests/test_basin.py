@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from helpers import one_row
 from modgrad import basin, ode
 from modgrad.basin import _flood, _lipschitz_estimate
 from modgrad.basin import (
@@ -521,7 +522,7 @@ class TestStarts:
         a = sample_region(f, (0.0,) * 3, 0.5, 25, seed=3)
         assert np.array_equal(a, sample_region(f, (0.0,) * 3, 0.5, 25, seed=3))
         assert not np.array_equal(a, sample_region(f, (0.0,) * 3, 0.5, 25, seed=4))
-        assert all(f.inside(x) and 0.5 < f.eval(x) < 1.0 for x in a)
+        assert all(f.inside_batch([x])[0] and 0.5 < one_row(f, "eval", x) < 1.0 for x in a)
 
     @pytest.mark.parametrize("source, c, count, seed", [
         ("1 - x1^2 - 2*x2^2 - 3*x3^2", 0.5, 25, 3),

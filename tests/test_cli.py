@@ -15,6 +15,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import scalar_reference as ref
+from helpers import one_row
 from modgrad.basin import exposed_cells, extract_component
 from modgrad.cli import _SIGNS, Options, _boundary_segments, _write_csv, load_config, main
 from modgrad.errors import EvalDomainError
@@ -721,7 +722,7 @@ class TestNumericInputs:
         assert "Traceback" not in capsys.readouterr().err
         if f == self.DEEP_SUM:
             with pytest.raises(EvalDomainError) as exc:
-                parse(f, 2).eval([0.5, 0.0])
+                one_row(parse(f, 2), "eval", [0.5, 0.0])
             message = str(exc.value)
             assert message.startswith("division by zero in '(x1 + x1 + ")
             assert message.endswith(" + x1) / x2'")

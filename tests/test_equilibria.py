@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from helpers import random_poly_source
+from helpers import one_row, random_poly_source
+from modgrad import expr as expr_mod
 from modgrad import gallery
 from modgrad.cli import load_config
 from modgrad.equilibria import (
@@ -58,12 +59,12 @@ class TestFinder:
     def test_grad_rechecked_at_representatives(self, ex31):
         points, _ = find_critical_points(ex31.system.field, grid_per_axis=10)
         for cp in points:
-            g = ex31.system.field.grad(cp.as_array())
+            g = one_row(ex31.system.field, "grad", np.asarray(cp.location))
             assert float(np.linalg.norm(g)) <= 1e-10
 
     def test_critical_circles_reported_degenerate(self, ex22):
         points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
-        radii = np.array([np.linalg.norm(cp.as_array()) for cp in points])
+        radii = np.array([np.linalg.norm(np.asarray(cp.location)) for cp in points])
         # the origin plus many circle points
         assert (radii < 1e-8).sum() == 1
         circle_points = [
@@ -100,25 +101,24 @@ def _field(source, lo, hi):
 
 
 class _LocatedAt:
-    """Stands in for an Expression: the array kernels delegate to it, and
-    its located ``eval``/``grad``/``hessian`` fail the test unless called
-    at one of *points*; the calls are kept in order."""
+    """Watches *expression*'s kernels: ``expr._locate`` on one of them (a
+    row's error being named) fails the test unless at one of *points*; the
+    calls are kept in order, as (kind, point)."""
 
-    def __init__(self, expression, points=()):
-        self._expression = expression
+    def __init__(self, monkeypatch, expression, points=()):
         self._points = {tuple(p) for p in points}
+        self._kinds = {id(fn): kind for kind, fn in expression._kernels.items()}
+        self._locate = expr_mod._locate
         self.calls = []
+        monkeypatch.setattr(expr_mod, "_locate", self.located)
 
-    def __getattr__(self, name):
-        if name not in ("eval", "grad", "hessian"):
-            return getattr(self._expression, name)
-
-        def located(point):
-            if tuple(point) not in self._points:
-                pytest.fail(f"located {name} at {list(point)}")
-            self.calls.append((name, tuple(point)))
-            return getattr(self._expression, name)(point)
-        return located
+    def located(self, fn, row):
+        kind = self._kinds.get(id(fn))
+        if kind is not None:
+            if tuple(row) not in self._points:
+                pytest.fail(f"located {kind} at {list(row)}")
+            self.calls.append((kind, tuple(row)))
+        return self._locate(fn, row)
 
 
 class TestBatchedFinder:
@@ -171,12 +171,12 @@ class TestBatchedFinder:
         points, diags = self._assert_same(_field(source, lo, hi), 11)
         assert diags.dropped_domain > 0 and points
 
-    def test_domain_rows_are_dropped_without_locating_them(self):
+    def test_domain_rows_are_dropped_without_locating_them(self, monkeypatch):
         # the kernels' mask says which rows hit a domain error; no row is
-        # re-run through the located scalar functions
+        # located (``expr._locate``)
         f = _field("ln(x1*x2) - x1 - x2", (-1.0, -1.0), (3.0, 3.0))
         want = ref.find_critical_points(f, 20)
-        f.expression = _LocatedAt(f.expression)
+        _LocatedAt(monkeypatch, f.expression)
         got = find_critical_points(f, 20)
         assert got[1] == want[1] and got[1].dropped_domain == 236
         assert _hex_points(got[0]) == _hex_points(want[0])
@@ -245,7 +245,7 @@ class TestIsolationProbe:
             pts = np.array([2.0, 1.0]) + r * np.stack(
                 [np.cos(angles), np.sin(angles)], axis=-1
             )
-            norms = [float(np.linalg.norm(fld.grad(p))) for p in pts[::50]]
+            norms = [float(np.linalg.norm(one_row(fld, "grad", p))) for p in pts[::50]]
             assert min(norms) > 1e-7
 
     def test_quadratic_gradient_scales_with_radius(self, ex21):
@@ -280,7 +280,7 @@ class TestIsolationProbe:
         assert isinstance(batch[1], EvalDomainError)
         assert not isinstance(batch[2], Exception)
 
-    def test_only_the_first_failing_sample_is_located(self):
+    def test_only_the_first_failing_sample_is_located(self, monkeypatch):
         fld = ExpressionField(parse("ln(x2) - x1^2 - (x2 - 1)^2", 2),
                               Box((-2.0, -2.0), (2.0, 2.0)))
         samples = np.array([0.0, 0.2]) + 0.3 * _shell_dirs(32, 2)
@@ -288,7 +288,7 @@ class TestIsolationProbe:
         want = [ref.isolation_probe(fld, (0.0, 1.0), [0.1])]
         with pytest.raises(EvalDomainError) as err:
             ref.isolation_probe(fld, (0.0, 0.2), [0.3])
-        fld.expression = counter = _LocatedAt(fld.expression, [first])
+        counter = _LocatedAt(monkeypatch, fld.expression, [first])
         got = isolation_probes(fld, [(0.0, 1.0), (0.0, 0.2)], [[0.1], [0.3]])
         assert got[0] == want[0]
         assert type(got[1]) is EvalDomainError and str(got[1]) == str(err.value)

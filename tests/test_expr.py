@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from modgrad.expr import MAX_NESTING, EvalDomainError, ParseError, parse
 from modgrad.gallery import _ex31_printed_gradient
 
-from helpers import central_diff_grad, random_poly_source
+from helpers import central_diff_grad, one_row, random_poly_source
 from scalar_reference import math_kind
 
 EX21_F = "4 - (x1-1)^2 - (x2-1)^2"
@@ -24,7 +24,7 @@ class TestParse:
 
     def test_single_variable(self):
         e = parse("x1", 1)
-        assert e.eval((3.5,)) == 3.5
+        assert one_row(e, "eval", (3.5,)) == 3.5
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as exc:
@@ -70,111 +70,112 @@ class TestParse:
 
     def test_nesting_bound(self):
         deepest = "-(" * (MAX_NESTING // 2) + "x1" + ")" * (MAX_NESTING // 2)
-        assert parse(deepest, 1).eval((2.0,)) == 2.0
-        assert parse("sin(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, 1).eval((0.0,)) == 0.0
+        assert one_row(parse(deepest, 1), "eval", (2.0,)) == 2.0
+        nested = parse("sin(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, 1)
+        assert one_row(nested, "eval", (0.0,)) == 0.0
         with pytest.raises(ParseError, match="nests deeper than") as exc:
             parse("-" + deepest, 1)
         assert exc.value.position == MAX_NESTING
 
     def test_scientific_notation(self):
-        assert parse("1.5e-3 + x1", 1).eval((0.0,)) == 1.5e-3
-        assert parse("2E2", 1).eval((0.0,)) == 200.0
+        assert one_row(parse("1.5e-3 + x1", 1), "eval", (0.0,)) == 1.5e-3
+        assert one_row(parse("2E2", 1), "eval", (0.0,)) == 200.0
 
     def test_power_binds_tighter_than_unary_minus(self):
-        assert parse("-x1^2", 1).eval((3.0,)) == -9.0
-        assert parse("(-x1)^2", 1).eval((3.0,)) == 9.0
+        assert one_row(parse("-x1^2", 1), "eval", (3.0,)) == -9.0
+        assert one_row(parse("(-x1)^2", 1), "eval", (3.0,)) == 9.0
 
     def test_exponent_must_be_literal(self):
         with pytest.raises(ParseError):
             parse("x1^x2", 2)
 
     def test_function_calls(self):
-        assert parse("exp(0)", 1).eval((0.0,)) == 1.0
-        assert parse("ln(exp(1))", 1).eval((0.0,)) == pytest.approx(1.0, abs=1e-15)
-        assert parse("sqrt(x1)", 1).eval((9.0,)) == 3.0
-        assert parse("sin(0) + cos(0)", 1).eval((0.0,)) == 1.0
+        assert one_row(parse("exp(0)", 1), "eval", (0.0,)) == 1.0
+        assert one_row(parse("ln(exp(1))", 1), "eval", (0.0,)) == pytest.approx(1.0, abs=1e-15)
+        assert one_row(parse("sqrt(x1)", 1), "eval", (9.0,)) == 3.0
+        assert one_row(parse("sin(0) + cos(0)", 1), "eval", (0.0,)) == 1.0
 
 
 class TestEval:
     def test_known_values_example_31(self):
         e = parse(EX31_F, 2)
-        assert e.eval((2.0, 1.0)) == pytest.approx(37.0, abs=1e-12)
-        assert e.eval((2.0, 2.0)) == pytest.approx(32.0, abs=1e-12)
-        assert e.eval((2.0, 4.0)) == pytest.approx(64.0, abs=1e-12)
+        assert one_row(e, "eval", (2.0, 1.0)) == pytest.approx(37.0, abs=1e-12)
+        assert one_row(e, "eval", (2.0, 2.0)) == pytest.approx(32.0, abs=1e-12)
+        assert one_row(e, "eval", (2.0, 4.0)) == pytest.approx(64.0, abs=1e-12)
 
     def test_constant_zero(self):
-        assert parse("0", 3).eval((1.0, 2.0, 3.0)) == 0.0
+        assert one_row(parse("0", 3), "eval", (1.0, 2.0, 3.0)) == 0.0
 
     def test_division_by_zero_identifies_node(self):
         e = parse("1 / (x1 - 2)", 1)
         with pytest.raises(EvalDomainError, match="division by zero"):
-            e.eval((2.0,))
+            one_row(e, "eval", (2.0,))
 
     def test_ln_domain_error(self):
         with pytest.raises(EvalDomainError, match="ln"):
-            parse("ln(x1)", 1).eval((-1.0,))
+            one_row(parse("ln(x1)", 1), "eval", (-1.0,))
 
     def test_sqrt_domain_error(self):
         with pytest.raises(EvalDomainError, match="sqrt"):
-            parse("sqrt(x1)", 1).eval((-1.0,))
+            one_row(parse("sqrt(x1)", 1), "eval", (-1.0,))
 
     def test_real_exponent_needs_positive_base(self):
         e = parse("x1^0.5", 1)
-        assert e.eval((4.0,)) == pytest.approx(2.0)
+        assert one_row(e, "eval", (4.0,)) == pytest.approx(2.0)
         with pytest.raises(EvalDomainError):
-            e.eval((-4.0,))
+            one_row(e, "eval", (-4.0,))
 
     def test_integer_power_of_negative_base(self):
-        assert parse("x1^3", 1).eval((-2.0,)) == -8.0
-        assert parse("x1^(-2)", 1).eval((2.0,)) == 0.25
+        assert one_row(parse("x1^3", 1), "eval", (-2.0,)) == -8.0
+        assert one_row(parse("x1^(-2)", 1), "eval", (2.0,)) == 0.25
 
     def test_wrong_point_length(self):
         with pytest.raises(ValueError):
-            parse("x1", 2).eval((1.0,))
+            one_row(parse("x1", 2), "eval", (1.0,))
 
     def test_eval_is_bitwise_deterministic(self):
         e = parse(EX31_F, 2)
-        values = {e.eval((1.234567, -0.345678)) for _ in range(10)}
+        values = {one_row(e, "eval", (1.234567, -0.345678)) for _ in range(10)}
         assert len(values) == 1
 
 
 class TestGrad:
     def test_gradient_vanishes_at_local_max(self):
         e = parse(EX31_F, 2)
-        assert np.allclose(e.grad((2.0, 1.0)), [0.0, 0.0], atol=1e-12)
+        assert np.allclose(one_row(e, "grad", (2.0, 1.0)), [0.0, 0.0], atol=1e-12)
 
     def test_identity_expression(self):
         e = parse("x1", 3)
-        assert np.array_equal(e.grad((5.0, 6.0, 7.0)), [1.0, 0.0, 0.0])
+        assert np.array_equal(one_row(e, "grad", (5.0, 6.0, 7.0)), [1.0, 0.0, 0.0])
 
     def test_printed_gradient_at_origin(self):
         # oracle: the factored gradient -20(x1-2), -12(x2-1)(x2-2)(x2-4)
         # evaluated by hand at the origin gives (40, 96)
         e = parse(EX31_F, 2)
-        assert np.allclose(e.grad((0.0, 0.0)), [40.0, 96.0], atol=1e-12)
+        assert np.allclose(one_row(e, "grad", (0.0, 0.0)), [40.0, 96.0], atol=1e-12)
 
 
 class TestHessian:
     def test_example_31_at_p1(self):
         # oracle: differentiate the printed gradient once more by hand
         e = parse(EX31_F, 2)
-        assert np.allclose(e.hessian((2.0, 1.0)), np.diag([-20.0, -36.0]), atol=1e-12)
+        assert np.allclose(one_row(e, "hessian", (2.0, 1.0)), np.diag([-20.0, -36.0]), atol=1e-12)
 
     def test_example_31_at_saddle(self):
         e = parse(EX31_F, 2)
-        assert np.allclose(e.hessian((2.0, 2.0)), np.diag([-20.0, 24.0]), atol=1e-12)
+        assert np.allclose(one_row(e, "hessian", (2.0, 2.0)), np.diag([-20.0, 24.0]), atol=1e-12)
 
     def test_quadratic_constant_hessian(self):
         e = parse(EX21_F, 2)
         for point in [(0.0, 0.0), (1.0, 1.0), (-2.5, 3.5)]:
-            assert np.allclose(e.hessian(point), np.diag([-2.0, -2.0]), atol=1e-14)
+            assert np.allclose(one_row(e, "hessian", point), np.diag([-2.0, -2.0]), atol=1e-14)
 
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             n = int(rng.integers(2, 5))
             e = parse(random_poly_source(rng, n), n)
-            h = e.hessian(rng.uniform(-1.5, 1.5, size=n))
+            h = one_row(e, "hessian", rng.uniform(-1.5, 1.5, size=n))
             assert np.array_equal(h, h.T)
 
 
@@ -187,7 +188,7 @@ class TestExactDerivatives:
         e = parse(EX31_F, 2)
         for x1 in range(-1, 6):
             for x2 in range(-1, 7):
-                g = e.grad((x1, x2))
+                g = one_row(e, "grad", (x1, x2))
                 assert np.array_equal(g, _ex31_printed_gradient((x1, x2))), (x1, x2)
 
     def test_example_31_hessian_by_hand(self):
@@ -196,14 +197,14 @@ class TestExactDerivatives:
         for x1 in range(-1, 6):
             for x2 in range(-1, 7):
                 expected = [[-20.0, 0.0], [0.0, -12.0 * (3 * x2 * x2 - 14 * x2 + 14)]]
-                assert np.array_equal(e.hessian((x1, x2)), expected), (x1, x2)
+                assert np.array_equal(one_row(e, "hessian", (x1, x2)), expected), (x1, x2)
 
     def test_mixed_polynomial(self):
         e = parse("x1^3*x2 - 2*x1*x2^2 + 5 - x3^(-2)", 3)
         for x1, x2 in [(0, 0), (1, -2), (-3, 4), (5, 7)]:
-            g = e.grad((x1, x2, 2))
+            g = one_row(e, "grad", (x1, x2, 2))
             assert g.tolist() == [3 * x1**2 * x2 - 2 * x2**2, x1**3 - 4 * x1 * x2, 0.25]
-            h = e.hessian((x1, x2, 2))
+            h = one_row(e, "hessian", (x1, x2, 2))
             assert h.tolist() == [
                 [6 * x1 * x2, 3 * x1**2 - 4 * x2, 0.0],
                 [3 * x1**2 - 4 * x2, -4 * x1, 0.0],
@@ -223,7 +224,7 @@ class TestExactDerivatives:
     def test_domain_error_names_subexpression(self, source, point, named, method):
         e = parse(source, 2)
         with pytest.raises(EvalDomainError) as exc:
-            getattr(e, method)(point)
+            one_row(e, method, point)
         assert named in str(exc.value)
 
 
@@ -231,7 +232,7 @@ class TestEvalArray:
     """``eval_array`` gives each element the bits of the Python-float
     reference (``scalar_reference.math_kind``), and NaN where it raises (a
     libm overflow included) without raising itself; ``batch("eval", ...)``
-    marks the same elements, and ``eval`` raises at them."""
+    marks the same elements, and ``one_row`` raises at them."""
 
     CASES = [
         ("ln(x1)", [2.0, 0.0, -1.0, math.inf, math.nan]),
@@ -253,11 +254,11 @@ class TestEvalArray:
             except EvalDomainError:
                 assert math.isnan(v), x
                 with pytest.raises(EvalDomainError):
-                    e.eval((x,))
+                    one_row(e, "eval", (x,))
                 raised.append(True)
                 continue
             raised.append(False)
-            assert _bits(v) == _bits(w) == _bits(want) == _bits(e.eval((x,))), x
+            assert _bits(v) == _bits(w) == _bits(want) == _bits(one_row(e, "eval", (x,))), x
         assert failed.tolist() == raised and any(raised)
 
 
@@ -271,8 +272,8 @@ def _bits(x):
 
 def _assert_rows_match_the_reference(e, kind, rows):
     """``batch(kind, ...)`` over *rows* against the Python-float reference:
-    the same bits where the reference returns, a mark where it raises; the
-    scalar *kind*, the kernel on one row, agrees.  Returns the mask."""
+    the same bits where the reference returns, a mark where it raises; a
+    one-row batch (``one_row``) agrees.  Returns the mask."""
     reference = math_kind(e, kind)
     got, failed = e.batch(kind, np.array(rows, dtype=float).reshape(-1, e.dimension).T)
     assert got.shape[0] == failed.shape[0] == len(rows)
@@ -282,10 +283,10 @@ def _assert_rows_match_the_reference(e, kind, rows):
         except EvalDomainError:
             assert marked, (kind, row)
             with pytest.raises(EvalDomainError):
-                getattr(e, kind)(row)
+                one_row(e, kind, row)
             continue
         assert not marked, (kind, row)
-        assert _bits(values) == _bits(want) == _bits(getattr(e, kind)(row)), (kind, row)
+        assert _bits(values) == _bits(want) == _bits(one_row(e, kind, row)), (kind, row)
     return failed
 
 
@@ -341,9 +342,9 @@ def test_exact_kernels_mark_where_the_scalar_functions_raise(source, rows):
         _assert_rows_match_the_reference(e, kind, rows)
 
 
-# Every kind of domain error, and the message the scalar functions raise
-# for it: the reason and the user's text of the first failing operation, in
-# eval, grad and hessian.  A real power is computed as exp(e*ln(base)) and a
+# Every kind of domain error, and the message a one-row batch (``one_row``)
+# raises for it: the reason and the user's text of the first failing
+# operation, in eval, grad and hessian.  A real power is computed as exp(e*ln(base)) and a
 # negative one as a reciprocal, so those operations name the power; where
 # an operation's text is shared, the first sub-expression to compute it
 # names it.
@@ -396,7 +397,7 @@ def test_domain_error_messages(source, x, messages):
     e = parse(source, 1)
     for kind, message in zip(("eval", "grad", "hessian"), messages):
         with pytest.raises(EvalDomainError) as exc:
-            getattr(e, kind)((x,))
+            one_row(e, kind, (x,))
         assert str(exc.value) == message
         assert e.batch(kind, [np.array([x])])[1].tolist() == [True]
 
@@ -412,10 +413,10 @@ class TestAutodiffAgainstFiniteDifferences:
             )
             e = parse(source, n)
             point = rng.uniform(-1.5, 1.5, size=n)
-            ad = e.grad(point)
+            ad = one_row(e, "grad", point)
             if np.linalg.norm(ad) < 0.1:
                 continue  # the FD comparison needs a non-degenerate point
-            fd = central_diff_grad(lambda p: e.eval(p), point, step=1e-5)
+            fd = central_diff_grad(lambda p: one_row(e, "eval", p), point, step=1e-5)
             rel = np.abs(ad - fd) / np.maximum(np.abs(ad), 1.0)
             assert rel.max() <= 1e-6, f"source {source} at {point}"
             checked += 1
@@ -426,10 +427,10 @@ class TestAutodiffAgainstFiniteDifferences:
             n = int(rng.integers(2, 4))
             e = parse(random_poly_source(rng, n), n)
             point = rng.uniform(-1.0, 1.0, size=n)
-            h = e.hessian(point)
+            h = one_row(e, "hessian", point)
             from helpers import central_diff_hessian_of_grad
 
-            fd = central_diff_hessian_of_grad(lambda p: e.grad(p), point)
+            fd = central_diff_hessian_of_grad(lambda p: one_row(e, "grad", p), point)
             assert np.abs(h - fd).max() <= 1e-5
 
 
@@ -452,7 +453,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(5)
         for _ in range(25):
             point = rng.uniform(0.1, 2.0, size=dim)
-            assert e1.eval(point) == e2.eval(point)
+            assert one_row(e1, "eval", point) == one_row(e2, "eval", point)
 
     def test_long_sum_ast_has_repr_hash_and_eq(self):
         # nodes compare by identity; recursive generated methods overflowed
@@ -470,4 +471,4 @@ class TestRoundTrip:
             e2 = parse(str(e1), n)
             for _ in range(5):
                 point = rng.uniform(-2.0, 2.0, size=n)
-                assert e1.eval(point) == e2.eval(point)
+                assert one_row(e1, "eval", point) == one_row(e2, "eval", point)

@@ -17,21 +17,21 @@ from modgrad.field import (
 )
 from modgrad.linalg import eigen_all
 
-from helpers import random_poly_source, random_psd_matrix, rhs_of
+from helpers import one_row, random_poly_source, random_psd_matrix, rhs_of
 from scalar_reference import math_function, math_kind, row_loop
 
 
 class _ExactKernelsOnly:
-    """Stands in for an Expression: ``batch`` delegates to it, and its
-    scalar functions fail the test, so a batch that runs a scalar row is
-    caught."""
+    """Stands in for an Expression: ``batch`` delegates to it, and reaching
+    its kernels from outside fails the test, so a batch that replays a row
+    (``expr._locate`` on a kernel) is caught."""
 
     def __init__(self, expression):
         self._expression = expression
 
     def __getattr__(self, name):
-        if name in ("eval", "grad", "hessian"):
-            return lambda *args, **kwargs: pytest.fail("scalar row run")
+        if name == "_kernels":
+            pytest.fail("row replayed")
         return getattr(self._expression, name)
 
 
@@ -61,11 +61,11 @@ class TestScalarField:
     def test_outside_domain_is_an_error(self):
         f = ExpressionField(parse("x1^2", 2), Box((0.0, 0.0), (1.0, 1.0)))
         with pytest.raises(OutsideDomainError):
-            f.eval((2.0, 0.5))
+            one_row(f, "eval", (2.0, 0.5))
         with pytest.raises(OutsideDomainError):
-            f.grad((0.5, -0.1))
+            one_row(f, "grad", (0.5, -0.1))
         with pytest.raises(OutsideDomainError):
-            f.hessian((1.5, 0.5))
+            one_row(f, "hessian", (1.5, 0.5))
 
     def test_grid_evaluation_matches_scalar(self):
         f = ExpressionField(parse("x1^2 - x2", 2), Box((-2.0, -2.0), (2.0, 2.0)))
@@ -74,7 +74,7 @@ class TestScalarField:
         grid = f.eval_grid([g1, g2])
         for i in range(5):
             for j in range(5):
-                assert grid[i, j] == f.eval((g1[i, j], g2[i, j]))
+                assert grid[i, j] == one_row(f, "eval", (g1[i, j], g2[i, j]))
 
 
     def test_constant_division_by_zero_is_nan_on_the_whole_grid(self):
@@ -89,7 +89,7 @@ class TestScalarField:
         values, failed = f.batch("eval", np.zeros((3, 2)))
         assert failed.all() and np.isnan(values).all()
         with pytest.raises(EvalDomainError, match="division by zero"):
-            f.eval((0.0, 0.0))
+            one_row(f, "eval", (0.0, 0.0))
 
 
 class TestBatchEvaluation:
@@ -100,8 +100,8 @@ class TestBatchEvaluation:
         g = f.batch("grad", x)[0]
         v = f.batch("eval", x)[0]
         for i in (0, 3):
-            assert np.array_equal(g[i], f.grad(x[i]))
-            assert v[i] == f.eval(x[i])
+            assert np.array_equal(g[i], one_row(f, "grad", x[i]))
+            assert v[i] == one_row(f, "eval", x[i])
         assert np.isnan(g[1]).all() and np.isnan(g[2]).all()
         assert np.isnan(v[1]) and np.isnan(v[2])
 
@@ -111,9 +111,30 @@ class TestBatchEvaluation:
         with pytest.raises(EvalDomainError) as batch_err:
             f.raise_row_error(x, f.batch("grad", x)[1], "grad")
         with pytest.raises(EvalDomainError) as scalar_err:
-            f.grad(x[1])
+            one_row(f.expression, "grad", x[1])
         assert str(batch_err.value) == str(scalar_err.value)
         f.raise_row_error(x[:1], f.batch("grad", x[:1])[1], "grad")  # no NaN: no error
+
+    # raise_row_error's own messages: a row outside ex31's box, a row in
+    # ex22's box but off its disk, and a row where the first kind's kernel
+    # (grad's reciprocal of x1) names the error before eval's ln would
+    @pytest.mark.parametrize("case, rows, kinds, error, message", [
+        ("ex31", [[2.0, 1.0], [5.5, -0.25], [9.0, 9.0]], ("eval",), OutsideDomainError,
+         "point [5.5, -0.25] is outside the domain"),
+        ("ex22", [[0.5, 0.0], [0.75, 0.75]], ("grad",), OutsideDomainError,
+         "point [0.75, 0.75] is outside the domain"),
+        ("ln", [[1.0, 0.5], [0.0, 0.5], [-1.0, 0.0]], ("grad", "eval"), EvalDomainError,
+         "division by zero in '1.0 / x1'"),
+    ])
+    def test_raise_row_error_messages(self, ex22, ex31, case, rows, kinds, error, message):
+        f = {"ex31": ex31.system.field, "ex22": ex22.system.field,
+             "ln": ExpressionField(parse("ln(x1) + x2", 2), Box((-1.0, -1.0), (2.0, 2.0)))}[case]
+        x = np.array(rows)
+        failed = f.batch(kinds[0], x)[1] | f.batch(kinds[-1], x)[1]
+        assert failed.tolist() == [False] + [True] * (len(rows) - 1)
+        with pytest.raises(error) as exc:
+            f.raise_row_error(x, failed, *kinds)
+        assert str(exc.value) == message
 
     def test_shape_checked(self):
         f = ExpressionField(parse("x1 + x2", 2), Box((-1.0, -1.0), (1.0, 1.0)))
@@ -127,7 +148,7 @@ class TestBatchEvaluation:
         for i in range(3):
             assert np.array_equal(f[i], rhs_of(ex21.system)(t[i], x[i]))
             p = ex21.system.matrix.value_batch(t[i:i + 1])[0]
-            assert np.array_equal(f[i], p @ ex21.system.field.grad(x[i]))
+            assert np.array_equal(f[i], p @ one_row(ex21.system.field, "grad", x[i]))
         assert np.isnan(f[3]).all()
 
 
@@ -154,8 +175,8 @@ class TestExactBatches:
         v, g = self._assert_rows_equal(f, x)
         assert not np.isnan(v).any() and not np.isnan(g).any()
         # no NaN to hide behind: the row loop's values, exactly
-        assert np.array_equal(v, [f.eval(p) for p in x])
-        assert np.array_equal(g, [f.grad(p) for p in x])
+        assert np.array_equal(v, [one_row(f, "eval", p) for p in x])
+        assert np.array_equal(g, [one_row(f, "grad", p) for p in x])
 
     def test_exact_kernel_skips_the_row_loop(self, ex31):
         f = ExpressionField(ex31.system.field.expression, ex31.system.field.box)
@@ -199,7 +220,8 @@ class TestExactBatches:
         v, g = self._assert_rows_equal(f, x)
         for i, p in enumerate(x):
             try:
-                assert v[i] == f.eval(p) and np.array_equal(g[i], f.grad(p))
+                assert v[i] == one_row(f, "eval", p)
+                assert np.array_equal(g[i], one_row(f, "grad", p))
             except (EvalDomainError, OutsideDomainError):
                 assert np.isnan(v[i]) and np.isnan(g[i]).all()
 
@@ -283,8 +305,8 @@ class TestExactBatches:
 
 
 class TestHessianBatch:
-    """``batch("hessian", x)`` equals the Python-float reference and the
-    scalar ``hessian`` row by row, bit for bit, NaN where they raise."""
+    """``batch("hessian", x)`` equals the Python-float reference and a
+    one-row batch row by row, bit for bit, NaN where they raise."""
 
     @staticmethod
     def _assert_rows_equal(f, x):
@@ -294,7 +316,7 @@ class TestHessianBatch:
         assert got.tobytes() == want.tobytes()
         for i, p in enumerate(x):
             try:
-                assert got[i].tobytes() == f.hessian(p).tobytes()
+                assert got[i].tobytes() == one_row(f, "hessian", p).tobytes()
             except (EvalDomainError, OutsideDomainError):
                 assert np.isnan(got[i]).all()
         return got
@@ -599,5 +621,5 @@ class TestSystemRhs:
             for _ in range(10):
                 x = rng.uniform(-1.5, 1.5, size=n)
                 t = float(rng.uniform(0.0, 5.0))
-                g = f.grad(x)
+                g = one_row(f, "grad", x)
                 assert float(g @ rhs_of(system)(t, x)) >= -1e-12 * float(g @ g)

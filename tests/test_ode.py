@@ -17,7 +17,7 @@ from modgrad.gallery import _ex21_closed_form, example_3_1
 from modgrad.ode import SimOptions, Status, lyapunov_trace, lyapunov_traces, simulate
 
 import scalar_reference
-from helpers import rhs_of, rk4_reference
+from helpers import one_row, rhs_of, rk4_reference
 
 TIGHT = SimOptions(rel_tol=1e-9, abs_tol=1e-12)
 
@@ -186,13 +186,14 @@ class TestLyapunovTrace:
             system = entry.system
             traj = simulate(system, x0, 0.0, 5.0, TIGHT)
             trace = lyapunov_trace(system, traj, anchor)
-            m_value = system.field.eval(anchor)
+            m_value = one_row(system.field, "eval", anchor)
             for row, t, x in zip(trace.rows, traj.times, traj.states):
-                g = system.field.grad(x)
+                g = one_row(system.field, "grad", x)
                 p = system.matrix.value_batch([t])[0]
                 pg = [scalar_reference.dot(row, g) for row in p]
-                want = [t, m_value - system.field.eval(x), -scalar_reference.dot(pg, g),
-                        system.matrix.smallest_eigenvalue(t), scalar_reference.dot(g, g)]
+                want = [t, m_value - one_row(system.field, "eval", x),
+                        -scalar_reference.dot(pg, g), system.matrix.smallest_eigenvalue(t),
+                        scalar_reference.dot(g, g)]
                 assert np.array_equal(row, want)
 
     @pytest.mark.parametrize("gid", ["ex21", "ex22", "ex31-oscP"])
@@ -527,7 +528,7 @@ class TestScalarReference:
         # one per stage up to the one that left
         stages = {(t.rhs_evals - 1) % 6 or 6 for t in batch}
         assert {2, 3, 4, 5, 6} <= stages
-        assert all(not system.field.inside(t.exit_point) for t in batch)
+        assert all(not system.field.inside_batch([t.exit_point])[0] for t in batch)
 
     def test_p_undefined_after_every_row_has_left(self):
         # every row leaves D at stage 1 or 2 of its first step, before

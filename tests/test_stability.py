@@ -104,7 +104,7 @@ class TestCertify:
 
     def test_example_22_not_asymptotically_stable(self, ex22):
         points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
-        origin = next(p for p in points if np.linalg.norm(p.as_array()) < 1e-8)
+        origin = next(p for p in points if np.linalg.norm(np.asarray(p.location)) < 1e-8)
         opts = CertifyOptions(isolation_shells=(0.5, 0.25, 0.125))
         rep = certify(ex22.system, origin, opts, critical_points=points)
         assert rep.h1_pass
@@ -116,16 +116,16 @@ class TestCertify:
         # even with shells that miss the circles, found circle points inside
         # the probe radius defeat isolation
         points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
-        origin = next(p for p in points if np.linalg.norm(p.as_array()) < 1e-8)
+        origin = next(p for p in points if np.linalg.norm(np.asarray(p.location)) < 1e-8)
         opts = CertifyOptions(isolation_shells=(0.3, 0.07, 0.017))
         rep = certify(ex22.system, origin, opts, critical_points=points)
         assert rep.h2.kind is IsolationKind.NOT_ISOLATED
 
     def test_critical_list_witness_is_the_first_in_list_order(self, ex22):
         points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
-        origin = next(p for p in points if np.linalg.norm(p.as_array()) < 1e-8)
+        origin = next(p for p in points if np.linalg.norm(np.asarray(p.location)) < 1e-8)
         opts = CertifyOptions(isolation_shells=(0.3, 0.07, 0.017))
-        near = [p for p in points if 0.0 < np.linalg.norm(p.as_array()) <= 0.3]
+        near = [p for p in points if 0.0 < np.linalg.norm(np.asarray(p.location)) <= 0.3]
         assert len(near) >= 2
         for witness in (near[0], near[-1]):
             order = [witness] + [p for p in points if p is not witness]
