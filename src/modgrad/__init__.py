@@ -47,9 +47,7 @@ from .ode import (
     SimOptions,
     Status,
     Trajectory,
-    lyapunov_trace,
     lyapunov_traces,
-    simulate,
     simulate_batch,
 )
 from .stability import (
@@ -58,7 +56,6 @@ from .stability import (
     EcKind,
     EcVerdict,
     StabilityReport,
-    certify,
     certify_all,
     ec_check,
 )
@@ -81,9 +78,7 @@ __all__ = [
     "Status",
     "Trajectory",
     "LyapunovTrace",
-    "simulate",
     "simulate_batch",
-    "lyapunov_trace",
     "lyapunov_traces",
     "Classification",
     "CriticalPoint",
@@ -97,7 +92,6 @@ __all__ = [
     "StabilityReport",
     "CertifyOptions",
     "ec_check",
-    "certify",
     "certify_all",
     "GridComponent",
     "HypothesesReport",

@@ -290,8 +290,7 @@ def _bisect_crossings(field, inside_pts, outside_pts, levels, steps=40):
         mid = 0.5 * (a + b)
         fm = f(mid, step)
         to_b = np.isnan(fm) | ((fm - levels) * sign_a < 0.0)
-        b[to_b] = mid[to_b]
-        a[~to_b] = mid[~to_b]
+        a, b = np.where(to_b[:, None], a, mid), np.where(to_b[:, None], mid, b)
     mid = 0.5 * (a + b)
     f_mid = f(mid, steps)
     if suspects:

@@ -551,7 +551,7 @@ def cmd_simulate(args):
         h_max=sim.h_max if args.h_max is None else args.h_max,
         convergence_radius=None if target is None else args.radius,
     )
-    traj = ode.simulate(config.system, x0, args.t0, args.t_end, opts, target)
+    traj = ode.simulate_batch(config.system, [x0], args.t0, args.t_end, opts, target)[0]
 
     n = config.system.dimension
     _write_csv(
@@ -560,7 +560,7 @@ def cmd_simulate(args):
         (np.column_stack([traj.times, traj.states])),
     )
     anchor = target if target is not None else x0
-    trace = ode.lyapunov_trace(config.system, traj, anchor)
+    trace = ode.lyapunov_traces(config.system, [traj], [anchor])[0]
     _write_csv(
         os.path.join(out, "lyapunov.csv"),
         ["t", "V", "Vdot", "lambda1", "gradnorm2"],

@@ -53,9 +53,6 @@ class Box(Record):
     def dimension(self):
         return len(self.lo)
 
-    def contains(self, x):
-        return all(lo <= v <= hi for v, lo, hi in zip(x, self.lo, self.hi))
-
     def clip_radius(self, center):
         """Largest shell radius around *center* that stays inside the box."""
         return min(
@@ -170,8 +167,9 @@ class MatrixPath:
     the time symbol ``t``); each lower entry must render as its mirror does.
     The upper triangle is compiled once, into one ``expr`` kernel of t
     returning every entry, and mirrored structurally, so every value is
-    exactly symmetric.  It runs over an array of times, and lambda_1 comes
-    from ``linalg.eigen_all`` on the stack; one time is an array of one.
+    exactly symmetric.  ``value_batch`` and ``smallest_eigenvalue`` run over
+    an array of times, lambda_1 from ``linalg.eigen_all`` on the stack; one
+    time is an array of one.
     """
 
     def __init__(self, entries):
@@ -212,11 +210,6 @@ class MatrixPath:
     def identity(cls, n):
         return cls([["1" if i == j else "0" for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def constant(cls, matrix):
-        a = linalg.check_symmetric(matrix)
-        return cls([[repr(float(v)) for v in row] for row in a])
-
     def value_batch(self, t):
         """P at each time of t (shape (m,)) as an (m, n, n) stack of exactly
         symmetric matrices."""
@@ -232,19 +225,13 @@ class MatrixPath:
         out[:, self._cols, self._rows] = upper.T
         return out
 
-    def smallest_eigenvalue(self, t):
-        """lambda_1(P(t)) for one time t (a float) or a 1-D array of times
-        (an array); raises EvalDomainError naming the first time at which
-        P has a non-finite entry."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        lam = self.stack_lambda1(ts, self.value_batch(ts))
-        return lam if np.ndim(t) else float(lam[0])
-
-    def stack_lambda1(self, t, p):
-        """lambda_1 of each matrix of p = ``value_batch(t)``, for a caller
-        that already holds the stack; raises as ``smallest_eigenvalue``."""
+    def smallest_eigenvalue(self, t, p=None):
+        """lambda_1(P(t)) at each time of t (shape (m,)), from p =
+        ``value_batch(t)`` if the caller holds it; raises EvalDomainError
+        naming the first time at which P has a non-finite entry."""
         if self._constant_lambda1 is not None:
             return np.full(len(t), self._constant_lambda1)
+        p = self.value_batch(t) if p is None else p
         bad = ~np.isfinite(p).all(axis=(1, 2))
         if bad.any():
             raise EvalDomainError(

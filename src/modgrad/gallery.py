@@ -76,8 +76,8 @@ def example_2_1():
 
     def self_test():
         assert abs(system.field.batch("eval", np.array([[1.0, 1.0]]))[0][0] - 4.0) < 1e-15
-        assert abs(matrix.smallest_eigenvalue(0.0) - 1.0) < 1e-12
-        assert abs(matrix.smallest_eigenvalue(1.0) - 0.25) < 1e-12
+        lam = matrix.smallest_eigenvalue(np.array([0.0, 1.0]))
+        assert abs(lam[0] - 1.0) < 1e-12 and abs(lam[1] - 0.25) < 1e-12
         sol, (c1, c2) = _ex21_closed_form(0.0, (2.0, 2.0))
         assert abs(c1 - np.exp(-2.0)) < 1e-15 and abs(c2 - 1.0) < 1e-15
         assert np.allclose(sol(0.0), [2.0, 2.0], atol=1e-12)

@@ -7,7 +7,7 @@ interpolation from the stored endpoint derivatives.
 There is one integrator, ``simulate_batch``: it advances a batch of starts
 in lockstep along a leading axis, with every row keeping its own step size,
 error history and status, so each stage costs one batched right-hand-side
-call however many trajectories are running.  ``simulate`` is its batch of
+call however many trajectories are running; one trajectory is a batch of
 one.  The batched arithmetic is the 1-D arithmetic row by row, so a row's
 trajectory does not depend on the batch it ran in: stage sums, the error
 estimate and P(t) grad f add their products left to right as Python
@@ -34,9 +34,7 @@ __all__ = [
     "Status",
     "Trajectory",
     "LyapunovTrace",
-    "simulate",
     "simulate_batch",
-    "lyapunov_trace",
     "lyapunov_traces",
 ]
 
@@ -181,19 +179,6 @@ def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
     return np.array(out)
 
 
-def simulate(system, x0, t0, t_end, opts=None, target=None):
-    """Integrate the system from x(t0) = x0 up to t_end.
-
-    Stops early with CONVERGED when the state is within
-    ``opts.convergence_radius`` of *target* and |rhs| has dropped
-    below 1e-10 (proximity alone is not convergence: Example-2.1-style
-    trajectories stall near, but never at, the equilibrium).  Leaving the
-    domain stops with LEFT_DOMAIN; a step size forced below h_min stops
-    with STEP_FAILURE.  This is ``simulate_batch`` on a batch of one.
-    """
-    return simulate_batch(system, [np.asarray(x0, dtype=float)], t0, t_end, opts, target)[0]
-
-
 def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
     """Integrate every row of x0 (shape (m, n)) from t0 up to t_end.
 
@@ -202,9 +187,13 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
     ``System.rhs_batch`` call on the rows still running.  Row i comes out
     bit for bit as a batch of one would give it, whatever the other rows
     do.  ``targets`` gives each row its own convergence target (one row per
-    start, or one point for all); without it no row converges.  A row whose
-    stage leaves D or hits a domain error stops alone with LEFT_DOMAIN.
-    Returns one Trajectory per row, in order.
+    start, or one point for all); without it no row converges.  A row stops
+    with CONVERGED once it is within ``opts.convergence_radius`` of its
+    target and |rhs| has dropped below 1e-10 (proximity alone is not
+    convergence: Example-2.1-style trajectories stall near, but never at,
+    the equilibrium); with LEFT_DOMAIN when a stage leaves D or hits a
+    domain error; with STEP_FAILURE when its step size is forced below
+    h_min.  Returns one Trajectory per row, in order.
     """
     opts = opts or SimOptions()
     t0 = float(t0)
@@ -382,22 +371,16 @@ class LyapunovTrace(Record):
 
     Columns: t, V_x, V'_x, lambda_1(P(t)), |grad f|^2.  V'_x comes from the
     formula -(P(t) grad f) . grad f, not from differencing, so the bound
-    V'_x <= -lambda_1 |grad f|^2 is checkable row by row; ``lyapunov_traces``
-    stores the two maxima over the rows with them.
+    V'_x <= -lambda_1 |grad f|^2 is checkable row by row.  Two maxima over
+    the rows come with them: ``bound_violation``, of V'_x - (-lambda_1
+    |grad f|^2) (<= 0 is ideal), and ``increase``, of V(t_{k+1}) - V(t_k)
+    over consecutive samples (0.0 for one sample).
     """
 
     _fields = ("anchor", "anchor_value", "rows", "bound_violation", "increase")
 
     def __init__(self, anchor, anchor_value, rows, bound_violation, increase):
         self._fill(anchor, anchor_value, rows, bound_violation, increase)  # rows: shape (m, 5)
-
-    def max_bound_violation(self):
-        """max over rows of V'_x - (-lambda_1 |grad f|^2); <= 0 is ideal."""
-        return self.bound_violation
-
-    def max_increase(self):
-        """max over consecutive samples of V(t_{k+1}) - V(t_k); 0.0 for one sample."""
-        return self.increase
 
 
 # Rows per pass of ``lyapunov_traces``: bounds the pass's array temporaries
@@ -406,20 +389,14 @@ class LyapunovTrace(Record):
 _ROWS_PER_PASS = 1024
 
 
-def lyapunov_trace(system, traj, anchor):
-    """Lyapunov trace of *traj* for the candidate equilibrium *anchor*,
-    all rows at once; ``lyapunov_traces`` for one trajectory."""
-    return lyapunov_traces(system, [traj], [anchor])[0]
-
-
 def lyapunov_traces(system, trajectories, anchors):
     """The Lyapunov trace of each trajectory for its own anchor (one anchor
     per trajectory), the rows of consecutive trajectories in passes of
-    about ``_ROWS_PER_PASS`` rows.
+    about ``_ROWS_PER_PASS`` rows; one trace is a list of one.
 
     Each trace holds the bits, and a failure raises the error, that one
-    ``lyapunov_trace`` per trajectory in order would give.  P(t) is built
-    once per pass, and lambda_1 comes from that same stack.
+    call per trajectory in order would give.  P(t) is built once per
+    pass, and lambda_1 comes from that same stack.
     """
     if len(anchors) != len(trajectories):
         raise ValueError("need one anchor per trajectory")
@@ -455,7 +432,7 @@ def _traces(system, trajectories, anchors):
         times,
         np.repeat(m_values, counts) - v,
         -linalg.row_dots(system.p_times(times, g, p), g),
-        system.matrix.stack_lambda1(times, p),
+        system.matrix.smallest_eigenvalue(times, p),
         linalg.row_dots(g, g),
     ])
     # each trajectory's maxima in one reduce over the pass: np.max's bits.  A

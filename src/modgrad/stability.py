@@ -3,9 +3,9 @@
 ``ec_check`` grades the eigenvalue condition (divergence of the integral of
 the smallest eigenvalue of P(t)) from finite-horizon evidence;
 ``certify_all`` assembles the hypothesis checks for each equilibrium and
-emits the strongest supported conclusion (``certify`` for one).  Verdicts
-are graded, never boolean: an improper integral cannot be decided from
-samples, only witnessed.
+emits the strongest supported conclusion; one equilibrium is a list of
+one.  Verdicts are graded, never boolean: an improper integral cannot be
+decided from samples, only witnessed.
 """
 
 import enum
@@ -32,7 +32,6 @@ __all__ = [
     "StabilityReport",
     "CertifyOptions",
     "ec_check",
-    "certify",
     "certify_all",
 ]
 
@@ -237,11 +236,6 @@ def _confirm_local_max(field, point, radius):
                  f"(worst gap {worst:.3g})"
 
 
-def certify(system, point, opts=None, critical_points=None):
-    """``certify_all`` for one equilibrium."""
-    return certify_all(system, [point], opts, critical_points)[0]
-
-
 def certify_all(system, points, opts=None, critical_points=None):
     """Assemble the H1-H3 verdicts for each of *points* and conclude.
 
@@ -257,7 +251,7 @@ def certify_all(system, points, opts=None, critical_points=None):
     opts = opts or CertifyOptions()
     fld = system.field
     if not all(isinstance(p, CriticalPoint) for p in points):
-        raise TypeError("certify expects a CriticalPoint from find_critical_points")
+        raise TypeError("certify_all expects a CriticalPoint from find_critical_points")
 
     xs = [np.asarray(point.location, dtype=float) for point in points]
     radii = [opts.shell_radius if opts.shell_radius is not None
@@ -363,8 +357,8 @@ def _descent_checks(system, checks, opts):
         mine = traces[first:first + count]
         descents[k] = DescentSummary(
             trajectories=count,
-            max_v_increase=max([0.0] + [trace.max_increase() for trace in mine]),
-            max_bound_violation=max([-math.inf] + [trace.max_bound_violation() for trace in mine]),
+            max_v_increase=max([0.0] + [trace.increase for trace in mine]),
+            max_bound_violation=max([-math.inf] + [trace.bound_violation for trace in mine]),
             statuses=tuple(traj.status.value for traj in trajectories[first:first + count]),
         )
     return descents

@@ -414,7 +414,9 @@ def point_eval(field):
     Where that raises, ``one_row`` raises the field's own error, which
     names the failing sub-expression."""
     if hasattr(field, "expression"):
-        contains, f = field.box.contains, math_kind(field.expression, "eval")
+        lo, hi = field.box.lo, field.box.hi
+        contains = (lambda x: all(a <= v <= b for v, a, b in zip(x, lo, hi)))
+        f = math_kind(field.expression, "eval")
     else:
         contains, f = (lambda x: radial_inside(field, x)), (lambda x: radial_eval(field, x))
 
@@ -718,7 +720,9 @@ def math_kind(expression, kind):
 
 
 def radial_inside(field, x):
-    return field.box.contains(x) and float(np.hypot(x[0], x[1])) <= 1.0
+    lo, hi = field.box.lo, field.box.hi
+    in_box = all(a <= v <= b for v, a, b in zip(x, lo, hi))
+    return in_box and float(np.hypot(x[0], x[1])) <= 1.0
 
 
 def radial_eval(field, x):

@@ -45,7 +45,7 @@ def test_criterion_1_closed_form_reproduction():
         sol, _ = _ex21_closed_form(0.0, (2.0, 2.0))
         opts = ode.SimOptions(rel_tol=1e-9, abs_tol=1e-12)
 
-        traj = ode.simulate(entry.system, (2.0, 2.0), 0.0, 100.0, opts)
+        traj = ode.simulate_batch(entry.system, [(2.0, 2.0)], 0.0, 100.0, opts)[0]
         sample_err = np.abs(traj.states - sol(traj.times)).max()
         ts = np.linspace(0.0, 100.0, 1001)
         dense_err = np.abs(
@@ -53,7 +53,7 @@ def test_criterion_1_closed_form_reproduction():
         ).max()
         assert max(sample_err, dense_err) <= 1e-6
 
-        long_traj = ode.simulate(entry.system, (2.0, 2.0), 0.0, 1000.0, opts)
+        long_traj = ode.simulate_batch(entry.system, [(2.0, 2.0)], 0.0, 1000.0, opts)[0]
         x1_end = long_traj.final_state[0]
         closed_end = 1.0 + np.exp(-2.0) * np.exp(2.0 / 1001.0)
         assert abs(x1_end - closed_end) <= 1e-6
@@ -143,9 +143,9 @@ def test_criterion_5_example_22_construction_and_trap():
         entry = gallery.example_2_2(20)
         # step cap keeps the method in the contractive part of its
         # stability region around the semi-stable circle (see gallery notes)
-        traj = ode.simulate(
-            entry.system, (0.75, 0.0), 0.0, 200.0, ode.SimOptions(h_max=0.25)
-        )
+        traj = ode.simulate_batch(
+            entry.system, [(0.75, 0.0)], 0.0, 200.0, ode.SimOptions(h_max=0.25)
+        )[0]
         assert traj.status is ode.Status.REACHED_END
         radii = np.linalg.norm(traj.states, axis=1)
         assert np.all(radii >= 0.5)
@@ -168,7 +168,8 @@ def test_criterion_6_lyapunov_property_suite():
                 parse(random_poly_source(rng, n, degree=4), n),
                 Box((-1.5,) * n, (1.5,) * n),
             )
-            paths = [MatrixPath.constant(random_psd_matrix(rng, n))]
+            paths = [MatrixPath([[repr(float(v)) for v in row]
+                                 for row in random_psd_matrix(rng, n)])]
             diag = [
                 [
                     "0"
@@ -183,7 +184,7 @@ def test_criterion_6_lyapunov_property_suite():
             x0 = rng.uniform(-0.7, 0.7, size=n)
             for matrix in paths:
                 system = System(field, matrix)
-                traj = ode.simulate(system, x0, 0.0, 3.0, opts)
+                traj = ode.simulate_batch(system, [x0], 0.0, 3.0, opts)[0]
                 if traj.status is ode.Status.LEFT_DOMAIN and not field.inside_batch(
                     [traj.states[-1]]
                 )[0]:
@@ -195,9 +196,9 @@ def test_criterion_6_lyapunov_property_suite():
                         states=traj.states[:-1],
                         derivs=traj.derivs[:-1],
                     )
-                trace = ode.lyapunov_trace(system, traj, x0)
-                assert trace.max_increase() <= 1e-7, f"trial {trial}"
-                assert trace.max_bound_violation() <= 1e-10, f"trial {trial}"
+                trace = ode.lyapunov_traces(system, [traj], [x0])[0]
+                assert trace.increase <= 1e-7, f"trial {trial}"
+                assert trace.bound_violation <= 1e-10, f"trial {trial}"
 
 
 def test_criterion_7_kernel_oracles():

@@ -487,7 +487,8 @@ class TestVerifyBasin:
 
         p1, _, _ = ex31_named
         opts = ode.SimOptions(convergence_radius=1e-3)
-        traj = ode.simulate(ex31.system, p1.location, 0.0, 50.0, opts, target=p1.location)
+        traj = ode.simulate_batch(ex31.system, [p1.location], 0.0, 50.0, opts,
+                                  targets=p1.location)[0]
         assert traj.status is ode.Status.CONVERGED
         assert traj.converged_at == 0.0
 
@@ -605,7 +606,7 @@ class TestBatchIndependence:
         converged = 0
         failures = []
         for start in starts:
-            traj = ode.simulate(system, start, 0.0, t_end, opts, target=tuple(anchor))
+            traj = ode.simulate_batch(system, [start], 0.0, t_end, opts, targets=tuple(anchor))[0]
             if traj.status is ode.Status.CONVERGED:
                 converged += 1
             else:

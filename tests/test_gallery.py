@@ -208,9 +208,9 @@ class TestExample22Field:
             return -cubic.slope(-r)
 
         r_ref = rk4_reference(radial_rhs, np.array([0.75]), 0.0, 5.0, 1e-3)[0]
-        traj = ode.simulate(
-            ex22.system, (0.75, 0.0), 0.0, 5.0, ode.SimOptions(h_max=0.25)
-        )
+        traj = ode.simulate_batch(
+            ex22.system, [(0.75, 0.0)], 0.0, 5.0, ode.SimOptions(h_max=0.25)
+        )[0]
         r_sim = float(np.linalg.norm(traj.final_state))
         assert r_sim == pytest.approx(r_ref, abs=1e-7)
 
@@ -227,10 +227,9 @@ class TestExample21Oracle:
         assert np.allclose(sol(100.0), [1.0, 1.0], atol=1e-15)
 
     def test_lambda1_formula(self, ex21):
-        for t in (0.0, 1.0, 10.0, 123.0):
-            assert ex21.system.matrix.smallest_eigenvalue(t) == pytest.approx(
-                (t + 1.0) ** -2, abs=1e-12
-            )
+        ts = np.array([0.0, 1.0, 10.0, 123.0])
+        for t, lam in zip(ts, ex21.system.matrix.smallest_eigenvalue(ts)):
+            assert lam == pytest.approx((t + 1.0) ** -2, abs=1e-12)
 
     def test_nonzero_t0_constants(self, ex21):
         sol, _ = _ex21_closed_form(2.0, (1.5, 0.5))

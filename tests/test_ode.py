@@ -14,7 +14,7 @@ from modgrad.errors import EvalDomainError, OutsideDomainError
 from modgrad.expr import parse
 from modgrad.field import Box, ExpressionField, MatrixPath, System
 from modgrad.gallery import _ex21_closed_form, example_3_1
-from modgrad.ode import SimOptions, Status, lyapunov_trace, lyapunov_traces, simulate
+from modgrad.ode import SimOptions, Status, lyapunov_traces, simulate_batch
 
 import scalar_reference
 from helpers import one_row, rhs_of, rk4_reference
@@ -27,7 +27,7 @@ class TestClosedFormExample21:
         sol, (c1, c2) = _ex21_closed_form(0.0, (2.0, 2.0))
         assert c1 == pytest.approx(np.exp(-2.0), abs=1e-15)
         assert c2 == pytest.approx(1.0, abs=1e-15)
-        traj = simulate(ex21.system, (2.0, 2.0), 0.0, 100.0, TIGHT)
+        traj = simulate_batch(ex21.system, [(2.0, 2.0)], 0.0, 100.0, TIGHT)[0]
         assert traj.status is Status.REACHED_END
         errs = np.linalg.norm(traj.states - sol(traj.times), axis=1)
         assert errs.max() <= 1e-6
@@ -43,7 +43,7 @@ class TestClosedFormExample21:
             radius = rng.uniform(0.0, 0.5)
             x0 = np.array([1.0 + radius * np.cos(angle), 1.0 + radius * np.sin(angle)])
             sol, _ = _ex21_closed_form(0.0, x0)
-            traj = simulate(ex21.system, x0, 0.0, 100.0, TIGHT)
+            traj = simulate_batch(ex21.system, [x0], 0.0, 100.0, TIGHT)[0]
             errs = np.linalg.norm(traj.states - sol(traj.times), axis=1)
             assert errs.max() <= 1e-6
 
@@ -55,7 +55,8 @@ class TestClosedFormExample21:
             abs_tol=1e-12,
             convergence_radius=0.2,
         )
-        traj = simulate(ex21.system, (1.1, 1.1), 0.0, 100.0, opts, target=(1.0, 1.0))
+        traj = simulate_batch(ex21.system, [(1.1, 1.1)], 0.0, 100.0, opts,
+                              targets=(1.0, 1.0))[0]
         assert traj.status is Status.REACHED_END
         assert traj.final_state[0] == pytest.approx(1.1 * np.exp(-2.0) - np.exp(-2.0) + 1.0, rel=1e-3)
 
@@ -65,10 +66,10 @@ class TestClosedFormExample21:
         sol, _ = _ex21_closed_form(0.0, (2.0, 2.0))
 
         def max_err(rel):
-            traj = simulate(
-                ex21.system, (2.0, 2.0), 0.0, 100.0,
+            traj = simulate_batch(
+                ex21.system, [(2.0, 2.0)], 0.0, 100.0,
                 SimOptions(rel_tol=rel, abs_tol=rel * 1e-3),
-            )
+            )[0]
             return np.abs(traj.states - sol(traj.times)).max()
 
         coarse = max_err(1e-5)
@@ -80,19 +81,19 @@ class TestClosedFormExample21:
 
 class TestStatuses:
     def test_constant_trajectory_at_equilibrium(self, ex31):
-        traj = simulate(ex31.system, (2.0, 4.0), 0.0, 10.0, TIGHT)
+        traj = simulate_batch(ex31.system, [(2.0, 4.0)], 0.0, 10.0, TIGHT)[0]
         assert traj.status is Status.REACHED_END
         assert np.abs(traj.states - np.array([2.0, 4.0])).max() <= 1e-12
 
     def test_converged_at_t0_when_starting_on_target(self, ex31):
         opts = SimOptions(convergence_radius=1e-6)
-        traj = simulate(ex31.system, (2.0, 4.0), 0.0, 10.0, opts, target=(2.0, 4.0))
+        traj = simulate_batch(ex31.system, [(2.0, 4.0)], 0.0, 10.0, opts, targets=(2.0, 4.0))[0]
         assert traj.status is Status.CONVERGED
         assert traj.converged_at == 0.0
 
     def test_convergence_to_p1_matches_rk4_reference(self, ex31):
         opts = SimOptions(convergence_radius=1e-6)
-        traj = simulate(ex31.system, (2.1, 1.2), 0.0, 50.0, opts, target=(2.0, 1.0))
+        traj = simulate_batch(ex31.system, [(2.1, 1.2)], 0.0, 50.0, opts, targets=(2.0, 1.0))[0]
         assert traj.status is Status.CONVERGED
         assert np.linalg.norm(traj.final_state - np.array([2.0, 1.0])) < 1e-6
         # independent fixed-step RK4 reference over the transient
@@ -103,7 +104,7 @@ class TestStatuses:
     def test_left_domain(self):
         f = ExpressionField(parse("x1^2", 1), Box((-1.0,), (1.0,)))
         system = System(f, MatrixPath.identity(1))
-        traj = simulate(system, (0.5,), 0.0, 10.0, TIGHT)
+        traj = simulate_batch(system, [(0.5,)], 0.0, 10.0, TIGHT)[0]
         assert traj.status is Status.LEFT_DOMAIN
         assert traj.exit_point is not None
 
@@ -113,20 +114,20 @@ class TestStatuses:
         f = ExpressionField(parse("0 - cos(x1)", 1), Box((-100.0,), (100.0,)))
         system = System(f, MatrixPath.identity(1))
         opts = SimOptions(rel_tol=1e-14, abs_tol=1e-16, h_min=8.0, h_max=8.0, h_init=8.0)
-        traj = simulate(system, (0.5,), 0.0, 50.0, opts)
+        traj = simulate_batch(system, [(0.5,)], 0.0, 50.0, opts)[0]
         assert traj.status is Status.STEP_FAILURE
         assert "h_min" in traj.detail
 
     def test_precondition_checks(self, ex31):
         with pytest.raises(ValueError):
-            simulate(ex31.system, (2.0, 1.0), 5.0, 5.0)
+            simulate_batch(ex31.system, [(2.0, 1.0)], 5.0, 5.0)
         with pytest.raises(ValueError):
-            simulate(ex31.system, (2.0, 1.0), -1.0, 5.0)
+            simulate_batch(ex31.system, [(2.0, 1.0)], -1.0, 5.0)
 
     def test_non_finite_t_end_rejected(self, ex31):
         for t_end in (np.inf, np.nan):
             with pytest.raises(ValueError, match="t_end"):
-                simulate(ex31.system, (2.0, 1.0), 0.0, t_end)
+                simulate_batch(ex31.system, [(2.0, 1.0)], 0.0, t_end)
 
     @pytest.mark.parametrize("name", ["h_init", "h_min", "h_max", "convergence_radius"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
@@ -148,7 +149,7 @@ class TestStatuses:
 
     def test_times_strictly_increasing_and_h_bounded(self, ex21):
         opts = SimOptions(rel_tol=1e-9, abs_tol=1e-12, h_max=2.0)
-        traj = simulate(ex21.system, (2.0, 2.0), 0.0, 50.0, opts)
+        traj = simulate_batch(ex21.system, [(2.0, 2.0)], 0.0, 50.0, opts)[0]
         dt = np.diff(traj.times)
         assert np.all(dt > 0.0)
         assert dt.max() <= 2.0 + 1e-12
@@ -156,15 +157,15 @@ class TestStatuses:
 
 class TestLyapunovTrace:
     def test_zero_at_anchor(self, ex31):
-        traj = simulate(ex31.system, (2.0, 1.0), 0.0, 5.0, TIGHT)
-        trace = lyapunov_trace(ex31.system, traj, (2.0, 1.0))
+        traj = simulate_batch(ex31.system, [(2.0, 1.0)], 0.0, 5.0, TIGHT)[0]
+        trace = lyapunov_traces(ex31.system, [traj], [(2.0, 1.0)])[0]
         assert np.abs(trace.rows[:, 1]).max() <= 1e-12  # V
         assert np.abs(trace.rows[:, 2]).max() <= 1e-12  # V'
 
     def test_hand_arithmetic_example_21(self, ex21):
         # V(2,2) = f(1,1) - f(2,2) = 4 - 2 = 2; V' = -(I(-2,-2)).(-2,-2) = -8
-        traj = simulate(ex21.system, (2.0, 2.0), 0.0, 1.0, TIGHT)
-        trace = lyapunov_trace(ex21.system, traj, (1.0, 1.0))
+        traj = simulate_batch(ex21.system, [(2.0, 2.0)], 0.0, 1.0, TIGHT)[0]
+        trace = lyapunov_traces(ex21.system, [traj], [(1.0, 1.0)])[0]
         assert trace.rows[0, 1] == pytest.approx(2.0, abs=1e-14)
         assert trace.rows[0, 2] == pytest.approx(-8.0, abs=1e-14)
         assert trace.rows[0, 3] == pytest.approx(1.0, abs=1e-14)  # lambda_1(P(0))
@@ -172,11 +173,11 @@ class TestLyapunovTrace:
 
     def test_monotone_descent_and_pointwise_bound(self, ex21, ex31):
         for entry, x0 in [(ex21, (2.0, 2.0)), (ex31, (2.4, 1.7)), (ex31, (1.0, 3.0))]:
-            traj = simulate(entry.system, x0, 0.0, 20.0, TIGHT)
+            traj = simulate_batch(entry.system, [x0], 0.0, 20.0, TIGHT)[0]
             anchor = (1.0, 1.0) if entry is ex21 else (2.0, 4.0)
-            trace = lyapunov_trace(entry.system, traj, anchor)
-            assert trace.max_increase() <= 1e-7
-            assert trace.max_bound_violation() <= 1e-10
+            trace = lyapunov_traces(entry.system, [traj], [anchor])[0]
+            assert trace.increase <= 1e-7
+            assert trace.bound_violation <= 1e-10
 
     def test_rows_match_row_by_row_formula(self, ex21, ex22):
         # the batched columns equal the per-row formulas bit for bit, for a
@@ -184,15 +185,16 @@ class TestLyapunovTrace:
         for entry, x0, anchor in [(ex21, (2.0, 2.0), (1.0, 1.0)),
                                   (ex22, (0.3, 0.2), (0.0, 0.0))]:
             system = entry.system
-            traj = simulate(system, x0, 0.0, 5.0, TIGHT)
-            trace = lyapunov_trace(system, traj, anchor)
+            traj = simulate_batch(system, [x0], 0.0, 5.0, TIGHT)[0]
+            trace = lyapunov_traces(system, [traj], [anchor])[0]
             m_value = one_row(system.field, "eval", anchor)
             for row, t, x in zip(trace.rows, traj.times, traj.states):
                 g = one_row(system.field, "grad", x)
                 p = system.matrix.value_batch([t])[0]
                 pg = [scalar_reference.dot(row, g) for row in p]
                 want = [t, m_value - one_row(system.field, "eval", x),
-                        -scalar_reference.dot(pg, g), system.matrix.smallest_eigenvalue(t),
+                        -scalar_reference.dot(pg, g),
+                        system.matrix.smallest_eigenvalue(np.array([t]))[0],
                         scalar_reference.dot(g, g)]
                 assert np.array_equal(row, want)
 
@@ -215,11 +217,11 @@ class TestLyapunovTrace:
         traces = lyapunov_traces(system, trajs, anchors)
         assert len(traces) == len(trajs)
         for trace, traj, anchor in zip(traces, trajs, anchors):
-            one = lyapunov_trace(system, traj, anchor)
+            one = lyapunov_traces(system, [traj], [anchor])[0]
             assert trace.rows.tobytes() == one.rows.tobytes()
             assert trace.anchor == one.anchor == anchor
             assert trace.anchor_value == one.anchor_value
-            assert trace.max_increase() == one.max_increase()
+            assert trace.increase == one.increase
         assert lyapunov_traces(system, [], []) == []
         with pytest.raises(ValueError, match="one anchor per trajectory"):
             lyapunov_traces(system, trajs, anchors[:-1])
@@ -228,10 +230,11 @@ class TestLyapunovTrace:
         # the second trajectory starts far above where the first one ends;
         # differencing across that boundary would report a large increase
         system = ex31.system
-        trajs = [simulate(system, x0, 0.0, 20.0, TIGHT) for x0 in [(2.4, 3.7), (0.0, 5.5)]]
+        trajs = [simulate_batch(system, [x0], 0.0, 20.0, TIGHT)[0]
+                 for x0 in [(2.4, 3.7), (0.0, 5.5)]]
         traces = lyapunov_traces(system, trajs, [(2.0, 4.0)] * 2)
         assert traces[1].rows[0, 1] - traces[0].rows[-1, 1] > 1.0
-        assert max(t.max_increase() for t in traces) <= 1e-7
+        assert max(t.increase for t in traces) <= 1e-7
 
     def test_stored_maxima_are_each_trajectory_s_own(self, ex31, monkeypatch):
         # passes of 7 rows, so trajectories straddle pass boundaries; the
@@ -247,15 +250,16 @@ class TestLyapunovTrace:
         for trace in lyapunov_traces(system, trajs, targets):
             rows = trace.rows
             increase = np.max(np.diff(rows[:, 1])) if len(rows) > 1 else 0.0
-            assert trace.max_increase() == increase
-            assert type(trace.max_increase()) is float
+            assert trace.increase == increase
+            assert type(trace.increase) is float
             violation = np.max(rows[:, 2] + rows[:, 3] * rows[:, 4])
-            assert trace.max_bound_violation() == violation
-            assert type(trace.max_bound_violation()) is float
+            assert trace.bound_violation == violation
+            assert type(trace.bound_violation) is float
 
     def test_failure_is_the_first_trajectory_s_error(self, ex31):
         system = ex31.system
-        trajs = [simulate(system, x0, 0.0, 1.0, TIGHT) for x0 in [(2.4, 3.7), (2.1, 1.2)]]
+        trajs = [simulate_batch(system, [x0], 0.0, 1.0, TIGHT)[0]
+                 for x0 in [(2.4, 3.7), (2.1, 1.2)]]
         # the first anchor fails on its own rows, the second on the anchor
         with pytest.raises(OutsideDomainError, match=r"\[9\.0, 9\.0\]"):
             lyapunov_traces(system, trajs, [(2.0, 4.0), (9.0, 9.0)])
@@ -276,26 +280,26 @@ class TestLyapunovTrace:
             lyapunov_traces(system, [traj], [(2.0, 4.0)])
 
     def test_v_nonnegative_near_certified_max(self, ex21):
-        traj = simulate(ex21.system, (1.3, 0.8), 0.0, 50.0, TIGHT)
-        trace = lyapunov_trace(ex21.system, traj, (1.0, 1.0))
+        traj = simulate_batch(ex21.system, [(1.3, 0.8)], 0.0, 50.0, TIGHT)[0]
+        trace = lyapunov_traces(ex21.system, [traj], [(1.0, 1.0)])[0]
         assert np.all(trace.rows[:, 1] >= -1e-14)
 
 
 class TestDenseOutput:
     def test_hermite_matches_nodes(self, ex21):
-        traj = simulate(ex21.system, (2.0, 2.0), 0.0, 10.0, TIGHT)
+        traj = simulate_batch(ex21.system, [(2.0, 2.0)], 0.0, 10.0, TIGHT)[0]
         for k in [0, len(traj.times) // 2, len(traj.times) - 1]:
             assert np.allclose(traj.sample_at(traj.times[k]), traj.states[k], atol=1e-13)
 
     def test_out_of_range_rejected(self, ex21):
-        traj = simulate(ex21.system, (2.0, 2.0), 0.0, 10.0, TIGHT)
+        traj = simulate_batch(ex21.system, [(2.0, 2.0)], 0.0, 10.0, TIGHT)[0]
         with pytest.raises(ValueError):
             traj.sample_at(-1.0)
         with pytest.raises(ValueError):
             traj.sample_at(10.5)
 
     def test_checkpoints(self, ex21):
-        traj = simulate(ex21.system, (2.0, 2.0), 0.0, 150.0, TIGHT)
+        traj = simulate_batch(ex21.system, [(2.0, 2.0)], 0.0, 150.0, TIGHT)[0]
         points = dict((t, x) for t, x in traj.checkpoints())
         assert set(points) == {10.0, 100.0}
         sol, _ = _ex21_closed_form(0.0, (2.0, 2.0))
@@ -377,11 +381,11 @@ class TestBatch:
         starts = np.array([(2.0, 2.0), (1.3, 0.8), (0.2, 1.9)])
         batch = ode.simulate_batch(ex21.system, starts, 0.0, 100.0, TIGHT)
         for x0, traj in zip(starts, batch):
-            _same(traj, simulate(ex21.system, x0, 0.0, 100.0, TIGHT))
+            _same(traj, simulate_batch(ex21.system, [x0], 0.0, 100.0, TIGHT)[0])
 
     def test_work_counters(self, ex21):
         # one rhs at t0, one in the starting-step heuristic, six per attempt
-        traj = simulate(ex21.system, (2.0, 2.0), 0.0, 100.0, TIGHT)
+        traj = simulate_batch(ex21.system, [(2.0, 2.0)], 0.0, 100.0, TIGHT)[0]
         attempts = len(traj.times) - 1 + traj.steps_rejected
         assert traj.rhs_evals == 2 + 6 * attempts
         # with h_init given there is no heuristic call; three rejections
@@ -389,7 +393,7 @@ class TestBatch:
         f = ExpressionField(parse("0 - cos(x1)", 1), Box((-100.0,), (100.0,)))
         system = System(f, MatrixPath.identity(1))
         opts = SimOptions(rel_tol=1e-14, abs_tol=1e-16, h_min=8.0, h_max=8.0, h_init=8.0)
-        pinned = simulate(system, (0.5,), 0.0, 50.0, opts)
+        pinned = simulate_batch(system, [(0.5,)], 0.0, 50.0, opts)[0]
         assert pinned.status is Status.STEP_FAILURE
         assert pinned.steps_rejected == 3
         assert pinned.rhs_evals == 1 + 6 * (len(pinned.times) - 1 + 3)

@@ -12,7 +12,6 @@ from modgrad.stability import (
     Conclusion,
     EcKind,
     _confirm_local_max,
-    certify,
     certify_all,
     ec_check,
 )
@@ -84,7 +83,7 @@ class TestEcCheck:
 class TestCertify:
     def test_example_21_uniformly_stable_only(self, ex21):
         points, _ = find_critical_points(ex21.system.field, grid_per_axis=12)
-        rep = certify(ex21.system, points[0], critical_points=points)
+        rep = certify_all(ex21.system, [points[0]], critical_points=points)[0]
         assert rep.h1_pass
         assert rep.h2.kind is IsolationKind.ISOLATED_EVIDENCE
         assert rep.h3.kind is EcKind.CONVERGENT_LIKELY
@@ -94,11 +93,11 @@ class TestCertify:
         points, _ = find_critical_points(ex31.system.field, grid_per_axis=20)
         by_loc = {tuple(round(v) for v in p.location): p for p in points}
         for peak in [(2, 1), (2, 4)]:
-            rep = certify(ex31.system, by_loc[peak], critical_points=points)
+            rep = certify_all(ex31.system, [by_loc[peak]], critical_points=points)[0]
             assert rep.conclusion is Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
             assert rep.descent.max_v_increase <= 1e-7
             assert rep.descent.max_bound_violation <= 1e-10
-        saddle = certify(ex31.system, by_loc[(2, 2)], critical_points=points)
+        saddle = certify_all(ex31.system, [by_loc[(2, 2)]], critical_points=points)[0]
         assert not saddle.h1_pass
         assert saddle.conclusion is Conclusion.NO_CERTIFICATE
 
@@ -106,7 +105,7 @@ class TestCertify:
         points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
         origin = next(p for p in points if np.linalg.norm(np.asarray(p.location)) < 1e-8)
         opts = CertifyOptions(isolation_shells=(0.5, 0.25, 0.125))
-        rep = certify(ex22.system, origin, opts, critical_points=points)
+        rep = certify_all(ex22.system, [origin], opts, critical_points=points)[0]
         assert rep.h1_pass
         assert rep.h2.kind is IsolationKind.NOT_ISOLATED
         assert rep.h3.kind is EcKind.DIVERGENT_LIKELY  # P = I satisfies EC
@@ -118,7 +117,7 @@ class TestCertify:
         points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
         origin = next(p for p in points if np.linalg.norm(np.asarray(p.location)) < 1e-8)
         opts = CertifyOptions(isolation_shells=(0.3, 0.07, 0.017))
-        rep = certify(ex22.system, origin, opts, critical_points=points)
+        rep = certify_all(ex22.system, [origin], opts, critical_points=points)[0]
         assert rep.h2.kind is IsolationKind.NOT_ISOLATED
 
     def test_critical_list_witness_is_the_first_in_list_order(self, ex22):
@@ -129,26 +128,26 @@ class TestCertify:
         assert len(near) >= 2
         for witness in (near[0], near[-1]):
             order = [witness] + [p for p in points if p is not witness]
-            rep = certify(ex22.system, origin, opts, critical_points=order)
+            rep = certify_all(ex22.system, [origin], opts, critical_points=order)[0]
             assert rep.h2.witness == witness.location
 
     def test_verdict_monotone_under_tightening(self, ex31):
         points, _ = find_critical_points(ex31.system.field, grid_per_axis=20)
         p1 = min(points, key=lambda p: p.location[1])
-        default = certify(ex31.system, p1, critical_points=points)
-        tighter = certify(
+        default = certify_all(ex31.system, [p1], critical_points=points)[0]
+        tighter = certify_all(
             ex31.system,
-            p1,
+            [p1],
             CertifyOptions(ec_horizon=1e6, quad_tol=1e-6, samples_per_shell=64),
             critical_points=points,
-        )
+        )[0]
         assert default.conclusion is Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
         assert tighter.conclusion is Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
 
     def test_descent_bound_holds_for_all_reports(self, ex31):
         points, _ = find_critical_points(ex31.system.field, grid_per_axis=20)
         for p in points:
-            rep = certify(ex31.system, p, critical_points=points)
+            rep = certify_all(ex31.system, [p], critical_points=points)[0]
             assert rep.descent.max_bound_violation <= 1e-10
 
 
@@ -158,7 +157,7 @@ class TestCertifyAll:
         points, _ = find_critical_points(ex31.system.field, grid_per_axis=20)
         together = certify_all(ex31.system, points, critical_points=points)
         for p, rep in zip(points, together):
-            assert rep == certify(ex31.system, p, critical_points=points)
+            assert rep == certify_all(ex31.system, [p], critical_points=points)[0]
 
     def test_rejects_non_critical_points(self, ex31):
         with pytest.raises(TypeError):
