@@ -51,7 +51,6 @@ from .ode import (
     simulate_batch,
 )
 from .stability import (
-    CertifyOptions,
     Conclusion,
     EcKind,
     EcVerdict,
@@ -90,7 +89,6 @@ __all__ = [
     "EcVerdict",
     "Conclusion",
     "StabilityReport",
-    "CertifyOptions",
     "ec_check",
     "certify_all",
     "GridComponent",

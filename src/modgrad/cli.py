@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-import typing
 
 import numpy as np
 
@@ -227,35 +226,6 @@ def _write_svg(path, component, critical_points, segments):
 # -- configuration -----------------------------------------------------------
 
 
-class Options:
-    """Analysis options: each annotation is the option's JSON type."""
-
-    psd_tol: float = 1e-10
-    grid_per_axis: int = 20
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 50
-    grad_floor: float = 1e-8
-    shell_radius: float | None = None
-    isolation_shells: list | None = None
-    samples_per_shell: int = 32
-    ec_horizon: float = 1e4
-    quad_tol: float = 2e-5
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    h_min: float = 1e-12
-    h_max: float | None = None
-    descent_trajectories: int = 8
-    descent_t_end: float = 10.0
-    basin_samples: int = 100
-    basin_t_end: float = 50.0
-    converge_radius: float = 1e-3
-    tol_boundary: float | None = None
-    seed: int = 0
-
-    def __init__(self, **values):
-        self.__dict__.update(values)
-
-
 class ConfigError(ValueError):
     pass
 
@@ -268,7 +238,33 @@ class AnalysisConfig(Record):
 
 
 _TOP_KEYS = {"dimension", "f", "P", "box", "options", "output_dir"}
-_OPTION_TYPES = typing.get_type_hints(Options)
+
+# each analysis option: its default, JSON type, and the bound the command
+# using it enforces (a list's is on its items); null is allowed exactly
+# where the default is None
+_OPTIONS = {
+    "psd_tol": (1e-10, "number", ">=", 0),
+    "grid_per_axis": (20, "integer", ">=", 2),
+    "newton_tol": (1e-10, "number", ">", 0),
+    "max_newton_iters": (50, "integer", ">=", 1),
+    "grad_floor": (1e-8, "number", ">=", 0),
+    "shell_radius": (None, "number", ">", 0),
+    "isolation_shells": (None, "array", ">", 0),
+    "samples_per_shell": (32, "integer", ">=", 8),
+    "ec_horizon": (1e4, "number", ">=", 100),
+    "quad_tol": (2e-5, "number", ">", 0),
+    "rel_tol": (1e-9, "number", ">=", 0),
+    "abs_tol": (1e-12, "number", ">=", 0),
+    "h_min": (1e-12, "number", ">", 0),
+    "h_max": (None, "number", ">", 0),
+    "descent_trajectories": (8, "integer", ">=", 0),
+    "descent_t_end": (10.0, "number", ">", 0),
+    "basin_samples": (100, "integer", ">=", 0),
+    "basin_t_end": (50.0, "number", ">", 0),
+    "converge_radius": (1e-3, "number", ">", 0),
+    "tol_boundary": (None, "number", ">=", 0),
+    "seed": (0, "integer", ">=", 0),
+}
 
 
 def _is_int(value):
@@ -282,34 +278,23 @@ def _is_number(value):
 
 
 _TYPE_CHECKS = {
-    int: ("an integer", _is_int),
-    float: ("a finite number", _is_number),
-    list: ("a list of finite numbers",
-           lambda v: isinstance(v, list) and all(_is_number(x) for x in v)),
+    "integer": ("an integer", _is_int),
+    "number": ("a finite number", _is_number),
+    "array": ("a list of finite numbers",
+              lambda v: isinstance(v, list) and all(_is_number(x) for x in v)),
 }
 
 
-# each option's bound, as the command using it enforces it; a list's is on its items
-_SIGNS = {"shell_radius": (">", 0), "psd_tol": (">=", 0), "grad_floor": (">=", 0),
-          "tol_boundary": (">=", 0), "descent_trajectories": (">=", 0), "seed": (">=", 0),
-          "basin_samples": (">=", 0), "isolation_shells": (">", 0), "quad_tol": (">", 0),
-          "samples_per_shell": (">=", 8), "ec_horizon": (">=", 100), "basin_t_end": (">", 0),
-          "descent_t_end": (">", 0), "converge_radius": (">", 0), "grid_per_axis": (">=", 2),
-          "max_newton_iters": (">=", 1), "newton_tol": (">", 0), "h_min": (">", 0),
-          "h_max": (">", 0), "rel_tol": (">=", 0), "abs_tol": (">=", 0)}
-
-
 def _check_option(name, value):
-    """Check *value* against ``Options.<name>``'s annotation and bound."""
-    kinds = typing.get_args(_OPTION_TYPES[name]) or (_OPTION_TYPES[name],)
-    if value is None and type(None) in kinds:
+    """Check *value* against ``_OPTIONS[name]``'s JSON type and bound."""
+    default, kind, sign, low = _OPTIONS[name]
+    if value is None and default is None:
         return
-    what, check = _TYPE_CHECKS[kinds[0]]
+    what, check = _TYPE_CHECKS[kind]
     if not check(value):
         raise ConfigError(f"option {name!r} must be {what}, got {json.dumps(value)}")
-    sign, low = _SIGNS.get(name, (None, None))
     items = value if isinstance(value, list) else [value]
-    if sign and not (items and all(v > low if sign == ">" else v >= low for v in items)):
+    if not (items and all(v > low if sign == ">" else v >= low for v in items)):
         what = "a non-empty list of numbers " if items is value else ""
         raise ConfigError(f"option {name!r} must be {what}{sign} {low}, got {json.dumps(value)}")
 
@@ -341,12 +326,13 @@ def load_config(path):
     opt_raw = raw.get("options", {})
     if not isinstance(opt_raw, dict):
         raise ConfigError("'options' must be an object")
-    unknown = set(opt_raw) - set(_OPTION_TYPES)
+    unknown = set(opt_raw) - set(_OPTIONS)
     if unknown:
         raise ConfigError(f"unknown option keys: {sorted(unknown)}")
     for name, value in opt_raw.items():
         _check_option(name, value)
-    options = Options(**opt_raw)
+    options = argparse.Namespace(**{name: opt_raw.get(name, spec[0])
+                                    for name, spec in _OPTIONS.items()})
     try:  # the cross-field rule: rel_tol and abs_tol not both 0
         sim_options = ode.SimOptions(rel_tol=options.rel_tol, abs_tol=options.abs_tol,
                                      h_min=options.h_min, h_max=options.h_max)
@@ -511,10 +497,10 @@ def cmd_analyze(args):
     counts = ", ".join(f"{name}={getattr(diags, name)}" for name in diags._fields)
     _say(args, f"critical points: {len(points)} ({counts})")
 
-    cert_opts = stability.CertifyOptions(
+    reports = stability.certify_all(
+        config.system, points, critical_points=points,
         shell_radius=opts.shell_radius,
-        isolation_shells=None if opts.isolation_shells is None
-        else tuple(opts.isolation_shells),
+        isolation_shells=opts.isolation_shells,
         grad_floor=opts.grad_floor,
         samples_per_shell=opts.samples_per_shell,
         ec_horizon=opts.ec_horizon,
@@ -523,7 +509,6 @@ def cmd_analyze(args):
         descent_t_end=opts.descent_t_end,
         sim=config.sim_options,
     )
-    reports = stability.certify_all(config.system, points, cert_opts, critical_points=points)
     for point, rep in zip(points, reports):
         loc = ", ".join(format(v, ".10g") for v in point.location)
         _say(

@@ -62,13 +62,12 @@ class IsolationVerdict(Record):
 
 
 class CriticalPoint(Record):
-    _fields = ("location", "classification", "hessian_spectrum", "grad_norm",
-               "isolation", "value")
+    _fields = ("location", "classification", "hessian_spectrum", "grad_norm", "value")
 
     def __init__(self, location, classification,
                  hessian_spectrum,  # ascending
-                 grad_norm, isolation=None, value=0.0):
-        self._fill(location, classification, hessian_spectrum, grad_norm, isolation, value)
+                 grad_norm, value=0.0):
+        self._fill(location, classification, hessian_spectrum, grad_norm, value)
 
 
 class FinderDiagnostics(Record):

@@ -6,7 +6,7 @@ and Hessian are rendered to Python source and each compiled once, into a
 straight-line kernel that runs over numpy arrays (``Expression.batch``)
 and gives each row the bits Python floats and ``math`` give it:
 elementwise ``+ - * /``, negation and ``sqrt`` are correctly rounded in
-numpy as in Python; integer powers are ``_ipow``'s chain of products;
+numpy as in Python; integer powers are ``_chain``'s products;
 ``exp``, ``ln``, ``sin`` and ``cos`` call libm on each element
 (``np.frompyfunc``), so no value depends on numpy's CPU dispatch.  Each
 operation that can fail comes with an elementwise test of exactly where
@@ -55,19 +55,6 @@ __all__ = ["Expression", "parse", "ParseError", "EvalDomainError"]
 # -- the array namespace -----------------------------------------------------
 
 
-def _ipow(v, n):
-    """v**n, n >= 0, by repeated (binary) multiplication."""
-    r = 1.0
-    p = v
-    while n:
-        if n & 1:
-            r = r * p
-        if n > 1:
-            p = p * p
-        n >>= 1
-    return r
-
-
 def _elementwise(fn):
     """*fn* called on each element of an array, as a float array, with the
     elements that the mask *failed* marks set to NaN first, so that none
@@ -83,11 +70,11 @@ _EXP_MAX = math.log(sys.float_info.max)  # math.exp overflows above it, inf asid
 _FAILS = {"exp": lambda x: (x > _EXP_MAX) & (x != math.inf), "ln": lambda x: x <= 0.0,
           "sin": np.isinf, "cos": np.isinf, "sqrt": lambda x: x < 0.0, "div": lambda x: x == 0.0}
 # the names the compiled source calls; it writes a real power as
-# exp(e*ln(base)) and a negative integer power as the reciprocal of _ipow's
-# chain, so that their tests are those of exp, ln and the division
+# exp(e*ln(base)) and a negative integer power as the reciprocal of _chain's
+# products, so that their tests are those of exp, ln and the division
 _NS = {**{name: _elementwise(fn) for name, fn in _LIBM.items()},
        **{name + "_fails": test for name, test in _FAILS.items()},
-       "sqrt": np.sqrt, "ipow": _ipow, "inf": math.inf, "nan": math.nan}
+       "sqrt": np.sqrt, "inf": math.inf, "nan": math.nan}
 _FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
 
 
@@ -216,8 +203,8 @@ def _postorder(roots, skip=()):
 
 # -- symbolic derivatives --------------------------------------------------
 # The rules are forward-mode differentiation written out, operation for
-# operation: a*b' + a'*b for products, integer powers through _ipow's chain
-# of multiplications, (e*(b'/b))*b^e for real powers.  Terms with a
+# operation: a*b' + a'*b for products, integer powers through _chain's
+# multiplications, (e*(b'/b))*b^e for real powers.  Terms with a
 # constant 0 or 1 factor are dropped as they are built.
 
 
@@ -247,7 +234,9 @@ _ONE = Const(1.0)
 
 
 def _chain(node):
-    """The multiplications _ipow performs for the Pow *node*, as an AST."""
+    """base^|exponent| of the integral Pow *node* by repeated (binary)
+    multiplication, as an AST of products; the compiled kernels and the
+    derivative rules both use it."""
     n = abs(int(node.exponent))
     r = None
     p = node.base
@@ -325,8 +314,6 @@ def _op_source(node, args):
         return "t"
     if isinstance(node, Neg):
         return f"-{args[0]}"
-    if isinstance(node, Pow):  # an integer exponent >= 0
-        return f"ipow({args[0]}, {int(node.exponent)})"
     if isinstance(node, Call):  # a libm map's last operand is its test's mask
         return f"{node.func}({', '.join(args)})"
     if node.op in "+*":
@@ -373,9 +360,13 @@ def _compile(roots, guarded, params):
             log = emit(BinOp("*", None, None),
                        [repr(node.exponent), emit(Call("ln", None), args, node)], node)
             text[id(node)] = emit(Call("exp", None), [log], node)
-        elif isinstance(node, Pow) and node.exponent < 0:  # 1 / base^-e
-            chain = emit(Pow(None, -node.exponent, True), args, node)
-            text[id(node)] = emit(BinOp("/", None, None), ["1.0", chain], node)
+        elif isinstance(node, Pow):  # _chain's products; 1 / them for e < 0
+            chain = _chain(node)
+            for link in _postorder([chain], skip={id(node.base)}):  # 1.0 for e = 0
+                args = [text[id(c)] for c in _children(link)]
+                text[id(link)] = emit(link, args, node) if args else _op_source(link, args)
+            text[id(node)] = text[id(chain)] if node.exponent >= 0 else \
+                emit(BinOp("/", None, None), ["1.0", text[id(chain)]], node)
         else:
             text[id(node)] = emit(node, args, node)
     # A local used once is written into its user instead, so that numpy

@@ -30,7 +30,6 @@ __all__ = [
     "EcVerdict",
     "Conclusion",
     "StabilityReport",
-    "CertifyOptions",
     "ec_check",
     "certify_all",
 ]
@@ -172,20 +171,6 @@ def _slope(xs, ys):
     return math.fsum(u * (y - y_mean) for u, y in zip(dx, ys)) / math.fsum(u * u for u in dx)
 
 
-class CertifyOptions(Record):
-    _fields = ("shell_radius", "isolation_shells", "grad_floor", "samples_per_shell",
-               "ec_horizon", "quad_tol", "descent_trajectories", "descent_t_end", "sim")
-
-    def __init__(self,
-                 shell_radius=None,      # local-max probe; default auto
-                 isolation_shells=None,  # default: 3 shells under shell_radius
-                 grad_floor=1e-8, samples_per_shell=32, ec_horizon=1e4, quad_tol=2e-5,
-                 descent_trajectories=8, descent_t_end=10.0, sim=None):
-        self._fill(shell_radius, isolation_shells, grad_floor, samples_per_shell,
-                   ec_horizon, quad_tol, descent_trajectories, descent_t_end,
-                   ode.SimOptions() if sim is None else sim)
-
-
 class DescentSummary(Record):
     _fields = ("trajectories", "max_v_increase", "max_bound_violation", "statuses")
 
@@ -236,7 +221,11 @@ def _confirm_local_max(field, point, radius):
                  f"(worst gap {worst:.3g})"
 
 
-def certify_all(system, points, opts=None, critical_points=None):
+def certify_all(system, points, critical_points=None, *,
+                shell_radius=None,      # local-max probe; default auto
+                isolation_shells=None,  # default: 3 shells under shell_radius
+                grad_floor=1e-8, samples_per_shell=32, ec_horizon=1e4, quad_tol=2e-5,
+                descent_trajectories=8, descent_t_end=10.0, sim=None):
     """Assemble the H1-H3 verdicts for each of *points* and conclude.
 
     H1: classified isolated local max plus a two-shell probe that f is
@@ -246,31 +235,31 @@ def certify_all(system, points, opts=None, critical_points=None):
     H3: the eigenvalue-condition grade, which depends on P(t) alone and is
     computed once.  Failed sub-checks downgrade the conclusion; they are
     results, not errors.  The descent spot checks of all points run as one
-    trajectory batch.
+    trajectory batch.  The settings are named as the config options are.
     """
-    opts = opts or CertifyOptions()
     fld = system.field
     if not all(isinstance(p, CriticalPoint) for p in points):
         raise TypeError("certify_all expects a CriticalPoint from find_critical_points")
 
     xs = [np.asarray(point.location, dtype=float) for point in points]
-    radii = [opts.shell_radius if opts.shell_radius is not None
+    radii = [shell_radius if shell_radius is not None
              else _auto_shell_radius(fld, x) for x in xs]
-    shells = [(r, r / 4.0, r / 16.0) if opts.isolation_shells is None
-              else opts.isolation_shells for r in radii]
+    shells = [(r, r / 4.0, r / 16.0) if isolation_shells is None
+              else tuple(isolation_shells) for r in radii]
     # all H2 probes in one batch; a probe's error is raised in its point's turn
-    probes = isolation_probes(fld, xs, shells, opts.samples_per_shell, opts.grad_floor)
+    probes = isolation_probes(fld, xs, shells, samples_per_shell, grad_floor)
     checks = []  # per point: (x, radius, h1_pass, h1_note, h2)
     h3 = None
     locations = np.array([p.location for p in critical_points or ()], dtype=float)
     for point, x, radius, shell, probe in zip(points, xs, radii, shells, probes):
         h1_pass, h1_note = _h1(fld, point, x, radius)
-        h2 = _h2(probe, x, radius, shell, opts, critical_points, locations)
+        h2 = _h2(probe, x, radius, shell, isolation_shells, critical_points, locations)
         if h3 is None:  # P(t) alone decides H3; graded where a one-point run would
-            h3 = ec_check(system.matrix, opts.ec_horizon, opts.quad_tol)
+            h3 = ec_check(system.matrix, ec_horizon, quad_tol)
         checks.append((x, radius, h1_pass, h1_note, h2))
 
-    descents = _descent_checks(system, checks, opts)
+    descents = _descent_checks(system, checks, descent_trajectories, descent_t_end,
+                               ode.SimOptions() if sim is None else sim)
 
     reports = []
     for point, (x, radius, h1_pass, h1_note, h2), descent in zip(points, checks, descents):
@@ -305,11 +294,11 @@ def _h1(fld, point, x, radius):
     return h1_pass, h1_note
 
 
-def _h2(probe, x, radius, shells, opts, critical_points, locations):
+def _h2(probe, x, radius, shells, isolation_shells, critical_points, locations):
     """H2: the shell probe's result (``isolation_probes``), plus the found
     critical list (at *locations*, one row each) as witnesses; the first
     one in list order wins."""
-    unfit = radius <= 0.0 and opts.isolation_shells is None  # no shell was asked for
+    unfit = radius <= 0.0 and isolation_shells is None  # no shell was asked for
     if unfit or isinstance(probe, OutsideDomainError):
         # the shells do not fit around this point; degrade, do not error
         # (failed sub-checks are results, not crashes)
@@ -332,16 +321,17 @@ def _h2(probe, x, radius, shells, opts, critical_points, locations):
     return h2
 
 
-def _descent_checks(system, checks, opts):
-    """Descent spot checks: trajectories from a start shell around each x̄,
-    all points' starts in one batch, each converging toward its own x̄."""
+def _descent_checks(system, checks, per_point, t_end, sim):
+    """Descent spot checks: *per_point* trajectories from a start shell around
+    each x̄ to *t_end*, all points' starts in one batch, each converging
+    toward its own x̄."""
     starts = []
     targets = []
     spans = []  # (point index, its first row, its row count)
     for k, (x, radius, *_) in enumerate(checks):
-        if opts.descent_trajectories > 0 and radius > 0.0:
-            dirs = _shell_dirs(max(opts.descent_trajectories, 8), system.dimension)
-            shell = (x + _DESCENT_RADIUS_SCALE * radius * dirs)[: opts.descent_trajectories]
+        if per_point > 0 and radius > 0.0:
+            dirs = _shell_dirs(max(per_point, 8), system.dimension)
+            shell = (x + _DESCENT_RADIUS_SCALE * radius * dirs)[:per_point]
             spans.append((k, len(starts), len(shell)))
             starts.extend(shell)
             targets.extend([x] * len(shell))
@@ -349,8 +339,7 @@ def _descent_checks(system, checks, opts):
     if not starts:
         return descents
     trajectories = ode.simulate_batch(
-        system, starts, 0.0, opts.descent_t_end,
-        opts.sim.replace(convergence_radius=1e-8), targets=targets,
+        system, starts, 0.0, t_end, sim.replace(convergence_radius=1e-8), targets=targets,
     )
     traces = ode.lyapunov_traces(system, trajectories, targets)
     for k, first, count in spans:

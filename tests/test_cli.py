@@ -1,12 +1,12 @@
 """End-to-end CLI tests: exit codes, file outputs, schemas, determinism."""
 
 import glob
+import inspect
 import itertools
 import json
 import os
 import re
 import time
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,18 @@ jsonschema = pytest.importorskip("jsonschema")
 import scalar_reference as ref
 from helpers import one_row
 from modgrad.basin import exposed_cells, extract_component
-from modgrad.cli import _SIGNS, Options, _boundary_segments, _write_csv, load_config, main
+from modgrad.cli import (
+    _OPTIONS,
+    _boundary_segments,
+    _check_option,
+    _write_csv,
+    load_config,
+    main,
+)
+from modgrad.equilibria import find_critical_points
 from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
+from modgrad.stability import certify_all
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMAS = os.path.join(REPO, "schemas")
@@ -747,10 +756,9 @@ class TestRepoConfigs:
         with open(path) as fh:
             jsonschema.validate(json.load(fh), schema("config.schema.json"))
 
-    def test_schema_options_match_annotations(self):
-        json_type = {int: "integer", float: "number", list: "array", type(None): "null"}
-        want = {name: {json_type[kind] for kind in typing.get_args(hint) or (hint,)}
-                for name, hint in typing.get_type_hints(Options).items()}
+    def test_schema_options_match_table(self):
+        want = {name: {kind} | ({"null"} if default is None else set())
+                for name, (default, kind, _, _) in _OPTIONS.items()}
         props = schema("config.schema.json")["properties"]["options"]["properties"]
         have = {name: set(np.atleast_1d(p["type"])) for name, p in props.items()}
         assert have == want
@@ -761,10 +769,28 @@ class TestRepoConfigs:
             return (">=", p["minimum"]) if "minimum" in p else None
 
         signs = {name: bound(p) for name, p in props.items() if bound(p)}
-        assert signs == _SIGNS
+        assert signs == {name: (sign, low) for name, (_, _, sign, low) in _OPTIONS.items()}
         # a bounded list must not be empty
         assert all(props[name].get("minItems") == 1
                    for name in signs if "array" in props[name]["type"])
+
+    def test_option_defaults_are_valid(self, tmp_path):
+        defaults = {name: spec[0] for name, spec in _OPTIONS.items()}
+        for name, value in defaults.items():
+            _check_option(name, value)
+        spelled = {"f": {"gallery": "ex21"}, "options": defaults}
+        jsonschema.validate(spelled, schema("config.schema.json"))
+        for body in (spelled, {"f": {"gallery": "ex21"}}):  # load_config fills in every option
+            assert vars(load_config(write_config(tmp_path, body)).options) == defaults
+
+    @pytest.mark.parametrize("entry", [certify_all, find_critical_points])
+    def test_library_defaults_match_table(self, entry):
+        # the library entries take these options under their config names
+        params = inspect.signature(entry).parameters
+        shared = [name for name in params if name in _OPTIONS]
+        assert len(shared) >= 3
+        assert {name: params[name].default for name in shared} \
+            == {name: _OPTIONS[name][0] for name in shared}
 
     @pytest.mark.parametrize("name", ["ex21.json", "ex31.json", "custom_example.json"])
     def test_shipped_configs_analyze(self, tmp_path, name):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from modgrad import Box, CertifyOptions, SimOptions, Status, Trajectory
+from modgrad import Box, SimOptions, Status, Trajectory
 from modgrad._record import Record
 from modgrad.equilibria import FinderDiagnostics
 
@@ -69,7 +69,6 @@ def test_replace_runs_init_checks():
         SimOptions().replace(h_max=0)
     with pytest.raises(ValueError, match="lo < hi"):
         Box((0,), (1,)).replace(hi=(-1,))
-    assert CertifyOptions().sim == SimOptions()
 
 
 def test_instances_keep_a_dict():

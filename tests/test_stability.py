@@ -8,7 +8,6 @@ from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
 from modgrad.field import Box, ExpressionField, MatrixPath, System
 from modgrad.stability import (
-    CertifyOptions,
     Conclusion,
     EcKind,
     _confirm_local_max,
@@ -104,8 +103,8 @@ class TestCertify:
     def test_example_22_not_asymptotically_stable(self, ex22):
         points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
         origin = next(p for p in points if np.linalg.norm(np.asarray(p.location)) < 1e-8)
-        opts = CertifyOptions(isolation_shells=(0.5, 0.25, 0.125))
-        rep = certify_all(ex22.system, [origin], opts, critical_points=points)[0]
+        rep = certify_all(ex22.system, [origin], critical_points=points,
+                          isolation_shells=(0.5, 0.25, 0.125))[0]
         assert rep.h1_pass
         assert rep.h2.kind is IsolationKind.NOT_ISOLATED
         assert rep.h3.kind is EcKind.DIVERGENT_LIKELY  # P = I satisfies EC
@@ -116,31 +115,27 @@ class TestCertify:
         # the probe radius defeat isolation
         points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
         origin = next(p for p in points if np.linalg.norm(np.asarray(p.location)) < 1e-8)
-        opts = CertifyOptions(isolation_shells=(0.3, 0.07, 0.017))
-        rep = certify_all(ex22.system, [origin], opts, critical_points=points)[0]
+        rep = certify_all(ex22.system, [origin], critical_points=points,
+                          isolation_shells=(0.3, 0.07, 0.017))[0]
         assert rep.h2.kind is IsolationKind.NOT_ISOLATED
 
     def test_critical_list_witness_is_the_first_in_list_order(self, ex22):
         points, _ = find_critical_points(ex22.system.field, grid_per_axis=15)
         origin = next(p for p in points if np.linalg.norm(np.asarray(p.location)) < 1e-8)
-        opts = CertifyOptions(isolation_shells=(0.3, 0.07, 0.017))
         near = [p for p in points if 0.0 < np.linalg.norm(np.asarray(p.location)) <= 0.3]
         assert len(near) >= 2
         for witness in (near[0], near[-1]):
             order = [witness] + [p for p in points if p is not witness]
-            rep = certify_all(ex22.system, [origin], opts, critical_points=order)[0]
+            rep = certify_all(ex22.system, [origin], critical_points=order,
+                              isolation_shells=(0.3, 0.07, 0.017))[0]
             assert rep.h2.witness == witness.location
 
     def test_verdict_monotone_under_tightening(self, ex31):
         points, _ = find_critical_points(ex31.system.field, grid_per_axis=20)
         p1 = min(points, key=lambda p: p.location[1])
         default = certify_all(ex31.system, [p1], critical_points=points)[0]
-        tighter = certify_all(
-            ex31.system,
-            [p1],
-            CertifyOptions(ec_horizon=1e6, quad_tol=1e-6, samples_per_shell=64),
-            critical_points=points,
-        )[0]
+        tighter = certify_all(ex31.system, [p1], critical_points=points,
+                              ec_horizon=1e6, quad_tol=1e-6, samples_per_shell=64)[0]
         assert default.conclusion is Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
         assert tighter.conclusion is Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
 
@@ -178,11 +173,11 @@ class TestCertifyAll:
                                  grad_norm=0.0)
         a = point((0.0, 0.0), Classification.ISOLATED_LOCAL_MAX)
         b = point((-0.5, -0.895), Classification.SADDLE)
-        opts = CertifyOptions(shell_radius=0.1, isolation_shells=(0.01,), descent_trajectories=0)
+        opts = dict(shell_radius=0.1, isolation_shells=(0.01,), descent_trajectories=0)
         with pytest.raises(EvalDomainError, match="ln of non-positive"):
-            certify_all(system, [a, b], opts)
+            certify_all(system, [a, b], **opts)
         with pytest.raises(EvalDomainError, match="sqrt of negative"):
-            certify_all(system, [b, a], opts)
+            certify_all(system, [b, a], **opts)
 
 
 class TestLocalMaxShells:

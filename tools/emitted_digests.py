@@ -109,7 +109,7 @@ EXP_CONFIG = {
 RUNS["analyze-ex31-exp"] = ["analyze", "--config", "{work}/exp.json"]
 # the same f on a grid whose side, 1000, is not a multiple of the basin
 # grid's slab height (65 rows at 1000 cells a row): f is evaluated through
-# eval_array's libm exp and _ipow's products on 16 slabs, the last one short
+# eval_array's libm exp and _chain's products on 16 slabs, the last one short
 RUNS["basin-ex31-exp-r1000"] = ["basin", "--config", "{work}/exp.json", "--anchor", "2,4",
                                 "--c", "33", "--resolution", "1000"]
 # c is f at cell (419, 528) as numpy's own exp and power once computed it on
