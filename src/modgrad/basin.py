@@ -16,8 +16,7 @@ import numpy as np
 
 from . import linalg, ode
 from ._record import Record
-from .equilibria import _unit_vector
-from .errors import NumericFailure, OutsideDomainError
+from .errors import OutsideDomainError
 
 __all__ = [
     "GridComponent",
@@ -28,7 +27,6 @@ __all__ = [
     "check_hypotheses",
     "verify_basin",
     "sample_cells",
-    "sample_region",
 ]
 
 MAX_GRID_DIMENSION = 4
@@ -196,11 +194,7 @@ def extract_component(field, anchor, c, resolution):
     """Flood-fill the component of {c < f < M} (anchor exempt) around x̄."""
     n = field.dimension
     if n > MAX_GRID_DIMENSION:
-        raise ValueError(
-            f"grid extraction supports dimension <= {MAX_GRID_DIMENSION}; "
-            "use verify_basin(system, (anchor, c)) for rejection-sampled "
-            "verification in higher dimensions"
-        )
+        raise ValueError(f"grid extraction supports dimension <= {MAX_GRID_DIMENSION}")
     anchor = np.asarray(anchor, dtype=float)
     if not field.inside_batch(anchor[None])[0]:
         raise OutsideDomainError(f"anchor {anchor.tolist()} is outside the domain")
@@ -443,75 +437,18 @@ def sample_cells(component, count, seed=0):
     return list(np.array(component.box_lo) + (cells + jitter) * np.array(component.cell_widths))
 
 
-def sample_region(field, anchor, c, count, seed=0):
-    """Rejection-sample starts satisfying c < f < M near the anchor.
-
-    Fallback for dimensions beyond grid reach: draws 2,000 points from each
-    ball of growing radius around the anchor, one batch a radius and
-    200,000 at most, and keeps the first *count* inside D with c < f < M; a
-    domain error raises at the first draw that hits one before that.
-    Near the anchor the predicate set coincides with the component E, but
-    connectivity is NOT checked here; that is what the grid path is for.
-    """
-    anchor = np.asarray(anchor, dtype=float)
-    values, failed = field.batch("eval", anchor[None])
-    field.raise_row_error(anchor[None], failed, "eval")
-    m_value = float(values[0])
-    if c >= m_value:
-        raise ValueError(f"c must be below f(anchor) = {m_value:g}")
-    n = field.dimension
-    rng = random.Random(int(seed))
-    r_max = field.box.clip_radius(anchor)
-    samples = []
-    radius = 0.05 * r_max
-    for _ in range(100):
-        if len(samples) >= count:
-            break
-        draws = [(_unit_vector(rng, n), rng.random()) for _ in range(2000)]
-        scale = np.array([radius * u ** (1.0 / n) for _, u in draws])
-        x = anchor + scale[:, None] * np.array([d for d, _ in draws])
-        values, failed = field.batch("eval", x)
-        kept = ~failed & (c < values) & (values < m_value)
-        need = count - len(samples)
-        field.raise_row_error(x, failed & field.inside_batch(x) & (np.cumsum(kept) < need), "eval")
-        samples += list(x[kept][:need])
-        if radius < r_max:
-            radius = min(2.0 * radius, r_max)
-    if len(samples) < count:
-        raise NumericFailure(
-            f"rejection sampling found only {len(samples)}/{count} starts",
-            partial=samples,
-        )
-    return samples
-
-
-def verify_basin(system, region, sample_count=100, t_end=50.0,
-                 converge_radius=1e-3, seed=0, sim_opts=None):
-    """Simulate starts sampled from *region* toward its anchor; count
-    convergence.
-
-    *region* is a GridComponent, whose starts lie in masked cell interiors
-    (``sample_cells``), or, in any dimension, an ``(anchor, c)`` pair, whose
-    starts are rejection-sampled from c < f < M near the anchor
-    (``sample_region``) without a connectivity check.  The starts run as
-    one trajectory batch whose rows do not depend on each other.
-    """
-    sim_opts = sim_opts or ode.SimOptions()
-    if isinstance(region, GridComponent):
-        anchor = region.anchor
-        starts = sample_cells(region, sample_count, seed)
-        outcome = "trajectories converged to the anchor"
-        caveat = "convergence at this tolerance is evidence, not proof, of basin membership"
-    else:
-        anchor, c = region
-        starts = sample_region(system.field, anchor, c, sample_count, seed)
-        outcome = "rejection-sampled starts converged"
-        caveat = ("starts were drawn from the predicate set near the anchor "
-                  "without a connectivity check")
+def verify_basin(system, component, *, basin_samples=100, basin_t_end=50.0,
+                 converge_radius=1e-3, seed=0, sim=None):
+    """Simulate starts in the masked cell interiors of *component*
+    (``sample_cells``) toward its anchor, as one trajectory batch whose rows
+    do not depend on each other; count convergence.  The settings are named
+    as the config options are."""
+    starts = sample_cells(component, basin_samples, seed)
     failures = ()
     if len(starts):
-        opts = sim_opts.replace(convergence_radius=converge_radius)
-        trajectories = ode.simulate_batch(system, starts, 0.0, t_end, opts, anchor)
+        opts = (sim or ode.SimOptions()).replace(convergence_radius=converge_radius)
+        trajectories = ode.simulate_batch(system, starts, 0.0, basin_t_end, opts,
+                                          component.anchor)
         failures = tuple(
             (tuple(start.tolist()), traj.status.value, tuple(traj.final_state.tolist()))
             for start, traj in zip(starts, trajectories)
@@ -522,6 +459,7 @@ def verify_basin(system, region, sample_count=100, t_end=50.0,
         sample_count=len(starts),
         converged_count=converged,
         failures=failures,
-        note=f"{converged}/{len(starts)} {outcome} within {converge_radius:g} "
-             f"by t = {t_end:g} (seed {seed}); {caveat}",
+        note=f"{converged}/{len(starts)} trajectories converged to the anchor within "
+             f"{converge_radius:g} by t = {basin_t_end:g} (seed {seed}); convergence at "
+             "this tolerance is evidence, not proof, of basin membership",
     )

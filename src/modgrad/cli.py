@@ -587,11 +587,11 @@ def cmd_basin(args):
     verification = basin_mod.verify_basin(
         config.system,
         component,
-        sample_count=opts.basin_samples,
-        t_end=opts.basin_t_end,
+        basin_samples=opts.basin_samples,
+        basin_t_end=opts.basin_t_end,
         converge_radius=opts.converge_radius,
         seed=seed,
-        sim_opts=config.sim_options,
+        sim=config.sim_options,
     )
     _say(args, verification.note)
 
@@ -645,9 +645,9 @@ def cmd_basin(args):
 def cmd_ec(args):
     config = load_config(args.config)
     out = _outdir(args, config)
-    verdict = stability.ec_check(
-        config.system.matrix, args.horizon, config.options.quad_tol
-    )
+    opts = config.options
+    horizon = args.horizon if args.horizon is not None else opts.ec_horizon
+    verdict = stability.ec_check(config.system.matrix, ec_horizon=horizon, quad_tol=opts.quad_tol)
     _say(args, f"EC verdict: {verdict.kind.value}")
     _say(args, f"  I(T) = {verdict.horizon_integral:.8g} at T = {verdict.horizon:g}")
     if verdict.tail_exponent is not None:
@@ -721,7 +721,8 @@ def build_parser():
 
     p = sub.add_parser("ec", help="grade the eigenvalue condition for P(t)")
     _add_common(p)
-    p.add_argument("--horizon", type=float, default=1e4)
+    p.add_argument("--horizon", type=float, default=None,
+                   help="T of the finite horizon [0, T] (default: the config's ec_horizon)")
     p.set_defaults(func=cmd_ec)
 
     p = sub.add_parser("gallery", help="list or run the built-in examples")

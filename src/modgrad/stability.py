@@ -69,7 +69,7 @@ _INCREMENT_RATIO = 0.9
 _DESCENT_RADIUS_SCALE = 0.5
 
 
-def ec_check(matrix, horizon=1e4, quad_tol=2e-5):
+def ec_check(matrix, ec_horizon=1e4, quad_tol=2e-5):
     """Grade the eigenvalue condition from the finite horizon [0, T].
 
     Computes I(T) = integral of max(lambda_1(P(t)), 0), fits the tail decay
@@ -79,7 +79,7 @@ def ec_check(matrix, horizon=1e4, quad_tol=2e-5):
     per doubling forever); convergence on p clearly above 1 with a decaying
     or negligible tail.
     """
-    horizon = float(horizon)
+    horizon = float(ec_horizon)
     if not (100.0 <= horizon < math.inf):
         raise ValueError(f"horizon must be a finite number >= 100, got {horizon}")
     if not (0.0 < quad_tol < math.inf):

@@ -12,7 +12,6 @@ compiled expression kernels must reproduce bit for bit.
 
 import math
 import operator
-import random
 from collections import Counter, deque
 from functools import reduce
 
@@ -22,7 +21,7 @@ from modgrad import linalg
 from modgrad.basin import GridComponent, HypothesisVerdict
 from modgrad.equilibria import (
     CriticalPoint, FinderDiagnostics, IsolationKind, IsolationVerdict, _shell_dirs,
-    _unit_vector, classify_spectrum,
+    classify_spectrum,
 )
 from modgrad.errors import EvalDomainError, NumericFailure, OutsideDomainError
 from modgrad.expr import BinOp, Call, Const, Neg, Pow, TimeVar, Var, _derivatives
@@ -429,34 +428,6 @@ def point_eval(field):
             one_row(field, "eval", x)
             raise
     return at
-
-
-def sample_region(field, anchor, c, count, seed=0):
-    """Rejection-sampled starts with c < f < M near the anchor, one draw
-    and one one-row ``eval`` at a time."""
-    anchor = np.asarray(anchor, dtype=float)
-    m_value = float(one_row(field, "eval", anchor))
-    if c >= m_value:
-        raise ValueError(f"c must be below f(anchor) = {m_value:g}")
-    rng = random.Random(int(seed))
-    r_max = field.box.clip_radius(anchor)
-    samples = []
-    tries = 0
-    radius = 0.05 * r_max
-    while len(samples) < count and tries < 200_000:
-        tries += 1
-        direction = _unit_vector(rng, field.dimension)
-        x = anchor + radius * rng.random() ** (1.0 / field.dimension) * direction
-        if inside(field, x) and c < one_row(field, "eval", x) < m_value:
-            samples.append(x)
-        if tries % 2000 == 0 and radius < r_max:
-            radius = min(2.0 * radius, r_max)
-    if len(samples) < count:
-        raise NumericFailure(
-            f"rejection sampling found only {len(samples)}/{count} starts",
-            partial=samples,
-        )
-    return samples
 
 
 def bisect_crossing(f, inside_pt, outside_pt, level, steps=40):

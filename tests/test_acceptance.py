@@ -116,7 +116,7 @@ def test_criterion_4_basin_pipeline():
             assert rep.h4.passed and rep.h5.passed and rep.h6.passed
 
         ver = verify_basin(
-            entry.system, comp1, sample_count=100, t_end=50.0,
+            entry.system, comp1, basin_samples=100, basin_t_end=50.0,
             converge_radius=1e-3, seed=0,
         )
         assert ver.converged_count == 100

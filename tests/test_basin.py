@@ -10,21 +10,19 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from helpers import one_row
 from modgrad import basin, ode
 from modgrad.basin import _flood, _lipschitz_estimate
 from modgrad.basin import (
     check_hypotheses,
     extract_component,
     sample_cells,
-    sample_region,
     verify_basin,
 )
 from modgrad.cli import _boundary_segments, _write_cells_csv, _write_pgm
 from modgrad.equilibria import find_critical_points
 from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
-from modgrad.field import Box, ExpressionField, MatrixPath, System
+from modgrad.field import Box, ExpressionField
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -447,7 +445,7 @@ class TestVerifyBasin:
     def test_certified_component_converges_fully(self, ex31, ex31_named):
         p1, _, _ = ex31_named
         comp = extract_component(ex31.system.field, p1.location, 33.0, 512)
-        ver = verify_basin(ex31.system, comp, sample_count=100, t_end=50.0,
+        ver = verify_basin(ex31.system, comp, basin_samples=100, basin_t_end=50.0,
                            converge_radius=1e-3, seed=42)
         assert ver.converged_count == ver.sample_count == 100
         assert ver.converged_count == ver.sample_count
@@ -455,8 +453,8 @@ class TestVerifyBasin:
     def test_deterministic_in_seed(self, ex31, ex31_named):
         p1, _, _ = ex31_named
         comp = extract_component(ex31.system.field, p1.location, 33.0, 128)
-        a = verify_basin(ex31.system, comp, sample_count=20, t_end=50.0, seed=9)
-        b = verify_basin(ex31.system, comp, sample_count=20, t_end=50.0, seed=9)
+        a = verify_basin(ex31.system, comp, basin_samples=20, basin_t_end=50.0, seed=9)
+        b = verify_basin(ex31.system, comp, basin_samples=20, basin_t_end=50.0, seed=9)
         assert a.converged_count == b.converged_count
         assert a.failures == b.failures
 
@@ -464,7 +462,7 @@ class TestVerifyBasin:
         # starts with x2 > 2 drift to p2 instead of p1
         p1, _, _ = ex31_named
         comp = extract_component(ex31.system.field, p1.location, 20.0, 256)
-        ver = verify_basin(ex31.system, comp, sample_count=60, t_end=50.0,
+        ver = verify_basin(ex31.system, comp, basin_samples=60, basin_t_end=50.0,
                            converge_radius=1e-3, seed=7)
         assert 0 < ver.converged_count < ver.sample_count
         escaped_to_p2 = [
@@ -477,8 +475,8 @@ class TestVerifyBasin:
         # max_steps=1 stops every start before it can converge
         p1, _, _ = ex31_named
         comp = extract_component(ex31.system.field, p1.location, 33.0, 128)
-        ver = verify_basin(ex31.system, comp, sample_count=10, t_end=50.0, seed=9,
-                           sim_opts=ode.SimOptions(max_steps=1))
+        ver = verify_basin(ex31.system, comp, basin_samples=10, basin_t_end=50.0, seed=9,
+                           sim=ode.SimOptions(max_steps=1))
         assert ver.converged_count == 0
         assert [f[1] for f in ver.failures] == ["StepFailure"] * 10
 
@@ -519,33 +517,6 @@ class TestStarts:
     def test_same_seed_same_starts(self, comp):
         assert np.array_equal(sample_cells(comp, 30, seed=3), sample_cells(comp, 30, seed=3))
         assert not np.array_equal(sample_cells(comp, 30, seed=3), sample_cells(comp, 30, seed=4))
-        f = _field("1 - x1^2 - 2*x2^2 - 3*x3^2", Box((-1.0,) * 3, (1.0,) * 3))
-        a = sample_region(f, (0.0,) * 3, 0.5, 25, seed=3)
-        assert np.array_equal(a, sample_region(f, (0.0,) * 3, 0.5, 25, seed=3))
-        assert not np.array_equal(a, sample_region(f, (0.0,) * 3, 0.5, 25, seed=4))
-        assert all(f.inside_batch([x])[0] and 0.5 < one_row(f, "eval", x) < 1.0 for x in a)
-
-    @pytest.mark.parametrize("source, c, count, seed", [
-        ("1 - x1^2 - 2*x2^2 - 3*x3^2", 0.5, 25, 3),
-        ("1 - x1^2 - 2*x2^2 - 3*x3^2", 0.5, 25, 4),
-        ("0 - x1^2 - x2^2 - x3^2", -0.5, 6, 2),
-        ("1 - x1^2 - 2*x2^2 - 3*x3^2", 0.99, 2100, 5),  # past the first 2,000 draws
-        # the draws at the fourth radius, 0.4, hit ln's domain error: the
-        # seventh draw there, after the 2,982nd start (which ends the sampling)
-        # and before the 2,983rd (which it raises for)
-        ("ln(x1 + 0.2) - x2^2 - x3^2", -3.0, 2982, 10),
-        ("ln(x1 + 0.2) - x2^2 - x3^2", -3.0, 2983, 10),
-    ])
-    def test_sample_region_matches_the_draw_by_draw_loop(self, source, c, count, seed):
-        f = _field(source, Box((-1.0,) * 3, (1.0,) * 3))
-        try:
-            want = ref.sample_region(f, (0.0,) * 3, c, count, seed)
-        except EvalDomainError as exc:
-            with pytest.raises(EvalDomainError) as got:
-                sample_region(f, (0.0,) * 3, c, count, seed)
-            assert str(got.value) == str(exc)
-            return
-        assert np.array_equal(sample_region(f, (0.0,) * 3, c, count, seed), want)
 
     @pytest.mark.parametrize("argv", [
         ["basin", "--config", "configs/ex31.json", "--anchor", "2,4", "--c", "33",
@@ -565,35 +536,6 @@ class TestStarts:
                              env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "False"]
-
-
-class TestHighDimensionFallback:
-    def test_rejection_sampled_verification_in_5d(self):
-        f = ExpressionField(
-            parse("0 - x1^2 - x2^2 - x3^2 - x4^2 - x5^2", 5),
-            Box((-1.0,) * 5, (1.0,) * 5),
-        )
-        system = System(f, MatrixPath.identity(5))
-        ver = verify_basin(
-            system, ((0.0,) * 5, -0.5), sample_count=20, t_end=20.0,
-            converge_radius=1e-4, seed=3,
-        )
-        assert ver.converged_count == 20
-        assert ver.note == (
-            "20/20 rejection-sampled starts converged within 0.0001 by t = 20 (seed 3); "
-            "starts were drawn from the predicate set near the anchor without a "
-            "connectivity check"
-        )
-
-    def test_sampled_fallback_deterministic(self):
-        f = ExpressionField(
-            parse("0 - x1^2 - x2^2 - x3^2 - x4^2 - x5^2", 5),
-            Box((-1.0,) * 5, (1.0,) * 5),
-        )
-        system = System(f, MatrixPath.identity(5))
-        a = verify_basin(system, ((0.0,) * 5, -0.5), 8, seed=1)
-        b = verify_basin(system, ((0.0,) * 5, -0.5), 8, seed=1)
-        assert a.converged_count == b.converged_count and a.failures == b.failures
 
 
 class TestBatchIndependence:
@@ -618,21 +560,9 @@ class TestBatchIndependence:
         # the H5-violating cut mixes converged starts with escapes to p2
         p1, _, _ = ex31_named
         comp = extract_component(ex31.system.field, p1.location, 20.0, 128)
-        ver = verify_basin(ex31.system, comp, sample_count=16, t_end=50.0, seed=4)
+        ver = verify_basin(ex31.system, comp, basin_samples=16, basin_t_end=50.0, seed=4)
         starts = sample_cells(comp, 16, seed=4)
         converged, failures = self._alone(ex31.system, starts, p1.location, 50.0, 1e-3)
         assert 0 < ver.converged_count < ver.sample_count
-        assert ver.converged_count == converged
-        assert ver.failures == failures
-
-    def test_sampled_verification_matches_per_start_runs(self):
-        f = ExpressionField(
-            parse("0 - x1^2 - x2^2 - x3^2", 3), Box((-1.0,) * 3, (1.0,) * 3)
-        )
-        system = System(f, MatrixPath.identity(3))
-        ver = verify_basin(system, ((0.0,) * 3, -0.5), 6, t_end=2.0,
-                           converge_radius=1e-4, seed=2)
-        starts = sample_region(f, (0.0,) * 3, -0.5, 6, seed=2)
-        converged, failures = self._alone(system, starts, (0.0,) * 3, 2.0, 1e-4)
         assert ver.converged_count == converged
         assert ver.failures == failures

@@ -16,7 +16,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import scalar_reference as ref
 from helpers import one_row
-from modgrad.basin import exposed_cells, extract_component
+from modgrad.basin import exposed_cells, extract_component, verify_basin
 from modgrad.cli import (
     _OPTIONS,
     _boundary_segments,
@@ -28,7 +28,8 @@ from modgrad.cli import (
 from modgrad.equilibria import find_critical_points
 from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
-from modgrad.stability import certify_all
+from modgrad.ode import SimOptions
+from modgrad.stability import certify_all, ec_check
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMAS = os.path.join(REPO, "schemas")
@@ -300,6 +301,14 @@ class TestBasinCommand:
                               delimiter=",", skiprows=1)
         assert boundary.shape[1] == 4
 
+    def test_dimension_above_grid_reach_exits_2(self, tmp_path, capsys):
+        # no grid past n = 4, and no other basin region either
+        f = "0 - x1^2 - x2^2 - x3^2 - x4^2 - x5^2"
+        cfg = write_config(tmp_path, {"dimension": 5, "f": f, "box": [[-1, 1]] * 5})
+        assert main(["basin", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                     "--anchor", "0,0,0,0,0", "--c", "-0.5"]) == 2
+        assert capsys.readouterr().err == "input error: grid extraction supports dimension <= 4\n"
+
     def test_h6_failure_with_witnesses(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -466,6 +475,23 @@ class TestEcCommand:
         assert main(["ec", "--config", cfg, "--out", out, "--quiet"]) == 0
         with open(os.path.join(out, "ec.json")) as fh:
             assert json.load(fh)["kind"] == "ConvergentLikely"
+
+    def test_horizon_defaults_to_config(self, tmp_path):
+        # ec grades the eigenvalue condition at the T that analyze's H3 uses
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex21"},
+                                      "options": {"grid_per_axis": 12, "ec_horizon": 200}})
+
+        def run(command, name, *flags):
+            out = str(tmp_path / command)
+            assert main([command, "--config", cfg, "--out", out, "--quiet", *flags]) == 0
+            with open(os.path.join(out, name)) as fh:
+                return json.load(fh)
+
+        ec = run("ec", "ec.json")
+        report = run("analyze", "report.json")
+        assert ec["horizon"] == 200
+        assert report and all(entry["h3"] == ec for entry in report)
+        assert run("ec", "ec.json", "--horizon", "300")["horizon"] == 300
 
 
 class TestNoLapackIn2D:
@@ -783,12 +809,18 @@ class TestRepoConfigs:
         for body in (spelled, {"f": {"gallery": "ex21"}}):  # load_config fills in every option
             assert vars(load_config(write_config(tmp_path, body)).options) == defaults
 
-    @pytest.mark.parametrize("entry", [certify_all, find_critical_points])
-    def test_library_defaults_match_table(self, entry):
+    @pytest.mark.parametrize("entry, shared", [
+        (certify_all, {"shell_radius", "isolation_shells", "grad_floor", "samples_per_shell",
+                       "ec_horizon", "quad_tol", "descent_trajectories", "descent_t_end"}),
+        (find_critical_points, {"grid_per_axis", "newton_tol", "max_newton_iters"}),
+        (verify_basin, {"basin_samples", "basin_t_end", "converge_radius", "seed"}),
+        (ec_check, {"ec_horizon", "quad_tol"}),
+        (SimOptions, {"rel_tol", "abs_tol", "h_min", "h_max"}),
+    ], ids=["certify_all", "find_critical_points", "verify_basin", "ec_check", "SimOptions"])
+    def test_library_defaults_match_table(self, entry, shared):
         # the library entries take these options under their config names
         params = inspect.signature(entry).parameters
-        shared = [name for name in params if name in _OPTIONS]
-        assert len(shared) >= 3
+        assert {name for name in params if name in _OPTIONS} == shared
         assert {name: params[name].default for name in shared} \
             == {name: _OPTIONS[name][0] for name in shared}
 

@@ -22,19 +22,19 @@ def scalar_path(p):
 
 class TestEcCheck:
     def test_example_21_path_convergent(self, ex21):
-        verdict = ec_check(ex21.system.matrix, horizon=1e4)
+        verdict = ec_check(ex21.system.matrix, ec_horizon=1e4)
         assert verdict.kind is EcKind.CONVERGENT_LIKELY
         # I(infinity) = 1 for (t+1)^-2
         assert verdict.horizon_integral == pytest.approx(1.0, abs=2e-4)
         assert verdict.tail_exponent == pytest.approx(2.0, abs=0.01)
 
     def test_identity_divergent(self):
-        verdict = ec_check(MatrixPath.identity(2), horizon=1e4)
+        verdict = ec_check(MatrixPath.identity(2), ec_horizon=1e4)
         assert verdict.kind is EcKind.DIVERGENT_LIKELY
         assert verdict.horizon_integral == pytest.approx(1e4, rel=1e-9)
 
     def test_harmonic_divergent(self):
-        verdict = ec_check(scalar_path("1"), horizon=1e4)
+        verdict = ec_check(scalar_path("1"), ec_horizon=1e4)
         assert verdict.kind is EcKind.DIVERGENT_LIKELY
         assert verdict.horizon_integral == pytest.approx(np.log(1e4 + 1.0), abs=1e-3)
 
@@ -47,12 +47,12 @@ class TestEcCheck:
         assert ec_check(scalar_path(str(p)), 1e6).kind is EcKind.CONVERGENT_LIKELY
 
     def test_zero_path_convergent(self):
-        verdict = ec_check(MatrixPath([["0"]]), horizon=1e4)
+        verdict = ec_check(MatrixPath([["0"]]), ec_horizon=1e4)
         assert verdict.kind is EcKind.CONVERGENT_LIKELY
         assert verdict.horizon_integral == 0.0
 
     def test_negative_lambda_clipped_with_disclosure(self):
-        verdict = ec_check(MatrixPath([["-1"]]), horizon=1e4)
+        verdict = ec_check(MatrixPath([["-1"]]), ec_horizon=1e4)
         assert verdict.clipped_negative
         assert verdict.horizon_integral == 0.0
 
@@ -66,7 +66,7 @@ class TestEcCheck:
 
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):
-            ec_check(MatrixPath.identity(1), horizon=50.0)
+            ec_check(MatrixPath.identity(1), ec_horizon=50.0)
 
     @pytest.mark.parametrize("quad_tol", [0.0, -1.0])
     def test_quad_tol_precondition(self, quad_tol):
