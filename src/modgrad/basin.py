@@ -66,7 +66,7 @@ class GridComponent(Record):
 
     @property
     def masked_area(self):
-        return float(self.mask.sum()) * self.cell_volume
+        return float(np.count_nonzero(self.mask)) * self.cell_volume
 
     def axis_centers(self):
         """Per axis, the coordinates of the cell centers along it."""

@@ -11,6 +11,7 @@ seed (floats are formatted with 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import os
@@ -53,7 +54,9 @@ def _json_text(obj):
 
 def _json_parts(obj, out, newline):
     """Append obj's text to *out*; *newline* breaks to obj's indentation.
-    Exact types first; numpy values and subclasses take ``isinstance``."""
+    Exact types first; numpy values and subclasses take ``isinstance``.  A
+    Record is the object of its fields, in ``_fields`` order (``_fill``'s
+    ``__dict__``); an Enum is its value."""
     kind = type(obj)
     if kind is float:
         out.append(_fmt_float(obj))
@@ -68,6 +71,10 @@ def _json_parts(obj, out, newline):
             _json_parts(obj[v] if kind is dict else v, out, inner)
             sep = "," + inner
         out.append(newline + brackets[1] if obj else brackets)
+    elif isinstance(obj, Record):
+        _json_parts(vars(obj), out, newline)
+    elif isinstance(obj, enum.Enum):
+        _json_parts(obj.value, out, newline)
     elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -410,53 +417,6 @@ def _build_matrix(p_spec, dimension):
         raise ConfigError(f"invalid matrix path: {exc}") from None
 
 
-# -- report shaping ----------------------------------------------------------
-
-
-def _critical_point_dict(cp):
-    return {
-        "location": list(cp.location),
-        "classification": cp.classification.value,
-        "hessian_spectrum": list(cp.hessian_spectrum),
-        "grad_norm": cp.grad_norm,
-        "value": cp.value,
-    }
-
-
-def _stability_report_dict(rep):
-    return {
-        "equilibrium": _critical_point_dict(rep.equilibrium),
-        "h1": {"pass": rep.h1_pass, "note": rep.h1_note},
-        "h2": {
-            "kind": rep.h2.kind.value,
-            "min_grad_norm": rep.h2.min_grad_norm,
-            "witness": list(rep.h2.witness) if rep.h2.witness else None,
-            "shells": list(rep.h2.shells),
-        },
-        "h3": _ec_dict(rep.h3),
-        "conclusion": rep.conclusion.value,
-        "descent": None
-        if rep.descent is None
-        else {
-            "trajectories": rep.descent.trajectories,
-            "max_v_increase": rep.descent.max_v_increase,
-            "max_bound_violation": rep.descent.max_bound_violation,
-            "statuses": list(rep.descent.statuses),
-        },
-    }
-
-
-def _ec_dict(v):
-    return {
-        "kind": v.kind.value,
-        "horizon_integral": v.horizon_integral,
-        "horizon": v.horizon,
-        "tail_exponent": v.tail_exponent,
-        "evidence": v.evidence,
-        "clipped_negative": v.clipped_negative,
-    }
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -517,8 +477,11 @@ def cmd_analyze(args):
             f"h2={rep.h2.kind.value} h3={rep.h3.kind.value} -> {rep.conclusion.value}",
         )
 
-    _write_json(os.path.join(out, "report.json"),
-                [_stability_report_dict(r) for r in reports])
+    _write_json(os.path.join(out, "report.json"), [
+        {"equilibrium": r.equilibrium, "h1": {"pass": r.h1_pass, "note": r.h1_note},
+         "h2": r.h2, "h3": r.h3, "conclusion": r.conclusion, "descent": r.descent}
+        for r in reports
+    ])
     _say(args, f"wrote {os.path.join(out, 'report.json')}")
     return EXIT_OK
 
@@ -573,7 +536,8 @@ def cmd_basin(args):
     anchor = _parse_vector(args.anchor, config.system.dimension, "--anchor")
     fld = config.system.field
     component = basin_mod.extract_component(fld, anchor, args.c, args.resolution)
-    _say(args, f"component: {int(component.mask.sum())} cells, "
+    cells = np.count_nonzero(component.mask)
+    _say(args, f"component: {cells} cells, "
                f"area {component.masked_area:.6g}, M = {component.m_value:.6g}")
 
     points, _ = equilibria.find_critical_points(
@@ -610,15 +574,14 @@ def cmd_basin(args):
         {
             "c": component.c,
             "M": component.m_value,
-            "anchor": list(component.anchor),
-            "resolution": list(component.resolution),
-            "masked_cells": int(component.mask.sum()),
+            "anchor": component.anchor,
+            "resolution": component.resolution,
+            "masked_cells": cells,
             "masked_area": component.masked_area,
             "hypotheses": {
                 h.name.lower(): {
                     "pass": h.passed,
-                    "witnesses": [list(w) if isinstance(w, (list, tuple)) else w
-                                  for w in h.witnesses],
+                    "witnesses": h.witnesses,
                     "note": h.note,
                 }
                 for h in (hyp.h4, hyp.h5, hyp.h6)
@@ -632,7 +595,7 @@ def cmd_basin(args):
             "converged_count": verification.converged_count,
             "seed": seed,
             "failures": [
-                {"start": list(s), "status": st, "final": list(fin)}
+                {"start": s, "status": st, "final": fin}
                 for s, st, fin in verification.failures
             ],
             "note": verification.note,
@@ -653,7 +616,7 @@ def cmd_ec(args):
     if verdict.tail_exponent is not None:
         _say(args, f"  fitted tail exponent p = {verdict.tail_exponent:.4f}")
     _say(args, f"  {verdict.evidence}")
-    _write_json(os.path.join(out, "ec.json"), _ec_dict(verdict))
+    _write_json(os.path.join(out, "ec.json"), verdict)
     return EXIT_OK
 
 

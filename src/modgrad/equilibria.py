@@ -146,7 +146,8 @@ def _newton_batch(field, seeds, newton_tol, max_iters):
         x, g, h = finish(failed, "domain", x, g, h)
         h_norm = linalg.row_norms(h.reshape(len(h), n * n))
         step, det, singular = linalg.solve_rows(h, -g)
-        shift = np.abs(det) <= 1e-12 * np.float_power(np.fmax(1.0, h_norm), n)
+        with np.errstate(over="ignore"):  # an inf bound is right: |det| is below it
+            shift = np.abs(det) <= 1e-12 * np.float_power(np.fmax(1.0, h_norm), n)
         if shift.any():
             damped = h[shift] + (1e-6 * h_norm[shift])[:, None, None] * np.eye(n)
             step[shift], _, singular[shift] = linalg.solve_rows(damped, -g[shift])

@@ -57,8 +57,18 @@ def row_matvecs(p, v):
 
 
 def row_norms(v):
-    """Euclidean norm of each row: the square root of ``row_dots(v, v)``."""
-    return np.sqrt(row_dots(v, v))
+    """Euclidean norm of each row: the square root of ``row_dots(v, v)``.
+    A row with an entry past 2^500 (NaNs skipped), whose squares could
+    overflow, is scaled by the power of two that brings its largest entry
+    into [1/2, 1), and its root scaled back: exact but for entries under
+    2^-1022 of the largest, far too small to change the sum."""
+    if not np.fmax.reduce(np.abs(v), axis=None, initial=0.0) > 2.0 ** 500:
+        return np.sqrt(row_dots(v, v))
+    peak = np.fmax.reduce(np.abs(v), axis=1)
+    e = np.where(peak > 2.0 ** 500, np.frexp(peak)[1], 0)
+    w = np.ldexp(v, -e[:, None])
+    with np.errstate(over="ignore"):  # a row with an inf entry, or a norm past the float range
+        return np.ldexp(np.sqrt(row_dots(w, w)), e)
 
 
 def check_symmetric(m):

@@ -156,27 +156,22 @@ def _rms(v):
 
 
 def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
-    """Hairer's starting-step heuristic, clipped to the span, per row."""
+    """Hairer's starting-step heuristic, clipped to the span, per row; a zero
+    scale (abs_tol = 0) gives NaN norms, compared as Python's max and min do."""
     scale = abs_tol + rel_tol * np.abs(x0)
-    d0 = _rms(x0 / scale).tolist()
-    d1 = _rms(f0 / scale).tolist()
-    h0 = np.minimum(
-        [1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b for a, b in zip(d0, d1)],
-        t_end - t0,
-    )
+    with np.errstate(all="ignore"):  # a zero scale, and the quotients np.where drops
+        d0 = _rms(x0 / scale)
+        d1 = _rms(f0 / scale)
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_end - t0)
     f1 = system.rhs_batch(t0 + h0, x0 + h0[:, None] * f0)
-    d2 = (_rms((f1 - f0) / scale) / h0).tolist()
-    out = []
-    for h, a, b, failed in zip(h0.tolist(), d1, d2, np.isnan(f1).any(axis=1)):
-        if failed:  # the probe step left D
-            out.append(max(1e-6, h * 1e-3))
-            continue
-        if max(a, b) <= 1e-15:
-            h1 = max(1e-6, h * 1e-3)
-        else:
-            h1 = (0.01 / max(a, b)) ** 0.2
-        out.append(min(100.0 * h, h1, t_end - t0))
-    return np.array(out)
+    with np.errstate(all="ignore"):
+        d2 = _rms((f1 - f0) / scale) / h0
+        peak = np.where(d2 > d1, d2, d1)  # max(d1, d2)
+        fallback = np.fmax(1e-6, h0 * 1e-3)
+        h1 = np.where(peak <= 1e-15, fallback, np.float_power(0.01 / peak, 0.2))
+    # a row whose probe step left D takes the fallback, unclipped
+    return np.where(np.isnan(f1).any(axis=1), fallback,
+                    np.minimum(np.fmin(100.0 * h0, h1), t_end - t0))
 
 
 def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):

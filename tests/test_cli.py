@@ -4,6 +4,7 @@ import glob
 import inspect
 import itertools
 import json
+import math
 import os
 import re
 import time
@@ -21,15 +22,22 @@ from modgrad.cli import (
     _OPTIONS,
     _boundary_segments,
     _check_option,
+    _json_text,
     _write_csv,
     load_config,
     main,
 )
-from modgrad.equilibria import find_critical_points
+from modgrad.equilibria import (
+    Classification,
+    CriticalPoint,
+    IsolationKind,
+    IsolationVerdict,
+    find_critical_points,
+)
 from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
 from modgrad.ode import SimOptions
-from modgrad.stability import certify_all, ec_check
+from modgrad.stability import DescentSummary, EcKind, EcVerdict, certify_all, ec_check
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMAS = os.path.join(REPO, "schemas")
@@ -440,6 +448,38 @@ class TestWriters:
             ref.write_csv(str(want), ["a", "b"], data)
             assert got.read_bytes() == want.read_bytes(), name
 
+    # each literal is the text the report's former per-record dict builders gave
+    @pytest.mark.parametrize("record, text", [
+        (CriticalPoint(location=(0.3, -1.25), classification=Classification.ISOLATED_LOCAL_MAX,
+                       hessian_spectrum=np.array([-2.0, -0.1]), grad_norm=np.float64(1e-17),
+                       value=0.1),
+         '{\n  "location": [\n    0.29999999999999999,\n    -1.25\n  ],\n'
+         '  "classification": "IsolatedLocalMax",\n'
+         '  "hessian_spectrum": [\n    -2,\n    -0.10000000000000001\n  ],\n'
+         '  "grad_norm": 1.0000000000000001e-17,\n  "value": 0.10000000000000001\n}'),
+        (IsolationVerdict(IsolationKind.INCONCLUSIVE, math.inf),
+         '{\n  "kind": "Inconclusive",\n  "min_grad_norm": "inf",\n  "witness": null,\n'
+         '  "shells": []\n}'),
+        (IsolationVerdict(IsolationKind.NOT_ISOLATED, 0.0, witness=(0.5, 2.0),
+                          shells=(0.01, 0.02)),
+         '{\n  "kind": "NotIsolated",\n  "min_grad_norm": 0,\n'
+         '  "witness": [\n    0.5,\n    2\n  ],\n  "shells": [\n    0.01,\n    0.02\n  ]\n}'),
+        (EcVerdict(EcKind.INCONCLUSIVE, math.inf, 1e4, None, "I(T) is infinite"),
+         '{\n  "kind": "Inconclusive",\n  "horizon_integral": "inf",\n  "horizon": 10000,\n'
+         '  "tail_exponent": null,\n  "evidence": "I(T) is infinite",\n'
+         '  "clipped_negative": false\n}'),
+        (EcVerdict(EcKind.CONVERGENT_LIKELY, 3.25, 100.0, math.nan, "p = nan",
+                   clipped_negative=True),
+         '{\n  "kind": "ConvergentLikely",\n  "horizon_integral": 3.25,\n  "horizon": 100,\n'
+         '  "tail_exponent": null,\n  "evidence": "p = nan",\n  "clipped_negative": true\n}'),
+        (DescentSummary(8, -0.0, 1.5e-300, ("Converged", "ReachedEnd")),
+         '{\n  "trajectories": 8,\n  "max_v_increase": -0,\n'
+         '  "max_bound_violation": 1.5000000000000001e-300,\n'
+         '  "statuses": [\n    "Converged",\n    "ReachedEnd"\n  ]\n}'),
+    ])
+    def test_records_are_written_as_their_fields(self, record, text):
+        assert _json_text(record) == text
+
 
 class TestEcCommand:
     @pytest.mark.parametrize(
@@ -605,6 +645,14 @@ class TestNumericInputs:
         err = capsys.readouterr().err
         assert "P(t) has a non-finite entry at t = " in err and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hessian_past_the_square_range_exits_0(self, tmp_path):
+        # |H|_F = 2e200: its square and the damping bound's power overflow
+        cfg = write_config(tmp_path, {"dimension": 2, "f": "0 - 1e200*(x1 - 0.3)^2 - x2^2",
+                                      "box": [[-1, 1], [-1, 1]]})
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert (out / "report.json").read_text() == "[]\n"
 
     # the ids keep the names these cases have always had
     @pytest.mark.parametrize("command, options, message", [

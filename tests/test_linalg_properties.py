@@ -202,6 +202,21 @@ class TestRowSums:
         assert _bits(row_norms(v)) == _bits([ref.norm(row) for row in v])
         assert np.allclose(row_norms(v), [math.hypot(*row) for row in v.tolist()], rtol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_norms_scale_rows_past_the_square_range(self):
+        assert row_norms(np.array([[1e200, 1e200], [3.0, 4.0]])).tolist() == [
+            1.414213562373095e200, 5.0]  # math.hypot(1e200, 1e200)
+
+    @_PROPERTY
+    @given(hnp.arrays(float, (5, 3), elements=_ENTRY))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_norms_scale_only_the_rows_that_need_it(self, v):
+        got = row_norms(v)
+        plain = np.abs(v).max(axis=1) <= 2.0 ** 500
+        assert _bits(got[plain]) == _bits(np.sqrt(row_dots(v[plain], v[plain])))
+        want = [math.hypot(*row) for row in v[~plain].tolist()]
+        assert np.allclose(got[~plain], want, rtol=4 * _EPS, atol=0.0)
+
 
 def _outcome(integrate, g, a, b, tol, max_depth):
     """What ``integrate`` gives: ("value", its bits) or ("failure", the

@@ -482,6 +482,19 @@ class TestScalarReference:
                             targets=targets)
         assert Status.CONVERGED in {t.status for t in batch}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_abs_tol_with_a_zero_coordinate(self, ex31):
+        # a zero scale makes the first-step norms NaN and inf, which Python's
+        # max and min in the reference pass over or keep
+        starts = [(0.0, 1.0), (2.0, 0.0), (0.0, 0.0), (0.5, 1.0)]
+        opts = SimOptions(rel_tol=1e-6, abs_tol=0.0)
+        batch = ode.simulate_batch(ex31.system, starts, 0.0, 5.0, opts)
+        with np.errstate(all="ignore"):  # the reference divides by the zero scale too
+            ref = scalar_reference.simulate(ex31.system, starts, 0.0, 5.0, opts)
+        for a, b in zip(batch, ref):
+            _same(a, b)
+        assert {t.status for t in batch} == {Status.REACHED_END}
+
     def test_constant_field_has_zero_error(self):
         # grad f = 0: every step's error estimate is exactly 0, so the
         # controller grows h by the maximum factor until h_max binds
