@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
+import inspect
 import json
 import math
 import os
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from . import basin as basin_mod
-from . import equilibria, gallery, linalg, ode, stability
+from . import equilibria, gallery, ode, stability
 from ._record import Record
 from .errors import EvalDomainError, NumericFailure, OutsideDomainError, ParseError
 from .expr import parse as parse_expr
@@ -237,6 +239,10 @@ class ConfigError(ValueError):
     pass
 
 
+class H0Failure(Exception):
+    """P(t) failed H0, which every conclusion rests on; the message is all of stderr."""
+
+
 class AnalysisConfig(Record):
     _fields = ("system", "options", "output_dir", "sim_options")
 
@@ -420,107 +426,105 @@ def _build_matrix(p_spec, dimension):
 # -- subcommands -------------------------------------------------------------
 
 
-def _say(args, *message):
-    if not args.quiet:
-        print(*message)
+class _Run:
+    """One subcommand's run: its config, its output directory, and the
+    stages ``h0``, ``points`` and ``reports``, each computed at most once.
+    A stage that uses P(t) runs ``h0`` first, which raises ``H0Failure``."""
 
+    def __init__(self, args):
+        self.say = (lambda *message: None) if args.quiet else print
+        self.config = load_config(args.config)
+        self.system, self.opts = self.config.system, self.config.options
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        self.out = args.out or self.config.output_dir
+        os.makedirs(self.out, exist_ok=True)
 
-def _outdir(args, config):
-    out = args.out or config.output_dir
-    os.makedirs(out, exist_ok=True)
-    return out
+    def path(self, name):
+        return os.path.join(self.out, name)
+
+    def call(self, fn, *args, **given):
+        """fn(*args, **given), adding each config option fn takes, and ``sim``, by name."""
+        params = inspect.signature(fn).parameters
+        offered = {**vars(self.opts), "sim": self.config.sim_options, **given}
+        return fn(*args, **{name: v for name, v in offered.items() if name in params})
+
+    @functools.cached_property
+    def h0(self):
+        h0 = self.call(validate_h0, self.system)
+        if not h0.passed:
+            raise H0Failure(
+                f"H0 FAILED: min lambda_1 = {h0.min_lambda1:.6g} < -{self.opts.psd_tol:g} "
+                f"at t = {h0.worst_time():.6g}; P(t) is not positive semi-definite")
+        self.say(f"H0: pass (min lambda_1 = {h0.min_lambda1:.3g} over {len(h0.samples)} samples)")
+        return h0
+
+    @functools.cached_property
+    def points(self):
+        points, diags = self.call(equilibria.find_critical_points, self.system.field)
+        counts = ", ".join(f"{name}={getattr(diags, name)}" for name in diags._fields)
+        self.say(f"critical points: {len(points)} ({counts})")
+        return points
+
+    @functools.cached_property
+    def reports(self):
+        self.h0
+        return self.call(stability.certify_all, self.system, self.points,
+                         critical_points=self.points)
 
 
 def cmd_analyze(args):
-    config = load_config(args.config)
-    out = _outdir(args, config)
-    opts = config.options
-
-    # as far as H3 integrates lambda_1, and at least to 1e4
-    h0_times = [0.0, *linalg.geomspace(1e-3, max(1e4, opts.ec_horizon), 63)]
-    h0 = validate_h0(config.system, h0_times, opts.psd_tol)
-    if not h0.passed:
-        print(
-            f"H0 FAILED: min lambda_1 = {h0.min_lambda1:.6g} < -{opts.psd_tol:g} "
-            f"at t = {h0.worst_time():.6g}; P(t) is not positive semi-definite",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    _say(args, f"H0: pass (min lambda_1 = {h0.min_lambda1:.3g} over {len(h0.samples)} samples)")
-
-    points, diags = equilibria.find_critical_points(
-        config.system.field,
-        grid_per_axis=opts.grid_per_axis,
-        newton_tol=opts.newton_tol,
-        max_newton_iters=opts.max_newton_iters,
-    )
-    counts = ", ".join(f"{name}={getattr(diags, name)}" for name in diags._fields)
-    _say(args, f"critical points: {len(points)} ({counts})")
-
-    reports = stability.certify_all(
-        config.system, points, critical_points=points,
-        shell_radius=opts.shell_radius,
-        isolation_shells=opts.isolation_shells,
-        grad_floor=opts.grad_floor,
-        samples_per_shell=opts.samples_per_shell,
-        ec_horizon=opts.ec_horizon,
-        quad_tol=opts.quad_tol,
-        descent_trajectories=opts.descent_trajectories,
-        descent_t_end=opts.descent_t_end,
-        sim=config.sim_options,
-    )
-    for point, rep in zip(points, reports):
+    run = _Run(args)
+    for rep in run.reports:
+        point = rep.equilibrium
         loc = ", ".join(format(v, ".10g") for v in point.location)
-        _say(
-            args,
+        run.say(
             f"({loc}): {point.classification.value:18s} h1={'pass' if rep.h1_pass else 'fail'} "
             f"h2={rep.h2.kind.value} h3={rep.h3.kind.value} -> {rep.conclusion.value}",
         )
 
-    _write_json(os.path.join(out, "report.json"), [
+    _write_json(run.path("report.json"), [
         {"equilibrium": r.equilibrium, "h1": {"pass": r.h1_pass, "note": r.h1_note},
          "h2": r.h2, "h3": r.h3, "conclusion": r.conclusion, "descent": r.descent}
-        for r in reports
+        for r in run.reports
     ])
-    _say(args, f"wrote {os.path.join(out, 'report.json')}")
+    run.say(f"wrote {run.path('report.json')}")
     return EXIT_OK
 
 
 def cmd_simulate(args):
-    config = load_config(args.config)
-    out = _outdir(args, config)
-    x0 = _parse_vector(args.x0, config.system.dimension, "--x0")
+    run = _Run(args)
+    x0 = _parse_vector(args.x0, run.system.dimension, "--x0")
     target = None
     if args.target is not None:
-        target = _parse_vector(args.target, config.system.dimension, "--target")
+        target = _parse_vector(args.target, run.system.dimension, "--target")
 
-    sim = config.sim_options
+    sim = run.config.sim_options
     opts = sim.replace(
         h_max=sim.h_max if args.h_max is None else args.h_max,
         convergence_radius=None if target is None else args.radius,
     )
-    traj = ode.simulate_batch(config.system, [x0], args.t0, args.t_end, opts, target)[0]
+    traj = ode.simulate_batch(run.system, [x0], args.t0, args.t_end, opts, target)[0]
 
-    n = config.system.dimension
+    n = run.system.dimension
     _write_csv(
-        os.path.join(out, "trajectory.csv"),
+        run.path("trajectory.csv"),
         ["t"] + [f"x{i + 1}" for i in range(n)],
         (np.column_stack([traj.times, traj.states])),
     )
     anchor = target if target is not None else x0
-    trace = ode.lyapunov_traces(config.system, [traj], [anchor])[0]
+    trace = ode.lyapunov_traces(run.system, [traj], [anchor])[0]
     _write_csv(
-        os.path.join(out, "lyapunov.csv"),
+        run.path("lyapunov.csv"),
         ["t", "V", "Vdot", "lambda1", "gradnorm2"],
         trace.rows,
     )
     state_txt = ", ".join(format(v, ".10g") for v in traj.final_state)
-    _say(args, f"status: {traj.status.value}"
-               + (f" at t = {traj.converged_at:.6g}" if traj.converged_at is not None else ""))
-    _say(args, f"final state at t = {traj.final_time:.6g}: ({state_txt})")
+    run.say(f"status: {traj.status.value}"
+            + (f" at t = {traj.converged_at:.6g}" if traj.converged_at is not None else ""))
+    run.say(f"final state at t = {traj.final_time:.6g}: ({state_txt})")
     for t, x in traj.checkpoints():
-        _say(args, f"  checkpoint t = {t:g}: ("
-             + ", ".join(format(v, ".10g") for v in x) + ")")
+        run.say(f"  checkpoint t = {t:g}: (" + ", ".join(format(v, ".10g") for v in x) + ")")
     if traj.status is ode.Status.STEP_FAILURE:
         print(f"integration failed: {traj.detail}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -528,49 +532,34 @@ def cmd_simulate(args):
 
 
 def cmd_basin(args):
-    config = load_config(args.config)
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    out = _outdir(args, config)
-    opts = config.options
-    anchor = _parse_vector(args.anchor, config.system.dimension, "--anchor")
-    fld = config.system.field
-    component = basin_mod.extract_component(fld, anchor, args.c, args.resolution)
+    run = _Run(args)
+    anchor = _parse_vector(args.anchor, run.system.dimension, "--anchor")
+    run.h0  # the basin statement rests on H0 as the stability one does
+    component = basin_mod.extract_component(run.system.field, anchor, args.c, args.resolution)
     cells = np.count_nonzero(component.mask)
-    _say(args, f"component: {cells} cells, "
-               f"area {component.masked_area:.6g}, M = {component.m_value:.6g}")
+    run.say(f"component: {cells} cells, "
+            f"area {component.masked_area:.6g}, M = {component.m_value:.6g}")
 
-    points, _ = equilibria.find_critical_points(
-        fld, opts.grid_per_axis, opts.newton_tol, opts.max_newton_iters
-    )
-    hyp = basin_mod.check_hypotheses(component, fld, points, opts.tol_boundary)
+    hyp = run.call(basin_mod.check_hypotheses, component, run.system.field, run.points)
     for h in (hyp.h4, hyp.h5, hyp.h6):
-        _say(args, f"{h.name}: {'pass' if h.passed else 'FAIL'} -- {h.note}")
+        run.say(f"{h.name}: {'pass' if h.passed else 'FAIL'} -- {h.note}")
 
-    seed = args.seed if args.seed is not None else opts.seed
-    verification = basin_mod.verify_basin(
-        config.system,
-        component,
-        basin_samples=opts.basin_samples,
-        basin_t_end=opts.basin_t_end,
-        converge_radius=opts.converge_radius,
-        seed=seed,
-        sim=config.sim_options,
-    )
-    _say(args, verification.note)
+    seed = run.opts.seed if args.seed is None else args.seed
+    verification = run.call(basin_mod.verify_basin, run.system, component, seed=seed)
+    run.say(verification.note)
 
     if component.dimension == 2:
-        _write_pgm(os.path.join(out, "mask.pgm"), component.mask)
+        _write_pgm(run.path("mask.pgm"), component.mask)
         segments = _boundary_segments(component)
         _write_csv(
-            os.path.join(out, "boundary.csv"),
+            run.path("boundary.csv"),
             ["x1_a", "x2_a", "x1_b", "x2_b"],
             segments,
         )
-        _write_svg(os.path.join(out, "basin.svg"), component, points, segments)
-    _write_cells_csv(os.path.join(out, "cells.csv"), component)
+        _write_svg(run.path("basin.svg"), component, run.points, segments)
+    _write_cells_csv(run.path("cells.csv"), component)
     _write_json(
-        os.path.join(out, "hypotheses.json"),
+        run.path("hypotheses.json"),
         {
             "c": component.c,
             "M": component.m_value,
@@ -589,7 +578,7 @@ def cmd_basin(args):
         },
     )
     _write_json(
-        os.path.join(out, "verification.json"),
+        run.path("verification.json"),
         {
             "sample_count": verification.sample_count,
             "converged_count": verification.converged_count,
@@ -601,22 +590,20 @@ def cmd_basin(args):
             "note": verification.note,
         },
     )
-    _say(args, f"wrote mask/cells/hypotheses/verification to {out}")
+    run.say(f"wrote mask/cells/hypotheses/verification to {run.out}")
     return EXIT_OK
 
 
 def cmd_ec(args):
-    config = load_config(args.config)
-    out = _outdir(args, config)
-    opts = config.options
-    horizon = args.horizon if args.horizon is not None else opts.ec_horizon
-    verdict = stability.ec_check(config.system.matrix, ec_horizon=horizon, quad_tol=opts.quad_tol)
-    _say(args, f"EC verdict: {verdict.kind.value}")
-    _say(args, f"  I(T) = {verdict.horizon_integral:.8g} at T = {verdict.horizon:g}")
+    run = _Run(args)
+    horizon = run.opts.ec_horizon if args.horizon is None else args.horizon
+    verdict = run.call(stability.ec_check, run.system.matrix, ec_horizon=horizon)
+    run.say(f"EC verdict: {verdict.kind.value}")
+    run.say(f"  I(T) = {verdict.horizon_integral:.8g} at T = {verdict.horizon:g}")
     if verdict.tail_exponent is not None:
-        _say(args, f"  fitted tail exponent p = {verdict.tail_exponent:.4f}")
-    _say(args, f"  {verdict.evidence}")
-    _write_json(os.path.join(out, "ec.json"), verdict)
+        run.say(f"  fitted tail exponent p = {verdict.tail_exponent:.4f}")
+    run.say(f"  {verdict.evidence}")
+    _write_json(run.path("ec.json"), verdict)
     return EXIT_OK
 
 
@@ -644,9 +631,8 @@ def _parse_vector(text, dimension, flag):
     return np.array(values)
 
 
-def _add_common(parser, needs_config=True):
-    if needs_config:
-        parser.add_argument("--config", required=True, help="path to the JSON config")
+def _add_common(parser):
+    parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -705,12 +691,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "quiet"):
-        args.quiet = False
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (H0Failure, ConfigError) as exc:
+        print(exc if isinstance(exc, H0Failure) else f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ParseError, OutsideDomainError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

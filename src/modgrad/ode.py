@@ -245,6 +245,12 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
             a[mask] for a in (rows, t, h, x, f, err_prev, rejected_at_hmin, goal, dist)
         )
 
+    def error_norm(err_vec, scale):  # _rms(err_vec / scale)
+        if opts.abs_tol > 0.0:  # then every scale is > 0
+            return _rms(err_vec / scale)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 counts as 0
+            return _rms(np.where(err_vec == 0.0, 0.0, err_vec / scale))
+
     uses_t = system.matrix.uses_t
     for _ in range(opts.max_steps):
         if not len(rows):
@@ -280,13 +286,13 @@ def simulate_batch(system, x0, t0, t_end, opts=None, targets=None):
         f_new = k[6].copy()  # a view would keep all of k alive in accepted
         err_vec = hc * np.add.reduce(_E * k, axis=0)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-        err = _rms(err_vec / scale)
+        err = error_norm(err_vec, scale)
         t_new = t + h
         dist_new = linalg.row_norms(x_new - goal)
         amp = np.maximum(dist, dist_new)
         near = amp < radius
         if near.any():
-            near_err = _rms(err_vec / (opts.abs_tol + _NEAR_TARGET_REL * amp)[:, None])
+            near_err = error_norm(err_vec, (opts.abs_tol + _NEAR_TARGET_REL * amp)[:, None])
             err = np.where(near, near_err, err)
         accept = err <= 1.0
         conv = accept & (dist_new < radius)

@@ -725,6 +725,13 @@ def _rms(v):
     return np.sqrt(np.mean(v ** 2, axis=1))
 
 
+def _zero_over_zero(err, scale):
+    """err / scale, element by element, with 0 / 0 taken as 0 and e / 0 as +-inf."""
+    scale = np.broadcast_to(scale, np.shape(err))
+    return np.array([[0.0 if e == 0.0 else e / s if s else math.copysign(math.inf, e)
+                      for e, s in zip(*rows)] for rows in zip(err.tolist(), scale.tolist())])
+
+
 def _initial_step(system, t0, x0, f0, t_end, rel_tol, abs_tol):
     """Hairer's starting-step heuristic, clipped to the span, per row."""
     scale = abs_tol + rel_tol * np.abs(x0)
@@ -846,13 +853,14 @@ def simulate(system, x0, t0, t_end, opts=None, targets=None):
         f_new = k[:, 6]
         err_vec = h[:, None] * _stage_sums(_E, k)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-        err = _rms(err_vec / scale)
+        err = _rms(_zero_over_zero(err_vec, scale))
         if targets is not None:
             amp = np.maximum(linalg.row_norms(x - targets[rows]),
                              linalg.row_norms(x_new - targets[rows]))
             near = amp < opts.convergence_radius
             if near.any():
-                near_err = _rms(err_vec / (opts.abs_tol + _NEAR_TARGET_REL * amp)[:, None])
+                near_err = _rms(_zero_over_zero(
+                    err_vec, (opts.abs_tol + _NEAR_TARGET_REL * amp)[:, None]))
                 err = np.where(near, near_err, err)
 
         t_new = t + h

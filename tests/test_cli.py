@@ -17,7 +17,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import scalar_reference as ref
 from helpers import one_row
-from modgrad.basin import exposed_cells, extract_component, verify_basin
+from modgrad.basin import check_hypotheses, exposed_cells, extract_component, verify_basin
 from modgrad.cli import (
     _OPTIONS,
     _boundary_segments,
@@ -36,6 +36,7 @@ from modgrad.equilibria import (
 )
 from modgrad.errors import EvalDomainError
 from modgrad.expr import parse
+from modgrad.field import validate_h0
 from modgrad.ode import SimOptions
 from modgrad.stability import DescentSummary, EcKind, EcVerdict, certify_all, ec_check
 
@@ -276,6 +277,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--x0", "2",
                      "--t-end", "10", "--quiet"]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_abs_tol_with_a_coordinate_that_stays_0(self, tmp_path):
+        # x2 stays exactly 0, so its error and its scale are both 0 on every step
+        cfg = write_config(tmp_path, {"dimension": 2, "f": "0 - x1^2 - x2^2",
+                                      "box": [[-1, 1], [-1, 1]], "options": {"abs_tol": 0}})
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out, "--quiet",
+                     "--x0", "0.5,0", "--t-end", "10"]) == 0
+        rows = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1)
+        # x1' = -2 x1: x1(10) = 0.5 e^-20
+        assert rows[-1].tolist() == [10.0, pytest.approx(0.5 * math.exp(-20.0), rel=1e-6), 0.0]
+
 
 class TestBasinCommand:
     def test_certified_component(self, tmp_path):
@@ -316,6 +329,17 @@ class TestBasinCommand:
         assert main(["basin", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
                      "--anchor", "0,0,0,0,0", "--c", "-0.5"]) == 2
         assert capsys.readouterr().err == "input error: grid extraction supports dimension <= 4\n"
+
+    def test_indefinite_matrix_fails_h0(self, tmp_path, capsys):
+        # the basin statement rests on H0 as analyze's conclusions do
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "P": [["1", "0"], ["0", "-1"]]})
+        out = tmp_path / "out"
+        assert main(["basin", "--config", cfg, "--out", str(out), "--quiet",
+                     "--anchor", "2,4", "--c", "33", "--resolution", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "H0 FAILED: min lambda_1 = -1 < -1e-10 at t = 0; "
+            "P(t) is not positive semi-definite\n")
+        assert list(out.iterdir()) == []
 
     def test_h6_failure_with_witnesses(self, tmp_path):
         cfg = write_config(
@@ -516,6 +540,15 @@ class TestEcCommand:
         with open(os.path.join(out, "ec.json")) as fh:
             assert json.load(fh)["kind"] == "ConvergentLikely"
 
+    def test_indefinite_matrix_is_graded_clipped(self, tmp_path):
+        # ec runs no H0: it grades the integral of max(lambda_1, 0) and says so
+        cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "P": [["1", "0"], ["0", "-1"]]})
+        out = str(tmp_path / "out")
+        assert main(["ec", "--config", cfg, "--out", out, "--quiet"]) == 0
+        with open(os.path.join(out, "ec.json")) as fh:
+            verdict = json.load(fh)
+        assert verdict["kind"] == "ConvergentLikely" and verdict["clipped_negative"] is True
+
     def test_horizon_defaults_to_config(self, tmp_path):
         # ec grades the eigenvalue condition at the T that analyze's H3 uses
         cfg = write_config(tmp_path, {"f": {"gallery": "ex21"},
@@ -698,6 +731,8 @@ class TestNumericInputs:
         assert not out.exists()  # rejected before any stage ran
 
     BASIN_FLAGS = ["--anchor", "2,4", "--c", "33", "--resolution", "64"]
+    CONFIG_COMMANDS = {"analyze": [], "basin": BASIN_FLAGS,
+                       "simulate": ["--x0", "2,4", "--t-end", "1"], "ec": []}
 
     @pytest.mark.parametrize("command, options, flags, message", [
         ("analyze", {"shell_radius": -1}, [], "option 'shell_radius' must be > 0, got -1"),
@@ -706,7 +741,10 @@ class TestNumericInputs:
         ("analyze", {"psd_tol": -2}, [], "option 'psd_tol' must be >= 0, got -2"),
         ("analyze", {"grad_floor": -1}, [], "option 'grad_floor' must be >= 0, got -1"),
         ("basin", {"seed": -1}, [], "option 'seed' must be >= 0, got -1"),
-        ("basin", {}, ["--seed", "-5"], "--seed must be >= 0, got -5"),
+        # every command checks --seed, which only basin uses
+        *(pytest.param(command, {}, ["--seed", "-5"], "--seed must be >= 0, got -5",
+                       id=f"{command}-options6-flags6---seed must be >= 0, got -5")
+          for command in ("basin", "analyze", "simulate", "ec")),
     ])
     def test_sign_invalid_options_exit_2(self, tmp_path, capsys, command, options, flags,
                                          message):
@@ -714,7 +752,7 @@ class TestNumericInputs:
         # with a message that did not name the option
         cfg = write_config(tmp_path, {"f": {"gallery": "ex31"}, "options": options})
         out = tmp_path / "o"
-        flags = (self.BASIN_FLAGS if command == "basin" else []) + flags
+        flags = self.CONFIG_COMMANDS[command] + flags
         assert main([command, "--config", cfg, "--out", str(out), "--quiet", *flags]) == 2
         err = capsys.readouterr().err
         assert f"config error: {message}" in err and err.count("\n") == 1
@@ -747,8 +785,6 @@ class TestNumericInputs:
         "newton_tol-neg": ({"newton_tol": -1}, "option 'newton_tol' must be > 0, got -1"),
         "h_min-neg": ({"h_min": -1}, "option 'h_min' must be > 0, got -1"),
     }
-    CONFIG_COMMANDS = {"analyze": [], "basin": BASIN_FLAGS,
-                       "simulate": ["--x0", "2,4", "--t-end", "1"], "ec": []}
 
     @pytest.mark.parametrize("command, case", [
         pytest.param(command, case, id=f"{command}-{case}")
@@ -857,20 +893,33 @@ class TestRepoConfigs:
         for body in (spelled, {"f": {"gallery": "ex21"}}):  # load_config fills in every option
             assert vars(load_config(write_config(tmp_path, body)).options) == defaults
 
-    @pytest.mark.parametrize("entry, shared", [
-        (certify_all, {"shell_radius", "isolation_shells", "grad_floor", "samples_per_shell",
-                       "ec_horizon", "quad_tol", "descent_trajectories", "descent_t_end"}),
-        (find_critical_points, {"grid_per_axis", "newton_tol", "max_newton_iters"}),
-        (verify_basin, {"basin_samples", "basin_t_end", "converge_radius", "seed"}),
-        (ec_check, {"ec_horizon", "quad_tol"}),
-        (SimOptions, {"rel_tol", "abs_tol", "h_min", "h_max"}),
-    ], ids=["certify_all", "find_critical_points", "verify_basin", "ec_check", "SimOptions"])
-    def test_library_defaults_match_table(self, entry, shared):
-        # the library entries take these options under their config names
+    LIBRARY_OPTIONS = {
+        certify_all: {"shell_radius", "isolation_shells", "grad_floor", "samples_per_shell",
+                      "ec_horizon", "quad_tol", "descent_trajectories", "descent_t_end"},
+        find_critical_points: {"grid_per_axis", "newton_tol", "max_newton_iters"},
+        verify_basin: {"basin_samples", "basin_t_end", "converge_radius", "seed"},
+        ec_check: {"ec_horizon", "quad_tol"},
+        SimOptions: {"rel_tol", "abs_tol", "h_min", "h_max"},
+        validate_h0: {"psd_tol", "ec_horizon"},
+        check_hypotheses: {"tol_boundary"},
+    }
+
+    @pytest.mark.parametrize("entry", LIBRARY_OPTIONS, ids=lambda entry: entry.__name__)
+    def test_library_defaults_match_table(self, entry):
+        # the library entries take these options under their config names,
+        # which is how the CLI passes them (_Run.call)
+        shared = self.LIBRARY_OPTIONS[entry]
         params = inspect.signature(entry).parameters
         assert {name for name in params if name in _OPTIONS} == shared
         assert {name: params[name].default for name in shared} \
             == {name: _OPTIONS[name][0] for name in shared}
+
+    def test_every_option_reaches_a_library_entry(self):
+        # an option no entry takes by its name would fall back to the
+        # entry's default without a word
+        taken = {name for entry in self.LIBRARY_OPTIONS
+                 for name in inspect.signature(entry).parameters}
+        assert set(_OPTIONS) <= taken
 
     @pytest.mark.parametrize("name", ["ex21.json", "ex31.json", "custom_example.json"])
     def test_shipped_configs_analyze(self, tmp_path, name):

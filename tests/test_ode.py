@@ -494,6 +494,17 @@ class TestScalarReference:
         for a, b in zip(batch, ref):
             _same(a, b)
         assert {t.status for t in batch} == {Status.REACHED_END}
+        # x2 stays exactly 0: its error over its zero scale counts as 0, on
+        # the way to the target and near it
+        quad = System(ExpressionField(parse("0 - x1^2 - x2^2", 2), Box((-1, -1), (1, 1))),
+                      MatrixPath.identity(2))
+        for target, status in ((None, Status.REACHED_END), ((0.0, 0.0), Status.CONVERGED)):
+            near = opts.replace(convergence_radius=None if target is None else 1e-3)
+            (traj,) = ode.simulate_batch(quad, [(0.5, 0.0)], 0.0, 20.0, near, target)
+            with np.errstate(all="ignore"):
+                _same(traj, scalar_reference.simulate(quad, [(0.5, 0.0)], 0.0, 20.0, near,
+                                                      targets=target)[0])
+            assert traj.status is status and traj.final_state[1] == 0.0
 
     def test_constant_field_has_zero_error(self):
         # grad f = 0: every step's error estimate is exactly 0, so the
