@@ -623,7 +623,7 @@ def cmd_gallery(args):
 
 def _parse_vector(text, dimension, flag):
     try:
-        values = [float(v) for v in str(text).replace(" ", "").split(",") if v != ""]
+        values = [float(v) for v in str(text).replace(" ", "").split(",")]
     except ValueError:
         raise ConfigError(f"{flag} must be comma-separated numbers") from None
     if len(values) != dimension:

@@ -431,16 +431,17 @@ def _call_exact(fn, columns):
 
 def _exact(fn, columns):
     """*fn*, compiled by ``_compile``, over *columns* (one array per
-    parameter, all of one length m): a (roots, m) array with the bits *fn*
-    gives each row alone, and the mask of the rows where one of its
-    operations fails, whose values are not defined."""
+    parameter, all of one length m): a C-contiguous (m, roots) array, row i
+    with the bits *fn* gives row i alone, and the mask of the rows where one
+    of its operations fails, which are all NaN."""
     values, failed = _call_exact(fn, columns)
     m = len(columns[0])
-    out = np.empty((len(values), m))
-    for row, v in zip(out, values):
-        row[...] = v  # a constant component is a Python float
+    out = np.empty((m, len(values)))
+    for column, v in zip(out.T, values):
+        column[...] = v  # a constant component is a Python float
     mask = np.empty(m, dtype=bool)
     mask[...] = failed  # a Python bool when no test depends on a column
+    out[mask] = math.nan
     return out, mask
 
 
@@ -647,14 +648,14 @@ class Expression:
     def batch(self, kind, columns):
         """*kind* ("eval", "grad" or "hessian") at every row of *columns*
         (one array per variable, all of one length m), shape (m,), (m, n) or
-        (m, n, n), with the bits Python floats and ``math`` give that row,
-        and the mask of the rows where they raise a domain error (their
-        values are not defined); a Hessian is exactly symmetric.  An
+        (m, n, n) and C-contiguous, with the bits Python floats and ``math``
+        give that row, and the mask of the rows where they raise a domain
+        error, which are all NaN; a Hessian is exactly symmetric.  An
         overflow outside ``exp``, which Python floats let pass, gives inf.
         """
         values, failed = _exact(self._kernels[kind], columns)
         shape = {"eval": (), "grad": (self.dimension,)}.get(kind, (self.dimension,) * 2)
-        return values.T.reshape(len(failed), *shape), failed
+        return values.reshape(len(failed), *shape), failed
 
     def eval_array(self, columns):
         """f over numpy arrays (one per variable, broadcastable): the

@@ -139,22 +139,15 @@ class ExpressionField(ScalarField):
         return self.expression.eval_array(columns)
 
     def batch(self, kind, x):
-        """The expression's exact array kernel for *kind* on the rows inside
-        D, and the mask of the rows outside D or where *kind* hits a domain
-        error, from the kernel's own domain tests: those rows are NaN (a
-        NaN the kernel returns elsewhere is a value, and unmarked)."""
+        """The expression's exact array kernel for *kind* on every row, which
+        runs on any float, and the mask of the rows outside D or where *kind*
+        hits a domain error, from the kernel's own domain tests: those rows
+        are NaN (a NaN the kernel returns elsewhere is a value, and unmarked)."""
         x = self._check_rows(x)
-        inside = linalg.row_all((x >= self._lo) & (x <= self._hi))
-        rows = x if inside.all() else x[inside]
-        got, bad = self.expression.batch(kind, np.ascontiguousarray(rows.T))
-        got[bad] = np.nan
-        if rows is x:
-            return got, bad
-        failed = ~inside
-        failed[inside] = bad
-        out = np.full((len(x),) + got.shape[1:], np.nan)
-        out[inside] = got
-        return out, failed
+        got, failed = self.expression.batch(kind, x.T)
+        outside = ~self.inside_batch(x)
+        got[outside] = np.nan
+        return got, failed | outside
 
     def __repr__(self):
         return f"ExpressionField({str(self.expression)!r})"
@@ -221,8 +214,8 @@ class MatrixPath:
         for s in t[failed][:1].tolist():  # raises, naming the first bad t's entry
             expr_mod._locate(self._upper, [s])
         out = np.empty(shape)
-        out[:, self._rows, self._cols] = upper.T
-        out[:, self._cols, self._rows] = upper.T
+        out[:, self._rows, self._cols] = upper
+        out[:, self._cols, self._rows] = upper
         return out
 
     def smallest_eigenvalue(self, t, p=None):

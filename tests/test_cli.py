@@ -272,10 +272,16 @@ class TestSimulate:
         rows = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1)
         assert rows[0, 1:3].tolist() == [-0.5, 1.0]
 
-    def test_bad_vector_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("x0, message", [
+        ("2", "--x0 must have 2 components"),
+        ("2,,2", "--x0 must be comma-separated numbers"),  # an empty item is no number
+        ("2,2,", "--x0 must be comma-separated numbers"),
+    ], ids=["2", "2,,2", "2,2,"])
+    def test_bad_vector_exits_2(self, tmp_path, capsys, x0, message):
         cfg = write_config(tmp_path, EX21_CONFIG)
-        assert main(["simulate", "--config", cfg, "--x0", "2",
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--x0", x0,
                      "--t-end", "10", "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_abs_tol_with_a_coordinate_that_stays_0(self, tmp_path):

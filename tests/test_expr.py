@@ -272,11 +272,15 @@ def _bits(x):
 
 def _assert_rows_match_the_reference(e, kind, rows):
     """``batch(kind, ...)`` over *rows* against the Python-float reference:
-    the same bits where the reference returns, a mark where it raises; a
-    one-row batch (``one_row``) agrees.  Returns the mask."""
+    the same bits where the reference returns, a mark and an all-NaN row
+    where it raises; a one-row batch (``one_row``) agrees.  The values are
+    C-contiguous, one row per point.  Returns the mask."""
     reference = math_kind(e, kind)
     got, failed = e.batch(kind, np.array(rows, dtype=float).reshape(-1, e.dimension).T)
-    assert got.shape[0] == failed.shape[0] == len(rows)
+    shape = {"eval": (), "grad": (e.dimension,)}.get(kind, (e.dimension,) * 2)
+    assert got.shape == (len(rows), *shape) and failed.shape == (len(rows),)
+    assert got.flags.c_contiguous
+    assert np.isnan(got[failed]).all()
     for row, values, marked in zip(rows, got, failed):
         try:
             want = reference(row)

@@ -356,14 +356,17 @@ class TestHessianBatch:
 class TestGradContract:
     """What the integrator relies on to skip a re-check of accepted states:
     ``batch("grad", x)`` rows are all NaN exactly where ``inside_batch`` is
-    False (and, for fields without domain errors, free of NaN inside D)."""
+    False (and, for fields without domain errors, free of NaN inside D).
+    For such fields every kind marks exactly those rows, whatever its
+    kernel meets there."""
 
     @staticmethod
     def _assert_contract(f, x):
-        g = f.batch("grad", x)[0]
         inside = f.inside_batch(x)
-        assert np.array_equal(np.isnan(g).all(axis=1), ~inside)
-        assert not np.isnan(g[inside]).any()
+        for kind in ("eval", "grad", "hessian"):
+            values, failed = f.batch(kind, x)
+            assert np.array_equal(failed, ~inside)
+            assert np.isnan(values[failed]).all() and not np.isnan(values[inside]).any()
         return inside
 
     @staticmethod
@@ -372,8 +375,10 @@ class TestGradContract:
         corners = np.array([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]]])
         edges = np.array([[lo[0], 0.3], [0.2, hi[1]], [np.nextafter(lo[0], -np.inf), 0.0],
                           [0.0, np.nextafter(hi[1], np.inf)]])
+        # non-finite rows, and rows on which a kernel overflows or hits a
+        # domain error, as they reach it outside D
         bad = np.array([[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan], [np.inf, 0.0],
-                        [-np.inf, 0.5]])
+                        [-np.inf, 0.5], [1e308, 0.5], [0.5, -1e308], [710.0, 0.0]])
         random = rng.uniform(lo - 0.5, hi + 0.5, size=(40, 2))
         return np.concatenate([corners, edges, bad, random])
 
@@ -381,13 +386,14 @@ class TestGradContract:
     @pytest.mark.parametrize("source", [
         "x1^3 - 2*x1*x2 + x2^2",  # numpy arithmetic only
         "exp(-x1^2) * x2 + x1",  # libm element by element
-    ], ids=["x1^3 - 2*x1*x2 + x2^2-True", "exp(-x1^2) * x2 + x1-False"])
+        "exp(x1) + ln(x2 + 3)",  # fails only outside D
+    ], ids=["x1^3 - 2*x1*x2 + x2^2-True", "exp(-x1^2) * x2 + x1-False", "exp(x1) + ln(x2 + 3)"])
     def test_expression_field(self, source):
         f = ExpressionField(parse(source, 2), Box((-1.0, -2.0), (1.5, 1.0)))
         x = self._points((-1.0, -2.0), (1.5, 1.0), np.random.default_rng(4))
         inside = self._assert_contract(f, x)
-        assert inside[:4].all() and not inside[8:13].any()
-        assert 0 < inside[13:].sum() < 40
+        assert inside[:4].all() and not inside[8:16].any()
+        assert 0 < inside[16:].sum() < 40
         self._assert_contract(f, x[inside])  # every row inside: no masking
 
     def test_radial_field(self, ex22):
